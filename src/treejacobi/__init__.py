@@ -5,7 +5,7 @@ solutions, deficiency-space bases and projections on the rooted tree, the
 boundary Poisson kernel, and the pure-point spectrum of the one-ended tree
 operator — all cross-checked against dense finite-section oracles."""
 
-from .coefficients import CoefficientSequence, ShiftedCoefficients, TreeConfig
+from .coefficients import CoefficientSequence, TreeConfig
 from .deficiency import (BasisFunction, ClassificationReport,
                          DeficiencyContext, DeficiencyElement, classify,
                          deficiency_residual, element_max_abs,
@@ -27,9 +27,8 @@ from .lambda_tree import (DimensionAudit, EigenPair, EsaCertificate,
                           SpectrumApproximation, build_eigenpairs,
                           dimension_audit, eigen_residual, esa_certificate,
                           radial_propagate, spectrum_enumerate)
-from .operator import (JacobiOperator, MembershipReport, RadialMatrix,
-                       hx_membership, moments, radial_average_E,
-                       radial_matrix, subtree_average_Ex)
+from .operator import (JacobiOperator, MembershipReport, hx_membership,
+                       moments, radial_average_E, subtree_average_Ex)
 from .oracle import (DenseTruncation, build_gamma_patch,
                      build_lambda_patch_matrix, build_radial_block,
                      dense_eigensolve, series_oracle)

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .deficiency import (AlphaTable, BasisFunction, DeficiencyContext,
-                         DeficiencyElement)
+                         DeficiencyElement, _check_zero_sum)
 from .errors import AmbiguousPrefix, PatchTooLarge
 from .exactnum import as_complex, conj, is_zero
 from .treecore import (DEFAULT_ENTRY_BUDGET, Address, format_address,
-                       parse_address, subtree_vertices)
+                       subtree_vertices)
 
 
 @dataclass(frozen=True)
@@ -120,38 +120,30 @@ def integrate(F: StepFunction):
     return 0 if total is None else total
 
 
-def _common_cells(F: StepFunction, G: StepFunction):
+def _cell_integral(F: StepFunction, G: StepFunction, g_map):
+    """Integral of F * g_map(G), cell by cell at the common refinement."""
     if F.d != G.d:
         raise ValueError("step functions on different boundaries")
     depth = max(F.canonical()[0], G.canonical()[0])
-    return depth, F.refined(depth), G.refined(depth)
+    fc, gc = F.refined(depth), G.refined(depth)
+    weight = Fraction(1, F.d ** depth)
+    total = None
+    for w in (fc if len(fc) <= len(gc) else gc):
+        if w in fc and w in gc:
+            term = fc[w] * g_map(gc[w]) * weight
+            total = term if total is None else total + term
+    return 0 if total is None else total
 
 
 def inner_boundary(F: StepFunction, G: StepFunction):
     """<F, G> = integral of F * conj(G); the second argument is conjugated,
     matching the tree inner product."""
-    depth, fc, gc = _common_cells(F, G)
-    weight = Fraction(1, F.d ** depth)
-    total = None
-    small = fc if len(fc) <= len(gc) else gc
-    for w in small:
-        if w in fc and w in gc:
-            term = fc[w] * conj(gc[w]) * weight
-            total = term if total is None else total + term
-    return 0 if total is None else total
+    return _cell_integral(F, G, conj)
 
 
 def plain_integral(F: StepFunction, G: StepFunction):
     """Integral of the plain product F * G (no conjugation)."""
-    depth, fc, gc = _common_cells(F, G)
-    weight = Fraction(1, F.d ** depth)
-    total = None
-    small = fc if len(fc) <= len(gc) else gc
-    for w in small:
-        if w in fc and w in gc:
-            term = fc[w] * gc[w] * weight
-            total = term if total is None else total + term
-    return 0 if total is None else total
+    return _cell_integral(F, G, lambda v: v)
 
 
 def bx_element(d: int, anchor: Address, values: Sequence) -> StepFunction:
@@ -159,10 +151,7 @@ def bx_element(d: int, anchor: Address, values: Sequence) -> StepFunction:
     child cylinders, with the b_i summing to zero."""
     if len(values) != d:
         raise ValueError(f"need {d} child values, got {len(values)}")
-    total = sum(as_complex(v) for v in values)
-    scale = max((abs(as_complex(v)) for v in values), default=0.0)
-    if abs(total) > 1e-14 * max(1.0, scale):
-        raise ValueError(f"child values must sum to zero, got {total}")
+    _check_zero_sum(values, "child values")
     return StepFunction(d, [(anchor + (i + 1,), v) for i, v in enumerate(values)])
 
 

@@ -16,7 +16,6 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .operator import JacobiOperator, moments
 from .coefficients import TreeConfig
 from .oracle import build_radial_block, dense_eigensolve
 from .orthopoly import alpha_series, compute_polys, poly_roots
-from .treecore import format_address, parse_address
+from .treecore import parse_address, validate_address
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -87,6 +86,13 @@ def parse_z(text: str, mode: str):
         return complex(float(re_text), float(im_text))
     except ValueError as exc:
         raise ValidationError(f"bad z {text!r}: {exc}") from None
+
+
+def parse_vertex(text: str, d: int):
+    """A vertex address whose every index lies in 1..d."""
+    x = parse_address(text)
+    validate_address(x, d)
+    return x
 
 
 def atomic_write(path: str, content: str) -> None:
@@ -150,7 +156,7 @@ def cmd_deficiency(args) -> int:
     coeffs = parse_coeffs(args.coeffs)
     z = parse_z(args.z, args.mode)
     ctx = DeficiencyContext(coeffs, args.d, z)
-    anchor = parse_address(args.anchor) if args.anchor else None
+    anchor = parse_vertex(args.anchor, args.d) if args.anchor else None
     if anchor is None:
         elem = DeficiencyElement(None, (1.0,), z)
     else:
@@ -178,7 +184,7 @@ def cmd_deficiency(args) -> int:
 def cmd_poisson(args) -> int:
     coeffs = parse_coeffs(args.coeffs)
     z = parse_z(args.z, "float")
-    y = parse_address(args.y)
+    y = parse_vertex(args.y, args.d)
     ctx = DeficiencyContext(coeffs, args.d, z)
     alpha = alpha_series(coeffs, args.d, z, k_max=len(y) + 1,
                          tol=args.tol, n_max=args.n_max)

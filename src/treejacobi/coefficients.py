@@ -142,33 +142,12 @@ class CoefficientSequence:
         return f"explicit({len(self.lams)} terms)"
 
 
-@dataclass(frozen=True)
-class ShiftedCoefficients:
-    """View of a sequence with indices shifted by a fixed offset k.
-
-    Realizes the truncated matrices whose entries start at beta_k."""
-
-    parent: CoefficientSequence
-    offset: int
-
-    def lam(self, n: int) -> float:
-        return self.parent.lam(n + self.offset)
-
-    def beta(self, n: int) -> float:
-        return self.parent.beta(n + self.offset)
-
-    def lam_exact(self, n: int) -> Fraction:
-        return self.parent.lam_exact(n + self.offset)
-
-    def beta_exact(self, n: int) -> Fraction:
-        return self.parent.beta_exact(n + self.offset)
-
-    @property
-    def supports_exact(self) -> bool:
-        return self.parent.supports_exact
-
-    def describe(self) -> str:
-        return f"{self.parent.describe()} shifted by {self.offset}"
+def _accessors(coeffs: CoefficientSequence, exact: bool):
+    """The (lam, beta) accessors of one arithmetic: Fractions when exact,
+    floats otherwise.  Callers choose once, when they build a table."""
+    if exact:
+        return coeffs.lam_exact, coeffs.beta_exact
+    return coeffs.lam, coeffs.beta
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coefficients import CoefficientSequence
-from .errors import (DivergedSeries, PatchTooLarge, RealSpectralParameter)
-from .exactnum import (ExactComplex, abs2, as_complex, conj, exact_sqrt,
-                       half_power, is_exact, is_zero)
+from .coefficients import CoefficientSequence, _accessors
+from .errors import PatchTooLarge, RealSpectralParameter
+from .exactnum import (as_complex, conj, exact_sqrt, is_exact, is_zero,
+                       root_power)
 from .orthopoly import AlphaTable, PolyCache, SeriesResult, sum_series
 from .treecore import (DEFAULT_ENTRY_BUDGET, GAMMA, Address, SparseFunction,
-                       format_address, subtree_vertices)
+                       format_address, level_vertices, subtree_vertices)
 
 
 class DeficiencyContext:
@@ -33,6 +33,7 @@ class DeficiencyContext:
                     f"deficiency-space values need a non-real z, got {z}")
         self.scale = exact_sqrt(d) if self.exact else math.sqrt(d)
         self.cache = PolyCache(coeffs, self.scale, z)
+        self._lam, _ = _accessors(coeffs, self.exact)
 
     def p(self, n: int):
         self.cache.ensure(n)
@@ -42,16 +43,10 @@ class DeficiencyContext:
         self.cache.ensure(n)
         return self.cache.q[n]
 
-    def _root_power(self, k: int):
-        """d^(k/2) in the active arithmetic."""
-        if self.exact:
-            return half_power(self.d, k)
-        return self.d ** (k / 2)
-
     def f_zero(self, n: int):
         """Value on level n of the radial basis function (anchor at the root
         level of the whole tree): p_n(z) / d^(n/2)."""
-        return self.p(n) / self._root_power(n)
+        return self.p(n) / root_power(self.scale, self.d, n)
 
     def f_anchored(self, k: int, n: int):
         """Value on level n inside one child subtree of an anchor at level k:
@@ -60,12 +55,8 @@ class DeficiencyContext:
         The value at n = k + 1 is 1 for every k (discrete Wronskian)."""
         if n < k + 1:
             raise ValueError(f"anchored values start at level {k + 1}, got {n}")
-        if self.exact:
-            lam = ExactComplex.from_rational(self.coeffs.lam_exact(k))
-        else:
-            lam = self.coeffs.lam(k)
-        return lam * (self.p(k) * self.q(n) - self.q(k) * self.p(n)) \
-            / self._root_power(n - k - 1)
+        return self._lam(k) * (self.p(k) * self.q(n) - self.q(k) * self.p(n)) \
+            / root_power(self.scale, self.d, n - k - 1)
 
 
 def f_value(kind: str, k: int, n: int, ctx: DeficiencyContext):
@@ -80,18 +71,15 @@ def f_value(kind: str, k: int, n: int, ctx: DeficiencyContext):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _check_zero_sum(coefficients: Sequence, exact: bool) -> None:
-    if exact:
-        total = None
-        for a in coefficients:
-            total = a if total is None else total + a
-        if total is not None and not is_zero(total):
-            raise ValueError(f"coefficients must sum to zero, got {total!r}")
-    else:
-        total = sum(as_complex(a) for a in coefficients)
-        scale = max((abs(as_complex(a)) for a in coefficients), default=0.0)
-        if abs(total) > 1e-14 * max(1.0, scale):
-            raise ValueError(f"coefficients must sum to zero, got {total}")
+def _check_zero_sum(values: Sequence, what: str) -> None:
+    """Values that are all exact must sum to exactly zero; otherwise the
+    complex sum must vanish up to rounding."""
+    exact = all(is_exact(v) for v in values)
+    total = sum(values if exact else map(as_complex, values), 0)
+    if is_zero(total):
+        return
+    if exact or abs(total) > 1e-14 * max([1.0] + [abs(v) for v in values]):
+        raise ValueError(f"{what} must sum to zero, got {total!r}")
 
 
 @dataclass
@@ -112,8 +100,7 @@ class DeficiencyElement:
             if len(self.coefficients) != 1:
                 raise ValueError("the radial element takes a single scalar")
         else:
-            exact = all(is_exact(a) for a in self.coefficients)
-            _check_zero_sum(self.coefficients, exact)
+            _check_zero_sum(self.coefficients, "coefficients")
 
     def value_at(self, y: Address, ctx: DeficiencyContext):
         if self.anchor is None:
@@ -144,7 +131,7 @@ class DeficiencyElement:
                 v = a * ctx.f_zero(n)
                 if is_zero(v):
                     continue
-                for x in _level_iter(n, d):
+                for x in level_vertices(n, d):
                     entries[x] = v
             return SparseFunction(entries, GAMMA)
         k = len(self.anchor)
@@ -209,11 +196,6 @@ class BasisFunction:
         return len(self.root)
 
 
-def _level_iter(n: int, d: int):
-    from .treecore import level_vertices
-    return level_vertices(n, d)
-
-
 # ---------------------------------------------------------------------------
 # residual of the eigenvalue equation
 # ---------------------------------------------------------------------------
@@ -256,42 +238,49 @@ def deficiency_residual(f: SparseFunction, z, coeffs: CoefficientSequence,
     return worst
 
 
+def _representatives(elements: Sequence[DeficiencyElement], d: int,
+                     depth: int) -> set:
+    """Every anchor path vertex, its children, and one descending chain per
+    child down to `depth`: one vertex from every class of vertices on which
+    a sum of elements (radial on each branch subtree) takes equal values."""
+    paths: set = {()}
+    for elem in elements:
+        if elem.anchor is not None:
+            for j in range(len(elem.anchor) + 1):
+                paths.add(elem.anchor[:j])
+    reps = set(paths)
+    for pfx in paths:
+        for i in range(1, d + 1):
+            x = pfx + (i,)
+            while len(x) <= depth:
+                reps.add(x)
+                x = x + (1,)
+    return reps
+
+
+def _sum_values(elements: Sequence[DeficiencyElement], ctx: DeficiencyContext):
+    def values(y: Address) -> complex:
+        total = 0
+        for elem in elements:
+            total = total + elem.value_at(y, ctx)
+        return as_complex(total)
+    return values
+
+
 def element_residual(elements: Sequence[DeficiencyElement],
                      ctx: DeficiencyContext, depth: int) -> float:
     """Eigenvalue-equation residual of a sum of elements, to any depth.
 
     Each element is radial on each branch subtree, so the sum's value at a
     vertex depends only on the vertex's position relative to the anchors.
-    The residual is therefore evaluated on a representative set — every
-    anchor path vertex, its children, and one descending chain per child —
-    which covers one vertex from every equivalence class."""
-    d = ctx.d
-    reps: set = set()
-    paths: set = {()}
-    for elem in elements:
-        if elem.anchor is not None:
-            for j in range(len(elem.anchor) + 1):
-                paths.add(elem.anchor[:j])
-    for pfx in paths:
-        reps.add(pfx)
-        for i in range(1, d + 1):
-            x = pfx + (i,)
-            while len(x) <= depth:
-                reps.add(x)
-                x = x + (1,)
-
-    def values(y: Address):
-        total = None
-        for elem in elements:
-            v = elem.value_at(y, ctx)
-            total = v if total is None else total + v
-        return as_complex(0 if total is None else total)
-
+    The residual is therefore evaluated on a representative set, which
+    covers one vertex from every equivalence class."""
+    values = _sum_values(elements, ctx)
     zc = as_complex(ctx.z)
     worst = 0.0
-    for x in reps:
+    for x in _representatives(elements, ctx.d, depth):
         if len(x) < depth:
-            worst = max(worst, abs(_residual_at(values, x, zc, ctx.coeffs, d)))
+            worst = max(worst, abs(_residual_at(values, x, zc, ctx.coeffs, ctx.d)))
     return worst
 
 
@@ -299,26 +288,8 @@ def element_max_abs(elements: Sequence[DeficiencyElement],
                     ctx: DeficiencyContext, depth: int) -> float:
     """Max |value| of a sum of elements over levels 0..depth, computed on
     the same representative set as element_residual."""
-    d = ctx.d
-    reps: set = {()}
-    for elem in elements:
-        if elem.anchor is not None:
-            for j in range(len(elem.anchor) + 1):
-                reps.add(elem.anchor[:j])
-    frontier = list(reps)
-    for pfx in frontier:
-        for i in range(1, d + 1):
-            x = pfx + (i,)
-            while len(x) <= depth:
-                reps.add(x)
-                x = x + (1,)
-    worst = 0.0
-    for x in reps:
-        total = 0.0
-        for elem in elements:
-            total += as_complex(elem.value_at(x, ctx))
-        worst = max(worst, abs(total))
-    return worst
+    values = _sum_values(elements, ctx)
+    return max(abs(values(x)) for x in _representatives(elements, ctx.d, depth))
 
 
 # ---------------------------------------------------------------------------

@@ -195,12 +195,16 @@ def exact_sqrt(n: int) -> ExactComplex:
     return ExactComplex.sqrt_int(n)
 
 
+def root_power(root, d: int, k: int):
+    """d**(k/2) in the arithmetic of root, the square root of d as a float or
+    as exact_sqrt(d): the integer d**(k // 2), times root when k is odd."""
+    whole = d ** (k // 2)
+    return whole * root if k % 2 else whole
+
+
 def half_power(d: int, k: int) -> ExactComplex:
     """Exact d**(k/2) for integers d >= 1, k >= 0."""
-    base = ExactComplex.from_rational(d ** (k // 2))
-    if k % 2:
-        return base * ExactComplex.sqrt_int(d)
-    return base
+    return ExactComplex.from_rational(1) * root_power(exact_sqrt(d), d, k)
 
 
 def is_exact(value) -> bool:

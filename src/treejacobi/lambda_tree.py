@@ -7,11 +7,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from .coefficients import CoefficientSequence, TreeConfig
 from .errors import RealSpectralParameter
-from .exactnum import as_complex, is_exact
+from .exactnum import as_complex, exact_sqrt, is_exact, root_power
 from .operator import JacobiOperator
 from .orthopoly import PolyCache, poly_roots
 from .treecore import (DEFAULT_ENTRY_BUDGET, Address, LambdaPatch,
@@ -27,15 +25,10 @@ def radial_propagate(v0, z, k_max: int, coeffs: CoefficientSequence,
     the subtree under a vertex is forced into this form."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    exact = is_exact(z) or is_exact(v0)
-    if exact:
-        from .exactnum import exact_sqrt, half_power
-        cache = PolyCache(coeffs, exact_sqrt(d), z)
-        cache.ensure(k_max)
-        return [half_power(d, k) * cache.p[k] * v0 for k in range(k_max + 1)]
-    cache = PolyCache(coeffs, math.sqrt(d), complex(z))
+    root = exact_sqrt(d) if is_exact(z) or is_exact(v0) else math.sqrt(d)
+    cache = PolyCache(coeffs, root, z)
     cache.ensure(k_max)
-    return [d ** (k / 2) * cache.p[k] * complex(v0) for k in range(k_max + 1)]
+    return [root_power(root, d, k) * cache.p[k] * v0 for k in range(k_max + 1)]
 
 
 @dataclass
@@ -171,9 +164,6 @@ class SpectrumApproximation:
     points: List[float]
     per_degree_counts: List[int]
     min_gap: float
-
-    def to_csv_rows(self) -> List[List]:
-        return [[i, repr(t)] for i, t in enumerate(self.points)]
 
 
 def spectrum_enumerate(coeffs: CoefficientSequence, d: int,

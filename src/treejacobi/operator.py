@@ -1,32 +1,17 @@
-"""The Jacobi operator on both trees, radial averaging projections, radial
-tridiagonal matrices, moments, and the branch-space membership test."""
+"""The Jacobi operator on both trees, radial averaging projections,
+moments, and the branch-space membership test."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .coefficients import CoefficientSequence, ShiftedCoefficients, TreeConfig
+from .coefficients import CoefficientSequence, TreeConfig, _accessors
 from .errors import NotInSubtree, PatchTooLarge
-from .exactnum import ExactComplex, as_complex, exact_sqrt, is_exact, is_zero
+from .exactnum import ExactComplex, as_complex, is_exact, is_zero
 from .treecore import (APEX_SUCCESSOR, DEFAULT_ENTRY_BUDGET, GAMMA, Address,
                        LambdaPatch, SparseFunction, TreeKind, children,
-                       format_address, parent)
-
-
-def _lam_for(coeffs, n: int, exact: bool):
-    if n < 0:
-        return ExactComplex.from_rational(0) if exact else 0.0
-    if exact:
-        return ExactComplex.from_rational(coeffs.lam_exact(n))
-    return coeffs.lam(n)
-
-
-def _beta_for(coeffs, n: int, exact: bool):
-    if exact:
-        return ExactComplex.from_rational(coeffs.beta_exact(n))
-    return coeffs.beta(n)
+                       format_address, level_vertices)
 
 
 @dataclass(frozen=True)
@@ -57,12 +42,13 @@ class JacobiOperator:
     def expected_kind(self) -> TreeKind:
         return GAMMA if self.kind == "gamma" else self.patch.kind()
 
-    def apply(self, f: SparseFunction, exact: Optional[bool] = None) -> SparseFunction:
+    def apply(self, f: SparseFunction) -> SparseFunction:
+        """J f, in exact arithmetic when any value of f is an ExactComplex."""
         if f.kind != self.expected_kind():
             raise NotInSubtree(
                 f"function on {f.kind} cannot be fed to a {self.kind} operator")
-        if exact is None:
-            exact = any(is_exact(v) for v in f.entries.values())
+        lam, beta = _accessors(
+            self.coeffs, any(is_exact(v) for v in f.entries.values()))
         out: Dict[Address, object] = {}
 
         def acc(x: Address, v) -> None:
@@ -72,11 +58,11 @@ class JacobiOperator:
             for x, v in f.entries.items():
                 n = len(x)
                 if n > 0:
-                    acc(x[:-1], _lam_for(self.coeffs, n - 1, exact) * v)
-                acc(x, _beta_for(self.coeffs, n, exact) * v)
-                lam = _lam_for(self.coeffs, n, exact)
+                    acc(x[:-1], lam(n - 1) * v)
+                acc(x, beta(n) * v)
+                down = lam(n) * v
                 for c in children(x, self.d):
-                    acc(c, lam * v)
+                    acc(c, down)
         else:
             patch = self.patch
             for x, v in f.entries.items():
@@ -85,42 +71,13 @@ class JacobiOperator:
                         "support reached the virtual successor; enlarge the patch")
                 n = patch.level(x)
                 if n > 0:
-                    lam_dn = _lam_for(self.coeffs, n - 1, exact)
+                    down = lam(n - 1) * v
                     for i in range(1, self.d + 1):
-                        acc(x + (i,), lam_dn * v)
-                acc(x, _beta_for(self.coeffs, n, exact) * v)
+                        acc(x + (i,), down)
+                acc(x, beta(n) * v)
                 up = APEX_SUCCESSOR if not x else x[:-1]
-                acc(up, _lam_for(self.coeffs, n, exact) * v)
+                acc(up, lam(n) * v)
         return SparseFunction(out, f.kind)
-
-
-@dataclass(frozen=True)
-class RadialMatrix:
-    """The tridiagonal matrix acting on the radial subspace: diagonal
-    beta_{k+j}, off-diagonal sqrt(d) * lam_{k+j}, starting at offset k."""
-
-    coeffs: CoefficientSequence
-    d: int
-    offset: int = 0
-
-    def shifted(self) -> ShiftedCoefficients:
-        return ShiftedCoefficients(self.coeffs, self.offset)
-
-    def diag(self, j: int) -> float:
-        return self.coeffs.beta(self.offset + j)
-
-    def offdiag(self, j: int) -> float:
-        return math.sqrt(self.d) * self.coeffs.lam(self.offset + j)
-
-    def offdiag_exact(self, j: int) -> ExactComplex:
-        return exact_sqrt(self.d) * ExactComplex.from_rational(
-            self.coeffs.lam_exact(self.offset + j))
-
-
-def radial_matrix(J: JacobiOperator, k: int = 0) -> RadialMatrix:
-    if k < 0:
-        raise ValueError("offset must be nonnegative")
-    return RadialMatrix(J.coeffs, J.d, k)
 
 
 def moments(J: JacobiOperator, N: int, route: str = "matrix",
@@ -135,25 +92,24 @@ def moments(J: JacobiOperator, N: int, route: str = "matrix",
     if J.kind != "gamma":
         raise ValueError("moments are defined for the rooted-tree operator")
     if route == "matrix":
-        sq = exact_sqrt(J.d)
-        lam = [ExactComplex.from_rational(J.coeffs.lam_exact(n)) * sq for n in range(N)]
-        beta = [ExactComplex.from_rational(J.coeffs.beta_exact(n)) for n in range(N + 1)]
-        v = [ExactComplex.from_rational(1 if j == 0 else 0) for j in range(N + 1)]
+        # The radial matrix (off-diagonal sqrt(d) * lam_j) conjugated by
+        # diag(d^(j/2)): lam_j above the diagonal, d * lam_j below it.  The
+        # root entry of each power is unchanged and every entry is rational.
+        lam = [J.coeffs.lam_exact(n) for n in range(N)]
+        beta = [J.coeffs.beta_exact(n) for n in range(N + 1)]
+        v = [Fraction(1)] + [Fraction(0)] * N
         out = [Fraction(1)]
         for _ in range(N):
             w = []
             for j in range(N + 1):
                 t = beta[j] * v[j]
                 if j > 0:
-                    t = t + lam[j - 1] * v[j - 1]
+                    t += J.d * lam[j - 1] * v[j - 1]
                 if j < N:
-                    t = t + lam[j] * v[j + 1]
+                    t += lam[j] * v[j + 1]
                 w.append(t)
             v = w
-            m = v[0]
-            if not (m.is_real and m.br == 0 and m.bi == 0):
-                raise ArithmeticError(f"moment came out irrational: {m!r}")
-            out.append(m.ar)
+            out.append(v[0])
         return out
     if route == "tree":
         if J.d ** N > budget:
@@ -163,14 +119,14 @@ def moments(J: JacobiOperator, N: int, route: str = "matrix",
         f = SparseFunction.delta((), value=ExactComplex.from_rational(1))
         out = [Fraction(1)]
         for _ in range(N):
-            f = J.apply(f, exact=True)
+            f = J.apply(f)
             m = f.entries.get((), ExactComplex.from_rational(0))
             out.append(m.ar)
         return out
     raise ValueError(f"unknown moment route {route!r}")
 
 
-def _group_by_level(f: SparseFunction, base: Address = ()) -> Dict[int, object]:
+def _group_by_level(f: SparseFunction) -> Dict[int, object]:
     sums: Dict[int, object] = {}
     for x, v in f.entries.items():
         k = len(x)
@@ -183,7 +139,6 @@ def radial_average_E(f: SparseFunction, d: int,
     """Ef: value at each level-k vertex is the average of f over level k."""
     if f.kind != GAMMA:
         raise NotInSubtree("radial averaging is defined on the rooted tree")
-    from .treecore import level_vertices
     sums = _group_by_level(f)
     out: Dict[Address, object] = {}
     for k, s in sums.items():
@@ -191,7 +146,7 @@ def radial_average_E(f: SparseFunction, d: int,
             raise PatchTooLarge(
                 f"averaging over level {k} needs {d ** k} entries, "
                 f"over the budget of {budget}")
-        avg = s * Fraction(1, d ** k) if is_exact(s) else s / (d ** k)
+        avg = s / d ** k
         if is_zero(avg):
             continue
         for x in level_vertices(k, d, budget):
@@ -205,16 +160,13 @@ def subtree_average_Ex(f: SparseFunction, x: Address, d: int,
     subtree are left unchanged."""
     if f.kind != GAMMA:
         raise NotInSubtree("subtree averaging is defined on the rooted tree")
-    from .treecore import subtree_vertices
     k = len(x)
     inside_sums: Dict[int, object] = {}
     out: Dict[Address, object] = {}
-    max_rel = 0
     for y, v in f.entries.items():
         if y[:k] == x:
             rel = len(y) - k
             inside_sums[rel] = inside_sums.get(rel, 0) + v
-            max_rel = max(max_rel, rel)
         else:
             out[y] = v
     for rel, s in inside_sums.items():
@@ -222,7 +174,7 @@ def subtree_average_Ex(f: SparseFunction, x: Address, d: int,
         if count > budget:
             raise PatchTooLarge(
                 f"averaging over {count} subtree vertices exceeds the budget")
-        avg = s * Fraction(1, count) if is_exact(s) else s / count
+        avg = s / count
         if is_zero(avg):
             continue
         def assign(prefix: Address, remaining: int) -> None:

@@ -2,20 +2,21 @@
 roots, and the norm series alpha_k(z)."""
 from __future__ import annotations
 
+import cmath
 import csv
+import itertools
 import math
 import statistics
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from collections import deque
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .coefficients import CoefficientSequence, ShiftedCoefficients
+from .coefficients import CoefficientSequence, _accessors
 from .errors import ConvergenceFailure, RealSpectralParameter, RecurrenceOverflow
-from .exactnum import ExactComplex, abs2, as_complex, conj, exact_sqrt, is_exact
-
-Coefficients = Union[CoefficientSequence, ShiftedCoefficients]
+from .exactnum import ExactComplex, abs2, as_complex, exact_sqrt, is_exact
 
 RATIO_CEILING = 0.99
 CONVERGENCE_WINDOW = 8
@@ -26,7 +27,7 @@ def _wants_exact(scale, z) -> bool:
     return is_exact(scale) or is_exact(z)
 
 
-def poly_pairs(coeffs: Coefficients, scale, z) -> Iterator[tuple]:
+def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     """Yield (n, p_n(z), q_n(z)) indefinitely.
 
     Off-diagonal entries are scale*lambda_n; initial data p_0 = 1,
@@ -34,20 +35,14 @@ def poly_pairs(coeffs: Coefficients, scale, z) -> Iterator[tuple]:
     Runs in exact arithmetic when scale or z is an ExactComplex.
     """
     exact = _wants_exact(scale, z)
-    if exact:
-        if not is_exact(scale):
-            scale = ExactComplex.from_rational(scale)
-        if not is_exact(z):
-            z = ExactComplex.from_rational(z)
-        one, zero = ExactComplex.from_rational(1), ExactComplex.from_rational(0)
-        lam = coeffs.lam_exact
-        beta = coeffs.beta_exact
-    else:
-        scale = complex(scale)
-        z = complex(z)
-        one, zero = 1.0 + 0.0j, 0.0j
-        lam = coeffs.lam
-        beta = coeffs.beta
+    lam, beta = _accessors(coeffs, exact)
+
+    def number(v):
+        if not exact:
+            return complex(v)
+        return v if is_exact(v) else ExactComplex.from_rational(v)
+
+    scale, z, one, zero = number(scale), number(z), number(1), number(0)
 
     p_prev, p_cur = zero, one
     q_prev, q_cur = zero, zero
@@ -60,12 +55,10 @@ def poly_pairs(coeffs: Coefficients, scale, z) -> Iterator[tuple]:
         else:
             p_next = ((z - beta(n)) * p_cur - scale * lam(n - 1) * p_prev) / (scale * lam(n))
             q_next = ((z - beta(n)) * q_cur - scale * lam(n - 1) * q_prev) / (scale * lam(n))
-        if not exact:
-            if not (math.isfinite(p_next.real) and math.isfinite(p_next.imag)
-                    and math.isfinite(q_next.real) and math.isfinite(q_next.imag)):
-                raise RecurrenceOverflow(
-                    f"recurrence value left the float range at index {n + 1}; "
-                    "switch to exact mode or rescale")
+        if not exact and not (cmath.isfinite(p_next) and cmath.isfinite(q_next)):
+            raise RecurrenceOverflow(
+                f"recurrence value left the float range at index {n + 1}; "
+                "switch to exact mode or rescale")
         p_prev, p_cur = p_cur, p_next
         q_prev, q_cur = q_cur, q_next
         n += 1
@@ -75,7 +68,7 @@ def poly_pairs(coeffs: Coefficients, scale, z) -> Iterator[tuple]:
 class PolyTable:
     """Values p_0..p_N and q_0..q_N at a fixed spectral parameter."""
 
-    coeffs: Coefficients
+    coeffs: CoefficientSequence
     scale: object
     z: object
     N: int
@@ -91,7 +84,7 @@ class PolyTable:
             writer.writerow([n, repr(pv.real), repr(pv.imag), repr(qv.real), repr(qv.imag)])
 
 
-def compute_polys(coeffs: Coefficients, scale, z, N: int) -> PolyTable:
+def compute_polys(coeffs: CoefficientSequence, scale, z, N: int) -> PolyTable:
     """Tabulate p_n(z), q_n(z) up to index N.
 
     Exact mode is selected by passing ExactComplex values for scale or z
@@ -112,18 +105,9 @@ def wronskian_residual(table: PolyTable) -> list:
     """|p_n q_{n+1} - p_{n+1} q_n - 1/lambda_n| for each n < N.
 
     Exact tables give exact zeros."""
-    out = []
-    for n in range(table.N):
-        if table.exact_mode:
-            lam_inv = ExactComplex.from_rational(1) / ExactComplex.from_rational(
-                table.coeffs.lam_exact(n))
-            diff = table.p[n] * table.q[n + 1] - table.p[n + 1] * table.q[n] - lam_inv
-            out.append(abs(diff))
-        else:
-            diff = table.p[n] * table.q[n + 1] - table.p[n + 1] * table.q[n] \
-                - 1.0 / table.coeffs.lam(n)
-            out.append(abs(diff))
-    return out
+    lam, _ = _accessors(table.coeffs, table.exact_mode)
+    p, q = table.p, table.q
+    return [abs(p[n] * q[n + 1] - p[n + 1] * q[n] - 1 / lam(n)) for n in range(table.N)]
 
 
 def wronskian_scale(table: PolyTable) -> list:
@@ -138,7 +122,7 @@ def wronskian_scale(table: PolyTable) -> list:
     return out
 
 
-def _eval_poly_and_derivative(coeffs: Coefficients, scale: float, n: int, t: float):
+def _eval_poly_and_derivative(coeffs: CoefficientSequence, scale: float, n: int, t: float):
     """p_n(t) and p_n'(t) via the differentiated recurrence."""
     p_prev, p_cur = 0.0, 1.0
     d_prev, d_cur = 0.0, 0.0
@@ -152,7 +136,7 @@ def _eval_poly_and_derivative(coeffs: Coefficients, scale: float, n: int, t: flo
     return p_cur, d_cur
 
 
-def poly_roots(coeffs: Coefficients, scale: float, n: int, polish: bool = True) -> np.ndarray:
+def poly_roots(coeffs: CoefficientSequence, scale: float, n: int) -> np.ndarray:
     """The n real simple roots of p_n, ascending.
 
     Computed as eigenvalues of the leading n-by-n tridiagonal block with
@@ -167,24 +151,21 @@ def poly_roots(coeffs: Coefficients, scale: float, n: int, polish: bool = True) 
         roots = eigh_tridiagonal(diag, off, eigvals_only=True)
     except Exception as exc:  # pragma: no cover - scipy failure path
         raise ConvergenceFailure(f"tridiagonal eigensolve failed: {exc}") from exc
-    roots = np.sort(roots)
-    if polish:
-        polished = []
-        for t in roots:
-            best = t
-            pv, _ = _eval_poly_and_derivative(coeffs, scale, n, t)
-            best_val = abs(pv)
-            for _ in range(4):
-                pv, dv = _eval_poly_and_derivative(coeffs, scale, n, t)
-                if dv == 0:
-                    break
-                t = t - pv / dv
-                pv2, _ = _eval_poly_and_derivative(coeffs, scale, n, t)
-                if abs(pv2) < best_val:
-                    best, best_val = t, abs(pv2)
-            polished.append(best)
-        roots = np.sort(np.array(polished))
-    return roots
+    polished = []
+    for t in np.sort(roots):
+        best = t
+        pv, _ = _eval_poly_and_derivative(coeffs, scale, n, t)
+        best_val = abs(pv)
+        for _ in range(4):
+            pv, dv = _eval_poly_and_derivative(coeffs, scale, n, t)
+            if dv == 0:
+                break
+            t = t - pv / dv
+            pv2, _ = _eval_poly_and_derivative(coeffs, scale, n, t)
+            if abs(pv2) < best_val:
+                best, best_val = t, abs(pv2)
+        polished.append(best)
+    return np.sort(np.array(polished))
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +188,11 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12, n_max: int = 100_000,
     """Sum nonnegative terms until a convergence or divergence verdict.
 
     Converged: the last `window` terms are all below tol * partial_sum and
-    the median term ratio r over that window is below RATIO_CEILING; the
-    geometric tail t_last * r / (1 - r) is reported.
+    the sum of the last `window` terms is below RATIO_CEILING**window times
+    the sum of the `window` terms before them.  Comparing block sums, not
+    single-step ratios, certifies terms that alternate between two decay
+    phases.  With R the ratio of the two block sums, the reported ratio is
+    R**(1/window) and the geometric tail is newer_block * R / (1 - R).
 
     Diverged: the partial sum exceeds 1/tol, a term leaves the float range,
     or the terms stop decreasing (the median of the last `stall_window`
@@ -217,8 +201,7 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12, n_max: int = 100_000,
     Otherwise inconclusive after n_max terms.
     """
     s = 0.0
-    recent: list[float] = []  # last 2 * stall_window terms
-    tail: list[float] = []    # last window + 1 terms
+    recent: deque = deque(maxlen=2 * max(window, stall_window))
     count = 0
     for t in terms:
         if count >= n_max:
@@ -227,26 +210,25 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12, n_max: int = 100_000,
             return SeriesResult("diverged", s, count, note="term overflowed the float range")
         s += t
         count += 1
-        tail.append(t)
-        if len(tail) > window + 1:
-            tail.pop(0)
         recent.append(t)
-        if len(recent) > 2 * stall_window:
-            recent.pop(0)
 
         if s > 1.0 / tol:
             return SeriesResult("diverged", s, count, note="partial sum exceeded 1/tol")
 
-        if len(tail) == window + 1 and s > 0 and all(v < tol * s for v in tail[1:]):
-            ratios = [tail[j + 1] / tail[j] for j in range(window) if tail[j] > 0]
-            r = statistics.median(ratios) if ratios else 0.0
-            if r < RATIO_CEILING:
-                tail_est = tail[-1] * r / (1.0 - r) if 0 < r < 1 else 0.0
-                return SeriesResult("converged", s, count, tail_est, r)
+        if t < tol * s and count >= 2 * window:
+            last = list(itertools.islice(reversed(recent), 2 * window))
+            newer, older = sum(last[:window]), sum(last[window:])
+            if all(v < tol * s for v in last[:window]) and (
+                    newer < RATIO_CEILING ** window * older or newer == older == 0):
+                big_r = newer / older if older > 0 else 0.0
+                tail_est = newer * big_r / (1.0 - big_r)
+                return SeriesResult("converged", s, count, tail_est,
+                                    big_r ** (1.0 / window))
 
-        if count % stall_window == 0 and len(recent) == 2 * stall_window:
-            older = statistics.median(recent[:stall_window])
-            newer = statistics.median(recent[stall_window:])
+        if count % stall_window == 0 and count >= 2 * stall_window:
+            block = list(recent)[-2 * stall_window:]
+            older = statistics.median(block[:stall_window])
+            newer = statistics.median(block[stall_window:])
             if newer >= older and newer > 0:
                 return SeriesResult(
                     "diverged", s, count,
@@ -256,21 +238,32 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12, n_max: int = 100_000,
 
 
 class PolyCache:
-    """Lazily extended p/q tables shared by the series computations."""
+    """Lazily extended p/q tables shared by the series computations.
 
-    def __init__(self, coeffs: Coefficients, scale, z):
+    The arithmetic is fixed here, from the types of scale and z.  Once the
+    recurrence fails, every later extension raises that same error."""
+
+    def __init__(self, coeffs: CoefficientSequence, scale, z):
+        self.exact = _wants_exact(scale, z)
         self._gen = poly_pairs(coeffs, scale, z)
+        self._error: Optional[Exception] = None
         self.p: list = []
         self.q: list = []
 
     def ensure(self, n: int) -> None:
-        while len(self.p) <= n:
-            _, pv, qv = next(self._gen)
-            self.p.append(pv)
-            self.q.append(qv)
+        if self._error is not None:
+            raise self._error
+        try:
+            while len(self.p) <= n:
+                _, pv, qv = next(self._gen)
+                self.p.append(pv)
+                self.q.append(qv)
+        except Exception as exc:
+            self._error = exc
+            raise
 
 
-def alpha_sq_terms(coeffs: Coefficients, k: int, cache: PolyCache) -> Iterator:
+def alpha_sq_terms(coeffs: CoefficientSequence, k: int, cache: PolyCache) -> Iterator:
     """Terms of the alpha_k(z)^2 series, in the arithmetic of the cache.
 
     k = 0: |p_n|^2 for n >= 0.
@@ -284,11 +277,8 @@ def alpha_sq_terms(coeffs: Coefficients, k: int, cache: PolyCache) -> Iterator:
             n += 1
     else:
         cache.ensure(k)
-        exact = is_exact(cache.p[0])
-        if exact:
-            lam2 = ExactComplex.from_rational(coeffs.lam_exact(k - 1) ** 2)
-        else:
-            lam2 = coeffs.lam(k - 1) ** 2
+        lam, _ = _accessors(coeffs, cache.exact)
+        lam2 = lam(k - 1) ** 2
         pk, qk = cache.p[k - 1], cache.q[k - 1]
         n = k
         while True:
@@ -322,7 +312,7 @@ class AlphaTable:
         return self.alphas[k]
 
 
-def alpha_series(coeffs: Coefficients, d: int, z: complex, k_max: int,
+def alpha_series(coeffs: CoefficientSequence, d: int, z: complex, k_max: int,
                  tol: float = 1e-12, n_max: int = 100_000) -> AlphaTable:
     """alpha_k(z) for k = 0..k_max, with per-k series verdicts.
 
@@ -356,17 +346,10 @@ def alpha_series(coeffs: Coefficients, d: int, z: complex, k_max: int,
                       overall, tol, n_max)
 
 
-def alpha_sq_partial(coeffs: Coefficients, d: int, z, k: int, n_terms: int):
+def alpha_sq_partial(coeffs: CoefficientSequence, d: int, z, k: int, n_terms: int):
     """Partial sum of the alpha_k^2 series with exactly n_terms terms.
 
     Exact when z is an ExactComplex (the scale is then the exact sqrt(d))."""
     scale = exact_sqrt(d) if is_exact(z) else math.sqrt(d)
-    cache = PolyCache(coeffs, scale, z)
-    total = None
-    for i, term in enumerate(alpha_sq_terms(coeffs, k, cache)):
-        if i >= n_terms:
-            break
-        total = term if total is None else total + term
-    if total is None:
-        return ExactComplex.from_rational(0) if is_exact(z) else 0.0
-    return total
+    terms = alpha_sq_terms(coeffs, k, PolyCache(coeffs, scale, z))
+    return sum(itertools.islice(terms, n_terms), 0 * scale)  # 0 in the run's arithmetic

@@ -144,11 +144,6 @@ class LambdaPatch:
             return self.apex_level + 1
         return self.apex_level - len(w)
 
-    def contains(self, w: Address) -> bool:
-        if w == APEX_SUCCESSOR:
-            return False
-        return len(w) <= self.apex_level and all(1 <= i <= self.d for i in w)
-
     def kind(self) -> TreeKind:
         return TreeKind("lambda", self.apex_level)
 

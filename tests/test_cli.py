@@ -105,6 +105,20 @@ def test_poisson_artifact(capsys):
     assert obj["matching_convention"] in ("plain", "conjugated")
 
 
+def test_poisson_rejects_out_of_range_vertex(capsys):
+    code, out, err = run(["poisson", "--y", "1.5", "--d", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "1.5" in err and "1..2" in err
+
+
+def test_deficiency_rejects_out_of_range_anchor(capsys):
+    code, out, err = run(["deficiency", "--anchor", "7", "--d", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "7" in err and "1..2" in err
+
+
 def test_lambda_artifact(capsys):
     code, out, _ = run(["lambda", "--n", "3", "--d", "2"], capsys)
     assert code == 0

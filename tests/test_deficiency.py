@@ -199,6 +199,13 @@ def test_classify_free_family_esa():
     assert rep.verdict == "essentially_selfadjoint"
 
 
+def test_classify_period_two_series_not_esa():
+    # the q-series terms alternate between two decay phases here
+    rep = classify(CoefficientSequence.geometric(3, Fraction(7, 2)), 2,
+                   z=0.3 + 1.7j)
+    assert rep.verdict == "not_essentially_selfadjoint"
+
+
 def test_classify_inconclusive_small_budget():
     rep = classify(PAPER, 2, n_max=5)
     assert rep.verdict == "inconclusive"

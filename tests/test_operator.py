@@ -9,8 +9,8 @@ from treejacobi.coefficients import CoefficientSequence, TreeConfig
 from treejacobi.errors import PatchTooLarge
 from treejacobi.exactnum import exact_complex
 from treejacobi.operator import (JacobiOperator, hx_membership, moments,
-                                 radial_average_E, radial_matrix,
-                                 subtree_average_Ex)
+                                 radial_average_E, subtree_average_Ex)
+from treejacobi.oracle import build_radial_block
 from treejacobi.treecore import (GAMMA, LambdaPatch, SparseFunction, inner,
                                  level_indicator, subtree_vertices)
 
@@ -93,11 +93,11 @@ def test_moments_frozen_paper():
 
 
 def test_radial_matrix_entries():
-    rm = radial_matrix(J2, 0)
-    assert rm.diag(0) == PAPER.beta(0)
-    assert rm.offdiag(0) == pytest.approx(math.sqrt(2) * PAPER.lam(0))
-    rm1 = radial_matrix(J2, 1)
-    assert rm1.diag(0) == PAPER.beta(1)
+    rm = build_radial_block(PAPER, J2.d, 0, 2).matrix
+    assert rm[0, 0] == PAPER.beta(0)
+    assert rm[0, 1] == pytest.approx(math.sqrt(2) * PAPER.lam(0))
+    rm1 = build_radial_block(PAPER, J2.d, 1, 1).matrix
+    assert rm1[0, 0] == PAPER.beta(1)
 
 
 def test_radial_matrix_against_mu_basis():

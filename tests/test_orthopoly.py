@@ -164,6 +164,17 @@ def test_sum_series_oscillating_decay_still_converges():
     assert res.status == "converged"
 
 
+def test_sum_series_period_two_decay_converges():
+    # terms alternating between two decay phases: single-step ratios swing
+    # between 15 and 0.006, while every block of 8 terms shrinks by 0.3**8
+    res = sum_series((0.3 ** n * (50 if n % 2 else 1) for n in range(10_000)),
+                     n_max=200)
+    assert res.status == "converged"
+    assert res.ratio == pytest.approx(0.3, rel=1e-9)
+    exact_total = (1 + 50 * 0.3) / (1 - 0.3 ** 2)
+    assert res.partial_sum + res.tail_estimate == pytest.approx(exact_total, rel=1e-12)
+
+
 def test_sum_series_inconclusive():
     res = sum_series((1.0 / (n + 1) ** 2 for n in range(50)), n_max=50)
     assert res.status == "inconclusive"
@@ -172,6 +183,16 @@ def test_sum_series_inconclusive():
 def test_sum_series_overflowing_term():
     res = sum_series(iter([1.0, float("inf")]))
     assert res.status == "diverged"
+
+
+def test_poly_cache_keeps_its_first_error():
+    # lambda_1024 = 2**1024 of the paper family does not fit in a float
+    cache = PolyCache(PAPER, math.sqrt(2), 1j)
+    with pytest.raises(OverflowError) as first:
+        cache.ensure(1100)
+    with pytest.raises(type(first.value)) as again:
+        cache.ensure(1100)
+    assert again.value is first.value
 
 
 # -- alpha norms ------------------------------------------------------------
