@@ -17,10 +17,11 @@ from .boundary import (CylinderSet, PoissonKernelRepr, StepFunction,
                        poisson_kernel, relative_position, reproducing_check,
                        u_isometry_basis)
 from .errors import (AmbiguousPrefix, CoefficientIndexError,
-                     ConvergenceFailure, DivergedSeries, ExactModeUnavailable,
-                     InconclusiveSeries, KindMismatch, NonPositiveLambda,
-                     NotInSubtree, PatchTooLarge, RealSpectralParameter,
-                     RecurrenceOverflow, TreeJacobiError)
+                     CoefficientOverflow, ConvergenceFailure, DivergedSeries,
+                     ExactModeUnavailable, InconclusiveSeries, KindMismatch,
+                     NonPositiveLambda, NotInSubtree, PatchTooLarge,
+                     RealSpectralParameter, RecurrenceOverflow,
+                     TreeJacobiError)
 from .exactnum import (ExactComplex, exact_complex, exact_sqrt, half_power,
                        squarefree_split)
 from .lambda_tree import (DimensionAudit, EigenPair, EsaCertificate,

@@ -22,8 +22,9 @@ import numpy as np
 from .coefficients import CoefficientSequence
 from .deficiency import (DeficiencyContext, DeficiencyElement, classify,
                          element_residual, element_max_abs)
-from .errors import (ConvergenceFailure, DivergedSeries, InconclusiveSeries,
-                     PatchTooLarge, RecurrenceOverflow, TreeJacobiError)
+from .errors import (CoefficientOverflow, ConvergenceFailure, DivergedSeries,
+                     InconclusiveSeries, PatchTooLarge, RecurrenceOverflow,
+                     TreeJacobiError)
 from .exactnum import exact_complex, as_complex
 from .boundary import poisson_kernel, reproducing_check
 from .lambda_tree import (build_eigenpairs, dimension_audit, eigen_residual,
@@ -157,11 +158,12 @@ def cmd_deficiency(args) -> int:
     z = parse_z(args.z, args.mode)
     ctx = DeficiencyContext(coeffs, args.d, z)
     anchor = parse_vertex(args.anchor, args.d) if args.anchor else None
+    # integer coefficients serve both arithmetics
     if anchor is None:
-        elem = DeficiencyElement(None, (1.0,), z)
+        elem = DeficiencyElement(None, (1,), z)
     else:
-        coeff_vec = [0.0] * args.d
-        coeff_vec[0], coeff_vec[1] = 1.0, -1.0
+        coeff_vec = [0] * args.d
+        coeff_vec[0], coeff_vec[1] = 1, -1
         elem = DeficiencyElement(anchor, tuple(coeff_vec), z)
     residual = element_residual([elem], ctx, args.depth)
     peak = element_max_abs([elem], ctx, args.depth)
@@ -413,7 +415,7 @@ def main(argv=None) -> int:
     except (ValueError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except RecurrenceOverflow as exc:
+    except (RecurrenceOverflow, CoefficientOverflow) as exc:
         print(f"numeric failure: {exc}\nhint: try --mode exact", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConvergenceFailure, DivergedSeries, PatchTooLarge) as exc:

@@ -5,7 +5,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import CoefficientIndexError, ExactModeUnavailable, NonPositiveLambda
+from .errors import (CoefficientIndexError, CoefficientOverflow,
+                     ExactModeUnavailable, NonPositiveLambda)
 
 
 @dataclass(frozen=True)
@@ -109,18 +110,24 @@ class CoefficientSequence:
     # -- float accessors ----------------------------------------------
 
     def lam(self, n: int) -> float:
-        if self.family == "power" and not isinstance(self.params[1], int):
-            base, exponent = self.params
-            value = float(base) * (n + 1) ** exponent
-            if value <= 0:
-                raise NonPositiveLambda(f"lambda_{n} = {value} is not positive")
-            return value
-        return float(self.lam_exact(n))
+        try:
+            if self.family == "power" and not isinstance(self.params[1], int):
+                base, exponent = self.params
+                value = float(base) * (n + 1) ** exponent
+                if value <= 0:
+                    raise NonPositiveLambda(f"lambda_{n} = {value} is not positive")
+                return value
+            return float(self.lam_exact(n))
+        except OverflowError as exc:
+            raise CoefficientOverflow(f"lambda_{n} does not fit in a float") from exc
 
     def beta(self, n: int) -> float:
         if self.family == "power" and not isinstance(self.params[1], int):
             return 0.0
-        return float(self.beta_exact(n))
+        try:
+            return float(self.beta_exact(n))
+        except OverflowError as exc:
+            raise CoefficientOverflow(f"beta_{n} does not fit in a float") from exc
 
     @property
     def supports_exact(self) -> bool:

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import CoefficientSequence, _accessors
 from .errors import PatchTooLarge, RealSpectralParameter
-from .exactnum import (as_complex, conj, exact_sqrt, is_exact, is_zero,
+from .exactnum import (as_complex, conj, is_exact, is_zero, matching_sqrt,
                        root_power)
 from .orthopoly import AlphaTable, PolyCache, SeriesResult, sum_series
 from .treecore import (DEFAULT_ENTRY_BUDGET, GAMMA, Address, SparseFunction,
@@ -31,7 +31,7 @@ class DeficiencyContext:
             if zc.imag == 0:
                 raise RealSpectralParameter(
                     f"deficiency-space values need a non-real z, got {z}")
-        self.scale = exact_sqrt(d) if self.exact else math.sqrt(d)
+        self.scale = matching_sqrt(d, z)
         self.cache = PolyCache(coeffs, self.scale, z)
         self._lam, _ = _accessors(coeffs, self.exact)
 
@@ -322,16 +322,16 @@ class ClassificationReport:
 
 
 def classify(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1e-12,
-             n_max: int = 100_000, scale: Optional[float] = None) -> ClassificationReport:
+             n_max: int = 100_000, scale=None) -> ClassificationReport:
     """Essential-selfadjointness test for the scaled tridiagonal matrix.
 
     Sums |p_n(z)|^2 and |q_n(z)|^2 with off-diagonal scale * lam_n
-    (default scale sqrt(d), the radial restriction of the tree operator).
-    Both series square-summable means nontrivial deficiency spaces; at
-    least one divergent means essentially selfadjoint.  Real z (notably
+    (default scale sqrt(d), the radial restriction of the tree operator,
+    exact when z is).  Both series square-summable means nontrivial
+    deficiency spaces; at least one divergent means essentially selfadjoint.  Real z (notably
     z = 0, in exact arithmetic) runs the classical determinacy test."""
     if scale is None:
-        scale = math.sqrt(d)
+        scale = matching_sqrt(d, z)
     cache = PolyCache(coeffs, scale, z)
 
     def terms(which: str):
@@ -368,7 +368,7 @@ def classify(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1e-12,
         diag += f" | p: {res_p.note or 'ok'} | q: {res_q.note or 'ok'}"
     return ClassificationReport(verdict, res_p.status, res_q.status,
                                 (res_p.terms_used, res_q.terms_used),
-                                as_complex(z), float(scale), diag)
+                                as_complex(z), as_complex(scale).real, diag)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,13 @@ class RecurrenceOverflow(TreeJacobiError, OverflowError):
     """
 
 
+class CoefficientOverflow(TreeJacobiError, OverflowError):
+    """A coefficient does not fit in a float.
+
+    Switch to exact mode, which evaluates coefficients as rationals.
+    """
+
+
 class PatchTooLarge(TreeJacobiError):
     """An operation would materialize more vertices than the entry budget allows."""
 

@@ -12,6 +12,7 @@ every exact-mode computation in this package.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -193,6 +194,12 @@ def exact_complex(re, im=0) -> ExactComplex:
 def exact_sqrt(n: int) -> ExactComplex:
     """Exact sqrt(n) for a positive integer n."""
     return ExactComplex.sqrt_int(n)
+
+
+def matching_sqrt(d: int, *values):
+    """sqrt(d) in the arithmetic of values: exact_sqrt(d) when any of them
+    is an ExactComplex, a float otherwise."""
+    return exact_sqrt(d) if any(map(is_exact, values)) else math.sqrt(d)
 
 
 def root_power(root, d: int, k: int):

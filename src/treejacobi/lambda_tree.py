@@ -9,7 +9,7 @@ from typing import Dict, List, Sequence
 
 from .coefficients import CoefficientSequence, TreeConfig
 from .errors import RealSpectralParameter
-from .exactnum import as_complex, exact_sqrt, is_exact, root_power
+from .exactnum import as_complex, matching_sqrt, root_power
 from .operator import JacobiOperator
 from .orthopoly import PolyCache, poly_roots
 from .treecore import (DEFAULT_ENTRY_BUDGET, Address, LambdaPatch,
@@ -25,7 +25,7 @@ def radial_propagate(v0, z, k_max: int, coeffs: CoefficientSequence,
     the subtree under a vertex is forced into this form."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    root = exact_sqrt(d) if is_exact(z) or is_exact(v0) else math.sqrt(d)
+    root = matching_sqrt(d, z, v0)
     cache = PolyCache(coeffs, root, z)
     cache.ensure(k_max)
     return [root_power(root, d, k) * cache.p[k] * v0 for k in range(k_max + 1)]

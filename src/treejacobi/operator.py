@@ -126,32 +126,12 @@ def moments(J: JacobiOperator, N: int, route: str = "matrix",
     raise ValueError(f"unknown moment route {route!r}")
 
 
-def _group_by_level(f: SparseFunction) -> Dict[int, object]:
-    sums: Dict[int, object] = {}
-    for x, v in f.entries.items():
-        k = len(x)
-        sums[k] = sums.get(k, 0) + v
-    return sums
-
-
 def radial_average_E(f: SparseFunction, d: int,
                      budget: int = DEFAULT_ENTRY_BUDGET) -> SparseFunction:
     """Ef: value at each level-k vertex is the average of f over level k."""
     if f.kind != GAMMA:
         raise NotInSubtree("radial averaging is defined on the rooted tree")
-    sums = _group_by_level(f)
-    out: Dict[Address, object] = {}
-    for k, s in sums.items():
-        if d ** k > budget:
-            raise PatchTooLarge(
-                f"averaging over level {k} needs {d ** k} entries, "
-                f"over the budget of {budget}")
-        avg = s / d ** k
-        if is_zero(avg):
-            continue
-        for x in level_vertices(k, d, budget):
-            out[x] = avg
-    return SparseFunction(out, GAMMA)
+    return subtree_average_Ex(f, (), d, budget)
 
 
 def subtree_average_Ex(f: SparseFunction, x: Address, d: int,
@@ -177,13 +157,8 @@ def subtree_average_Ex(f: SparseFunction, x: Address, d: int,
         avg = s / count
         if is_zero(avg):
             continue
-        def assign(prefix: Address, remaining: int) -> None:
-            if remaining == 0:
-                out[prefix] = avg
-                return
-            for i in range(1, d + 1):
-                assign(prefix + (i,), remaining - 1)
-        assign(x, rel)
+        for w in level_vertices(rel, d, budget):
+            out[x + w] = avg
     return SparseFunction(out, GAMMA)
 
 

@@ -9,6 +9,7 @@ import math
 import statistics
 from collections import deque
 from dataclasses import dataclass
+from numbers import Rational
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .coefficients import CoefficientSequence, _accessors
 from .errors import ConvergenceFailure, RealSpectralParameter, RecurrenceOverflow
-from .exactnum import ExactComplex, abs2, as_complex, exact_sqrt, is_exact
+from .exactnum import ExactComplex, abs2, as_complex, is_exact, matching_sqrt
 
 RATIO_CEILING = 0.99
 CONVERGENCE_WINDOW = 8
@@ -32,7 +33,8 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
 
     Off-diagonal entries are scale*lambda_n; initial data p_0 = 1,
     p_1 = (z - beta_0)/(scale*lambda_0), q_0 = 0, q_1 = 1/lambda_0.
-    Runs in exact arithmetic when scale or z is an ExactComplex.
+    Runs in exact arithmetic when scale or z is an ExactComplex; the other
+    must then be exact too (an int, a Fraction or an ExactComplex).
     """
     exact = _wants_exact(scale, z)
     lam, beta = _accessors(coeffs, exact)
@@ -40,7 +42,11 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     def number(v):
         if not exact:
             return complex(v)
-        return v if is_exact(v) else ExactComplex.from_rational(v)
+        if is_exact(v):
+            return v
+        if isinstance(v, Rational):
+            return ExactComplex.from_rational(v)
+        raise ValueError(f"exact mode takes int, Fraction or ExactComplex values, got {v!r}")
 
     scale, z, one, zero = number(scale), number(z), number(1), number(0)
 
@@ -122,50 +128,24 @@ def wronskian_scale(table: PolyTable) -> list:
     return out
 
 
-def _eval_poly_and_derivative(coeffs: CoefficientSequence, scale: float, n: int, t: float):
-    """p_n(t) and p_n'(t) via the differentiated recurrence."""
-    p_prev, p_cur = 0.0, 1.0
-    d_prev, d_cur = 0.0, 0.0
-    for k in range(n):
-        a = scale * coeffs.lam(k)
-        b = scale * coeffs.lam(k - 1) if k > 0 else 0.0
-        p_next = ((t - coeffs.beta(k)) * p_cur - b * p_prev) / a
-        d_next = (p_cur + (t - coeffs.beta(k)) * d_cur - b * d_prev) / a
-        p_prev, p_cur = p_cur, p_next
-        d_prev, d_cur = d_cur, d_next
-    return p_cur, d_cur
-
-
 def poly_roots(coeffs: CoefficientSequence, scale: float, n: int) -> np.ndarray:
     """The n real simple roots of p_n, ascending.
 
     Computed as eigenvalues of the leading n-by-n tridiagonal block with
-    diagonal beta_k and off-diagonal scale*lambda_k, then polished by a
-    few Newton steps on the recurrence evaluation.
+    diagonal beta_k and off-diagonal scale*lambda_k, by LAPACK bisection
+    (stebz).  An absolute tolerance of twice the underflow threshold gives
+    every root, small and zero ones included, to small relative error
+    (Barlow & Demmel 1990).
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     diag = np.array([coeffs.beta(k) for k in range(n)])
     off = np.array([scale * coeffs.lam(k) for k in range(n - 1)])
     try:
-        roots = eigh_tridiagonal(diag, off, eigvals_only=True)
+        return eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="stebz",
+                                tol=2 * np.finfo(float).tiny)
     except Exception as exc:  # pragma: no cover - scipy failure path
         raise ConvergenceFailure(f"tridiagonal eigensolve failed: {exc}") from exc
-    polished = []
-    for t in np.sort(roots):
-        best = t
-        pv, _ = _eval_poly_and_derivative(coeffs, scale, n, t)
-        best_val = abs(pv)
-        for _ in range(4):
-            pv, dv = _eval_poly_and_derivative(coeffs, scale, n, t)
-            if dv == 0:
-                break
-            t = t - pv / dv
-            pv2, _ = _eval_poly_and_derivative(coeffs, scale, n, t)
-            if abs(pv2) < best_val:
-                best, best_val = t, abs(pv2)
-        polished.append(best)
-    return np.sort(np.array(polished))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +330,6 @@ def alpha_sq_partial(coeffs: CoefficientSequence, d: int, z, k: int, n_terms: in
     """Partial sum of the alpha_k^2 series with exactly n_terms terms.
 
     Exact when z is an ExactComplex (the scale is then the exact sqrt(d))."""
-    scale = exact_sqrt(d) if is_exact(z) else math.sqrt(d)
+    scale = matching_sqrt(d, z)
     terms = alpha_sq_terms(coeffs, k, PolyCache(coeffs, scale, z))
     return sum(itertools.islice(terms, n_terms), 0 * scale)  # 0 in the run's arithmetic

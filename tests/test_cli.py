@@ -86,6 +86,14 @@ def test_overflow_is_numeric_error_with_hint(capsys):
     assert "exact" in err
 
 
+@pytest.mark.parametrize("command", ["polys", "oracle"])
+def test_coefficient_overflow_is_numeric_error(command, capsys):
+    # lambda_1024 = 2**1024 of the paper family does not fit in a float
+    code, _, err = run([command, "--coeffs", "paper", "--n", "1100"], capsys)
+    assert code == 3
+    assert "float" in err and "--mode exact" in err
+
+
 def test_deficiency_artifact(tmp_path, capsys):
     out_file = tmp_path / "elem.json"
     code, _, _ = run(["deficiency", "--anchor", "1", "--depth", "12",
@@ -94,6 +102,18 @@ def test_deficiency_artifact(tmp_path, capsys):
     obj = json.loads(out_file.read_text())
     assert obj["residual"] <= 1e-10 * obj["max_abs"]
     assert obj["alpha_status"] == "converged"
+
+
+def test_deficiency_exact_mode_matches_float(capsys):
+    argv = ["deficiency", "--anchor", "1", "--depth", "10", "--z", "0,1"]
+    code, out, _ = run(argv + ["--mode", "exact"], capsys)
+    assert code == 0
+    exact = json.loads(out)
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    floats = json.loads(out)
+    assert exact["residual"] <= 1e-10 * exact["max_abs"]
+    assert exact["max_abs"] == pytest.approx(floats["max_abs"], rel=1e-12)
 
 
 def test_poisson_artifact(capsys):

@@ -12,7 +12,7 @@ from treejacobi.deficiency import (BasisFunction, DeficiencyContext,
                                    element_residual, f_value, project_full,
                                    project_onto_Ax)
 from treejacobi.errors import (PatchTooLarge, RealSpectralParameter)
-from treejacobi.exactnum import ExactComplex, exact_complex, is_zero
+from treejacobi.exactnum import ExactComplex, exact_complex, exact_sqrt, is_zero
 from treejacobi.orthopoly import alpha_series, alpha_sq_partial
 from treejacobi.treecore import SparseFunction, inner
 
@@ -204,6 +204,21 @@ def test_classify_period_two_series_not_esa():
     rep = classify(CoefficientSequence.geometric(3, Fraction(7, 2)), 2,
                    z=0.3 + 1.7j)
     assert rep.verdict == "not_essentially_selfadjoint"
+
+
+def test_classify_exact_z_runs_on_exact_sqrt():
+    rep = classify(PAPER, 2, z=EXACT_I)
+    assert rep.verdict == "not_essentially_selfadjoint"
+    assert rep.scale == math.sqrt(2)
+    with pytest.raises(ValueError):
+        classify(PAPER, 2, z=EXACT_I, scale=math.sqrt(2))
+
+
+def test_classify_accepts_exact_scale():
+    rep = classify(PAPER, 2, z=EXACT_I, scale=exact_sqrt(2))
+    assert rep.verdict == "not_essentially_selfadjoint"
+    assert rep.scale == math.sqrt(2)
+    assert classify(PAPER, 2, z=EXACT_I, scale=1).scale == 1.0
 
 
 def test_classify_inconclusive_small_budget():

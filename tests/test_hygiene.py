@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every private module-level function or class is used somewhere."""
 import ast
 import pathlib
 
@@ -6,10 +7,11 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "treejacobi"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TREES = {p: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
 
 
 def _unused_imports(path: pathlib.Path) -> list:
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = TREES[path]
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -26,3 +28,31 @@ def _unused_imports(path: pathlib.Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _references(node, skip):
+    """Names and attribute names used under node, not counting inside skip."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, skip)
+
+
+def _unreferenced_private_defs(path: pathlib.Path) -> list:
+    out = []
+    for node in TREES[path].body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.startswith("__")):
+            if not any(node.name in _references(tree, node)
+                       for tree in TREES.values()):
+                out.append(f"{node.name} (line {node.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_helper_is_used(path):
+    assert _unreferenced_private_defs(path) == []

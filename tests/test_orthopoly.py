@@ -1,6 +1,7 @@
 """Recurrence values, Wronskian identity, roots, series engine, norms."""
 import io
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,43 @@ def test_constant_family_symmetric_roots():
     assert abs(roots[0] + roots[2]) < 1e-12
 
 
+def _monic_value(coeffs, d, n, t):
+    """Exact P_n(t) from P_{k+1} = (t - beta_k) P_k - d lam_{k-1}^2 P_{k-1}."""
+    t = Fraction(t)
+    p_prev, p_cur = Fraction(0), Fraction(1)
+    for k in range(n):
+        b = d * coeffs.lam_exact(k - 1) ** 2 if k > 0 else 0
+        p_prev, p_cur = p_cur, (t - coeffs.beta_exact(k)) * p_cur - b * p_prev
+    return p_cur
+
+
+@pytest.mark.parametrize("spec, d, n", [
+    (CoefficientSequence.constant(Fraction(7, 4), Fraction(1, 2)), 3, 18),
+    (CoefficientSequence.constant(1, 1), 3, 26),
+    (CoefficientSequence.constant(Fraction(3, 2), Fraction(-1, 4)), 3, 32),
+    (PAPER, 2, 60),
+], ids=["constant:7/4:1/2", "constant:1:1", "constant:3/2:-1/4", "paper"])
+def test_roots_have_small_relative_error(spec, d, n):
+    # every root r is bracketed by r * (1 -+ 1e-13): p_n changes sign there
+    roots = poly_roots(spec, math.sqrt(d), n)
+    assert len(roots) == n
+    for r in roots:
+        lo = _monic_value(spec, d, n, r * (1 - 1e-13))
+        hi = _monic_value(spec, d, n, r * (1 + 1e-13))
+        assert lo * hi <= 0, f"root {r!r} of p_{n} is not bracketed"
+
+
+def test_zero_root_is_tiny():
+    for n in (9, 19):
+        assert abs(poly_roots(CONSTANT, math.sqrt(3), n)[n // 2]) < 1e-20
+
+
+def test_roots_emit_no_runtime_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        poly_roots(PAPER, math.sqrt(2), 60)
+
+
 # -- series engine ----------------------------------------------------------
 
 def test_sum_series_geometric_converges():
@@ -193,6 +231,16 @@ def test_poly_cache_keeps_its_first_error():
     with pytest.raises(type(first.value)) as again:
         cache.ensure(1100)
     assert again.value is first.value
+
+
+def test_exact_mode_rejects_float_values():
+    # a float sqrt(2) must not turn into Fraction(1.4142135623730951)
+    with pytest.raises(ValueError):
+        PolyCache(PAPER, math.sqrt(2), exact_complex(0, 1)).ensure(3)
+    with pytest.raises(ValueError):
+        compute_polys(PAPER, exact_sqrt(2), 1j, 3)
+    t = compute_polys(PAPER, Fraction(3, 2), exact_complex(0, 1), 3)
+    assert t.exact_mode and t.p[3].m == 1
 
 
 # -- alpha norms ------------------------------------------------------------
