@@ -8,6 +8,7 @@ validation error, 3 numeric failure, 4 inconclusive under --strict."""
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import io
 import json
@@ -84,9 +85,12 @@ def parse_z(text: str, mode: str):
         except ValueError as exc:
             raise ValidationError(f"bad exact z {text!r}: {exc}") from None
     try:
-        return complex(float(re_text), float(im_text))
+        z = complex(float(re_text), float(im_text))
     except ValueError as exc:
         raise ValidationError(f"bad z {text!r}: {exc}") from None
+    if not cmath.isfinite(z):
+        raise ValidationError(f"z must be finite, got {text!r}")
+    return z
 
 
 def parse_vertex(text: str, d: int):
@@ -408,6 +412,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config(args, parser, argv)
+        TreeConfig(args.d)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

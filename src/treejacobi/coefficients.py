@@ -58,58 +58,80 @@ class CoefficientSequence:
         beta_t = tuple(Fraction(v) for v in (betas if betas is not None else [0] * len(lam_t)))
         return CoefficientSequence("explicit", lams=lam_t, betas=beta_t)
 
-    # -- exact accessors ----------------------------------------------
+    # -- family dispatch ----------------------------------------------
 
-    def lam_exact(self, n: int) -> Fraction:
+    def _lam_ratio(self, n: int) -> tuple:
+        """lambda_n as an integer pair (num, den) with den > 0, not
+        necessarily in lowest terms."""
         if n < 0:
             raise IndexError("lambda index must be nonnegative")
         if self.family == "constant":
             value = self.params[0]
+            num, den = value.numerator, value.denominator
         elif self.family == "geometric":
             base, ratio = self.params
-            value = base * ratio ** n
+            num = base.numerator * ratio.numerator ** n
+            den = base.denominator * ratio.denominator ** n
         elif self.family == "power":
             base, exponent = self.params
             if not isinstance(exponent, int):
                 raise ExactModeUnavailable(
                     "power family with non-integer exponent has no exact values")
-            value = base * Fraction(n + 1) ** exponent
+            num, den = base.numerator, base.denominator
+            if exponent >= 0:
+                num *= (n + 1) ** exponent
+            else:
+                den *= (n + 1) ** -exponent
         elif self.family == "paper":
-            value = self.base.lam_exact(n)
+            num, den = self.base._lam_ratio(n)
         elif self.family == "explicit":
             if n >= len(self.lams):
                 raise CoefficientIndexError(
                     f"lambda_{n} requested but the explicit list has "
                     f"{len(self.lams)} entries (indices 0..{len(self.lams) - 1})")
             value = self.lams[n]
+            num, den = value.numerator, value.denominator
         else:
             raise ValueError(f"unknown family {self.family!r}")
-        if value <= 0:
-            raise NonPositiveLambda(f"lambda_{n} = {value} is not positive")
-        return value
+        if num <= 0:
+            raise NonPositiveLambda(f"lambda_{n} = {Fraction(num, den)} is not positive")
+        return num, den
 
-    def beta_exact(self, n: int) -> Fraction:
+    def _beta_ratio(self, n: int) -> tuple:
+        """beta_n as an integer pair (num, den) with den > 0."""
         if n < 0:
             raise IndexError("beta index must be nonnegative")
         if self.family == "constant":
-            return self.params[1]
-        if self.family in ("geometric", "power"):
-            return Fraction(0)
-        if self.family == "paper":
+            value = self.params[1]
+        elif self.family in ("geometric", "power"):
+            return 0, 1
+        elif self.family == "paper":
             if n == 0:
-                return self.lam_exact(0)
-            return self.lam_exact(n) + self.lam_exact(n - 1)
-        if self.family == "explicit":
+                return self._lam_ratio(0)
+            a, b = self._lam_ratio(n)
+            c, e = self._lam_ratio(n - 1)
+            return a * e + c * b, b * e
+        elif self.family == "explicit":
             if n >= len(self.betas):
                 raise CoefficientIndexError(
                     f"beta_{n} requested but the explicit list has "
                     f"{len(self.betas)} entries (indices 0..{len(self.betas) - 1})")
-            return self.betas[n]
-        raise ValueError(f"unknown family {self.family!r}")
+            value = self.betas[n]
+        else:
+            raise ValueError(f"unknown family {self.family!r}")
+        return value.numerator, value.denominator
 
-    # -- float accessors ----------------------------------------------
+    # -- accessors ------------------------------------------------------
+
+    def lam_exact(self, n: int) -> Fraction:
+        return Fraction(*self._lam_ratio(n))
+
+    def beta_exact(self, n: int) -> Fraction:
+        return Fraction(*self._beta_ratio(n))
 
     def lam(self, n: int) -> float:
+        """lambda_n as the correctly rounded quotient of its integer pair,
+        the same float as float(lam_exact(n))."""
         try:
             if self.family == "power" and not isinstance(self.params[1], int):
                 base, exponent = self.params
@@ -117,15 +139,15 @@ class CoefficientSequence:
                 if value <= 0:
                     raise NonPositiveLambda(f"lambda_{n} = {value} is not positive")
                 return value
-            return float(self.lam_exact(n))
+            num, den = self._lam_ratio(n)
+            return num / den
         except OverflowError as exc:
             raise CoefficientOverflow(f"lambda_{n} does not fit in a float") from exc
 
     def beta(self, n: int) -> float:
-        if self.family == "power" and not isinstance(self.params[1], int):
-            return 0.0
+        num, den = self._beta_ratio(n)
         try:
-            return float(self.beta_exact(n))
+            return num / den
         except OverflowError as exc:
             raise CoefficientOverflow(f"beta_{n} does not fit in a float") from exc
 

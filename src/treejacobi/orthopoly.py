@@ -17,7 +17,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from .coefficients import CoefficientSequence, _accessors
 from .errors import ConvergenceFailure, RealSpectralParameter, RecurrenceOverflow
-from .exactnum import ExactComplex, abs2, as_complex, is_exact, matching_sqrt
+from .exactnum import (ExactComplex, abs2, as_complex, is_exact, is_zero,
+                       matching_sqrt)
 
 RATIO_CEILING = 0.99
 CONVERGENCE_WINDOW = 8
@@ -34,7 +35,9 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     Off-diagonal entries are scale*lambda_n; initial data p_0 = 1,
     p_1 = (z - beta_0)/(scale*lambda_0), q_0 = 0, q_1 = 1/lambda_0.
     Runs in exact arithmetic when scale or z is an ExactComplex; the other
-    must then be exact too (an int, a Fraction or an ExactComplex).
+    must then be exact too (an int, a Fraction or an ExactComplex).  In
+    float mode z and scale must be finite; scale must be nonzero.  Each
+    step fetches lambda_n and beta_n once.
     """
     exact = _wants_exact(scale, z)
     lam, beta = _accessors(coeffs, exact)
@@ -49,24 +52,32 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
         raise ValueError(f"exact mode takes int, Fraction or ExactComplex values, got {v!r}")
 
     scale, z, one, zero = number(scale), number(z), number(1), number(0)
+    if not exact and not (cmath.isfinite(scale) and cmath.isfinite(z)):
+        raise ValueError(f"scale and z must be finite, got scale={scale}, z={z}")
+    if is_zero(scale):
+        raise ValueError("scale must be nonzero")
 
     p_prev, p_cur = zero, one
     q_prev, q_cur = zero, zero
     n = 0
     while True:
         yield n, p_cur, q_cur
+        shift = z - beta(n)
+        lam_n = lam(n)
+        off_n = scale * lam_n
         if n == 0:
-            p_next = (z - beta(0)) / (scale * lam(0))
-            q_next = one / lam(0)
+            p_next = shift / off_n
+            q_next = one / lam_n
         else:
-            p_next = ((z - beta(n)) * p_cur - scale * lam(n - 1) * p_prev) / (scale * lam(n))
-            q_next = ((z - beta(n)) * q_cur - scale * lam(n - 1) * q_prev) / (scale * lam(n))
+            p_next = (shift * p_cur - off_prev * p_prev) / off_n
+            q_next = (shift * q_cur - off_prev * q_prev) / off_n
         if not exact and not (cmath.isfinite(p_next) and cmath.isfinite(q_next)):
             raise RecurrenceOverflow(
                 f"recurrence value left the float range at index {n + 1}; "
                 "switch to exact mode or rescale")
         p_prev, p_cur = p_cur, p_next
         q_prev, q_cur = q_cur, q_next
+        off_prev = off_n
         n += 1
 
 
@@ -178,8 +189,13 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12, n_max: int = 100_000,
     or the terms stop decreasing (the median of the last `stall_window`
     terms is no smaller than the median of the preceding block).
 
-    Otherwise inconclusive after n_max terms.
+    Otherwise inconclusive after n_max terms.  tol must be finite and
+    positive, n_max at least 1.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     s = 0.0
     recent: deque = deque(maxlen=2 * max(window, stall_window))
     count = 0
@@ -297,8 +313,6 @@ def alpha_series(coeffs: CoefficientSequence, d: int, z: complex, k_max: int,
     """alpha_k(z) for k = 0..k_max, with per-k series verdicts.
 
     Requires non-real z; uses the sqrt(d)-scaled recurrence."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     zc = complex(z)
     if zc.imag == 0:
         raise RealSpectralParameter(f"alpha series needs a non-real z, got {z}")

@@ -198,3 +198,25 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 def test_missing_config_rejected(capsys):
     code, _, err = run(["classify", "--config", "/nonexistent.ini"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--tol", "0"],
+    ["classify", "--tol", "-1"],
+    ["classify", "--tol", "nan"],
+    ["classify", "--n-max", "-5"],
+    ["classify", "--z", "nan,1"],
+    ["classify", "--z", "inf,1"],
+    ["classify", "--scale", "0"],
+    ["polys", "--scale", "0"],
+    ["polys", "--mode", "exact", "--scale", "0"],
+    ["polys", "--d", "0"],
+    ["deficiency", "--d", "1"],
+    ["classify", "--d", "-1"],
+    ["poisson", "--d", "0"],
+], ids=" ".join)
+def test_bad_numeric_option_is_validation_error(argv, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

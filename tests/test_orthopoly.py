@@ -2,6 +2,7 @@
 import io
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,34 @@ def test_exact_mode_rejects_float_values():
     t = compute_polys(PAPER, Fraction(3, 2), exact_complex(0, 1), 3)
     assert t.exact_mode and t.p[3].m == 1
 
+
+
+@pytest.mark.parametrize("coeffs", FAMILIES, ids=lambda c: c.family)
+def test_float_recurrence_fetches_each_lambda_once(coeffs, monkeypatch):
+    calls = Counter()
+    for name in ("lam", "lam_exact"):
+        original = getattr(CoefficientSequence, name)
+
+        def counting(self, n, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, n)
+        monkeypatch.setattr(CoefficientSequence, name, counting)
+    N = 200
+    compute_polys(coeffs, math.sqrt(2), 1j, N)
+    assert calls["lam"] <= N + 1
+    assert calls["lam_exact"] == 0
+
+
+def test_degenerate_parameters_rejected():
+    for scale, z in [(0.0, 1j), (math.inf, 1j), (1.0, complex(math.nan, 1)),
+                     (1.0, complex(math.inf, 1)), (0, exact_complex(0, 1))]:
+        with pytest.raises(ValueError):
+            PolyCache(PAPER, scale, z).ensure(0)
+    with pytest.raises(ValueError):
+        alpha_series(PAPER, 2, complex(math.nan, 1), 1)
+    for tol, n_max in [(0.0, 10), (-1.0, 10), (math.nan, 10), (math.inf, 10), (1e-12, 0)]:
+        with pytest.raises(ValueError):
+            sum_series(iter([1.0]), tol=tol, n_max=n_max)
 
 # -- alpha norms ------------------------------------------------------------
 
