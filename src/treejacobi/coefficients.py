@@ -131,7 +131,8 @@ class CoefficientSequence:
 
     def lam(self, n: int) -> float:
         """lambda_n as the correctly rounded quotient of its integer pair,
-        the same float as float(lam_exact(n))."""
+        the same float as float(lam_exact(n)); a non-integer power, and a
+        paper family over one, use the float formula."""
         try:
             if self.family == "power" and not isinstance(self.params[1], int):
                 base, exponent = self.params
@@ -141,23 +142,20 @@ class CoefficientSequence:
                 return value
             num, den = self._lam_ratio(n)
             return num / den
+        except ExactModeUnavailable:  # a paper family over a non-integer power
+            return self.base.lam(n)
         except OverflowError as exc:
             raise CoefficientOverflow(f"lambda_{n} does not fit in a float") from exc
 
     def beta(self, n: int) -> float:
-        num, den = self._beta_ratio(n)
+        try:
+            num, den = self._beta_ratio(n)
+        except ExactModeUnavailable:  # a paper family over a non-integer power
+            return self.lam(n) + self.lam(n - 1) if n else self.lam(0)
         try:
             return num / den
         except OverflowError as exc:
             raise CoefficientOverflow(f"beta_{n} does not fit in a float") from exc
-
-    @property
-    def supports_exact(self) -> bool:
-        if self.family == "power":
-            return isinstance(self.params[1], int)
-        if self.family == "paper":
-            return self.base.supports_exact
-        return True
 
     def describe(self) -> str:
         if self.family == "constant":

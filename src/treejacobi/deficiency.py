@@ -7,13 +7,15 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .coefficients import CoefficientSequence, _accessors
-from .errors import PatchTooLarge, RealSpectralParameter
+from .errors import PatchTooLarge, RealSpectralParameter, RecurrenceOverflow
 from .exactnum import (as_complex, conj, is_exact, is_zero, matching_sqrt,
                        root_power)
 from .orthopoly import AlphaTable, PolyCache, SeriesResult, sum_series
 from .treecore import (DEFAULT_ENTRY_BUDGET, GAMMA, Address, SparseFunction,
-                       format_address, level_vertices, subtree_vertices)
+                       format_address, subtree_vertices)
 
 
 class DeficiencyContext:
@@ -27,8 +29,7 @@ class DeficiencyContext:
         self.z = z
         self.exact = is_exact(z)
         if require_nonreal:
-            zc = as_complex(z)
-            if zc.imag == 0:
+            if as_complex(z).imag == 0:
                 raise RealSpectralParameter(
                     f"deficiency-space values need a non-real z, got {z}")
         self.scale = matching_sqrt(d, z)
@@ -102,55 +103,48 @@ class DeficiencyElement:
         else:
             _check_zero_sum(self.coefficients, "coefficients")
 
-    def value_at(self, y: Address, ctx: DeficiencyContext):
+    def _coefficient_on(self, x: Address):
+        """The coefficient at x and on the subtree below x: the radial scalar,
+        a_i inside the anchor's i-th child subtree, 0 elsewhere."""
         if self.anchor is None:
-            return self.coefficients[0] * ctx.f_zero(len(y))
+            return self.coefficients[0]
         k = len(self.anchor)
-        if len(y) <= k or y[:k] != self.anchor:
+        if len(x) <= k or x[:k] != self.anchor:
             return 0
-        a = self.coefficients[y[k] - 1]
-        if is_zero(a):
-            return 0
-        return a * ctx.f_anchored(k, len(y))
+        return self.coefficients[x[k] - 1]
+
+    def _level_value(self, ctx: DeficiencyContext, n: int):
+        """The element's basis function on level n, 0 above its support."""
+        if self.anchor is None:
+            return ctx.f_zero(n)
+        k = len(self.anchor)
+        return ctx.f_anchored(k, n) if n > k else 0
+
+    def value_at(self, y: Address, ctx: DeficiencyContext):
+        a = self._coefficient_on(y)
+        return 0 if is_zero(a) else a * self._level_value(ctx, len(y))
 
     def materialize(self, ctx: DeficiencyContext, depth: int,
                     budget: int = DEFAULT_ENTRY_BUDGET) -> SparseFunction:
-        """Sparse function with all values down to tree level `depth`.
+        """Sparse function with all values down to tree level `depth`: the
+        element's profile broadcast onto the subtrees where it is nonzero.
 
         Refuses (PatchTooLarge) rather than silently truncating support."""
+        if self.anchor is not None and depth <= len(self.anchor):
+            raise ValueError(f"depth {depth} does not reach the anchor's "
+                             f"children at level {len(self.anchor) + 1}")
         d = ctx.d
-        entries: Dict[Address, object] = {}
-        if self.anchor is None:
-            count = (d ** (depth + 1) - 1) // (d - 1)
-            if count > budget:
-                raise PatchTooLarge(
-                    f"materializing to depth {depth} needs {count} entries, "
-                    f"over the budget of {budget}")
-            a = self.coefficients[0]
-            for n in range(depth + 1):
-                v = a * ctx.f_zero(n)
-                if is_zero(v):
-                    continue
-                for x in level_vertices(n, d):
-                    entries[x] = v
-            return SparseFunction(entries, GAMMA)
-        k = len(self.anchor)
-        if depth < k + 1:
-            raise ValueError(
-                f"depth {depth} does not reach the anchor's children at level {k + 1}")
-        per_branch = (d ** (depth - k) - 1) // (d - 1)
-        if d * per_branch > budget:
+        classes = [(top, values) for top, values in _Profile([self], ctx, depth).values.items()
+                   if not all(map(is_zero, values))]
+        count = sum((d ** len(values) - 1) // (d - 1) for _, values in classes)
+        if count > budget:
             raise PatchTooLarge(
-                f"materializing to depth {depth} needs {d * per_branch} entries, "
+                f"materializing to depth {depth} needs {count} entries, "
                 f"over the budget of {budget}")
-        values = {n: ctx.f_anchored(k, n) for n in range(k + 1, depth + 1)}
-        for i in range(1, d + 1):
-            a = self.coefficients[i - 1]
-            if is_zero(a):
-                continue
-            child = self.anchor + (i,)
-            for x in subtree_vertices(child, depth - k - 1, d, budget):
-                v = a * values[len(x)]
+        entries: Dict[Address, object] = {}
+        for top, values in classes:
+            for x in subtree_vertices(top, len(values) - 1, d, budget):
+                v = values[len(x) - len(top)]
                 if not is_zero(v):
                     entries[x] = v
         return SparseFunction(entries, GAMMA)
@@ -184,12 +178,9 @@ class BasisFunction:
     root: Address
 
     def value_at(self, y: Address, ctx: DeficiencyContext):
-        if not self.root:
-            return ctx.f_zero(len(y))
-        k = len(self.root) - 1
-        if len(y) < len(self.root) or y[:len(self.root)] != self.root:
+        if y[:len(self.root)] != self.root:
             return 0
-        return ctx.f_anchored(k, len(y))
+        return ctx.f_anchored(len(self.root) - 1, len(y)) if self.root else ctx.f_zero(len(y))
 
     def norm_index(self) -> int:
         """Index k such that the function's norm is alpha_k."""
@@ -238,58 +229,72 @@ def deficiency_residual(f: SparseFunction, z, coeffs: CoefficientSequence,
     return worst
 
 
-def _representatives(elements: Sequence[DeficiencyElement], d: int,
-                     depth: int) -> set:
-    """Every anchor path vertex, its children, and one descending chain per
-    child down to `depth`: one vertex from every class of vertices on which
-    a sum of elements (radial on each branch subtree) takes equal values."""
-    paths: set = {()}
-    for elem in elements:
-        if elem.anchor is not None:
-            for j in range(len(elem.anchor) + 1):
-                paths.add(elem.anchor[:j])
-    reps = set(paths)
-    for pfx in paths:
-        for i in range(1, d + 1):
-            x = pfx + (i,)
-            while len(x) <= depth:
-                reps.add(x)
-                x = x + (1,)
-    return reps
+class _Profile:
+    """A sum of deficiency elements by vertex class and level.
 
+    Each element is radial on every branch subtree, so the sum takes one
+    value at each anchor path vertex p, and one value per level below each
+    branch root b = p + (i,) that is not a path vertex.  `values` maps each
+    class root on levels 0..depth to its values from its own level down:
+    one for a path vertex, levels len(b)..depth for a branch root."""
 
-def _sum_values(elements: Sequence[DeficiencyElement], ctx: DeficiencyContext):
-    def values(y: Address) -> complex:
-        total = 0
-        for elem in elements:
-            total = total + elem.value_at(y, ctx)
-        return as_complex(total)
-    return values
+    def __init__(self, elements: Sequence[DeficiencyElement],
+                 ctx: DeficiencyContext, depth: int):
+        if depth < 0:
+            raise ValueError(f"depth must be nonnegative, got {depth}")
+        anchors = [e.anchor for e in elements if e.anchor is not None]
+        self.paths = {()} | {a[:j] for a in anchors for j in range(min(len(a), depth) + 1)}
+        roots = list(self.paths) + [p + (i,) for p in self.paths if len(p) < depth
+                                    for i in range(1, ctx.d + 1) if p + (i,) not in self.paths]
+        count = sum(1 if r in self.paths else depth + 1 - len(r) for r in roots)
+        if count > DEFAULT_ENTRY_BUDGET:
+            raise PatchTooLarge(f"a profile to depth {depth} holds {count} values, "
+                                f"over the budget of {DEFAULT_ENTRY_BUDGET}")
+        tables = [[e._level_value(ctx, n) for n in range(depth + 1)] for e in elements]
+        self.values: Dict[Address, list] = {}
+        for r in roots:
+            levels = range(len(r), len(r) + 1 if r in self.paths else depth + 1)
+            total = None
+            for elem, table in zip(elements, tables):
+                a = elem._coefficient_on(r)
+                if not is_zero(a):
+                    part = [a * table[n] for n in levels]
+                    total = part if total is None else [u + v for u, v in zip(total, part)]
+            self.values[r] = total or [0] * len(levels)
 
 
 def element_residual(elements: Sequence[DeficiencyElement],
                      ctx: DeficiencyContext, depth: int) -> float:
-    """Eigenvalue-equation residual of a sum of elements, to any depth.
-
-    Each element is radial on each branch subtree, so the sum's value at a
-    vertex depends only on the vertex's position relative to the anchors.
-    The residual is therefore evaluated on a representative set, which
-    covers one vertex from every equivalence class."""
-    values = _sum_values(elements, ctx)
-    zc = as_complex(ctx.z)
+    """Eigenvalue-equation residual of a sum of elements below `depth`: the
+    three-term equation at each path vertex, and vectorized along each branch
+    chain, whose head has a path vertex as parent and each vertex d equal children."""
+    profile = _Profile(elements, ctx, depth)
+    lam = np.array([ctx.coeffs.lam(n) for n in range(depth)])
+    lam_up = np.concatenate(([0.0], lam[:-1]))
+    shift = as_complex(ctx.z) - np.array([ctx.coeffs.beta(n) for n in range(depth)])
+    head = lambda x: as_complex(profile.values[x][0])
     worst = 0.0
-    for x in _representatives(elements, ctx.d, depth):
-        if len(x) < depth:
-            worst = max(worst, abs(_residual_at(values, x, zc, ctx.coeffs, ctx.d)))
+    for top, values in profile.values.items():
+        if len(top) == depth:
+            continue
+        n, f = len(top), np.array([as_complex(v) for v in values])
+        if top in profile.paths:
+            below = np.array([sum(head(top + (i,)) for i in range(1, ctx.d + 1))])
+        else:
+            below = ctx.d * f[1:]
+        m = n + len(below)
+        above = np.concatenate(([head(top[:-1]) if top else 0j], f[:m - n - 1]))
+        r = shift[n:m] * f[:m - n] - lam_up[n:m] * above - lam[n:m] * below
+        worst = max(worst, float(np.abs(r).max()))
     return worst
 
 
 def element_max_abs(elements: Sequence[DeficiencyElement],
                     ctx: DeficiencyContext, depth: int) -> float:
-    """Max |value| of a sum of elements over levels 0..depth, computed on
-    the same representative set as element_residual."""
-    values = _sum_values(elements, ctx)
-    return max(abs(values(x)) for x in _representatives(elements, ctx.d, depth))
+    """Max |value| of a sum of elements over levels 0..depth, from its profile."""
+    return max(abs(as_complex(v))
+               for values in _Profile(elements, ctx, depth).values.values()
+               for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +344,9 @@ def classify(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1e-12,
         while True:
             cache.ensure(n)
             v = cache.p[n] if which == "p" else cache.q[n]
-            yield float(abs(as_complex(v))) ** 2
+            a = float(abs(as_complex(v)))
+            yield a * a
             n += 1
-
-    from .errors import RecurrenceOverflow
 
     def run(which: str) -> SeriesResult:
         try:
@@ -389,16 +393,9 @@ def project_onto_Ax(y: Address, anchor: Optional[Address], ctx: DeficiencyContex
             f"{format_address(y)} is not strictly below the anchor "
             f"{format_address(anchor)}")
     ak = alpha.alpha(k + 1)
-    fy = conj(ctx.f_anchored(k, len(y)))
-    i = y[k]
+    base = conj(ctx.f_anchored(k, len(y))) / (ak * ak)
     d = ctx.d
-    base = fy / (ak * ak)
-    coeffs = []
-    for j in range(1, d + 1):
-        if j == i:
-            coeffs.append(base * (1 - 1 / d))
-        else:
-            coeffs.append(-base / d)
+    coeffs = (base * (1 - 1 / d) if j == y[k] else -base / d for j in range(1, d + 1))
     return DeficiencyElement(anchor, tuple(coeffs), ctx.z)
 
 
@@ -406,7 +403,5 @@ def project_full(y: Address, ctx: DeficiencyContext,
                  alpha: AlphaTable) -> List[DeficiencyElement]:
     """Projection of the point mass at y onto the full deficiency space:
     one element per path vertex strictly above y, plus the radial one."""
-    out = [project_onto_Ax(y, None, ctx, alpha)]
-    for j in range(len(y)):
-        out.append(project_onto_Ax(y, y[:j], ctx, alpha))
-    return out
+    return [project_onto_Ax(y, anchor, ctx, alpha)
+            for anchor in [None] + [y[:j] for j in range(len(y))]]

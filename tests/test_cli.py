@@ -5,6 +5,7 @@ import os
 import pytest
 
 from treejacobi.cli import main, parse_coeffs, parse_z, ValidationError
+from treejacobi.orthopoly import PolyCache
 
 
 def run(args, capsys):
@@ -92,6 +93,30 @@ def test_coefficient_overflow_is_numeric_error(command, capsys):
     code, _, err = run([command, "--coeffs", "paper", "--n", "1100"], capsys)
     assert code == 3
     assert "float" in err and "--mode exact" in err
+
+
+def test_deficiency_over_budget_refused_before_any_recurrence_step(monkeypatch, capsys):
+    def no_step(self, n):
+        raise AssertionError("a recurrence step ran")
+    monkeypatch.setattr(PolyCache, "ensure", no_step)
+    code, _, err = run(["deficiency", "--depth", "2000000"], capsys)
+    assert code == 3
+    assert "budget" in err and "Traceback" not in err
+
+
+def test_deep_float_deficiency_overflows_with_exact_hint(capsys):
+    # the paper family's coefficients leave the float range at index 1024
+    code, _, err = run(["deficiency", "--depth", "100000"], capsys)
+    assert code == 3
+    assert "_1024 " in err and "--mode exact" in err
+
+
+def test_classify_huge_z_gives_a_verdict(capsys):
+    # |p_1|^2 overflows: the series reports it instead of raising
+    code, out, err = run(["classify", "--coeffs", "constant:1", "--z", "0,1e308"], capsys)
+    assert code == 0
+    assert "Traceback" not in err
+    assert "overflowed" in json.loads(out)["diagnostics"]
 
 
 def test_deficiency_artifact(tmp_path, capsys):
@@ -214,6 +239,8 @@ def test_missing_config_rejected(capsys):
     ["deficiency", "--d", "1"],
     ["classify", "--d", "-1"],
     ["poisson", "--d", "0"],
+    ["deficiency", "--depth", "-1"],
+    ["deficiency", "--materialize-depth", "-1"],
 ], ids=" ".join)
 def test_bad_numeric_option_is_validation_error(argv, capsys):
     code, _, err = run(argv, capsys)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treejacobi.coefficients import CoefficientSequence
+from treejacobi.deficiency import classify
 from treejacobi.errors import (CoefficientIndexError, CoefficientOverflow,
-                               NonPositiveLambda)
+                               ExactModeUnavailable, NonPositiveLambda)
 
 POSITIVE = st.fractions(min_value=Fraction(1, 1000), max_value=1000,
                         max_denominator=1000)
@@ -72,3 +73,17 @@ def test_beta_errors_name_the_index():
     for fetch in (coeffs.beta, coeffs.beta_exact):
         with pytest.raises(CoefficientIndexError, match="beta_2 "):
             fetch(2)
+
+
+def test_paper_over_a_non_integer_power_has_float_values():
+    base = CoefficientSequence.power(1, 0.5)
+    coeffs = CoefficientSequence.paper_example(base)
+    assert [coeffs.lam(n) for n in range(6)] == [base.lam(n) for n in range(6)]
+    assert coeffs.beta(0) == coeffs.lam(0)
+    for n in range(1, 6):
+        assert coeffs.beta(n) == coeffs.lam(n) + coeffs.lam(n - 1)
+    for fetch in (coeffs.lam_exact, coeffs.beta_exact):
+        with pytest.raises(ExactModeUnavailable):
+            fetch(3)
+    assert classify(coeffs, 2).verdict in (
+        "essentially_selfadjoint", "not_essentially_selfadjoint", "inconclusive")

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treejacobi.coefficients import CoefficientSequence
 from treejacobi.deficiency import (BasisFunction, DeficiencyContext,
@@ -105,6 +106,37 @@ def test_residual_matches_brute_force_on_materialized():
     brute = deficiency_residual(f, 1j, PAPER, D, 8)
     profile = element_residual([elem], CTX, 8)
     assert brute == pytest.approx(profile, abs=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.sampled_from([2, 3]),
+       st.floats(-2, 2), st.floats(0.2, 2), st.booleans(), st.booleans())
+def test_profile_of_a_sum_matches_its_materialized_sum(data, d, re, im, below, project):
+    z = complex(re, im if below else -im)
+    y = tuple(data.draw(st.lists(st.integers(1, d), max_size=4)))
+    depth = data.draw(st.integers(len(y) + 1, 7))
+    ctx = DeficiencyContext(PAPER, d, z)
+    if project:
+        elements = project_full(y, ctx, alpha_series(PAPER, d, z, len(y) + 1))
+    else:
+        parts = st.floats(-1, 1)
+        a = [complex(data.draw(parts), data.draw(parts)) for _ in range(d - 1)]
+        elements = [DeficiencyElement(y, a + [-sum(a)], z)]
+    total = SparseFunction({})
+    for elem in elements:
+        total = total + elem.materialize(ctx, depth)
+    peak = total.max_abs()
+    tol = 1e-12 * max(1.0, peak)
+    assert abs(element_max_abs(elements, ctx, depth) - peak) <= tol
+    assert abs(element_residual(elements, ctx, depth)
+               - deficiency_residual(total, z, PAPER, d, depth)) <= tol
+
+
+def test_max_abs_counts_only_levels_down_to_depth():
+    # at depth 0 the root is the only vertex, deep anchors notwithstanding
+    els = project_full((1, 2, 1), CTX, ALPHA)
+    at_root = abs(complex(sum(e.value_at((), CTX) for e in els)))
+    assert element_max_abs(els, CTX, 0) == at_root
 
 
 def test_residual_of_delta_is_nonzero():
