@@ -11,8 +11,7 @@ import numpy as np
 
 from .coefficients import CoefficientSequence, _accessors
 from .errors import PatchTooLarge, RealSpectralParameter, RecurrenceOverflow
-from .exactnum import (as_complex, conj, is_exact, is_zero, matching_sqrt,
-                       root_power)
+from .exactnum import as_complex, conj, is_exact, is_zero, matching_sqrt
 from .orthopoly import AlphaTable, PolyCache, SeriesResult, sum_series
 from .treecore import (DEFAULT_ENTRY_BUDGET, GAMMA, Address, SparseFunction,
                        format_address, subtree_vertices)
@@ -47,7 +46,7 @@ class DeficiencyContext:
     def f_zero(self, n: int):
         """Value on level n of the radial basis function (anchor at the root
         level of the whole tree): p_n(z) / d^(n/2)."""
-        return self.p(n) / root_power(self.scale, self.d, n)
+        return self._over_root_power(self.p(n), n)
 
     def f_anchored(self, k: int, n: int):
         """Value on level n inside one child subtree of an anchor at level k:
@@ -56,8 +55,20 @@ class DeficiencyContext:
         The value at n = k + 1 is 1 for every k (discrete Wronskian)."""
         if n < k + 1:
             raise ValueError(f"anchored values start at level {k + 1}, got {n}")
-        return self._lam(k) * (self.p(k) * self.q(n) - self.q(k) * self.p(n)) \
-            / root_power(self.scale, self.d, n - k - 1)
+        return self._over_root_power(
+            self._lam(k) * (self.p(k) * self.q(n) - self.q(k) * self.p(n)), n - k - 1)
+
+    def _over_root_power(self, value, k: int):
+        """value / d^(k/2), the integer d^(k//2) times sqrt(d) when k is odd.
+        In float mode a d^(k//2) of more than 512 bits is split into a
+        correctly rounded mantissa and a power of two that ldexp divides
+        out, so no power is converted beyond the float range."""
+        whole = self.d ** (k // 2)
+        shift = whole.bit_length() - 512
+        if self.exact or shift <= 0:
+            return value / (whole * self.scale if k % 2 else whole)
+        value = value / (whole / (1 << shift) * (self.scale if k % 2 else 1))
+        return complex(math.ldexp(value.real, -shift), math.ldexp(value.imag, -shift))
 
 
 def f_value(kind: str, k: int, n: int, ctx: DeficiencyContext):

@@ -9,6 +9,7 @@ import math
 import statistics
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Optional
 
@@ -17,7 +18,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .coefficients import CoefficientSequence, _accessors
 from .errors import ConvergenceFailure, RealSpectralParameter, RecurrenceOverflow
-from .exactnum import (ExactComplex, abs2, as_complex, is_exact, is_zero,
+from .exactnum import (ExactComplex, abs2, as_complex, is_exact,
                        matching_sqrt)
 
 RATIO_CEILING = 0.99
@@ -35,27 +36,20 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     Off-diagonal entries are scale*lambda_n; initial data p_0 = 1,
     p_1 = (z - beta_0)/(scale*lambda_0), q_0 = 0, q_1 = 1/lambda_0.
     Runs in exact arithmetic when scale or z is an ExactComplex; the other
-    must then be exact too (an int, a Fraction or an ExactComplex).  In
-    float mode z and scale must be finite; scale must be nonzero.  Each
-    step fetches lambda_n and beta_n once.
+    must then be exact too (an int, a Fraction or an ExactComplex), z a
+    Gaussian rational and scale**2 a nonzero rational (see
+    _IntegerRecurrence).  In float mode z and scale must be finite; scale
+    must be nonzero.  Each step fetches lambda_n and beta_n once.
     """
-    exact = _wants_exact(scale, z)
-    lam, beta = _accessors(coeffs, exact)
-
-    def number(v):
-        if not exact:
-            return complex(v)
-        if is_exact(v):
-            return v
-        if isinstance(v, Rational):
-            return ExactComplex.from_rational(v)
-        raise ValueError(f"exact mode takes int, Fraction or ExactComplex values, got {v!r}")
-
-    scale, z, one, zero = number(scale), number(z), number(1), number(0)
-    if not exact and not (cmath.isfinite(scale) and cmath.isfinite(z)):
+    if _wants_exact(scale, z):
+        yield from _IntegerRecurrence(coeffs, scale, z).pairs()
+        return
+    scale, z, one, zero = complex(scale), complex(z), complex(1), complex(0)
+    if not (cmath.isfinite(scale) and cmath.isfinite(z)):
         raise ValueError(f"scale and z must be finite, got scale={scale}, z={z}")
-    if is_zero(scale):
+    if scale == 0:
         raise ValueError("scale must be nonzero")
+    lam, beta = _accessors(coeffs, False)
 
     p_prev, p_cur = zero, one
     q_prev, q_cur = zero, zero
@@ -71,7 +65,7 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
         else:
             p_next = (shift * p_cur - off_prev * p_prev) / off_n
             q_next = (shift * q_cur - off_prev * q_prev) / off_n
-        if not exact and not (cmath.isfinite(p_next) and cmath.isfinite(q_next)):
+        if not (cmath.isfinite(p_next) and cmath.isfinite(q_next)):
             raise RecurrenceOverflow(
                 f"recurrence value left the float range at index {n + 1}; "
                 "switch to exact mode or rescale")
@@ -79,6 +73,154 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
         q_prev, q_cur = q_cur, q_next
         off_prev = off_n
         n += 1
+
+
+def _exact_number(value) -> ExactComplex:
+    if is_exact(value):
+        return value
+    if isinstance(value, Rational):
+        return ExactComplex.from_rational(value)
+    raise ValueError(f"exact mode takes int, Fraction or ExactComplex values, got {value!r}")
+
+
+def _over_one_denominator(re: Fraction, im: Fraction) -> tuple:
+    """re + i*im as integers (x, y, den) with (re, im) = (x, y)/den, den > 0."""
+    den = re.denominator * im.denominator
+    return re.numerator * im.denominator, im.numerator * re.denominator, den
+
+
+def _exact_value(row: tuple) -> ExactComplex:
+    """The ExactComplex (x + i*y)/den * sqrt(m) of an edge row (x, y, den, m),
+    in lowest terms: the only gcds of the exact recurrence."""
+    x, y, den, m = row
+    if m == 1:
+        return ExactComplex(Fraction(x, den), Fraction(y, den))
+    return ExactComplex(br=Fraction(x, den), bi=Fraction(y, den), m=m)
+
+
+def _matches(value, row: tuple) -> bool:
+    """Whether value equals the edge row (x, y, den, m), by cross-multiplying."""
+    x, y, den, m = row
+    if not is_exact(value):
+        return False
+    if not (x or y):
+        return value.is_zero
+    if value.m != m or (m != 1 and (value.ar or value.ai)):
+        return False
+    re, im = (value.ar, value.ai) if m == 1 else (value.br, value.bi)
+    return (re.numerator * den == x * re.denominator
+            and im.numerator * den == y * im.denominator)
+
+
+class _IntegerRecurrence:
+    """The exact recurrence run fraction-free on integers (Bareiss 1968).
+
+    With sigma = scale**2 and Pi_n = lambda_0 ... lambda_{n-1}, the monic
+    values P_n = scale**n Pi_n p_n and Q_n = scale**(n-1) Pi_n q_n both obey
+
+        X_{n+1} = (z - beta_n) X_n - sigma lambda_{n-1}**2 X_{n-1}
+
+    from P_0 = 1, P_1 = z - beta_0 and Q_0 = 0, Q_1 = 1, and their
+    Casoratian P_n Q_{n+1} - P_{n+1} Q_n is sigma**n Pi_n**2.  Row n holds
+    Gaussian integers A_n, B_n over one positive integer D_n: P_n = A_n/D_n,
+    Q_n = B_n/D_n.  With z - beta_n = G_n/E_n, lambda_k = l_k/l'_k and
+    sigma = s/s', a step is
+
+        A_{n+1} = L_n G_n A_n - s l_{n-1}**2 E_n R_n A_{n-1},
+        D_{n+1} = D_n E_n L_n,  L_n = s' l'_{n-1}**2,
+
+    with R_n = D_n/D_{n-1} = E_{n-1} L_{n-1} carried forward, so no step
+    divides or takes a gcd.  D_n itself is not kept: the rows carry
+    T_n = D_n Pi_n, which the edge divides by, as the pair
+    (E_0 ... E_{n-1} s'**(n-1) l'_0 ... l'_{n-2} l_0 ... l_{n-1}, l'_{n-1}):
+    the squared l'_k of D_n cancel against Pi_n without a gcd.  Values are
+    brought to lowest terms only when they leave the table (_exact_value).
+
+    Domain: z a Gaussian rational and sigma a nonzero rational, so that
+    scale is r, i*r, r*sqrt(m) or i*r*sqrt(m) for a rational r.
+    """
+
+    def __init__(self, coeffs: CoefficientSequence, scale, z):
+        scale, z = _exact_number(scale), _exact_number(z)
+        sigma = scale * scale
+        if z.m != 1:
+            raise ValueError(f"exact mode needs a Gaussian-rational z, got {z!r}")
+        if sigma.m != 1 or sigma.ai:
+            raise ValueError(f"exact mode needs a scale whose square is rational, got {scale!r}")
+        if sigma.is_zero:
+            raise ValueError("scale must be nonzero")
+        self.lam, self.beta = _accessors(coeffs, True)
+        self.z = _over_one_denominator(z.ar, z.ai)
+        self.sigma = sigma.ar
+        # scale = (u + i*v)/w * sqrt(m), the factor of an odd power
+        if scale.m == 1:
+            self.unit = _over_one_denominator(scale.ar, scale.ai) + (1,)
+        else:
+            self.unit = _over_one_denominator(scale.br, scale.bi) + (scale.m,)
+
+    def pairs(self) -> Iterator[tuple]:
+        """Yield (n, p_n, q_n) as ExactComplex values in lowest terms."""
+        for n, a, b, t in self.rows():
+            yield n, _exact_value(self.edge(a, t, n)), _exact_value(self.edge(b, t, n - 1))
+
+    def rows(self) -> Iterator[tuple]:
+        """Yield (n, A_n, B_n, T_n) indefinitely: Gaussian integers (re, im)
+        and the integer pair T_n = D_n Pi_n."""
+        zr, zi, zd = self.z
+        s, s_den = self.sigma.numerator, self.sigma.denominator
+        a_prev, a = (0, 0), (1, 0)
+        b_prev, b = (0, 0), (0, 0)
+        t, t_den = 1, 1
+        n = 0
+        while True:
+            yield n, a, b, (t, t_den)
+            beta = self.beta(n)
+            lam_n = self.lam(n)
+            e = zd * beta.denominator
+            g_re = zr * beta.denominator - beta.numerator * zd
+            g_im = zi * beta.denominator
+            if n == 0:
+                a_next, b_next, big_r = (g_re, g_im), (e, 0), e
+                t = e * lam_n.numerator
+            else:
+                big_l = s_den * t_den ** 2
+                lg_re, lg_im = big_l * g_re, big_l * g_im
+                c = s * lam_prev.numerator ** 2 * e * big_r
+                a_next = (lg_re * a[0] - lg_im * a[1] - c * a_prev[0],
+                          lg_re * a[1] + lg_im * a[0] - c * a_prev[1])
+                b_next = (lg_re * b[0] - lg_im * b[1] - c * b_prev[0],
+                          lg_re * b[1] + lg_im * b[0] - c * b_prev[1])
+                big_r = e * big_l
+                t *= e * s_den * t_den * lam_n.numerator
+            a_prev, a, b_prev, b = a, a_next, b, b_next
+            lam_prev, t_den = lam_n, lam_n.denominator
+            n += 1
+
+    def edge(self, x: tuple, t: tuple, k: int) -> tuple:
+        """(x/T) / scale**k as a row (re, im, den, m) for the value
+        (re + i*im)/den * sqrt(m), not in lowest terms.  k = -1 comes only
+        with x = Q_0 = 0."""
+        half = (k + 1) // 2  # 1/scale**k = (s'/s)**half, times scale if k is odd
+        up = self.sigma.denominator ** half * t[1]
+        den = t[0] * self.sigma.numerator ** half
+        re, im = x
+        m = 1
+        if k % 2:
+            u, v, w, m = self.unit
+            re, im = re * u - im * v, re * v + im * u
+            den *= w
+        return re * up, im * up, den, m
+
+    def casoratian_holds(self, n: int, row: tuple, next_row: tuple) -> bool:
+        """Whether A_n B_{n+1} - A_{n+1} B_n = sigma**n T_n T_{n+1} / lambda_n,
+        by integer cross-multiplication."""
+        _, a, b, (t, t_den) = row
+        _, a1, b1, (t1, t1_den) = next_row
+        re = a[0] * b1[0] - a[1] * b1[1] - a1[0] * b[0] + a1[1] * b[1]
+        im = a[0] * b1[1] + a[1] * b1[0] - a1[0] * b[1] - a1[1] * b[0]
+        lam_n = self.lam(n)
+        return im == 0 and (re * self.sigma.denominator ** n * t_den * t1_den * lam_n.numerator
+                            == self.sigma.numerator ** n * t * t1 * lam_n.denominator)
 
 
 @dataclass
@@ -121,10 +263,28 @@ def compute_polys(coeffs: CoefficientSequence, scale, z, N: int) -> PolyTable:
 def wronskian_residual(table: PolyTable) -> list:
     """|p_n q_{n+1} - p_{n+1} q_n - 1/lambda_n| for each n < N.
 
-    Exact tables give exact zeros."""
+    Exact tables give exact zeros, certified by integer arithmetic where
+    the table matches the integer recurrence (_exact_identity_holds) and
+    computed in ExactComplex arithmetic elsewhere."""
     lam, _ = _accessors(table.coeffs, table.exact_mode)
     p, q = table.p, table.q
-    return [abs(p[n] * q[n + 1] - p[n + 1] * q[n] - 1 / lam(n)) for n in range(table.N)]
+    holds = _exact_identity_holds(table) if table.exact_mode else [False] * table.N
+    return [0.0 if holds[n] else abs(p[n] * q[n + 1] - p[n + 1] * q[n] - 1 / lam(n))
+            for n in range(table.N)]
+
+
+def _exact_identity_holds(table: PolyTable) -> list:
+    """For each n < N, whether the Wronskian identity at n is certified
+    without fractions: the integer recurrence is run again, p[n], q[n],
+    p[n+1] and q[n+1] equal its rows, and the rows satisfy the Casoratian
+    identity."""
+    engine = _IntegerRecurrence(table.coeffs, table.scale, table.z)
+    rows = list(itertools.islice(engine.rows(), table.N + 1))
+    same = [_matches(table.p[n], engine.edge(a, t, n))
+            and _matches(table.q[n], engine.edge(b, t, n - 1))
+            for n, a, b, t in rows]
+    return [same[n] and same[n + 1] and engine.casoratian_holds(n, rows[n], rows[n + 1])
+            for n in range(table.N)]
 
 
 def wronskian_scale(table: PolyTable) -> list:

@@ -111,6 +111,16 @@ def test_deep_float_deficiency_overflows_with_exact_hint(capsys):
     assert "_1024 " in err and "--mode exact" in err
 
 
+def test_deep_float_deficiency_past_the_float_power(capsys):
+    # d**(n//2) leaves the float range at n = 2048 for d = 2, before p_n does
+    code, _, err = run(["deficiency", "--coeffs", "constant:1", "--z", "0,1",
+                        "--depth", "3000"], capsys)
+    assert "Traceback" not in err
+    assert code in (0, 3)
+    if code == 3:
+        assert "--mode exact" in err
+
+
 def test_classify_huge_z_gives_a_verdict(capsys):
     # |p_1|^2 overflows: the series reports it instead of raising
     code, out, err = run(["classify", "--coeffs", "constant:1", "--z", "0,1e308"], capsys)

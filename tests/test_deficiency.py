@@ -39,6 +39,22 @@ def test_f_values_at_normalization_points():
     assert v == ExactComplex.from_rational(1)
 
 
+@pytest.mark.parametrize("d, levels, anchored", [
+    (2, (5, 30, 1030, 2048), ((0, 12), (3, 1100))),
+    (3, (5, 30, 1300, 2040), ((0, 12), (3, 1400))),
+])
+def test_float_values_past_the_float_power_match_exact(d, levels, anchored):
+    # d**(n//2) exceeds the float range from n = 2048 (d = 2) and n = 1294
+    # (d = 3) on, before p_n does
+    coeffs = CoefficientSequence.constant(1)
+    floats = DeficiencyContext(coeffs, d, 1j)
+    exact = DeficiencyContext(coeffs, d, exact_complex(0, 1))
+    pairs = [(floats.f_zero(n), exact.f_zero(n)) for n in levels]
+    pairs += [(floats.f_anchored(k, n), exact.f_anchored(k, n)) for k, n in anchored]
+    for value, want in pairs:
+        assert abs(value - want.to_complex()) <= 1e-12 * abs(want)
+
+
 def test_f_value_dispatch():
     assert f_value("zero", 0, 2, CTX) == CTX.f_zero(2)
     assert f_value("anchored", 1, 3, CTX) == CTX.f_anchored(1, 3)

@@ -1,4 +1,5 @@
 """Recurrence values, Wronskian identity, roots, series engine, norms."""
+import dataclasses
 import io
 import math
 import warnings
@@ -6,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treejacobi.coefficients import CoefficientSequence
 from treejacobi.errors import (CoefficientIndexError, DivergedSeries,
@@ -243,6 +245,69 @@ def test_exact_mode_rejects_float_values():
     t = compute_polys(PAPER, Fraction(3, 2), exact_complex(0, 1), 3)
     assert t.exact_mode and t.p[3].m == 1
 
+
+def test_exact_mode_needs_gaussian_z_and_rational_square_scale():
+    with pytest.raises(ValueError, match="Gaussian-rational z"):
+        compute_polys(PAPER, exact_sqrt(2), exact_complex(0, 1) + exact_sqrt(3), 3)
+    with pytest.raises(ValueError, match="square is rational"):
+        compute_polys(PAPER, exact_complex(1) + exact_sqrt(2), exact_complex(0, 1), 3)
+
+
+# -- the integer engine against a plain exact recurrence ---------------------
+
+def _plain_recurrence(coeffs, scale, z, N):
+    """p_0..p_N and q_0..q_N by the three-term recurrence on ExactComplex."""
+    one, zero = exact_complex(1), exact_complex(0)
+    scale, z = one * scale, one * z
+    lam, beta = coeffs.lam_exact, coeffs.beta_exact
+    p = [one, (z - beta(0)) / (scale * lam(0))]
+    q = [zero, one / lam(0)]
+    for n in range(1, N):
+        for x in (p, q):
+            x.append(((z - beta(n)) * x[n] - scale * lam(n - 1) * x[n - 1]) / (scale * lam(n)))
+    return p, q
+
+
+SMALL_POSITIVE = st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=20)
+SMALL_ANY = st.fractions(min_value=-20, max_value=20, max_denominator=20)
+CLOSED_FORMS = st.one_of(
+    st.builds(CoefficientSequence.constant, SMALL_POSITIVE, SMALL_ANY),
+    st.builds(CoefficientSequence.geometric, SMALL_POSITIVE, SMALL_POSITIVE),
+    st.builds(CoefficientSequence.power, SMALL_POSITIVE, st.integers(-2, 3)),
+)
+EXACT_FAMILIES = st.one_of(
+    CLOSED_FORMS,
+    st.builds(CoefficientSequence.paper_example, CLOSED_FORMS),
+    st.lists(st.tuples(SMALL_POSITIVE, SMALL_ANY), min_size=31, max_size=31).map(
+        lambda pairs: CoefficientSequence.explicit(*zip(*pairs))),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(EXACT_FAMILIES, st.sampled_from([2, 3, 4, 8]), st.booleans(), SMALL_POSITIVE,
+       SMALL_ANY, SMALL_ANY, st.integers(1, 30))
+def test_integer_engine_matches_plain_recurrence(coeffs, d, root_scale, fraction_scale,
+                                                 re, im, N):
+    scale = exact_sqrt(d) if root_scale else fraction_scale
+    z = exact_complex(re, im)
+    t = compute_polys(coeffs, scale, z, N)
+    assert (t.p, t.q) == _plain_recurrence(coeffs, scale, z, N)
+    assert wronskian_residual(t) == [0.0] * N
+
+
+@pytest.mark.parametrize("which, n", [("p", 0), ("p", 5), ("p", 12),
+                                      ("q", 0), ("q", 5), ("q", 12)])
+def test_residual_detects_a_changed_value(which, n):
+    t = compute_polys(GEOMETRIC, exact_sqrt(2), exact_complex(Fraction(1, 3), Fraction(1, 2)), 12)
+    changed = dataclasses.replace(t, p=list(t.p), q=list(t.q))
+    values = getattr(changed, which)
+    values[n] = values[n] + exact_complex(Fraction(1, 10 ** 6))
+    residual = wronskian_residual(changed)
+    affected = {n - 1, n} & set(range(t.N))
+    assert {k for k, r in enumerate(residual) if r != 0} == affected
+    p, q, lam = changed.p, changed.q, GEOMETRIC.lam_exact
+    for k in affected:
+        assert residual[k] == abs(p[k] * q[k + 1] - p[k + 1] * q[k] - 1 / lam(k))
 
 
 @pytest.mark.parametrize("coeffs", FAMILIES, ids=lambda c: c.family)
