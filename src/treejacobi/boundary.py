@@ -102,7 +102,7 @@ class StepFunction:
         return math.sqrt(abs(inner_boundary(self, self)))
 
     def to_json_obj(self) -> list:
-        depth, cells = self.canonical()
+        _, cells = self.canonical()
         return [{"base_address": format_address(w),
                  "re": as_complex(v).real, "im": as_complex(v).imag}
                 for w, v in sorted(cells.items())]
@@ -228,7 +228,7 @@ def relative_position(y: Address, omega_prefix: Address) -> Tuple[int, int]:
 def kernel_by_class(repr_: PoissonKernelRepr) -> Dict[Tuple[int, int], set]:
     """Kernel cell values grouped by the relative position (m, n) of the
     cell's base against y."""
-    depth, cells = repr_.step.canonical()
+    _, cells = repr_.step.canonical()
     out: Dict[Tuple[int, int], set] = {}
     for w, v in cells.items():
         pos = relative_position(repr_.y, w + (0,) * max(0, len(repr_.y) - len(w)))

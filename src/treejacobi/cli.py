@@ -423,7 +423,7 @@ def main(argv=None) -> int:
     except (RecurrenceOverflow, CoefficientOverflow) as exc:
         print(f"numeric failure: {exc}\nhint: try --mode exact", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConvergenceFailure, DivergedSeries, PatchTooLarge) as exc:
+    except (ConvergenceFailure, DivergedSeries, PatchTooLarge, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except InconclusiveSeries as exc:

@@ -1,14 +1,17 @@
-"""Exact complex arithmetic over the field Q(i, sqrt(m)).
+"""Exact complex arithmetic on Gaussian rationals times sqrt(m).
 
 Recurrence runs that must be checked for exact cancellation (alternating
 signs at z = 0, Wronskian identities, level sums) cannot tolerate float
-drift.  The quantities involved live in the quadratic extension of the
-Gaussian rationals by sqrt(d), so a four-component representation
+drift.  On the radial matrix with off-diagonal sqrt(d)*lambda_n, p_n(z)
+and q_n(z) are Gaussian rationals times a power of sqrt(d), so each value
+has one grade: a representation
 
-    (a_re + i a_im) + (b_re + i b_im) * sqrt(m)
+    (re + i im) * sqrt(m)
 
-with Fraction components is closed under +, -, *, / and is enough for
-every exact-mode computation in this package.
+with Fraction re, im and squarefree m is closed under *, / and the
+same-grade +, -, and is enough for every exact-mode computation in this
+package.  A sum of two nonzero values of different grades raises
+ValueError.
 """
 from __future__ import annotations
 
@@ -37,14 +40,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, m
 
 
-def _cadd(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _csub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
 def _cmul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
@@ -56,61 +51,67 @@ def _cdiv(x, y):
     return ((x[0] * y[0] + x[1] * y[1]) / den, (x[1] * y[0] - x[0] * y[1]) / den)
 
 
+def _grades(m1: int, m2: int) -> tuple[int, int]:
+    """(k, m) with sqrt(m1) * sqrt(m2) = k * sqrt(m)."""
+    if m1 == 1 or m2 == 1:
+        return 1, m1 * m2
+    if m1 == m2:
+        return m1, 1
+    raise ValueError(f"incompatible radicands {m1} and {m2}")
+
+
 @dataclass(frozen=True)
 class ExactComplex:
-    """A number a + b*sqrt(m) with Gaussian-rational a, b and squarefree m."""
+    """A number (re + i*im) * sqrt(m) with rational re, im and squarefree
+    m >= 1; zero is stored with m = 1."""
 
-    ar: Fraction = Fraction(0)
-    ai: Fraction = Fraction(0)
-    br: Fraction = Fraction(0)
-    bi: Fraction = Fraction(0)
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
     m: int = 1
 
     def __post_init__(self):
-        if self.m == 1 and (self.br or self.bi):
-            # sqrt(1) folds into the rational part
-            object.__setattr__(self, "ar", self.ar + self.br)
-            object.__setattr__(self, "ai", self.ai + self.bi)
-            object.__setattr__(self, "br", Fraction(0))
-            object.__setattr__(self, "bi", Fraction(0))
-        if not self.br and not self.bi and self.m != 1:
+        if self.m != 1 and not (self.re or self.im):
             object.__setattr__(self, "m", 1)
 
-    @staticmethod
-    def from_rational(re, im=0) -> "ExactComplex":
-        return ExactComplex(Fraction(re), Fraction(im))
+    @property
+    def ar(self) -> Fraction:
+        return self.re if self.m == 1 else Fraction(0)
 
-    @staticmethod
-    def sqrt_int(n: int) -> "ExactComplex":
-        s, m = squarefree_split(n)
-        if m == 1:
-            return ExactComplex(Fraction(s))
-        return ExactComplex(br=Fraction(s), m=m)
+    @property
+    def ai(self) -> Fraction:
+        return self.im if self.m == 1 else Fraction(0)
+
+    @property
+    def br(self) -> Fraction:
+        return self.re if self.m != 1 else Fraction(0)
+
+    @property
+    def bi(self) -> Fraction:
+        return self.im if self.m != 1 else Fraction(0)
 
     def _coerce(self, other):
         if isinstance(other, ExactComplex):
-            if self.m != 1 and other.m != 1 and self.m != other.m:
-                raise ValueError(f"incompatible radicands {self.m} and {other.m}")
             return other
         if isinstance(other, (int, Rational)):
             return ExactComplex(Fraction(other))
         return NotImplemented
 
-    def _radicand(self, other: "ExactComplex") -> int:
-        return self.m if self.m != 1 else other.m
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactComplex(self.ar + other.ar, self.ai + other.ai,
-                            self.br + other.br, self.bi + other.bi,
-                            self._radicand(other))
+        if other.m != self.m:
+            if other.is_zero:
+                return self
+            if self.is_zero:
+                return other
+            raise ValueError(f"cannot add values of grades sqrt({self.m}) and sqrt({other.m})")
+        return ExactComplex(self.re + other.re, self.im + other.im, self.m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactComplex(-self.ar, -self.ai, -self.br, -self.bi, self.m)
+        return ExactComplex(-self.re, -self.im, self.m)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -125,12 +126,11 @@ class ExactComplex:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m = self._radicand(other)
-        a1, b1 = (self.ar, self.ai), (self.br, self.bi)
-        a2, b2 = (other.ar, other.ai), (other.br, other.bi)
-        a = _cadd(_cmul(a1, a2), tuple(m * t for t in _cmul(b1, b2)))
-        b = _cadd(_cmul(a1, b2), _cmul(b1, a2))
-        return ExactComplex(a[0], a[1], b[0], b[1], m)
+        k, m = _grades(self.m, other.m)
+        re, im = _cmul((self.re, self.im), (other.re, other.im))
+        if k != 1:
+            re, im = k * re, k * im
+        return ExactComplex(re, im, m)
 
     __rmul__ = __mul__
 
@@ -138,20 +138,11 @@ class ExactComplex:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        m = self._radicand(other)
-        a2, b2 = (other.ar, other.ai), (other.br, other.bi)
-        if b2 == (0, 0):
-            a1, b1 = (self.ar, self.ai), (self.br, self.bi)
-            a = _cdiv(a1, a2)
-            b = _cdiv(b1, a2)
-            return ExactComplex(a[0], a[1], b[0], b[1], m)
-        # multiply by the algebraic conjugate a2 - b2*sqrt(m)
-        conj = ExactComplex(a2[0], a2[1], -b2[0], -b2[1], m)
-        num = self * conj
-        den = _csub(_cmul(a2, a2), tuple(m * t for t in _cmul(b2, b2)))
-        a = _cdiv((num.ar, num.ai), den)
-        b = _cdiv((num.br, num.bi), den)
-        return ExactComplex(a[0], a[1], b[0], b[1], m)
+        k, m = _grades(self.m, other.m)
+        re, im = _cdiv((self.re, self.im), (other.re, other.im))
+        if k != other.m:  # 1/sqrt(m2) = sqrt(m2)/m2
+            re, im = re / other.m, im / other.m
+        return ExactComplex(re, im, m)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -160,40 +151,43 @@ class ExactComplex:
         return other / self
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.ar, -self.ai, self.br, -self.bi, self.m)
+        return ExactComplex(self.re, -self.im, self.m)
 
     def abs2(self) -> "ExactComplex":
-        """|x|^2, exact; a real element of Q(sqrt(m))."""
-        return self * self.conjugate()
+        """|x|^2 = (re^2 + im^2) * m, exact and rational."""
+        return ExactComplex((self.re * self.re + self.im * self.im) * self.m)
 
     @property
     def is_zero(self) -> bool:
-        return not (self.ar or self.ai or self.br or self.bi)
+        return not (self.re or self.im)
 
     @property
     def is_real(self) -> bool:
-        return not (self.ai or self.bi)
+        return not self.im
 
     def to_complex(self) -> complex:
         root = self.m ** 0.5
-        return complex(float(self.ar) + float(self.br) * root,
-                       float(self.ai) + float(self.bi) * root)
+        try:
+            return complex(float(self.re) * root, float(self.im) * root)
+        except OverflowError:
+            raise OverflowError("exact value does not fit in a float") from None
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
 
     def __repr__(self):
-        return f"ExactComplex({self.ar}, {self.ai}, {self.br}, {self.bi}, sqrt={self.m})"
+        return f"ExactComplex({self.re}, {self.im}, sqrt={self.m})"
 
 
 def exact_complex(re, im=0) -> ExactComplex:
     """Exact number from rational real and imaginary parts."""
-    return ExactComplex.from_rational(re, im)
+    return ExactComplex(Fraction(re), Fraction(im))
 
 
 def exact_sqrt(n: int) -> ExactComplex:
     """Exact sqrt(n) for a positive integer n."""
-    return ExactComplex.sqrt_int(n)
+    s, m = squarefree_split(n)
+    return ExactComplex(Fraction(s), m=m)
 
 
 def matching_sqrt(d: int, *values):
@@ -211,7 +205,7 @@ def root_power(root, d: int, k: int):
 
 def half_power(d: int, k: int) -> ExactComplex:
     """Exact d**(k/2) for integers d >= 1, k >= 0."""
-    return ExactComplex.from_rational(1) * root_power(exact_sqrt(d), d, k)
+    return exact_complex(1) * root_power(exact_sqrt(d), d, k)
 
 
 def is_exact(value) -> bool:

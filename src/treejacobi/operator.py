@@ -8,7 +8,7 @@ from typing import Dict, List, Optional
 
 from .coefficients import CoefficientSequence, TreeConfig, _accessors
 from .errors import NotInSubtree, PatchTooLarge
-from .exactnum import ExactComplex, as_complex, is_exact, is_zero
+from .exactnum import as_complex, exact_complex, is_exact, is_zero
 from .treecore import (APEX_SUCCESSOR, DEFAULT_ENTRY_BUDGET, GAMMA, Address,
                        LambdaPatch, SparseFunction, TreeKind, children,
                        format_address, level_vertices)
@@ -116,12 +116,12 @@ def moments(J: JacobiOperator, N: int, route: str = "matrix",
             raise PatchTooLarge(
                 f"tree-route moment m_{N} touches {J.d ** N} vertices, "
                 f"over the budget of {budget}")
-        f = SparseFunction.delta((), value=ExactComplex.from_rational(1))
+        f = SparseFunction.delta((), value=exact_complex(1))
         out = [Fraction(1)]
         for _ in range(N):
             f = J.apply(f)
-            m = f.entries.get((), ExactComplex.from_rational(0))
-            out.append(m.ar)
+            m = f.entries.get((), exact_complex(0))
+            out.append(m.re)
         return out
     raise ValueError(f"unknown moment route {route!r}")
 

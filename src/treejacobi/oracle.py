@@ -41,9 +41,8 @@ class DenseTruncation:
             return [x for x in self.addresses if len(x) < depth]
         if self.kind[0] == "lambda_patch":
             # the apex couples upward to the virtual successor, outside
-            apex_level = self.kind[1]
             return [x for x in self.addresses if x != ()]
-        k, n = self.kind[1], self.kind[2]
+        n = self.kind[2]
         return [(j,) for j in range(n - 1)]
 
     def export_text(self, fileobj) -> None:

@@ -18,7 +18,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .coefficients import CoefficientSequence, _accessors
 from .errors import ConvergenceFailure, RealSpectralParameter, RecurrenceOverflow
-from .exactnum import (ExactComplex, abs2, as_complex, is_exact,
+from .exactnum import (ExactComplex, abs2, as_complex, exact_complex, is_exact,
                        matching_sqrt)
 
 RATIO_CEILING = 0.99
@@ -79,7 +79,7 @@ def _exact_number(value) -> ExactComplex:
     if is_exact(value):
         return value
     if isinstance(value, Rational):
-        return ExactComplex.from_rational(value)
+        return exact_complex(value)
     raise ValueError(f"exact mode takes int, Fraction or ExactComplex values, got {value!r}")
 
 
@@ -93,9 +93,7 @@ def _exact_value(row: tuple) -> ExactComplex:
     """The ExactComplex (x + i*y)/den * sqrt(m) of an edge row (x, y, den, m),
     in lowest terms: the only gcds of the exact recurrence."""
     x, y, den, m = row
-    if m == 1:
-        return ExactComplex(Fraction(x, den), Fraction(y, den))
-    return ExactComplex(br=Fraction(x, den), bi=Fraction(y, den), m=m)
+    return ExactComplex(Fraction(x, den), Fraction(y, den), m)
 
 
 def _matches(value, row: tuple) -> bool:
@@ -105,10 +103,8 @@ def _matches(value, row: tuple) -> bool:
         return False
     if not (x or y):
         return value.is_zero
-    if value.m != m or (m != 1 and (value.ar or value.ai)):
-        return False
-    re, im = (value.ar, value.ai) if m == 1 else (value.br, value.bi)
-    return (re.numerator * den == x * re.denominator
+    re, im = value.re, value.im
+    return (value.m == m and re.numerator * den == x * re.denominator
             and im.numerator * den == y * im.denominator)
 
 
@@ -145,18 +141,15 @@ class _IntegerRecurrence:
         sigma = scale * scale
         if z.m != 1:
             raise ValueError(f"exact mode needs a Gaussian-rational z, got {z!r}")
-        if sigma.m != 1 or sigma.ai:
+        if sigma.im:
             raise ValueError(f"exact mode needs a scale whose square is rational, got {scale!r}")
         if sigma.is_zero:
             raise ValueError("scale must be nonzero")
         self.lam, self.beta = _accessors(coeffs, True)
-        self.z = _over_one_denominator(z.ar, z.ai)
-        self.sigma = sigma.ar
+        self.z = _over_one_denominator(z.re, z.im)
+        self.sigma = sigma.re
         # scale = (u + i*v)/w * sqrt(m), the factor of an odd power
-        if scale.m == 1:
-            self.unit = _over_one_denominator(scale.ar, scale.ai) + (1,)
-        else:
-            self.unit = _over_one_denominator(scale.br, scale.bi) + (scale.m,)
+        self.unit = _over_one_denominator(scale.re, scale.im) + (scale.m,)
 
     def pairs(self) -> Iterator[tuple]:
         """Yield (n, p_n, q_n) as ExactComplex values in lowest terms."""

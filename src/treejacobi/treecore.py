@@ -228,7 +228,8 @@ def inner(f: SparseFunction, g: SparseFunction):
         w = large.entries.get(x)
         if w is None:
             continue
-        term = f.entries[x] * conj(g.entries[x])
+        fv, gv = (v, w) if small is f else (w, v)
+        term = fv * conj(gv)
         total = term if total is None else total + term
     return 0.0 if total is None else total
 

@@ -17,7 +17,7 @@ from treejacobi.boundary import (bx_element, inner_boundary, integrate,
 from treejacobi.coefficients import CoefficientSequence, TreeConfig
 from treejacobi.deficiency import (DeficiencyContext, DeficiencyElement,
                                    classify, element_max_abs, element_residual)
-from treejacobi.exactnum import ExactComplex, exact_complex, exact_sqrt, is_zero
+from treejacobi.exactnum import exact_complex, exact_sqrt, is_zero
 from treejacobi.lambda_tree import (build_eigenpairs, dimension_audit,
                                     eigen_residual)
 from treejacobi.operator import (JacobiOperator, hx_membership, moments,
@@ -107,13 +107,13 @@ def test_criterion_3_deficiency_construction():
     sums_vanish = True
     for anchor in [(), (1,), (2, 1)]:
         elem = DeficiencyElement(
-            anchor, (ExactComplex.from_rational(2),
-                     ExactComplex.from_rational(-2)), exact_complex(0, 1))
+            anchor, (exact_complex(2),
+                     exact_complex(-2)), exact_complex(0, 1))
         f = elem.materialize(ctx_exact, len(anchor) + 5)
         level_sums = {}
         for x, v in f.entries.items():
             level_sums[len(x)] = level_sums.get(
-                len(x), ExactComplex.from_rational(0)) + v
+                len(x), exact_complex(0)) + v
         sums_vanish &= all(is_zero(s) for s in level_sums.values())
     ok = worst <= 1e-10 and sums_vanish
     report(3, "deficiency construction", ok,

@@ -95,6 +95,18 @@ def test_coefficient_overflow_is_numeric_error(command, capsys):
     assert "float" in err and "--mode exact" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "polys --mode exact --coeffs geometric:1:1/3 --n 40",
+    "deficiency --mode exact --coeffs geometric:1:1/3 --depth 60",
+])
+def test_exact_value_beyond_float_range_is_numeric_error(argv, capsys):
+    # p_n grows like 3**(n*n/2); printing it needs a float
+    code, _, err = run(argv.split(), capsys)
+    assert code == 3
+    assert "does not fit in a float" in err
+    assert "--mode exact" not in err and "Traceback" not in err
+
+
 def test_deficiency_over_budget_refused_before_any_recurrence_step(monkeypatch, capsys):
     def no_step(self, n):
         raise AssertionError("a recurrence step ran")

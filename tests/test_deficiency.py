@@ -13,7 +13,7 @@ from treejacobi.deficiency import (BasisFunction, DeficiencyContext,
                                    element_residual, f_value, project_full,
                                    project_onto_Ax)
 from treejacobi.errors import (PatchTooLarge, RealSpectralParameter)
-from treejacobi.exactnum import ExactComplex, exact_complex, exact_sqrt, is_zero
+from treejacobi.exactnum import exact_complex, exact_sqrt, is_zero
 from treejacobi.orthopoly import alpha_series, alpha_sq_partial
 from treejacobi.treecore import SparseFunction, inner
 
@@ -36,7 +36,7 @@ def test_f_values_at_normalization_points():
     for k in range(5):
         assert abs(CTX.f_anchored(k, k + 1) - 1) < 1e-12
     v = CTX_EXACT.f_anchored(3, 4)
-    assert v == ExactComplex.from_rational(1)
+    assert v == exact_complex(1)
 
 
 @pytest.mark.parametrize("d, levels, anchored", [
@@ -97,12 +97,12 @@ def test_materialize_budget_guard():
 def test_level_sums_vanish_exactly():
     # anchored elements sum to zero on every level, in exact arithmetic
     for anchor, coeffs in [((), (1, -1)), ((1,), (2, -2)), ((2, 1), (1, -1))]:
-        exact_coeffs = tuple(ExactComplex.from_rational(c) for c in coeffs)
+        exact_coeffs = tuple(exact_complex(c) for c in coeffs)
         elem = DeficiencyElement(anchor, exact_coeffs, EXACT_I)
         f = elem.materialize(CTX_EXACT, len(anchor) + 4)
         sums = {}
         for x, v in f.entries.items():
-            sums[len(x)] = sums.get(len(x), ExactComplex.from_rational(0)) + v
+            sums[len(x)] = sums.get(len(x), exact_complex(0)) + v
         for lvl, s in sums.items():
             assert is_zero(s), f"level {lvl} sum {s!r}"
 
@@ -211,10 +211,10 @@ def test_element_norm_formula():
 
 
 def test_pairwise_orthogonality_exact_truncated():
-    e1 = DeficiencyElement((), (ExactComplex.from_rational(1),
-                                ExactComplex.from_rational(-1)), EXACT_I)
-    e2 = DeficiencyElement((1,), (ExactComplex.from_rational(1),
-                                  ExactComplex.from_rational(-1)), EXACT_I)
+    e1 = DeficiencyElement((), (exact_complex(1),
+                                exact_complex(-1)), EXACT_I)
+    e2 = DeficiencyElement((1,), (exact_complex(1),
+                                  exact_complex(-1)), EXACT_I)
     f1 = e1.materialize(CTX_EXACT, 6)
     f2 = e2.materialize(CTX_EXACT, 6)
     v = inner(f1, f2)

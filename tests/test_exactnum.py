@@ -1,4 +1,4 @@
-"""Exact quadratic-field arithmetic."""
+"""Exact arithmetic on Gaussian rationals times sqrt(m)."""
 import math
 from fractions import Fraction
 
@@ -34,10 +34,17 @@ def test_half_power():
 
 
 def test_division_with_radical_denominator():
+    """A mixed sum such as 1 + sqrt(2) raises; quotients by sqrt(2) are exact."""
     r2 = exact_sqrt(2)
-    x = exact_complex(1) / (exact_complex(1) + r2)
-    # 1/(1+sqrt 2) = sqrt(2) - 1
-    assert x == r2 - exact_complex(1)
+    with pytest.raises(ValueError):
+        exact_complex(1) + r2
+    with pytest.raises(ValueError):
+        r2 - 1
+    assert r2 + exact_complex(0) == r2
+    assert r2 * r2 == exact_complex(2)
+    assert r2 / r2 == exact_complex(1)
+    assert exact_complex(1) / r2 == ExactComplex(Fraction(1, 2), m=2)
+    assert (exact_complex(1) / r2) * r2 == exact_complex(1)
 
 
 def test_complex_parts_and_conjugate():
@@ -46,25 +53,43 @@ def test_complex_parts_and_conjugate():
     sq = z.abs2()
     assert sq.is_real
     assert sq.ar == Fraction(1, 4) + Fraction(9, 16)
+    w = exact_complex(1, 2) * exact_sqrt(3)
+    assert w.abs2() == exact_complex(15)
 
 
 def test_incompatible_radicands_rejected():
     with pytest.raises(ValueError):
         exact_sqrt(2) + exact_sqrt(3)
+    with pytest.raises(ValueError):
+        exact_sqrt(2) * exact_sqrt(3)
+    with pytest.raises(ValueError):
+        exact_sqrt(2) / exact_sqrt(3)
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
+def graded(m: int):
+    """Values (re + i*im) * sqrt(m) of the one grade m."""
+    return st.builds(lambda re, im: ExactComplex(re, im, m), fractions, fractions)
+
+
 def exacts(m: int):
-    return st.builds(lambda a, b, c, d: ExactComplex(a, b, c, d, m),
-                     fractions, fractions, fractions, fractions)
+    """Values of a random grade, 1 or m."""
+    return st.sampled_from([1, m]).flatmap(graded)
 
 
-@given(exacts(2), exacts(2), exacts(2))
-def test_field_axioms(x, y, w):
+def same_grade(m: int):
+    """Two values of one random grade, 1 or m."""
+    return st.sampled_from([1, m]).flatmap(lambda g: st.tuples(graded(g), graded(g)))
+
+
+@given(same_grade(2), exacts(2))
+def test_field_axioms(xy, w):
+    x, y = xy
     assert (x + y) * w == x * w + y * w
     assert x * y == y * x
+    assert x * w == w * x
     assert (x - y) + y == x
 
 
@@ -81,8 +106,17 @@ def test_conjugation_is_multiplicative(x, y):
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
 
 
-@given(exacts(2))
-def test_float_embedding_consistent(x):
-    y = x * exact_sqrt(2)
-    assert abs(y.to_complex() - x.to_complex() * math.sqrt(2)) <= \
-        1e-9 * max(1.0, abs(x.to_complex()))
+def _close(exact, approx, size):
+    return abs(exact.to_complex() - approx) <= 1e-9 * max(1.0, size)
+
+
+@given(exacts(2), exacts(2), same_grade(2))
+def test_float_embedding_consistent(x, w, uv):
+    fx, fw = x.to_complex(), w.to_complex()
+    assert _close(x * exact_sqrt(2), fx * math.sqrt(2), abs(fx))
+    assert _close(x * w, fx * fw, abs(fx) * abs(fw))
+    if not w.is_zero:
+        assert _close(x / w, fx / fw, abs(fx / fw))
+    u, v = uv
+    assert _close(u + v, u.to_complex() + v.to_complex(),
+                  abs(u.to_complex()) + abs(v.to_complex()))

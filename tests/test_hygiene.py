@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every private module-level function or class is used somewhere."""
+"""Source hygiene: every name a module imports is used in that module, every
+private module-level function or class is used somewhere, and every local
+a function assigns is read."""
 import ast
 import pathlib
 
@@ -56,3 +57,27 @@ def _unreferenced_private_defs(path: pathlib.Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_helper_is_used(path):
     assert _unreferenced_private_defs(path) == []
+
+
+def _unread_locals(path: pathlib.Path) -> list:
+    """Names a function assigns but never reads, nested functions included;
+    "_" marks a discard."""
+    out = []
+    for func in ast.walk(TREES[path]):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = {}, set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+        out += [f"{func.name}: {name} (line {line})" for name, line in stored.items()
+                if name not in read and name != "_"]
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_is_read(path):
+    assert _unread_locals(path) == []

@@ -9,7 +9,7 @@ import pytest
 
 from treejacobi.coefficients import CoefficientSequence
 from treejacobi.errors import RealSpectralParameter
-from treejacobi.exactnum import ExactComplex, exact_complex, is_zero
+from treejacobi.exactnum import exact_complex, is_zero
 from treejacobi.lambda_tree import (build_eigenpairs, dimension_audit,
                                     eigen_residual, esa_certificate,
                                     radial_propagate, spectrum_enumerate)
@@ -34,15 +34,15 @@ def test_propagate_exact_satisfies_recurrence():
     # z v_k = lam_{k-1} * (sum over d predecessors) + beta_k v_k
     #         + lam_k v_{k+1}
     z = exact_complex(1, 1)
-    vals = radial_propagate(ExactComplex.from_rational(1), z, 10, PAPER, 2)
+    vals = radial_propagate(exact_complex(1), z, 10, PAPER, 2)
     d = 2
     for k in range(1, 10):
-        lam_k = ExactComplex.from_rational(PAPER.lam_exact(k))
-        beta_k = ExactComplex.from_rational(PAPER.beta_exact(k))
-        lam_km1 = ExactComplex.from_rational(PAPER.lam_exact(k - 1))
+        lam_k = exact_complex(PAPER.lam_exact(k))
+        beta_k = exact_complex(PAPER.beta_exact(k))
+        lam_km1 = exact_complex(PAPER.lam_exact(k - 1))
         lhs = z * vals[k]
         rhs = beta_k * vals[k] + lam_k * vals[k + 1] \
-            + lam_km1 * vals[k - 1] * ExactComplex.from_rational(d)
+            + lam_km1 * vals[k - 1] * exact_complex(d)
         assert is_zero(lhs - rhs), (k, lhs - rhs)
 
 

@@ -248,9 +248,9 @@ def test_exact_mode_rejects_float_values():
 
 def test_exact_mode_needs_gaussian_z_and_rational_square_scale():
     with pytest.raises(ValueError, match="Gaussian-rational z"):
-        compute_polys(PAPER, exact_sqrt(2), exact_complex(0, 1) + exact_sqrt(3), 3)
+        compute_polys(PAPER, exact_sqrt(2), exact_sqrt(3), 3)
     with pytest.raises(ValueError, match="square is rational"):
-        compute_polys(PAPER, exact_complex(1) + exact_sqrt(2), exact_complex(0, 1), 3)
+        compute_polys(PAPER, exact_complex(1, 1), exact_complex(0, 1), 3)
 
 
 # -- the integer engine against a plain exact recurrence ---------------------
@@ -301,7 +301,9 @@ def test_residual_detects_a_changed_value(which, n):
     t = compute_polys(GEOMETRIC, exact_sqrt(2), exact_complex(Fraction(1, 3), Fraction(1, 2)), 12)
     changed = dataclasses.replace(t, p=list(t.p), q=list(t.q))
     values = getattr(changed, which)
-    values[n] = values[n] + exact_complex(Fraction(1, 10 ** 6))
+    # a nudge of the row's grade: sqrt(2)**n for p_n, sqrt(2)**(n - 1) for q_n
+    grade = exact_sqrt(2) if (n + (which == "q")) % 2 else exact_complex(1)
+    values[n] = values[n] + grade * Fraction(1, 10 ** 6)
     residual = wronskian_residual(changed)
     affected = {n - 1, n} & set(range(t.N))
     assert {k for k, r in enumerate(residual) if r != 0} == affected
