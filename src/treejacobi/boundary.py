@@ -10,10 +10,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .deficiency import (AlphaTable, BasisFunction, DeficiencyContext,
                          DeficiencyElement, _check_zero_sum)
-from .errors import AmbiguousPrefix, PatchTooLarge
+from .errors import AmbiguousPrefix
 from .exactnum import as_complex, conj, is_zero
-from .treecore import (DEFAULT_ENTRY_BUDGET, Address, format_address,
-                       subtree_vertices)
+from .treecore import Address, check_budget, format_address, level_vertices
 
 
 @dataclass(frozen=True)
@@ -49,43 +48,31 @@ class StepFunction:
     def indicator(d: int, base: Address, value=1) -> "StepFunction":
         return StepFunction(d, [(base, value)])
 
-    def canonical(self, budget: int = DEFAULT_ENTRY_BUDGET) -> Tuple[int, Dict[Address, object]]:
+    def canonical(self) -> Tuple[int, Dict[Address, object]]:
         """(depth, {word of that depth: value}) with zero words omitted."""
-        if self._canonical is not None:
-            return self._canonical
-        depth = max((len(base) for base, _ in self.pieces), default=0)
-        if self.d ** depth > budget:
-            raise PatchTooLarge(
-                f"canonical refinement to depth {depth} needs {self.d ** depth} "
-                f"cells, over the budget of {budget}")
-        cells: Dict[Address, object] = {}
-        for base, value in self.pieces:
-            if len(base) == depth:
-                cells[base] = cells.get(base, 0) + value
-            else:
-                for w in subtree_vertices(base, depth - len(base), self.d, budget):
-                    if len(w) == depth:
-                        cells[w] = cells.get(w, 0) + value
-        cells = {w: v for w, v in cells.items() if not is_zero(v)}
-        self._canonical = (depth, cells)
+        if self._canonical is None:
+            depth = max((len(base) for base, _ in self.pieces), default=0)
+            self._canonical = (depth, self._refine(self.pieces, depth))
         return self._canonical
 
-    def refined(self, depth: int, budget: int = DEFAULT_ENTRY_BUDGET) -> Dict[Address, object]:
+    def refined(self, depth: int) -> Dict[Address, object]:
         """Cell values at the requested depth (>= canonical depth)."""
-        own_depth, cells = self.canonical(budget)
+        own_depth, cells = self.canonical()
         if depth < own_depth:
             raise ValueError(f"cannot coarsen from depth {own_depth} to {depth}")
         if depth == own_depth:
             return cells
-        if self.d ** depth > budget:
-            raise PatchTooLarge(
-                f"refinement to depth {depth} needs {self.d ** depth} cells")
-        out: Dict[Address, object] = {}
-        for w, v in cells.items():
-            for u in subtree_vertices(w, depth - len(w), self.d, budget):
-                if len(u) == depth:
-                    out[u] = v
-        return out
+        return self._refine(cells.items(), depth)
+
+    def _refine(self, pieces, depth: int) -> Dict[Address, object]:
+        """Sum of the pieces' values on each word of the given depth that
+        lies below their bases, zero words omitted."""
+        check_budget(self.d ** depth, f"refinement to depth {depth}")
+        cells: Dict[Address, object] = {}
+        for base, value in pieces:
+            for w in level_vertices(depth - len(base), self.d):
+                cells[base + w] = cells.get(base + w, 0) + value
+        return {w: v for w, v in cells.items() if not is_zero(v)}
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         if self.d != other.d:

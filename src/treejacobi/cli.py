@@ -372,38 +372,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
                   argv) -> argparse.Namespace:
+    """Re-parse with each [run] entry as a flag placed before the command
+    line's own, so argparse checks config values as it checks flags and a
+    flag given on the command line wins."""
     if not args.config:
         return args
     cp = configparser.ConfigParser()
-    read = cp.read(args.config)
-    if not read:
-        raise ValidationError(f"config file {args.config!r} not found")
-    if not cp.has_section("run"):
-        raise ValidationError(f"config file {args.config!r} has no [run] section")
-    overrides = {}
-    for key, value in cp.items("run"):
+    try:
+        if not cp.read(args.config):
+            raise ValidationError(f"config file {args.config!r} not found")
+        if not cp.has_section("run"):
+            raise ValidationError(f"config file {args.config!r} has no [run] section")
+        entries = cp.items("run")
+    except configparser.Error as exc:
+        raise ValidationError(f"bad config file {args.config!r}: {exc}") from None
+    flags = []
+    for key, value in entries:
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise ValidationError(f"config key {key!r} is not a known option")
-        overrides[dest] = value
-    # flags win: re-parse to find which options were given explicitly
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=")[0].replace("-", "_"))
-    for dest, value in overrides.items():
-        if dest in explicit:
-            continue
-        current = getattr(args, dest)
-        if isinstance(current, bool):
-            setattr(args, dest, value.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int):
-            setattr(args, dest, int(value))
-        elif isinstance(current, float):
-            setattr(args, dest, float(value))
-        else:
-            setattr(args, dest, value)
-    return args
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(getattr(args, dest), bool):
+            flags.append(f"{flag}={value}")
+        elif cp.getboolean("run", key):
+            flags.append(flag)
+    return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
 def main(argv=None) -> int:

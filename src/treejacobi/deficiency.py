@@ -10,10 +10,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .coefficients import CoefficientSequence, _accessors
-from .errors import PatchTooLarge, RealSpectralParameter, RecurrenceOverflow
+from .errors import RealSpectralParameter, RecurrenceOverflow
 from .exactnum import as_complex, conj, is_exact, is_zero, matching_sqrt
 from .orthopoly import AlphaTable, PolyCache, SeriesResult, sum_series
-from .treecore import (DEFAULT_ENTRY_BUDGET, GAMMA, Address, SparseFunction,
+from .treecore import (GAMMA, Address, SparseFunction, check_budget,
                        format_address, subtree_vertices)
 
 
@@ -135,8 +135,7 @@ class DeficiencyElement:
         a = self._coefficient_on(y)
         return 0 if is_zero(a) else a * self._level_value(ctx, len(y))
 
-    def materialize(self, ctx: DeficiencyContext, depth: int,
-                    budget: int = DEFAULT_ENTRY_BUDGET) -> SparseFunction:
+    def materialize(self, ctx: DeficiencyContext, depth: int) -> SparseFunction:
         """Sparse function with all values down to tree level `depth`: the
         element's profile broadcast onto the subtrees where it is nonzero.
 
@@ -147,14 +146,11 @@ class DeficiencyElement:
         d = ctx.d
         classes = [(top, values) for top, values in _Profile([self], ctx, depth).values.items()
                    if not all(map(is_zero, values))]
-        count = sum((d ** len(values) - 1) // (d - 1) for _, values in classes)
-        if count > budget:
-            raise PatchTooLarge(
-                f"materializing to depth {depth} needs {count} entries, "
-                f"over the budget of {budget}")
+        check_budget(sum((d ** len(values) - 1) // (d - 1) for _, values in classes),
+                     f"materializing to depth {depth}")
         entries: Dict[Address, object] = {}
         for top, values in classes:
-            for x in subtree_vertices(top, len(values) - 1, d, budget):
+            for x in subtree_vertices(top, len(values) - 1, d):
                 v = values[len(x) - len(top)]
                 if not is_zero(v):
                     entries[x] = v
@@ -257,10 +253,8 @@ class _Profile:
         self.paths = {()} | {a[:j] for a in anchors for j in range(min(len(a), depth) + 1)}
         roots = list(self.paths) + [p + (i,) for p in self.paths if len(p) < depth
                                     for i in range(1, ctx.d + 1) if p + (i,) not in self.paths]
-        count = sum(1 if r in self.paths else depth + 1 - len(r) for r in roots)
-        if count > DEFAULT_ENTRY_BUDGET:
-            raise PatchTooLarge(f"a profile to depth {depth} holds {count} values, "
-                                f"over the budget of {DEFAULT_ENTRY_BUDGET}")
+        check_budget(sum(1 if r in self.paths else depth + 1 - len(r) for r in roots),
+                     f"a profile to depth {depth}")
         tables = [[e._level_value(ctx, n) for n in range(depth + 1)] for e in elements]
         self.values: Dict[Address, list] = {}
         for r in roots:

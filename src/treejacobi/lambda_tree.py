@@ -5,15 +5,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List
 
 from .coefficients import CoefficientSequence, TreeConfig
 from .errors import RealSpectralParameter
 from .exactnum import as_complex, matching_sqrt, root_power
 from .operator import JacobiOperator
 from .orthopoly import PolyCache, poly_roots
-from .treecore import (DEFAULT_ENTRY_BUDGET, Address, LambdaPatch,
-                       SparseFunction)
+from .treecore import LambdaPatch, SparseFunction, subtree_vertices
 
 
 def radial_propagate(v0, z, k_max: int, coeffs: CoefficientSequence,
@@ -79,23 +78,7 @@ class EigenPair:
     root_index: int
 
 
-def _branch_profile(patch: LambdaPatch, branch: int, profile: Sequence[float]
-                    ) -> Dict[Address, float]:
-    out: Dict[Address, float] = {}
-
-    def walk(word: Address) -> None:
-        k = patch.level(word)
-        out[word] = profile[k]
-        if len(word) < patch.apex_level:
-            for i in range(1, patch.d + 1):
-                walk(word + (i,))
-
-    walk((branch,))
-    return out
-
-
-def build_eigenpairs(n: int, coeffs: CoefficientSequence, d: int,
-                     budget: int = DEFAULT_ENTRY_BUDGET) -> List[EigenPair]:
+def build_eigenpairs(n: int, coeffs: CoefficientSequence, d: int) -> List[EigenPair]:
     """All n*(d-1) eigenpairs of a level-n patch: one per (root t_j of p_n,
     branch i in 2..d), ordered by (root index, branch)."""
     if n < 1:
@@ -105,14 +88,12 @@ def build_eigenpairs(n: int, coeffs: CoefficientSequence, d: int,
     kind = patch.kind()
     out: List[EigenPair] = []
     for j, t in enumerate(roots):
-        cache = PolyCache(coeffs, math.sqrt(d), complex(t))
-        cache.ensure(n - 1)
-        profile = [d ** (k / 2) * cache.p[k].real for k in range(n)]
-        plus = _branch_profile(patch, 1, profile)
+        profile = [v.real for v in radial_propagate(1, complex(t), n - 1, coeffs, d)]
+        plus = {w: profile[patch.level(w)] for w in subtree_vertices((1,), n - 1, d)}
         for i in range(2, d + 1):
             entries = dict(plus)
-            for w, v in _branch_profile(patch, i, profile).items():
-                entries[w] = -v
+            for w in subtree_vertices((i,), n - 1, d):
+                entries[w] = -profile[patch.level(w)]
             out.append(EigenPair(float(t), SparseFunction(entries, kind),
                                  n, i, j))
     return out

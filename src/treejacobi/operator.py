@@ -9,8 +9,8 @@ from typing import Dict, List, Optional
 from .coefficients import CoefficientSequence, TreeConfig, _accessors
 from .errors import NotInSubtree, PatchTooLarge
 from .exactnum import as_complex, exact_complex, is_exact, is_zero
-from .treecore import (APEX_SUCCESSOR, DEFAULT_ENTRY_BUDGET, GAMMA, Address,
-                       LambdaPatch, SparseFunction, TreeKind, children,
+from .treecore import (APEX_SUCCESSOR, GAMMA, Address, LambdaPatch,
+                       SparseFunction, TreeKind, check_budget, children,
                        format_address, level_vertices)
 
 
@@ -80,8 +80,7 @@ class JacobiOperator:
         return SparseFunction(out, f.kind)
 
 
-def moments(J: JacobiOperator, N: int, route: str = "matrix",
-            budget: int = DEFAULT_ENTRY_BUDGET) -> List[Fraction]:
+def moments(J: JacobiOperator, N: int, route: str = "matrix") -> List[Fraction]:
     """m_n = <J^n delta_root, delta_root> for n = 0..N, exact rationals.
 
     The matrix route iterates the radial tridiagonal matrix (polynomial
@@ -112,10 +111,7 @@ def moments(J: JacobiOperator, N: int, route: str = "matrix",
             out.append(v[0])
         return out
     if route == "tree":
-        if J.d ** N > budget:
-            raise PatchTooLarge(
-                f"tree-route moment m_{N} touches {J.d ** N} vertices, "
-                f"over the budget of {budget}")
+        check_budget(J.d ** N, f"tree-route moment m_{N}")
         f = SparseFunction.delta((), value=exact_complex(1))
         out = [Fraction(1)]
         for _ in range(N):
@@ -126,16 +122,14 @@ def moments(J: JacobiOperator, N: int, route: str = "matrix",
     raise ValueError(f"unknown moment route {route!r}")
 
 
-def radial_average_E(f: SparseFunction, d: int,
-                     budget: int = DEFAULT_ENTRY_BUDGET) -> SparseFunction:
+def radial_average_E(f: SparseFunction, d: int) -> SparseFunction:
     """Ef: value at each level-k vertex is the average of f over level k."""
     if f.kind != GAMMA:
         raise NotInSubtree("radial averaging is defined on the rooted tree")
-    return subtree_average_Ex(f, (), d, budget)
+    return subtree_average_Ex(f, (), d)
 
 
-def subtree_average_Ex(f: SparseFunction, x: Address, d: int,
-                       budget: int = DEFAULT_ENTRY_BUDGET) -> SparseFunction:
+def subtree_average_Ex(f: SparseFunction, x: Address, d: int) -> SparseFunction:
     """Per-level averaging within the subtree below x; values outside that
     subtree are left unchanged."""
     if f.kind != GAMMA:
@@ -150,14 +144,11 @@ def subtree_average_Ex(f: SparseFunction, x: Address, d: int,
         else:
             out[y] = v
     for rel, s in inside_sums.items():
-        count = d ** rel
-        if count > budget:
-            raise PatchTooLarge(
-                f"averaging over {count} subtree vertices exceeds the budget")
-        avg = s / count
+        words = level_vertices(rel, d)  # refuses an oversized level, zero or not
+        avg = s / d ** rel
         if is_zero(avg):
             continue
-        for w in level_vertices(rel, d, budget):
+        for w in words:
             out[x + w] = avg
     return SparseFunction(out, GAMMA)
 

@@ -2,6 +2,7 @@
 rooted tree and on finite patches of the one-ended tree."""
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
@@ -11,12 +12,19 @@ from .exactnum import as_complex, conj, is_zero
 
 Address = Tuple[int, ...]
 
-ROOT: Address = ()
 # The apex of a one-ended patch has a single successor outside the patch;
 # index 0 is never a valid child index, so this sentinel is unambiguous.
 APEX_SUCCESSOR: Address = (0,)
 
 DEFAULT_ENTRY_BUDGET = 2_000_000
+
+
+def check_budget(count: int, what: str) -> None:
+    """Refuse (PatchTooLarge) an enumeration of more than DEFAULT_ENTRY_BUDGET
+    entries, before any of them is built: a level of the tree has d^n vertices."""
+    if count > DEFAULT_ENTRY_BUDGET:
+        raise PatchTooLarge(f"{what} needs {count} entries, "
+                            f"over the budget of {DEFAULT_ENTRY_BUDGET}")
 
 
 def format_address(x: Address) -> str:
@@ -57,31 +65,15 @@ def level(x: Address) -> int:
     return len(x)
 
 
-def level_vertices(n: int, d: int,
-                   budget: int = DEFAULT_ENTRY_BUDGET) -> Iterator[Address]:
+def level_vertices(n: int, d: int) -> Iterator[Address]:
     """All d^n level-n vertices in lexicographic order."""
-    if d ** n > budget:
-        raise PatchTooLarge(
-            f"level {n} of the degree-{d} tree has {d ** n} vertices, "
-            f"over the budget of {budget}")
-
-    def walk(prefix: Address, remaining: int) -> Iterator[Address]:
-        if remaining == 0:
-            yield prefix
-            return
-        for i in range(1, d + 1):
-            yield from walk(prefix + (i,), remaining - 1)
-
-    yield from walk((), n)
+    check_budget(d ** n, f"level {n} of the degree-{d} tree")
+    return itertools.product(range(1, d + 1), repeat=n)
 
 
-def subtree_vertices(x: Address, depth: int, d: int,
-                     budget: int = DEFAULT_ENTRY_BUDGET) -> Iterator[Address]:
-    """Vertices of the subtree below x, down `depth` extra levels."""
-    total = (d ** (depth + 1) - 1) // (d - 1)
-    if total > budget:
-        raise PatchTooLarge(
-            f"subtree of depth {depth} has {total} vertices, over the budget of {budget}")
+def subtree_vertices(x: Address, depth: int, d: int) -> Iterator[Address]:
+    """Vertices of the subtree below x, down `depth` extra levels, in preorder."""
+    check_budget((d ** (depth + 1) - 1) // (d - 1), f"a subtree of depth {depth}")
 
     def walk(prefix: Address, remaining: int) -> Iterator[Address]:
         yield prefix
@@ -89,7 +81,7 @@ def subtree_vertices(x: Address, depth: int, d: int,
             for i in range(1, d + 1):
                 yield from walk(prefix + (i,), remaining - 1)
 
-    yield from walk(x, depth)
+    return walk(x, depth)
 
 
 @dataclass(frozen=True)
@@ -128,10 +120,7 @@ class LambdaPatch:
             raise ValueError("apex level must be nonnegative")
         if self.d < 2:
             raise ValueError("branching degree must be at least 2")
-        if self.size() > DEFAULT_ENTRY_BUDGET:
-            raise PatchTooLarge(
-                f"patch of apex level {self.apex_level} has {self.size()} "
-                f"vertices, over the budget of {DEFAULT_ENTRY_BUDGET}")
+        check_budget(self.size(), f"a patch of apex level {self.apex_level}")
 
     def size(self) -> int:
         return (self.d ** (self.apex_level + 1) - 1) // (self.d - 1)
@@ -234,10 +223,9 @@ def inner(f: SparseFunction, g: SparseFunction):
     return 0.0 if total is None else total
 
 
-def level_indicator(n: int, d: int, normalized: bool = False,
-                    budget: int = DEFAULT_ENTRY_BUDGET) -> SparseFunction:
+def level_indicator(n: int, d: int, normalized: bool = False) -> SparseFunction:
     """The indicator of level n, or its unit-norm multiple d^(-n/2) * indicator."""
     if n < 0:
         raise ValueError("level must be nonnegative")
     value = d ** (-n / 2) if normalized else 1.0
-    return SparseFunction({x: value for x in level_vertices(n, d, budget)}, GAMMA)
+    return SparseFunction({x: value for x in level_vertices(n, d)}, GAMMA)

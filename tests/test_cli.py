@@ -1,8 +1,12 @@
 """CLI subcommands, config handling, exit codes, artifact files."""
+import contextlib
+import csv
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treejacobi.cli import main, parse_coeffs, parse_z, ValidationError
 from treejacobi.orthopoly import PolyCache
@@ -247,6 +251,40 @@ def test_missing_config_rejected(capsys):
     assert code == 2
 
 
+def test_config_value_fails_like_the_same_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nmode = exactly\n")
+    with pytest.raises(SystemExit) as from_config:
+        main(["polys", "--config", str(cfg)])
+    config_err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as from_flag:
+        main(["polys", "--mode", "exactly"])
+    assert from_config.value.code == from_flag.value.code == 2
+    assert config_err == capsys.readouterr().err
+    assert "invalid choice: 'exactly'" in config_err
+
+
+def test_config_value_may_start_with_a_minus(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nz = -1,2\nn = 5\n")
+    code, out, _ = run(["polys", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert out == run(["polys", "--z=-1,2", "--n", "5"], capsys)[1]
+
+
+@pytest.mark.parametrize("text", [
+    "[run]\ncoeffs = 50%\n",
+    "coeffs = paper\n",
+    "[run]\nstrict = maybe\n",
+], ids=["interpolation", "no-section-header", "not-a-boolean"])
+def test_malformed_config_is_validation_error(tmp_path, text, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    code, _, err = run(["classify", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--tol", "0"],
     ["classify", "--tol", "-1"],
@@ -269,3 +307,68 @@ def test_bad_numeric_option_is_validation_error(argv, capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# Generated argv for every subcommand.  Sizes are capped, and given even
+# where they are optional, so that no case can exhaust memory or run long:
+# d <= 5, n <= 4, depth <= 40, materialize depth <= 4, n_max <= 2000 and
+# addresses of at most 5 levels.
+_NUMBERS = st.sampled_from(["0", "1", "-1", "0.5", "-2.5", "1/3", "1e308", "nan", "inf", "x"])
+_ADDRESS = st.one_of(
+    st.lists(st.integers(0, 6), max_size=5).map(lambda x: ".".join(map(str, x)) or "e"),
+    st.sampled_from(["", "1..2", "-1", "a"]))
+_COMMON = {
+    "d": st.integers(-1, 5),
+    "coeffs": st.sampled_from([
+        "paper", "constant:1", "constant:2:1", "constant:0", "geometric:1:1/2",
+        "geometric:3/2:5/4", "geometric:1", "power:1:2", "power:1:0.5",
+        "power:1:1/2", "explicit:1,2,3", "explicit:1,-1:0", "bogus"]),
+    "z": st.one_of(st.builds("{},{}".format, _NUMBERS, _NUMBERS),
+                   st.sampled_from(["1", "a,b", ""])),
+    "tol": st.sampled_from(["1e-12", "1e-6", "0", "-1", "nan", "x"]),
+    "mode": st.sampled_from(["float", "exact", "fast"]),
+    "strict": st.booleans(),
+}
+_SIZES = {"n-max": st.integers(-2, 2000)}
+_SCALE = st.sampled_from(["1", "2", "1/2", "1.5", "0", "-1", "1e400", "x"])
+_N = st.integers(-1, 4)
+# subcommand: (its capped sizes, its other options)
+_COMMANDS = {
+    "polys": ({"n": _N}, {"scale": _SCALE}),
+    "classify": ({}, {"scale": _SCALE}),
+    "deficiency": ({"depth": st.integers(-1, 40), "materialize-depth": st.integers(-1, 4)},
+                   {"anchor": _ADDRESS}),
+    "poisson": ({}, {"y": _ADDRESS}),
+    "lambda": ({"n": _N}, {}),
+    "oracle": ({"n": _N}, {}),
+    "paper-example": ({}, {}),
+}
+
+
+def _argv(command, options):
+    flags = [f"--{k}" if v is True else f"--{k}={v}"
+             for k, v in options.items() if v is not False]
+    return [command] + flags
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_generated_argv_keeps_the_exit_contract(command, data):
+    sizes, optional = _COMMANDS[command]
+    options = data.draw(st.fixed_dictionaries(
+        {**_SIZES, **sizes}, optional={**_COMMON, **optional}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(_argv(command, options))
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        if command == "polys":
+            rows = list(csv.reader(io.StringIO(out.getvalue())))
+            assert rows[0][0] == "n" and all(len(r) == len(rows[0]) for r in rows)
+        else:
+            json.loads(out.getvalue())

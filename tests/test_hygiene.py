@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports is used in that module, every
 private module-level function or class is used somewhere, and every local
-a function assigns is read."""
+a function assigns and every parameter it takes is read."""
 import ast
 import pathlib
 
@@ -81,3 +81,27 @@ def _unread_locals(path: pathlib.Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_local_is_read(path):
     assert _unread_locals(path) == []
+
+
+def _unread_parameters(path: pathlib.Path) -> list:
+    """Parameters a function never reads; self, cls and "_"-prefixed names
+    are exempt."""
+    out = []
+    for func in ast.walk(TREES[path]):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = func.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = func.body if isinstance(func.body, list) else [func.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        name = getattr(func, "name", "<lambda>")
+        out += [f"{name}: {p.arg} (line {p.lineno})" for p in params
+                if p.arg not in read and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(path) == []

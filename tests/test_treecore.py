@@ -2,7 +2,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from treejacobi import (boundary, deficiency, lambda_tree, operator, oracle,
+                        treecore)
+from treejacobi.boundary import StepFunction
+from treejacobi.coefficients import CoefficientSequence, TreeConfig
+from treejacobi.deficiency import DeficiencyContext, DeficiencyElement
 from treejacobi.errors import KindMismatch, PatchTooLarge
+from treejacobi.operator import JacobiOperator, moments, subtree_average_Ex
 from treejacobi.treecore import (GAMMA, LambdaPatch, SparseFunction, TreeKind,
                                  children, format_address, inner, level,
                                  level_indicator, level_vertices, parent,
@@ -52,7 +58,65 @@ def test_level_vertices_counts():
 
 def test_level_vertices_budget():
     with pytest.raises(PatchTooLarge):
-        list(level_vertices(30, 2, budget=1000))
+        list(level_vertices(30, 2))
+
+
+@pytest.fixture
+def vertices_yielded(monkeypatch):
+    """Count the vertices the two tree walkers yield, wherever they are
+    imported; the budget check still runs when a walker is called."""
+    count = [0]
+
+    def counting(walker):
+        def counted(*args):
+            vertices = walker(*args)
+
+            def each():
+                for x in vertices:
+                    count[0] += 1
+                    yield x
+            return each()
+        return counted
+
+    for name in ("level_vertices", "subtree_vertices"):
+        walker = getattr(treecore, name)
+        for module in (treecore, boundary, deficiency, lambda_tree, operator, oracle):
+            if getattr(module, name, None) is walker:
+                monkeypatch.setattr(module, name, counting(walker))
+    return count
+
+
+def _materialize_radial(depth):
+    ctx = DeficiencyContext(CoefficientSequence.constant(1), 2, 1j)
+    return DeficiencyElement(None, (1,), 1j).materialize(ctx, depth)
+
+
+# Each site just past the two-million entry budget at d = 2, with the
+# entry count it refuses (2^21 = 2,097,152 or 2^21 - 1) and the vertices it
+# may enumerate first: refining the unit function builds its one depth-0 cell.
+OVER_BUDGET = {
+    "level_vertices": (lambda: level_vertices(21, 2), 2 ** 21, 0),
+    "subtree_vertices": (lambda: subtree_vertices((), 20, 2), 2 ** 21 - 1, 0),
+    "level_indicator": (lambda: level_indicator(21, 2), 2 ** 21, 0),
+    "LambdaPatch": (lambda: LambdaPatch(20, 2), 2 ** 21 - 1, 0),
+    "materialize": (lambda: _materialize_radial(20), 2 ** 21 - 1, 0),
+    "StepFunction.canonical": (
+        lambda: StepFunction.indicator(2, (1,) * 21).canonical(), 2 ** 21, 0),
+    "StepFunction.refined": (
+        lambda: StepFunction.indicator(2, ()).refined(21), 2 ** 21, 1),
+    "moments_tree": (lambda: moments(JacobiOperator(
+        CoefficientSequence.constant(1), TreeConfig(2)), 21, route="tree"), 2 ** 21, 0),
+    "subtree_average_Ex": (
+        lambda: subtree_average_Ex(SparseFunction.delta((1,) * 21), (), 2), 2 ** 21, 0),
+}
+
+
+@pytest.mark.parametrize("site", sorted(OVER_BUDGET))
+def test_over_budget_refused_before_enumerating(site, vertices_yielded):
+    call, count, built = OVER_BUDGET[site]
+    with pytest.raises(PatchTooLarge, match=f"needs {count} entries, over the budget"):
+        call()
+    assert vertices_yielded[0] == built
 
 
 def test_patch_cardinality_matches_enumeration():
