@@ -38,9 +38,8 @@ from .orthopoly import (AlphaTable, PolyCache, PolyTable, SeriesResult,
                         compute_polys, poly_pairs, poly_roots, sum_series,
                         wronskian_residual, wronskian_scale)
 from .treecore import (APEX_SUCCESSOR, DEFAULT_ENTRY_BUDGET, GAMMA,
-                       LambdaPatch, SparseFunction, TreeKind, children,
-                       format_address, inner, level, level_indicator,
-                       level_vertices, parent, parse_address,
-                       subtree_vertices)
+                       LambdaPatch, SparseFunction, children, format_address,
+                       inner, level, level_indicator, level_vertices, parent,
+                       parse_address, subtree_vertices)
 
 __version__ = "0.1.0"

@@ -309,18 +309,24 @@ def cmd_paper_example(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+_SHARED = {
+    "--d": dict(type=int, default=2, help="branching degree"),
+    "--coeffs": dict(default="paper", help="coefficient family spec (see parse_coeffs)"),
+    "--z": dict(default="0,1", help="spectral parameter RE,IM"),
+    "--tol": dict(type=float, default=1e-12),
+    "--n-max": dict(type=int, default=100_000),
+    "--mode": dict(choices=["float", "exact"], default="float"),
+    "--strict": dict(action="store_true", help="exit 4 when a verdict is inconclusive"),
+    "--scale": dict(help="off-diagonal scale (default sqrt(d))"),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+    """--config, --out and those shared flags that the subcommand reads."""
     p.add_argument("--config", help="INI config file; flags override it")
-    p.add_argument("--d", type=int, default=2, help="branching degree")
-    p.add_argument("--coeffs", default="paper",
-                   help="coefficient family spec (see parse_coeffs)")
-    p.add_argument("--z", default="0,1", help="spectral parameter RE,IM")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--n-max", dest="n_max", type=int, default=100_000)
-    p.add_argument("--mode", choices=["float", "exact"], default="float")
     p.add_argument("--out", help="output file (atomic write); stdout if absent")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 4 when a verdict is inconclusive")
+    for flag in flags:
+        p.add_argument(flag, **_SHARED[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,18 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("polys", help="tabulate p_n, q_n as CSV")
-    _add_common(p)
+    _add_shared(p, "--d", "--coeffs", "--z", "--mode", "--scale")
     p.add_argument("--n", type=int, default=50, help="max index")
-    p.add_argument("--scale", help="off-diagonal scale (default sqrt(d))")
     p.set_defaults(func=cmd_polys)
 
     p = sub.add_parser("classify", help="essential-selfadjointness verdict")
-    _add_common(p)
-    p.add_argument("--scale", help="off-diagonal scale (default sqrt(d))")
+    _add_shared(p, "--d", "--coeffs", "--z", "--tol", "--n-max", "--strict", "--scale")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("deficiency", help="materialize a deficiency element")
-    _add_common(p)
+    _add_shared(p, "--d", "--coeffs", "--z", "--tol", "--n-max", "--mode")
     p.add_argument("--anchor", default="", help="anchor address; empty = radial")
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--materialize-depth", dest="materialize_depth",
@@ -350,22 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_deficiency)
 
     p = sub.add_parser("poisson", help="Poisson kernel at a vertex")
-    _add_common(p)
+    _add_shared(p, "--d", "--coeffs", "--z", "--tol", "--n-max")
     p.add_argument("--y", default="1.2", help="vertex address")
     p.set_defaults(func=cmd_poisson)
 
     p = sub.add_parser("lambda", help="one-ended tree eigenpairs and spectrum")
-    _add_common(p)
+    _add_shared(p, "--d", "--coeffs")
     p.add_argument("--n", type=int, default=3, help="apex level")
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("oracle", help="dense cross-checks")
-    _add_common(p)
+    _add_shared(p, "--d", "--coeffs")
     p.add_argument("--n", type=int, default=6, help="block size")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("paper-example", help="one-command worked example")
-    _add_common(p)
+    _add_shared(p, "--tol", "--n-max", "--strict")
     p.set_defaults(func=cmd_paper_example)
     return parser
 
@@ -405,7 +409,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config(args, parser, argv)
-        TreeConfig(args.d)
+        if "d" in args:
+            TreeConfig(args.d)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,16 +21,14 @@ class DeficiencyContext:
     """Shared evaluation state: coefficients, degree, spectral parameter, and
     a lazily extended table of recurrence values at scale sqrt(d)."""
 
-    def __init__(self, coeffs: CoefficientSequence, d: int, z,
-                 require_nonreal: bool = True):
+    def __init__(self, coeffs: CoefficientSequence, d: int, z):
         self.coeffs = coeffs
         self.d = d
         self.z = z
         self.exact = is_exact(z)
-        if require_nonreal:
-            if as_complex(z).imag == 0:
-                raise RealSpectralParameter(
-                    f"deficiency-space values need a non-real z, got {z}")
+        if as_complex(z).imag == 0:
+            raise RealSpectralParameter(
+                f"deficiency-space values need a non-real z, got {z}")
         self.scale = matching_sqrt(d, z)
         self.cache = PolyCache(coeffs, self.scale, z)
         self._lam, _ = _accessors(coeffs, self.exact)

@@ -85,7 +85,6 @@ def build_eigenpairs(n: int, coeffs: CoefficientSequence, d: int) -> List[EigenP
         raise ValueError("the apex level must be at least 1")
     patch = LambdaPatch(n, d)
     roots = poly_roots(coeffs, math.sqrt(d), n)
-    kind = patch.kind()
     out: List[EigenPair] = []
     for j, t in enumerate(roots):
         profile = [v.real for v in radial_propagate(1, complex(t), n - 1, coeffs, d)]
@@ -94,7 +93,7 @@ def build_eigenpairs(n: int, coeffs: CoefficientSequence, d: int) -> List[EigenP
             entries = dict(plus)
             for w in subtree_vertices((i,), n - 1, d):
                 entries[w] = -profile[patch.level(w)]
-            out.append(EigenPair(float(t), SparseFunction(entries, kind),
+            out.append(EigenPair(float(t), SparseFunction(entries, patch),
                                  n, i, j))
     return out
 
@@ -103,7 +102,7 @@ def eigen_residual(pair: EigenPair, coeffs: CoefficientSequence,
                    d: int) -> float:
     """||J f - t f|| over the patch plus the virtual successor ring."""
     patch = LambdaPatch(pair.apex_level, d)
-    J = JacobiOperator(coeffs, TreeConfig(d), kind="lambda", patch=patch)
+    J = JacobiOperator(coeffs, TreeConfig(d), patch=patch)
     diff = J.apply(pair.eigenfunction) - pair.eigenfunction.scaled(pair.eigenvalue)
     return diff.norm()
 

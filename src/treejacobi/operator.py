@@ -10,14 +10,14 @@ from .coefficients import CoefficientSequence, TreeConfig, _accessors
 from .errors import NotInSubtree, PatchTooLarge
 from .exactnum import as_complex, exact_complex, is_exact, is_zero
 from .treecore import (APEX_SUCCESSOR, GAMMA, Address, LambdaPatch,
-                       SparseFunction, TreeKind, check_budget, children,
-                       format_address, level_vertices)
+                       SparseFunction, check_budget, children, format_address,
+                       level_vertices)
 
 
 @dataclass(frozen=True)
 class JacobiOperator:
-    """J on the rooted tree (kind "gamma") or on a one-ended patch
-    (kind "lambda", with the patch supplying levels).
+    """J on the rooted tree, or on a one-ended patch when one is given (the
+    patch supplies levels).
 
     Rooted tree:   J d_x = lam_{n-1} d_parent + beta_n d_x + lam_n sum d_child
     One-ended:     J d_x = lam_{n-1} sum d_below + beta_n d_x + lam_n d_above
@@ -26,27 +26,27 @@ class JacobiOperator:
 
     coeffs: CoefficientSequence
     tree: TreeConfig
-    kind: str = "gamma"
     patch: Optional[LambdaPatch] = None
 
     def __post_init__(self):
-        if self.kind not in ("gamma", "lambda"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "lambda" and self.patch is None:
-            raise ValueError("a lambda operator needs a patch")
+        if self.patch is not None and self.patch.d != self.tree.d:
+            raise ValueError(f"a degree-{self.tree.d} operator cannot act on "
+                             f"a degree-{self.patch.d} patch")
 
     @property
     def d(self) -> int:
         return self.tree.d
 
-    def expected_kind(self) -> TreeKind:
-        return GAMMA if self.kind == "gamma" else self.patch.kind()
+    @property
+    def kind(self) -> str:
+        return "gamma" if self.patch is None else "lambda"
 
     def apply(self, f: SparseFunction) -> SparseFunction:
         """J f, in exact arithmetic when any value of f is an ExactComplex."""
-        if f.kind != self.expected_kind():
+        if f.kind != self.patch:
             raise NotInSubtree(
-                f"function on {f.kind} cannot be fed to a {self.kind} operator")
+                f"function on {f.kind or 'the rooted tree'} cannot be fed to a "
+                f"{self.kind} operator")
         lam, beta = _accessors(
             self.coeffs, any(is_exact(v) for v in f.entries.values()))
         out: Dict[Address, object] = {}
@@ -54,7 +54,7 @@ class JacobiOperator:
         def acc(x: Address, v) -> None:
             out[x] = out.get(x, 0) + v
 
-        if self.kind == "gamma":
+        if self.patch is None:
             for x, v in f.entries.items():
                 n = len(x)
                 if n > 0:

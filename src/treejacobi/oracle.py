@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -58,24 +58,34 @@ def _check_rows(count: int) -> None:
             f"dense section would have {count} rows, over the cap of {MAX_DENSE_ROWS}")
 
 
-def build_gamma_patch(coeffs: CoefficientSequence, d: int,
-                      depth: int) -> DenseTruncation:
-    """Finite section of the rooted-tree operator on all vertices to the
-    given depth.  Built symmetrically from parent-child pairs."""
+def _tree_section(coeffs: CoefficientSequence, d: int, depth: int,
+                  level: Callable[[Address], int]):
+    """Matrix, sorted addresses and index of the section on all words of
+    length at most depth, word x sitting on tree level level(x): beta on
+    the diagonal, lam_n on each edge between levels n and n + 1.  The row
+    count is checked, in closed form, before any word is built."""
+    _check_rows((d ** (depth + 1) - 1) // (d - 1))
     addresses = sorted(subtree_vertices((), depth, d))
-    _check_rows(len(addresses))
     index = {x: i for i, x in enumerate(addresses)}
     M = np.zeros((len(addresses), len(addresses)))
     for x, i in index.items():
-        n = len(x)
+        n = level(x)
         M[i, i] = coeffs.beta(n)
-        if n < depth:
-            lam = coeffs.lam(n)
+        if len(x) < depth:
+            lam = coeffs.lam(min(n, level(x + (1,))))
             for c in range(1, d + 1):
                 j = index[x + (c,)]
                 M[i, j] = lam
                 M[j, i] = lam
-    return DenseTruncation(("gamma_patch", depth), M, addresses, index)
+    return M, addresses, index
+
+
+def build_gamma_patch(coeffs: CoefficientSequence, d: int,
+                      depth: int) -> DenseTruncation:
+    """Finite section of the rooted-tree operator on all vertices to the
+    given depth.  Built symmetrically from parent-child pairs."""
+    return DenseTruncation(("gamma_patch", depth),
+                           *_tree_section(coeffs, d, depth, len))
 
 
 def build_radial_block(coeffs: CoefficientSequence, d: int, offset: int,
@@ -101,20 +111,8 @@ def build_lambda_patch_matrix(coeffs: CoefficientSequence, d: int,
     """Finite section of the one-ended operator on a level-`apex_level`
     patch; the apex's coupling to its virtual successor is omitted."""
     patch = LambdaPatch(apex_level, d)
-    addresses = sorted(patch.vertices())
-    _check_rows(len(addresses))
-    index = {x: i for i, x in enumerate(addresses)}
-    M = np.zeros((len(addresses), len(addresses)))
-    for w, i in index.items():
-        lvl = patch.level(w)
-        M[i, i] = coeffs.beta(lvl)
-        if lvl > 0:
-            lam = coeffs.lam(lvl - 1)
-            for c in range(1, d + 1):
-                j = index[w + (c,)]
-                M[i, j] = lam
-                M[j, i] = lam
-    return DenseTruncation(("lambda_patch", apex_level), M, addresses, index)
+    return DenseTruncation(("lambda_patch", apex_level),
+                           *_tree_section(coeffs, d, apex_level, patch.level))
 
 
 def dense_eigensolve(T: DenseTruncation) -> Tuple[np.ndarray, np.ndarray]:

@@ -326,21 +326,21 @@ class SeriesResult:
     note: str = ""
 
 
-def sum_series(terms: Iterable[float], tol: float = 1e-12, n_max: int = 100_000,
-               window: int = CONVERGENCE_WINDOW,
-               stall_window: int = STALL_WINDOW) -> SeriesResult:
+def sum_series(terms: Iterable[float], tol: float = 1e-12,
+               n_max: int = 100_000) -> SeriesResult:
     """Sum nonnegative terms until a convergence or divergence verdict.
 
-    Converged: the last `window` terms are all below tol * partial_sum and
-    the sum of the last `window` terms is below RATIO_CEILING**window times
-    the sum of the `window` terms before them.  Comparing block sums, not
-    single-step ratios, certifies terms that alternate between two decay
-    phases.  With R the ratio of the two block sums, the reported ratio is
-    R**(1/window) and the geometric tail is newer_block * R / (1 - R).
+    Converged: the last CONVERGENCE_WINDOW terms are all below
+    tol * partial_sum and their sum is below RATIO_CEILING**CONVERGENCE_WINDOW
+    times the sum of the CONVERGENCE_WINDOW terms before them.  Comparing
+    block sums, not single-step ratios, certifies terms that alternate
+    between two decay phases.  With R the ratio of the two block sums, the
+    reported ratio is R**(1/CONVERGENCE_WINDOW) and the geometric tail is
+    newer_block * R / (1 - R).
 
     Diverged: the partial sum exceeds 1/tol, a term leaves the float range,
-    or the terms stop decreasing (the median of the last `stall_window`
-    terms is no smaller than the median of the preceding block).
+    or the terms stop decreasing (the median of the last STALL_WINDOW terms
+    is no smaller than the median of the preceding block).
 
     Otherwise inconclusive after n_max terms.  tol must be finite and
     positive, n_max at least 1.
@@ -350,7 +350,7 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12, n_max: int = 100_000,
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     s = 0.0
-    recent: deque = deque(maxlen=2 * max(window, stall_window))
+    recent: deque = deque(maxlen=2 * max(CONVERGENCE_WINDOW, STALL_WINDOW))
     count = 0
     for t in terms:
         if count >= n_max:
@@ -364,24 +364,26 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12, n_max: int = 100_000,
         if s > 1.0 / tol:
             return SeriesResult("diverged", s, count, note="partial sum exceeded 1/tol")
 
-        if t < tol * s and count >= 2 * window:
-            last = list(itertools.islice(reversed(recent), 2 * window))
-            newer, older = sum(last[:window]), sum(last[window:])
-            if all(v < tol * s for v in last[:window]) and (
-                    newer < RATIO_CEILING ** window * older or newer == older == 0):
+        if t < tol * s and count >= 2 * CONVERGENCE_WINDOW:
+            last = list(itertools.islice(reversed(recent), 2 * CONVERGENCE_WINDOW))
+            newer = sum(last[:CONVERGENCE_WINDOW])
+            older = sum(last[CONVERGENCE_WINDOW:])
+            if all(v < tol * s for v in last[:CONVERGENCE_WINDOW]) and (
+                    newer < RATIO_CEILING ** CONVERGENCE_WINDOW * older
+                    or newer == older == 0):
                 big_r = newer / older if older > 0 else 0.0
                 tail_est = newer * big_r / (1.0 - big_r)
                 return SeriesResult("converged", s, count, tail_est,
-                                    big_r ** (1.0 / window))
+                                    big_r ** (1.0 / CONVERGENCE_WINDOW))
 
-        if count % stall_window == 0 and count >= 2 * stall_window:
-            block = list(recent)[-2 * stall_window:]
-            older = statistics.median(block[:stall_window])
-            newer = statistics.median(block[stall_window:])
+        if count % STALL_WINDOW == 0 and count >= 2 * STALL_WINDOW:
+            block = list(recent)[-2 * STALL_WINDOW:]
+            older = statistics.median(block[:STALL_WINDOW])
+            newer = statistics.median(block[STALL_WINDOW:])
             if newer >= older and newer > 0:
                 return SeriesResult(
                     "diverged", s, count,
-                    note=f"terms stopped decreasing over {stall_window} consecutive terms")
+                    note=f"terms stopped decreasing over {STALL_WINDOW} consecutive terms")
     return SeriesResult("inconclusive", s, count,
                         note=f"no verdict after {count} terms")
 

@@ -85,24 +85,6 @@ def subtree_vertices(x: Address, depth: int, d: int) -> Iterator[Address]:
 
 
 @dataclass(frozen=True)
-class TreeKind:
-    """Which tree a function lives on: the rooted tree, or a finite patch of
-    the one-ended tree identified by its apex level."""
-
-    shape: str  # "gamma" | "lambda"
-    apex_level: Optional[int] = None
-
-    def __post_init__(self):
-        if self.shape not in ("gamma", "lambda"):
-            raise ValueError(f"unknown tree shape {self.shape!r}")
-        if self.shape == "lambda" and (self.apex_level is None or self.apex_level < 0):
-            raise ValueError("a lambda patch needs a nonnegative apex level")
-
-
-GAMMA = TreeKind("gamma")
-
-
-@dataclass(frozen=True)
 class LambdaPatch:
     """Finite window of the one-ended tree: the apex x, everything at most
     `apex_level` levels below it, and one virtual successor above it.
@@ -133,8 +115,9 @@ class LambdaPatch:
             return self.apex_level + 1
         return self.apex_level - len(w)
 
-    def kind(self) -> TreeKind:
-        return TreeKind("lambda", self.apex_level)
+
+# The kind of a function on the rooted tree (see SparseFunction).
+GAMMA = None
 
 
 @dataclass
@@ -142,16 +125,17 @@ class SparseFunction:
     """Finitely supported complex-valued function on vertices.
 
     Entries may be floats/complex or ExactComplex; zero entries are dropped
-    so equal functions have equal entry maps."""
+    so equal functions have equal entry maps.  kind is GAMMA on the rooted
+    tree, or the LambdaPatch the function lives on."""
 
     entries: Dict[Address, object] = field(default_factory=dict)
-    kind: TreeKind = GAMMA
+    kind: Optional[LambdaPatch] = GAMMA
 
     def __post_init__(self):
         self.entries = {x: v for x, v in self.entries.items() if not is_zero(v)}
 
     @staticmethod
-    def delta(x: Address, kind: TreeKind = GAMMA, value=1.0) -> "SparseFunction":
+    def delta(x: Address, kind: Optional[LambdaPatch] = GAMMA, value=1.0) -> "SparseFunction":
         return SparseFunction({x: value}, kind)
 
     def value(self, x: Address):
@@ -196,7 +180,7 @@ class SparseFunction:
         return json.dumps(self.to_json_obj())
 
     @staticmethod
-    def from_json_obj(records, kind: TreeKind = GAMMA) -> "SparseFunction":
+    def from_json_obj(records, kind: Optional[LambdaPatch] = GAMMA) -> "SparseFunction":
         entries = {}
         for rec in records:
             entries[parse_address(rec["address"])] = complex(rec["re"], rec["im"])
@@ -205,7 +189,8 @@ class SparseFunction:
 
 def _check_kind(f: SparseFunction, g: SparseFunction) -> None:
     if f.kind != g.kind:
-        raise KindMismatch(f"functions live on different trees: {f.kind} vs {g.kind}")
+        raise KindMismatch(f"functions live on different trees: "
+                           f"{f.kind or 'the rooted tree'} vs {g.kind or 'the rooted tree'}")
 
 
 def inner(f: SparseFunction, g: SparseFunction):

@@ -309,6 +309,29 @@ def test_bad_numeric_option_is_validation_error(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "classify --mode exact",
+    "poisson --mode exact",
+    "polys --tol nan",
+    "deficiency --strict",
+    "lambda --n-max -5",
+    "oracle --z 0,1",
+    "paper-example --coeffs paper",
+])
+def test_flag_the_subcommand_does_not_read_is_rejected(argv, tmp_path, capsys):
+    command, flag, *value = argv.split()
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    # the same option as a config key
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\n{flag[2:]} = {value[0] if value else 'true'}\n")
+    code, _, err = run([command, "--config", str(cfg)], capsys)
+    assert code == 2
+    assert flag[2:] in err
+
+
 # Generated argv for every subcommand.  Sizes are capped, and given even
 # where they are optional, so that no case can exhaust memory or run long:
 # d <= 5, n <= 4, depth <= 40, materialize depth <= 4, n_max <= 2000 and
@@ -317,7 +340,7 @@ _NUMBERS = st.sampled_from(["0", "1", "-1", "0.5", "-2.5", "1/3", "1e308", "nan"
 _ADDRESS = st.one_of(
     st.lists(st.integers(0, 6), max_size=5).map(lambda x: ".".join(map(str, x)) or "e"),
     st.sampled_from(["", "1..2", "-1", "a"]))
-_COMMON = {
+_SHARED = {
     "d": st.integers(-1, 5),
     "coeffs": st.sampled_from([
         "paper", "constant:1", "constant:2:1", "constant:0", "geometric:1:1/2",
@@ -329,19 +352,28 @@ _COMMON = {
     "mode": st.sampled_from(["float", "exact", "fast"]),
     "strict": st.booleans(),
 }
-_SIZES = {"n-max": st.integers(-2, 2000)}
+_N_MAX = {"n-max": st.integers(-2, 2000)}
 _SCALE = st.sampled_from(["1", "2", "1/2", "1.5", "0", "-1", "1e400", "x"])
 _N = st.integers(-1, 4)
-# subcommand: (its capped sizes, its other options)
+
+
+def _shared(*names):
+    return {name: _SHARED[name] for name in names}
+
+
+# subcommand: (its capped sizes, its other options), each an option the
+# subcommand takes
 _COMMANDS = {
-    "polys": ({"n": _N}, {"scale": _SCALE}),
-    "classify": ({}, {"scale": _SCALE}),
-    "deficiency": ({"depth": st.integers(-1, 40), "materialize-depth": st.integers(-1, 4)},
-                   {"anchor": _ADDRESS}),
-    "poisson": ({}, {"y": _ADDRESS}),
-    "lambda": ({"n": _N}, {}),
-    "oracle": ({"n": _N}, {}),
-    "paper-example": ({}, {}),
+    "polys": ({"n": _N}, {"scale": _SCALE, **_shared("d", "coeffs", "z", "mode")}),
+    "classify": (_N_MAX, {"scale": _SCALE,
+                          **_shared("d", "coeffs", "z", "tol", "strict")}),
+    "deficiency": ({"depth": st.integers(-1, 40), "materialize-depth": st.integers(-1, 4),
+                    **_N_MAX},
+                   {"anchor": _ADDRESS, **_shared("d", "coeffs", "z", "tol", "mode")}),
+    "poisson": (_N_MAX, {"y": _ADDRESS, **_shared("d", "coeffs", "z", "tol")}),
+    "lambda": ({"n": _N}, _shared("d", "coeffs")),
+    "oracle": ({"n": _N}, _shared("d", "coeffs")),
+    "paper-example": (_N_MAX, _shared("tol", "strict")),
 }
 
 
@@ -356,8 +388,7 @@ def _argv(command, options):
 @given(data=st.data())
 def test_generated_argv_keeps_the_exit_contract(command, data):
     sizes, optional = _COMMANDS[command]
-    options = data.draw(st.fixed_dictionaries(
-        {**_SIZES, **sizes}, optional={**_COMMON, **optional}))
+    options = data.draw(st.fixed_dictionaries(sizes, optional=optional))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -1,10 +1,15 @@
 """Source hygiene: every name a module imports is used in that module, every
-private module-level function or class is used somewhere, and every local
-a function assigns and every parameter it takes is read."""
+private module-level function or class is used somewhere, every local
+a function assigns and every parameter it takes is read, and every CLI flag
+is read by its subcommand's handler."""
+import argparse
 import ast
+import inspect
 import pathlib
 
 import pytest
+
+from treejacobi.cli import build_parser
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "treejacobi"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -105,3 +110,25 @@ def _unread_parameters(path: pathlib.Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert _unread_parameters(path) == []
+
+
+def _unread_cli_flags() -> list:
+    """Options of each subcommand whose handler never reads args.<dest>;
+    --config and --out are read by the shared plumbing."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    out = []
+    for command, p in sub.choices.items():
+        handler = p.get_default("func")
+        tree = ast.parse(inspect.getsource(handler))
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        dests = {a.dest for a in p._actions} - {"help", "config", "out", "func", "command"}
+        out += [f"{command}: {dest}" for dest in sorted(dests - read)]
+    return out
+
+
+def test_every_cli_flag_is_read():
+    assert _unread_cli_flags() == []

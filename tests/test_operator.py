@@ -46,9 +46,9 @@ def test_apply_interior_delta():
 
 def test_lambda_apply_level_zero():
     patch = LambdaPatch(2, 2)
-    J = JacobiOperator(PAPER, TreeConfig(2), kind="lambda", patch=patch)
+    J = JacobiOperator(PAPER, TreeConfig(2), patch=patch)
     # a patch leaf sits at tree level 0: no downward couplings
-    f = J.apply(SparseFunction.delta((1, 1), kind=patch.kind()))
+    f = J.apply(SparseFunction.delta((1, 1), kind=patch))
     assert f.value((1, 1)) == PAPER.beta(0)
     assert f.value((1,)) == PAPER.lam(0)
     assert len(f.entries) == 2
@@ -56,11 +56,16 @@ def test_lambda_apply_level_zero():
 
 def test_lambda_apply_apex_reaches_virtual_successor():
     patch = LambdaPatch(1, 2)
-    J = JacobiOperator(PAPER, TreeConfig(2), kind="lambda", patch=patch)
-    f = J.apply(SparseFunction.delta((), kind=patch.kind()))
+    J = JacobiOperator(PAPER, TreeConfig(2), patch=patch)
+    f = J.apply(SparseFunction.delta((), kind=patch))
     from treejacobi.treecore import APEX_SUCCESSOR
     assert f.value(APEX_SUCCESSOR) == PAPER.lam(1)
     assert f.value((1,)) == PAPER.lam(0)
+
+
+def test_operator_degree_must_match_its_patch():
+    with pytest.raises(ValueError, match="degree-2 patch"):
+        JacobiOperator(PAPER, TreeConfig(3), patch=LambdaPatch(2, 2))
 
 
 def test_apply_symmetry_random():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from treejacobi.coefficients import CoefficientSequence, TreeConfig
+from treejacobi import oracle
 from treejacobi.errors import PatchTooLarge
 from treejacobi.operator import JacobiOperator
 from treejacobi.oracle import (build_gamma_patch, build_lambda_patch_matrix,
@@ -47,6 +48,17 @@ def test_row_cap():
         build_gamma_patch(PAPER, 2, 13)
 
 
+def test_tree_sections_refused_before_enumerating(monkeypatch):
+    # 2^13 - 1 rows: the closed-form count refuses before any word is built
+    def no_walk(*args):
+        raise AssertionError("the section enumerated its vertices")
+    monkeypatch.setattr(oracle, "subtree_vertices", no_walk)
+    with pytest.raises(PatchTooLarge):
+        build_gamma_patch(CONSTANT, 2, 12)
+    with pytest.raises(PatchTooLarge):
+        build_lambda_patch_matrix(CONSTANT, 2, 12)
+
+
 def test_dense_agrees_with_sparse_apply_interior():
     rng = random.Random(17)
     J = JacobiOperator(PAPER, TreeConfig(2))
@@ -63,12 +75,12 @@ def test_dense_agrees_with_sparse_apply_interior():
 def test_lambda_dense_agrees_with_sparse_apply():
     rng = random.Random(19)
     patch = LambdaPatch(3, 2)
-    J = JacobiOperator(PAPER, TreeConfig(2), kind="lambda", patch=patch)
+    J = JacobiOperator(PAPER, TreeConfig(2), patch=patch)
     T = build_lambda_patch_matrix(PAPER, 2, 3)
     interior = T.interior()
     for _ in range(30):
         w = interior[rng.randrange(len(interior))]
-        applied = J.apply(SparseFunction.delta(w, kind=patch.kind()))
+        applied = J.apply(SparseFunction.delta(w, kind=patch))
         col = T.matrix[:, T.index[w]]
         for y, i in T.index.items():
             assert col[i] == applied.value(y), (w, y)

@@ -9,7 +9,7 @@ from treejacobi.coefficients import CoefficientSequence, TreeConfig
 from treejacobi.deficiency import DeficiencyContext, DeficiencyElement
 from treejacobi.errors import KindMismatch, PatchTooLarge
 from treejacobi.operator import JacobiOperator, moments, subtree_average_Ex
-from treejacobi.treecore import (GAMMA, LambdaPatch, SparseFunction, TreeKind,
+from treejacobi.treecore import (GAMMA, LambdaPatch, SparseFunction,
                                  children, format_address, inner, level,
                                  level_indicator, level_vertices, parent,
                                  parse_address, subtree_vertices)
@@ -143,7 +143,7 @@ def test_delta_inner_products():
 
 def test_inner_kind_mismatch():
     f = SparseFunction.delta(())
-    g = SparseFunction.delta((), kind=TreeKind("lambda", 2))
+    g = SparseFunction.delta((), kind=LambdaPatch(2, 2))
     with pytest.raises(KindMismatch):
         inner(f, g)
 
