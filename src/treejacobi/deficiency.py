@@ -14,7 +14,7 @@ from .errors import RealSpectralParameter, RecurrenceOverflow
 from .exactnum import as_complex, conj, is_exact, is_zero, matching_sqrt
 from .orthopoly import AlphaTable, PolyCache, SeriesResult, sum_series
 from .treecore import (GAMMA, Address, SparseFunction, check_budget,
-                       format_address, subtree_vertices)
+                       format_address, subtree_size, subtree_vertices)
 
 
 class DeficiencyContext:
@@ -144,7 +144,7 @@ class DeficiencyElement:
         d = ctx.d
         classes = [(top, values) for top, values in _Profile([self], ctx, depth).values.items()
                    if not all(map(is_zero, values))]
-        check_budget(sum((d ** len(values) - 1) // (d - 1) for _, values in classes),
+        check_budget(sum(subtree_size(len(values) - 1, d) for _, values in classes),
                      f"materializing to depth {depth}")
         entries: Dict[Address, object] = {}
         for top, values in classes:
@@ -178,7 +178,8 @@ class BasisFunction:
     root (): the radial function f_e, value p_n/d^(n/2) on level n.
     root x_i with |x_i| = k + 1: supported on the subtree below x_i,
     value lam_k (p_k q_n - q_k p_n)/d^((n-k-1)/2) on level n >= k + 1,
-    normalized to 1 at x_i itself."""
+    normalized to 1 at x_i itself.  Either way its norm is alpha_k with
+    k = len(root)."""
 
     root: Address
 
@@ -186,10 +187,6 @@ class BasisFunction:
         if y[:len(self.root)] != self.root:
             return 0
         return ctx.f_anchored(len(self.root) - 1, len(y)) if self.root else ctx.f_zero(len(y))
-
-    def norm_index(self) -> int:
-        """Index k such that the function's norm is alpha_k."""
-        return len(self.root)
 
 
 # ---------------------------------------------------------------------------

@@ -161,10 +161,6 @@ class ExactComplex:
     def is_zero(self) -> bool:
         return not (self.re or self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     def to_complex(self) -> complex:
         root = self.m ** 0.5
         try:

@@ -11,7 +11,7 @@ import numpy as np
 from .coefficients import CoefficientSequence
 from .errors import ConvergenceFailure, PatchTooLarge
 from .orthopoly import poly_pairs
-from .treecore import Address, LambdaPatch, subtree_vertices
+from .treecore import Address, LambdaPatch, subtree_size, subtree_vertices
 
 MAX_DENSE_ROWS = 4096
 
@@ -45,12 +45,6 @@ class DenseTruncation:
         n = self.kind[2]
         return [(j,) for j in range(n - 1)]
 
-    def export_text(self, fileobj) -> None:
-        n = self.size
-        fileobj.write(f"{n}\n")
-        for row in self.matrix:
-            fileobj.write(" ".join(repr(float(v)) for v in row) + "\n")
-
 
 def _check_rows(count: int) -> None:
     if count > MAX_DENSE_ROWS:
@@ -64,7 +58,7 @@ def _tree_section(coeffs: CoefficientSequence, d: int, depth: int,
     length at most depth, word x sitting on tree level level(x): beta on
     the diagonal, lam_n on each edge between levels n and n + 1.  The row
     count is checked, in closed form, before any word is built."""
-    _check_rows((d ** (depth + 1) - 1) // (d - 1))
+    _check_rows(subtree_size(depth, d))
     addresses = sorted(subtree_vertices((), depth, d))
     index = {x: i for i, x in enumerate(addresses)}
     M = np.zeros((len(addresses), len(addresses)))

@@ -71,9 +71,19 @@ def level_vertices(n: int, d: int) -> Iterator[Address]:
     return itertools.product(range(1, d + 1), repeat=n)
 
 
+def subtree_size(depth: int, d: int) -> int:
+    """The (d**(depth + 1) - 1)/(d - 1) vertices of a subtree `depth` levels
+    deep in the degree-d tree; ValueError unless depth >= 0 and d >= 2."""
+    if depth < 0:
+        raise ValueError(f"subtree depth must be nonnegative, got {depth}")
+    if d < 2:
+        raise ValueError(f"branching degree must be at least 2, got {d}")
+    return (d ** (depth + 1) - 1) // (d - 1)
+
+
 def subtree_vertices(x: Address, depth: int, d: int) -> Iterator[Address]:
     """Vertices of the subtree below x, down `depth` extra levels, in preorder."""
-    check_budget((d ** (depth + 1) - 1) // (d - 1), f"a subtree of depth {depth}")
+    check_budget(subtree_size(depth, d), f"a subtree of depth {depth}")
 
     def walk(prefix: Address, remaining: int) -> Iterator[Address]:
         yield prefix
@@ -105,10 +115,7 @@ class LambdaPatch:
         check_budget(self.size(), f"a patch of apex level {self.apex_level}")
 
     def size(self) -> int:
-        return (self.d ** (self.apex_level + 1) - 1) // (self.d - 1)
-
-    def vertices(self) -> Iterator[Address]:
-        yield from subtree_vertices((), self.apex_level, self.d)
+        return subtree_size(self.apex_level, self.d)
 
     def level(self, w: Address) -> int:
         if w == APEX_SUCCESSOR:
@@ -178,13 +185,6 @@ class SparseFunction:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
-
-    @staticmethod
-    def from_json_obj(records, kind: Optional[LambdaPatch] = GAMMA) -> "SparseFunction":
-        entries = {}
-        for rec in records:
-            entries[parse_address(rec["address"])] = complex(rec["re"], rec["im"])
-        return SparseFunction(entries, kind)
 
 
 def _check_kind(f: SparseFunction, g: SparseFunction) -> None:

@@ -4,10 +4,13 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treejacobi
 from treejacobi.cli import main, parse_coeffs, parse_z, ValidationError
 from treejacobi.orthopoly import PolyCache
 
@@ -224,6 +227,26 @@ def test_paper_example_small_budget_honest(capsys):
     assert code == 4
     obj = json.loads(out)
     assert obj["checks"]["scaled_series"]["verdict"] == "inconclusive"
+
+
+COLD_START = """
+import contextlib, io, sys
+from treejacobi.cli import main
+for argv in (["classify"], ["polys"], ["polys", "--mode", "exact"], ["deficiency"],
+             ["poisson"], ["paper-example"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_subcommands_without_roots_never_import_scipy():
+    # scipy is half of the import time; only the root-finding subcommands need it
+    src = os.path.dirname(os.path.dirname(treejacobi.__file__))
+    proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

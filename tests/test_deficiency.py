@@ -15,7 +15,7 @@ from treejacobi.deficiency import (BasisFunction, DeficiencyContext,
 from treejacobi.errors import (PatchTooLarge, RealSpectralParameter)
 from treejacobi.exactnum import exact_complex, exact_sqrt, is_zero
 from treejacobi.orthopoly import alpha_series, alpha_sq_partial
-from treejacobi.treecore import SparseFunction, inner
+from treejacobi.treecore import SparseFunction, inner, subtree_vertices
 
 PAPER = CoefficientSequence.paper_example()
 D = 2
@@ -351,4 +351,7 @@ def test_basis_function_values():
     assert fx.value_at((1, 2), CTX) == pytest.approx(1.0)
     assert fx.value_at((2, 1), CTX) == 0
     assert fx.value_at((1, 2, 1), CTX) == CTX.f_anchored(1, 3)
-    assert fx.norm_index() == 2
+    # the norm of the function rooted at x is alpha_k with k = len(x)
+    below = subtree_vertices((1, 2), 7, D)
+    assert (sum(fx.value_at(y, CTX_EXACT).abs2() for y in below)
+            == alpha_sq_partial(PAPER, D, EXACT_I, 2, 8))

@@ -51,7 +51,7 @@ def test_complex_parts_and_conjugate():
     z = exact_complex(Fraction(1, 2), Fraction(-3, 4))
     assert z.conjugate() == exact_complex(Fraction(1, 2), Fraction(3, 4))
     sq = z.abs2()
-    assert sq.is_real
+    assert sq.im == 0
     assert sq.ar == Fraction(1, 4) + Fraction(9, 16)
     w = exact_complex(1, 2) * exact_sqrt(3)
     assert w.abs2() == exact_complex(15)

@@ -1,5 +1,4 @@
 """Dense finite sections and raw series terms as brute-force validators."""
-import io
 import math
 import random
 
@@ -46,6 +45,12 @@ def test_sections_exactly_symmetric():
 def test_row_cap():
     with pytest.raises(PatchTooLarge):
         build_gamma_patch(PAPER, 2, 13)
+
+
+@pytest.mark.parametrize("d, depth", [(2, -1), (1, 3)], ids=["negative-depth", "degree-one"])
+def test_gamma_patch_edge_inputs_are_value_errors(d, depth):
+    with pytest.raises(ValueError):
+        build_gamma_patch(CONSTANT, d, depth)
 
 
 def test_tree_sections_refused_before_enumerating(monkeypatch):
@@ -120,14 +125,3 @@ def test_series_oracle_terms():
 def test_series_oracle_single_term():
     p_terms, q_terms = series_oracle(PAPER, 2, 1j, 1)
     assert p_terms == [1.0] and q_terms == [0.0]
-
-
-def test_matrix_text_export():
-    T = build_radial_block(PAPER, 2, 0, 2)
-    buf = io.StringIO()
-    T.export_text(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "2"
-    assert len(lines) == 3
-    row0 = [float(v) for v in lines[1].split()]
-    assert row0 == [T.matrix[0, 0], T.matrix[0, 1]]

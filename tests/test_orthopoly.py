@@ -1,6 +1,7 @@
 """Recurrence values, Wronskian identity, roots, series engine, norms."""
 import dataclasses
 import io
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -14,10 +15,10 @@ from treejacobi.errors import (CoefficientIndexError, DivergedSeries,
                                NonPositiveLambda, RealSpectralParameter,
                                RecurrenceOverflow)
 from treejacobi.exactnum import exact_complex, exact_sqrt
-from treejacobi.orthopoly import (PolyCache, alpha_series, alpha_sq_partial,
-                                  alpha_sq_terms, compute_polys, poly_roots,
-                                  sum_series, wronskian_residual,
-                                  wronskian_scale)
+from treejacobi.orthopoly import (PolyCache, _IntegerRecurrence, alpha_series,
+                                  alpha_sq_partial, alpha_sq_terms,
+                                  compute_polys, poly_roots, sum_series,
+                                  wronskian_residual, wronskian_scale)
 
 PAPER = CoefficientSequence.paper_example()
 CONSTANT = CoefficientSequence.constant(1)
@@ -268,8 +269,15 @@ def _plain_recurrence(coeffs, scale, z, N):
     return p, q
 
 
-SMALL_POSITIVE = st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=20)
-SMALL_ANY = st.fractions(min_value=-20, max_value=20, max_denominator=20)
+# Denominators drawn from one pool, so that lambda has non-unit denominators
+# and beta and z share factors: the cases where a step's content cancels.
+SHARED_DENOMINATOR = st.sampled_from([2, 3, 4, 6, 9, 12])
+SMALL_POSITIVE = st.one_of(
+    st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=20),
+    st.builds(Fraction, st.integers(1, 60), SHARED_DENOMINATOR))
+SMALL_ANY = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=20),
+    st.builds(Fraction, st.integers(-60, 60), SHARED_DENOMINATOR))
 CLOSED_FORMS = st.one_of(
     st.builds(CoefficientSequence.constant, SMALL_POSITIVE, SMALL_ANY),
     st.builds(CoefficientSequence.geometric, SMALL_POSITIVE, SMALL_POSITIVE),
@@ -293,6 +301,28 @@ def test_integer_engine_matches_plain_recurrence(coeffs, d, root_scale, fraction
     t = compute_polys(coeffs, scale, z, N)
     assert (t.p, t.q) == _plain_recurrence(coeffs, scale, z, N)
     assert wronskian_residual(t) == [0.0] * N
+
+
+def _bits(row) -> int:
+    return max(v.bit_length() for v in row)
+
+
+@pytest.mark.parametrize("coeffs, d", [
+    (CoefficientSequence.geometric(1, Fraction(3, 2)), 3),
+    (CoefficientSequence.geometric(2, Fraction(5, 4)), 3),
+    (CoefficientSequence.geometric(Fraction(1, 3), Fraction(7, 5)), 2),
+    (CoefficientSequence.constant(1, Fraction(1, 3)), 2),
+], ids=["geometric:1:3/2", "geometric:2:5/4", "geometric:1/3:7/5", "constant:1:1/3"])
+def test_rows_carry_no_surplus_content(coeffs, d):
+    # a row that multiplied in every step's coefficient denominators would
+    # carry 1.6-2.8 times the bits of its value in lowest terms
+    engine = _IntegerRecurrence(coeffs, exact_sqrt(d),
+                                exact_complex(Fraction(1, 3), Fraction(1, 2)))
+    n, a, b, t = next(itertools.islice(engine.rows(), 100, None))
+    for x, k in ((a, n), (b, n - 1)):
+        row = engine.edge(x, t, k)[:3]
+        content = math.gcd(*row)
+        assert _bits(row) <= 1.10 * _bits([v // content for v in row])
 
 
 @pytest.mark.parametrize("which, n", [("p", 0), ("p", 5), ("p", 12),

@@ -1,4 +1,6 @@
 """Addresses, sparse functions, levels, inner products."""
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -124,7 +126,7 @@ def test_patch_cardinality_matches_enumeration():
         for n in range(7):
             patch = LambdaPatch(n, d)
             assert patch.size() == (d ** (n + 1) - 1) // (d - 1)
-            assert len(list(patch.vertices())) == patch.size()
+            assert len(list(subtree_vertices((), n, d))) == patch.size()
 
 
 def test_patch_levels():
@@ -189,11 +191,18 @@ def test_level_indicator_values():
 
 def test_json_round_trip():
     f = SparseFunction({(1, 2): 1 + 2j, (): -0.5})
-    g = SparseFunction.from_json_obj(f.to_json_obj())
-    assert g.entries == {(1, 2): 1 + 2j, (): complex(-0.5)}
+    entries = {parse_address(rec["address"]): complex(rec["re"], rec["im"])
+               for rec in json.loads(f.to_json())}
+    assert entries == {(1, 2): 1 + 2j, (): complex(-0.5)}
 
 
 def test_subtree_vertices():
     vs = list(subtree_vertices((2,), 2, 2))
     assert (2,) in vs and (2, 1, 2) in vs
     assert len(vs) == 7
+
+
+@pytest.mark.parametrize("depth, d", [(-1, 2), (3, 1), (3, 0)])
+def test_subtree_vertices_rejects_a_negative_depth_or_degree_below_two(depth, d):
+    with pytest.raises(ValueError):
+        subtree_vertices((), depth, d)
