@@ -8,6 +8,7 @@ operator — all cross-checked against dense finite-section oracles."""
 from .coefficients import CoefficientSequence, TreeConfig
 from .deficiency import (BasisFunction, ClassificationReport,
                          DeficiencyContext, DeficiencyElement, classify,
+                         classify_by_series,
                          deficiency_residual, element_max_abs,
                          element_residual, f_value, project_full,
                          project_onto_Ax)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import configparser
+import functools
 import io
 import json
 import math
@@ -329,6 +330,7 @@ def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument(flag, **_SHARED[flag])
 
 
+@functools.cache  # built once per process: parsing never changes it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treejacobi",

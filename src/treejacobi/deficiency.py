@@ -12,7 +12,8 @@ import numpy as np
 from .coefficients import CoefficientSequence, _accessors
 from .errors import RealSpectralParameter, RecurrenceOverflow
 from .exactnum import as_complex, conj, is_exact, is_zero, matching_sqrt
-from .orthopoly import AlphaTable, PolyCache, SeriesResult, sum_series
+from .orthopoly import (AlphaTable, PolyCache, SeriesResult, check_recurrence_inputs,
+                        check_series_limits, sum_series)
 from .treecore import (GAMMA, Address, SparseFunction, check_budget,
                        format_address, subtree_size, subtree_vertices)
 
@@ -304,12 +305,13 @@ def element_max_abs(elements: Sequence[DeficiencyElement],
 @dataclass
 class ClassificationReport:
     verdict: str  # "essentially_selfadjoint" | "not_essentially_selfadjoint" | "inconclusive"
-    series_p_status: str
+    series_p_status: str  # a SeriesResult status, or "not_run" when a criterion decided
     series_q_status: str
     terms_used: Tuple[int, int]
     z: complex
     scale: float
     diagnostics: str = ""
+    criterion: Optional[str] = None  # "bounded" | "carleman" | "berezanskii"; None: the series decided
 
     def to_json_obj(self) -> dict:
         return {
@@ -320,17 +322,72 @@ class ClassificationReport:
             "z": [self.z.real, self.z.imag],
             "scale": self.scale,
             "diagnostics": self.diagnostics,
+            "criterion": self.criterion,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
 
+def _criterion(coeffs: CoefficientSequence, scale) -> Optional[tuple]:
+    """(criterion, verdict, hypotheses) of the classical test that decides
+    the matrix with off-diagonal scale * lambda_n from the family's exact
+    parameters, or None.
+
+    Multiplying the off-diagonal by a real nonzero scale changes neither
+    boundedness, nor whether sum 1/lambda_n diverges, nor log-concavity, so
+    each rule holds for every such scale and every z.  The series decide
+    `paper`, `explicit`, a non-real scale, and a family whose lambda_n are
+    not all positive and finite (the recurrence then reports the fault)."""
+    family = coeffs.family
+    if family not in ("constant", "geometric", "power") or as_complex(scale).imag != 0:
+        return None
+    base, shape = coeffs.params
+    if base <= 0 or not -math.inf < shape < math.inf or (family == "geometric" and shape <= 0):
+        return None
+    law = {"constant": "", "geometric": f" * ({shape})^n", "power": f" * (n+1)^{shape}"}[family]
+    hypotheses = f"lambda_n = {base}{law}, beta_n = {coeffs.beta_exact(0)}"
+    if family == "power" and shape <= 1:
+        return ("carleman", "essentially_selfadjoint",
+                f"Carleman: {hypotheses}, sum 1/lambda_n diverges")
+    if family == "constant" or shape <= 1:
+        return ("bounded", "essentially_selfadjoint",
+                f"bounded: {hypotheses}, both bounded, so the matrix is a bounded operator")
+    return ("berezanskii", "not_essentially_selfadjoint",
+            f"Berezanskii: {hypotheses}, lambda_n log-concave "
+            "(lambda_{n-1} lambda_{n+1} <= lambda_n^2), sum 1/lambda_n converges: "
+            "nontrivial deficiency spaces")
+
+
 def classify(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1e-12,
              n_max: int = 100_000, scale=None) -> ClassificationReport:
-    """Essential-selfadjointness test for the scaled tridiagonal matrix.
+    """Essential-selfadjointness verdict for the scaled tridiagonal matrix
+    (default scale sqrt(d), the radial restriction of the tree operator).
 
-    Sums |p_n(z)|^2 and |q_n(z)|^2 with off-diagonal scale * lam_n
+    A `constant`, `geometric` or `power` family at a real scale is decided
+    from its exact parameters by the bounded, Carleman or Berezanskii
+    criterion (_criterion), with no recurrence step: the report names the
+    criterion, its series statuses read "not_run" and terms_used is (0, 0).
+    Every other input goes to classify_by_series.  Both routes reject the
+    same tol, n_max, scale and z."""
+    if scale is None:
+        scale = matching_sqrt(d, z)
+    check_series_limits(tol, n_max)
+    check_recurrence_inputs(coeffs, scale, z)
+    decided = _criterion(coeffs, scale)
+    if decided is None:
+        return classify_by_series(coeffs, d, z, tol, n_max, scale)
+    criterion, verdict, hypotheses = decided
+    return ClassificationReport(verdict, "not_run", "not_run", (0, 0), as_complex(z),
+                                as_complex(scale).real, hypotheses, criterion)
+
+
+def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1e-12,
+                       n_max: int = 100_000, scale=None) -> ClassificationReport:
+    """Essential-selfadjointness test for the scaled tridiagonal matrix from
+    the square series of its recurrence solutions.
+
+    Sums |p_n(z)|^2 and |q_n(z)|^2 with off-diagonal scale * lambda_n
     (default scale sqrt(d), the radial restriction of the tree operator,
     exact when z is).  Both series square-summable means nontrivial
     deficiency spaces; at least one divergent means essentially selfadjoint.  Real z (notably

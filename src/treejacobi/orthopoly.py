@@ -43,11 +43,8 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     if _wants_exact(scale, z):
         yield from _IntegerRecurrence(coeffs, scale, z).pairs()
         return
-    scale, z, one, zero = complex(scale), complex(z), complex(1), complex(0)
-    if not (cmath.isfinite(scale) and cmath.isfinite(z)):
-        raise ValueError(f"scale and z must be finite, got scale={scale}, z={z}")
-    if scale == 0:
-        raise ValueError("scale must be nonzero")
+    scale, z = _float_inputs(scale, z)
+    one, zero = complex(1), complex(0)
     lam, beta = _accessors(coeffs, False)
 
     p_prev, p_cur = zero, one
@@ -72,6 +69,26 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
         q_prev, q_cur = q_cur, q_next
         off_prev = off_n
         n += 1
+
+
+def _float_inputs(scale, z) -> tuple:
+    """scale and z as complex numbers, after checking that both are finite
+    and scale is nonzero."""
+    scale, z = complex(scale), complex(z)
+    if not (cmath.isfinite(scale) and cmath.isfinite(z)):
+        raise ValueError(f"scale and z must be finite, got scale={scale}, z={z}")
+    if scale == 0:
+        raise ValueError("scale must be nonzero")
+    return scale, z
+
+
+def check_recurrence_inputs(coeffs: CoefficientSequence, scale, z) -> None:
+    """Raise the ValueError that poly_pairs(coeffs, scale, z) raises on its
+    first value, without running a step."""
+    if _wants_exact(scale, z):
+        _IntegerRecurrence(coeffs, scale, z)
+    else:
+        _float_inputs(scale, z)
 
 
 def _exact_number(value) -> ExactComplex:
@@ -340,6 +357,14 @@ class SeriesResult:
     note: str = ""
 
 
+def check_series_limits(tol: float, n_max: int) -> None:
+    """Raise ValueError unless tol is finite and positive and n_max at least 1."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+
+
 def sum_series(terms: Iterable[float], tol: float = 1e-12,
                n_max: int = 100_000) -> SeriesResult:
     """Sum nonnegative terms until a convergence or divergence verdict.
@@ -352,17 +377,16 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12,
     reported ratio is R**(1/CONVERGENCE_WINDOW) and the geometric tail is
     newer_block * R / (1 - R).
 
-    Diverged: the partial sum exceeds 1/tol, a term leaves the float range,
-    or the terms stop decreasing (the median of the last STALL_WINDOW terms
-    is no smaller than the median of the preceding block).
+    Diverged: a term leaves the float range, or the terms stop decreasing
+    (the median of the last STALL_WINDOW terms is no smaller than the median
+    of the preceding block).  Every rule but the float-range one compares
+    terms with each other, so multiplying all terms by a positive constant
+    changes none of their verdicts.
 
     Otherwise inconclusive after n_max terms.  tol must be finite and
-    positive, n_max at least 1.
+    positive, n_max at least 1 (check_series_limits).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    check_series_limits(tol, n_max)
     s = 0.0
     recent: deque = deque(maxlen=2 * max(CONVERGENCE_WINDOW, STALL_WINDOW))
     count = 0
@@ -374,9 +398,6 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12,
         s += t
         count += 1
         recent.append(t)
-
-        if s > 1.0 / tol:
-            return SeriesResult("diverged", s, count, note="partial sum exceeded 1/tol")
 
         if t < tol * s and count >= 2 * CONVERGENCE_WINDOW:
             last = list(itertools.islice(reversed(recent), 2 * CONVERGENCE_WINDOW))

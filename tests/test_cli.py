@@ -141,11 +141,29 @@ def test_deep_float_deficiency_past_the_float_power(capsys):
 
 
 def test_classify_huge_z_gives_a_verdict(capsys):
-    # |p_1|^2 overflows: the series reports it instead of raising
+    # the bounded criterion decides before |p_1|^2 could overflow
     code, out, err = run(["classify", "--coeffs", "constant:1", "--z", "0,1e308"], capsys)
     assert code == 0
     assert "Traceback" not in err
-    assert "overflowed" in json.loads(out)["diagnostics"]
+    obj = json.loads(out)
+    assert obj["criterion"] == "bounded" and "bounded" in obj["diagnostics"]
+
+
+@pytest.mark.parametrize("spec", ["geometric:1/1000:2", "geometric:1/10000000:2",
+                                  "power:1/1000000:2"])
+def test_classify_small_berezanskii_families_are_not_esa(spec, capsys):
+    code, out, _ = run(["classify", "--coeffs", spec, "--d", "2"], capsys)
+    obj = json.loads(out)
+    assert code == 0 and obj["verdict"] == "not_essentially_selfadjoint"
+    assert obj["criterion"] == "berezanskii" and "Berezanskii" in obj["diagnostics"]
+
+
+def test_poisson_on_a_small_geometric_base(capsys):
+    # the alpha series converge; no absolute partial-sum rule stops them
+    code, out, err = run(["poisson", "--coeffs", "geometric:1/1000:2", "--y", "1.2",
+                          "--z", "0,1"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["matching_convention"] != "neither"
 
 
 def test_deficiency_artifact(tmp_path, capsys):
@@ -309,13 +327,11 @@ def test_malformed_config_is_validation_error(tmp_path, text, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["classify", "--tol", "0"],
-    ["classify", "--tol", "-1"],
-    ["classify", "--tol", "nan"],
-    ["classify", "--n-max", "-5"],
-    ["classify", "--z", "nan,1"],
-    ["classify", "--z", "inf,1"],
-    ["classify", "--scale", "0"],
+    ["classify", *coeffs, *option]
+    for coeffs in ([], ["--coeffs", "constant:1"], ["--coeffs", "power:1:2"])
+    for option in (["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--n-max", "-5"],
+                   ["--z", "nan,1"], ["--z", "inf,1"], ["--scale", "0"])
+] + [
     ["polys", "--scale", "0"],
     ["polys", "--mode", "exact", "--scale", "0"],
     ["polys", "--d", "0"],

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treejacobi.coefficients import CoefficientSequence
+from treejacobi import orthopoly
 from treejacobi.deficiency import (BasisFunction, DeficiencyContext,
-                                   DeficiencyElement, classify,
+                                   DeficiencyElement, classify, classify_by_series,
                                    deficiency_residual, element_max_abs,
                                    element_residual, f_value, project_full,
                                    project_onto_Ax)
 from treejacobi.errors import (PatchTooLarge, RealSpectralParameter)
-from treejacobi.exactnum import exact_complex, exact_sqrt, is_zero
+from treejacobi.exactnum import exact_complex, exact_sqrt, is_exact, is_zero
 from treejacobi.orthopoly import alpha_series, alpha_sq_partial
 from treejacobi.treecore import SparseFunction, inner, subtree_vertices
 
@@ -249,9 +250,16 @@ def test_classify_free_family_esa():
 
 def test_classify_period_two_series_not_esa():
     # the q-series terms alternate between two decay phases here
-    rep = classify(CoefficientSequence.geometric(3, Fraction(7, 2)), 2,
-                   z=0.3 + 1.7j)
+    rep = classify_by_series(CoefficientSequence.geometric(3, Fraction(7, 2)), 2,
+                             z=0.3 + 1.7j)
     assert rep.verdict == "not_essentially_selfadjoint"
+    assert rep.criterion is None
+
+
+def test_series_huge_z_reports_the_overflow():
+    # |p_1|^2 overflows: the series reports it instead of raising
+    rep = classify_by_series(CoefficientSequence.constant(1), 2, z=1e308j)
+    assert "overflowed" in rep.diagnostics
 
 
 def test_classify_exact_z_runs_on_exact_sqrt():
@@ -292,6 +300,86 @@ def test_classify_agrees_with_series_oracle():
             assert sum(p_terms) < 1e6 and p_terms[-1] < 1e-12 * sum(p_terms)
         elif rep.verdict == "essentially_selfadjoint":
             assert sum(p_terms) > 100 or sum(q_terms) > 100
+
+
+# -- criteria ahead of the series -------------------------------------------
+
+# c over 2**(+-20) and 3**(+-10): multiplying every lambda_n and beta_n by c
+# multiplies the operator by c, which changes no verdict
+SCALE_FACTORS = st.one_of(st.integers(-20, 20).map(lambda k: Fraction(2) ** k),
+                          st.integers(-10, 10).map(lambda k: Fraction(3) ** k))
+
+# (family with lambda scaled by c, criterion, verdict)
+CRITERION_FAMILIES = [
+    (lambda c: CoefficientSequence.constant(c), "bounded", "essentially_selfadjoint"),
+    (lambda c: CoefficientSequence.constant(c, -3 * c), "bounded", "essentially_selfadjoint"),
+    (lambda c: CoefficientSequence.geometric(c, Fraction(1, 3)), "bounded",
+     "essentially_selfadjoint"),
+    (lambda c: CoefficientSequence.geometric(c, 1), "bounded", "essentially_selfadjoint"),
+    (lambda c: CoefficientSequence.power(c, -1), "carleman", "essentially_selfadjoint"),
+    (lambda c: CoefficientSequence.power(c, 0.5), "carleman", "essentially_selfadjoint"),
+    (lambda c: CoefficientSequence.power(c, 1), "carleman", "essentially_selfadjoint"),
+    (lambda c: CoefficientSequence.geometric(c, Fraction(5, 4)), "berezanskii",
+     "not_essentially_selfadjoint"),
+    (lambda c: CoefficientSequence.geometric(c, Fraction(7, 2)), "berezanskii",
+     "not_essentially_selfadjoint"),
+    (lambda c: CoefficientSequence.power(c, 2), "berezanskii", "not_essentially_selfadjoint"),
+    (lambda c: CoefficientSequence.power(c, 1.5), "berezanskii",
+     "not_essentially_selfadjoint"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=SCALE_FACTORS, family=st.sampled_from(CRITERION_FAMILIES),
+       d=st.integers(2, 5), scale=st.sampled_from([None, 1.0, -2.5, 1e-9, exact_sqrt(3)]),
+       z=st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False))
+def test_criterion_verdict_ignores_the_scale_and_runs_no_step(c, family, d, scale, z):
+    make, criterion, verdict = family
+    if is_exact(scale):
+        z = exact_complex(Fraction(z.real), Fraction(z.imag))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orthopoly, "poly_pairs", None)  # any recurrence step would raise
+        rep = classify(make(c), d, z=z, scale=scale)
+    assert (rep.verdict, rep.criterion) == (verdict, criterion)
+    assert rep.terms_used == (0, 0)
+    assert rep.series_p_status == rep.series_q_status == "not_run"
+    assert rep.to_json_obj()["criterion"] == criterion
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=SCALE_FACTORS, paper=st.booleans(), d=st.integers(2, 3))
+def test_series_verdict_ignores_the_scale(c, paper, d):
+    def family(base):
+        lam = CoefficientSequence.geometric(base, 2)
+        return CoefficientSequence.paper_example(lam) if paper else lam
+    assert (classify_by_series(family(c), d).verdict
+            == classify_by_series(family(1), d).verdict == "not_essentially_selfadjoint")
+
+
+@pytest.mark.xfail(strict=True, reason="a term that overflows the float range counts as "
+                   "divergence whatever the scale; the float recurrence that does not "
+                   "overflow is ROADMAP direction 2")
+@pytest.mark.parametrize("coeffs", [
+    CoefficientSequence.power(Fraction(1, 10 ** 6), 2),
+    CoefficientSequence.geometric(Fraction(1, 2 ** 20), Fraction(5, 4)),
+], ids=["power:1/1000000:2", "geometric:2^-20:5/4"])
+def test_series_verdict_on_small_berezanskii_families(coeffs):
+    assert classify_by_series(coeffs, 2).verdict != "essentially_selfadjoint"
+
+
+@pytest.mark.parametrize("coeffs", [CoefficientSequence.constant(1),
+                                    CoefficientSequence.power(1, 2), PAPER],
+                         ids=["constant", "power", "paper"])
+@pytest.mark.parametrize("kwargs", [
+    dict(tol=0.0), dict(tol=-1.0), dict(tol=math.nan), dict(n_max=0), dict(scale=0.0),
+    dict(scale=math.inf), dict(z=math.nan + 1j), dict(z=EXACT_I, scale=math.sqrt(2)),
+    dict(z=1j, scale=exact_sqrt(2)),
+], ids=lambda kw: ",".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_classify_rejects_what_the_series_rejects(coeffs, kwargs):
+    with pytest.raises(ValueError):
+        classify_by_series(coeffs, 2, **kwargs)
+    with pytest.raises(ValueError):
+        classify(coeffs, 2, **kwargs)
 
 
 # -- projections ------------------------------------------------------------
