@@ -34,7 +34,7 @@ from .operator import (JacobiOperator, MembershipReport, hx_membership,
 from .oracle import (DenseTruncation, build_gamma_patch,
                      build_lambda_patch_matrix, build_radial_block,
                      dense_eigensolve, series_oracle)
-from .orthopoly import (AlphaTable, PolyCache, PolyTable, SeriesResult,
+from .orthopoly import (AlphaTable, PolyCache, SeriesResult,
                         alpha_series, alpha_sq_partial, alpha_sq_terms,
                         compute_polys, poly_pairs, poly_roots, sum_series,
                         wronskian_residual, wronskian_scale)

@@ -1,6 +1,7 @@
 """Coefficient sequences (lambda_n, beta_n) defining a Jacobi operator."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -43,6 +44,8 @@ class CoefficientSequence:
     def power(base, exponent) -> "CoefficientSequence":
         if isinstance(exponent, int):
             return CoefficientSequence("power", (Fraction(base), exponent))
+        if not math.isfinite(exponent):
+            raise ValueError(f"power exponent must be finite, got {exponent}")
         return CoefficientSequence("power", (Fraction(base), float(exponent)))
 
     @staticmethod
@@ -136,10 +139,10 @@ class CoefficientSequence:
         try:
             if self.family == "power" and not isinstance(self.params[1], int):
                 base, exponent = self.params
-                value = float(base) * (n + 1) ** exponent
-                if value <= 0:
-                    raise NonPositiveLambda(f"lambda_{n} = {value} is not positive")
-                return value
+                if base <= 0:
+                    raise NonPositiveLambda(f"lambda_{n} = {base} * {n + 1}^{exponent} "
+                                            "is not positive")
+                return float(base) * (n + 1) ** exponent
             num, den = self._lam_ratio(n)
             return num / den
         except ExactModeUnavailable:  # a paper family over a non-integer power

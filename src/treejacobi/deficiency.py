@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .coefficients import CoefficientSequence, _accessors
+from .coefficients import CoefficientSequence
 from .errors import RealSpectralParameter, RecurrenceOverflow
 from .exactnum import as_complex, conj, is_exact, is_zero, matching_sqrt
 from .orthopoly import (AlphaTable, PolyCache, SeriesResult, check_recurrence_inputs,
@@ -18,34 +18,22 @@ from .treecore import (GAMMA, Address, SparseFunction, check_budget,
                        format_address, subtree_size, subtree_vertices)
 
 
-class DeficiencyContext:
-    """Shared evaluation state: coefficients, degree, spectral parameter, and
-    a lazily extended table of recurrence values at scale sqrt(d)."""
+class DeficiencyContext(PolyCache):
+    """The recurrence table at scale sqrt(d) and a non-real z, with the
+    degree d: the values every deficiency-space object reads."""
 
     def __init__(self, coeffs: CoefficientSequence, d: int, z):
-        self.coeffs = coeffs
-        self.d = d
-        self.z = z
-        self.exact = is_exact(z)
         if as_complex(z).imag == 0:
             raise RealSpectralParameter(
                 f"deficiency-space values need a non-real z, got {z}")
-        self.scale = matching_sqrt(d, z)
-        self.cache = PolyCache(coeffs, self.scale, z)
-        self._lam, _ = _accessors(coeffs, self.exact)
-
-    def p(self, n: int):
-        self.cache.ensure(n)
-        return self.cache.p[n]
-
-    def q(self, n: int):
-        self.cache.ensure(n)
-        return self.cache.q[n]
+        super().__init__(coeffs, matching_sqrt(d, z), z)
+        self.d = d
 
     def f_zero(self, n: int):
         """Value on level n of the radial basis function (anchor at the root
         level of the whole tree): p_n(z) / d^(n/2)."""
-        return self._over_root_power(self.p(n), n)
+        self.ensure(n)
+        return self._over_root_power(self.p[n], n)
 
     def f_anchored(self, k: int, n: int):
         """Value on level n inside one child subtree of an anchor at level k:
@@ -54,8 +42,10 @@ class DeficiencyContext:
         The value at n = k + 1 is 1 for every k (discrete Wronskian)."""
         if n < k + 1:
             raise ValueError(f"anchored values start at level {k + 1}, got {n}")
-        return self._over_root_power(
-            self._lam(k) * (self.p(k) * self.q(n) - self.q(k) * self.p(n)), n - k - 1)
+        lam_k = self.lam(k)
+        self.ensure(n)
+        p, q = self.p, self.q
+        return self._over_root_power(lam_k * (p[k] * q[n] - q[k] * p[n]), n - k - 1)
 
     def _over_root_power(self, value, k: int):
         """value / d^(k/2), the integer d^(k//2) times sqrt(d) when k is odd.
@@ -343,7 +333,7 @@ def _criterion(coeffs: CoefficientSequence, scale) -> Optional[tuple]:
     if family not in ("constant", "geometric", "power") or as_complex(scale).imag != 0:
         return None
     base, shape = coeffs.params
-    if base <= 0 or not -math.inf < shape < math.inf or (family == "geometric" and shape <= 0):
+    if base <= 0 or (family == "geometric" and shape <= 0):
         return None
     law = {"constant": "", "geometric": f" * ({shape})^n", "power": f" * (n+1)^{shape}"}[family]
     hypotheses = f"lambda_n = {base}{law}, beta_n = {coeffs.beta_exact(0)}"
@@ -396,24 +386,23 @@ def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1
         scale = matching_sqrt(d, z)
     cache = PolyCache(coeffs, scale, z)
 
-    def terms(which: str):
+    def terms(values: list):
         n = 0
         while True:
             cache.ensure(n)
-            v = cache.p[n] if which == "p" else cache.q[n]
-            a = float(abs(as_complex(v)))
+            a = float(abs(as_complex(values[n])))
             yield a * a
             n += 1
 
-    def run(which: str) -> SeriesResult:
+    def run(values: list) -> SeriesResult:
         try:
-            return sum_series(terms(which), tol=tol, n_max=n_max)
+            return sum_series(terms(values), tol=tol, n_max=n_max)
         except RecurrenceOverflow:
             return SeriesResult("diverged", math.inf, len(cache.p),
                                 note="recurrence overflow: terms left the float range")
 
-    res_p = run("p")
-    res_q = run("q")
+    res_p = run(cache.p)
+    res_q = run(cache.q)
     if res_p.status == "converged" and res_q.status == "converged":
         verdict = "not_essentially_selfadjoint"
         diag = "both series converged: nontrivial deficiency spaces"

@@ -10,7 +10,7 @@ import numpy as np
 
 from .coefficients import CoefficientSequence
 from .errors import ConvergenceFailure, PatchTooLarge
-from .orthopoly import poly_pairs
+from .orthopoly import PolyCache
 from .treecore import Address, LambdaPatch, subtree_size, subtree_vertices
 
 MAX_DENSE_ROWS = 4096
@@ -123,11 +123,6 @@ def series_oracle(coeffs: CoefficientSequence, d: int, z,
                   n_max: int) -> Tuple[List[float], List[float]]:
     """Raw term lists |p_n(z)|^2 and |q_n(z)|^2 for the sqrt(d)-scaled
     recurrence, for independent inspection of classifier verdicts."""
-    p_terms: List[float] = []
-    q_terms: List[float] = []
-    for n, p, q in poly_pairs(coeffs, math.sqrt(d), complex(z)):
-        if n >= n_max:
-            break
-        p_terms.append(abs(p) ** 2)
-        q_terms.append(abs(q) ** 2)
-    return p_terms, q_terms
+    table = PolyCache(coeffs, math.sqrt(d), complex(z))
+    table.ensure(n_max - 1)
+    return [abs(p) ** 2 for p in table.p], [abs(q) ** 2 for q in table.q]

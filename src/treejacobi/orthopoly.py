@@ -16,7 +16,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .coefficients import CoefficientSequence, _accessors
-from .errors import ConvergenceFailure, RealSpectralParameter, RecurrenceOverflow
+from .errors import (CoefficientOverflow, ConvergenceFailure, RealSpectralParameter,
+                     RecurrenceOverflow)
 from .exactnum import (ExactComplex, abs2, as_complex, exact_complex, is_exact,
                        matching_sqrt)
 
@@ -38,7 +39,8 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     must then be exact too (an int, a Fraction or an ExactComplex), z a
     Gaussian rational and scale**2 a nonzero rational (see
     _IntegerRecurrence).  In float mode z and scale must be finite; scale
-    must be nonzero.  Each step fetches lambda_n and beta_n once.
+    must be nonzero, and an off-diagonal entry that underflows to 0.0
+    raises CoefficientOverflow.  Each step fetches lambda_n and beta_n once.
     """
     if _wants_exact(scale, z):
         yield from _IntegerRecurrence(coeffs, scale, z).pairs()
@@ -55,6 +57,8 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
         shift = z - beta(n)
         lam_n = lam(n)
         off_n = scale * lam_n
+        if off_n == 0:
+            raise CoefficientOverflow(f"scale * lambda_{n} underflows to 0.0 in a float")
         if n == 0:
             p_next = shift / off_n
             q_next = one / lam_n
@@ -245,17 +249,40 @@ class _IntegerRecurrence:
                             == self.sigma.numerator ** n * t * t1 * lam_n.denominator)
 
 
-@dataclass
-class PolyTable:
-    """Values p_0..p_N and q_0..q_N at a fixed spectral parameter."""
+class PolyCache:
+    """The table of p_n(z), q_n(z) at off-diagonal scale * lambda_n,
+    extended on demand; every reader of the recurrence reads one, and only
+    this class steps poly_pairs.
 
-    coeffs: CoefficientSequence
-    scale: object
-    z: object
-    N: int
-    p: list
-    q: list
-    exact_mode: bool
+    The arithmetic is fixed here, from the types of scale and z, and so is
+    `lam`, the lambda accessor of that arithmetic.  Once the recurrence
+    fails, every later extension raises that same error."""
+
+    def __init__(self, coeffs: CoefficientSequence, scale, z):
+        self.coeffs, self.scale, self.z = coeffs, scale, z
+        self.exact = _wants_exact(scale, z)
+        self.lam, _ = _accessors(coeffs, self.exact)
+        self._gen = poly_pairs(coeffs, scale, z)
+        self._error: Optional[Exception] = None
+        self.p: list = []
+        self.q: list = []
+
+    @property
+    def N(self) -> int:
+        """The last index the table holds."""
+        return len(self.p) - 1
+
+    def ensure(self, n: int) -> None:
+        if self._error is not None:
+            raise self._error
+        try:
+            while len(self.p) <= n:
+                _, pv, qv = next(self._gen)
+                self.p.append(pv)
+                self.q.append(qv)
+        except Exception as exc:
+            self._error = exc
+            raise
 
     def to_csv(self, fileobj) -> None:
         writer = csv.writer(fileobj, lineterminator="\n")
@@ -265,7 +292,7 @@ class PolyTable:
             writer.writerow([n, repr(pv.real), repr(pv.imag), repr(qv.real), repr(qv.imag)])
 
 
-def compute_polys(coeffs: CoefficientSequence, scale, z, N: int) -> PolyTable:
+def compute_polys(coeffs: CoefficientSequence, scale, z, N: int) -> PolyCache:
     """Tabulate p_n(z), q_n(z) up to index N.
 
     Exact mode is selected by passing ExactComplex values for scale or z
@@ -273,29 +300,24 @@ def compute_polys(coeffs: CoefficientSequence, scale, z, N: int) -> PolyTable:
     """
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
-    p, q = [], []
-    for n, pv, qv in poly_pairs(coeffs, scale, z):
-        p.append(pv)
-        q.append(qv)
-        if n == N:
-            break
-    return PolyTable(coeffs, scale, z, N, p, q, _wants_exact(scale, z))
+    table = PolyCache(coeffs, scale, z)
+    table.ensure(N)
+    return table
 
 
-def wronskian_residual(table: PolyTable) -> list:
+def wronskian_residual(table: PolyCache) -> list:
     """|p_n q_{n+1} - p_{n+1} q_n - 1/lambda_n| for each n < N.
 
     Exact tables give exact zeros, certified by integer arithmetic where
     the table matches the integer recurrence (_exact_identity_holds) and
     computed in ExactComplex arithmetic elsewhere."""
-    lam, _ = _accessors(table.coeffs, table.exact_mode)
-    p, q = table.p, table.q
-    holds = _exact_identity_holds(table) if table.exact_mode else [False] * table.N
+    p, q, lam = table.p, table.q, table.lam
+    holds = _exact_identity_holds(table) if table.exact else [False] * table.N
     return [0.0 if holds[n] else abs(p[n] * q[n + 1] - p[n + 1] * q[n] - 1 / lam(n))
             for n in range(table.N)]
 
 
-def _exact_identity_holds(table: PolyTable) -> list:
+def _exact_identity_holds(table: PolyCache) -> list:
     """For each n < N, whether the Wronskian identity at n is certified
     without fractions: the integer recurrence is run again, p[n], q[n],
     p[n+1] and q[n+1] equal its rows, and the rows satisfy the Casoratian
@@ -309,7 +331,7 @@ def _exact_identity_holds(table: PolyTable) -> list:
             for n in range(table.N)]
 
 
-def wronskian_scale(table: PolyTable) -> list:
+def wronskian_scale(table: PolyCache) -> list:
     """Magnitude scale max(1, |p_n q_{n+1}| + |p_{n+1} q_n|, 1/lambda_n) per n,
     for relative residual checks."""
     out = []
@@ -423,33 +445,7 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12,
                         note=f"no verdict after {count} terms")
 
 
-class PolyCache:
-    """Lazily extended p/q tables shared by the series computations.
-
-    The arithmetic is fixed here, from the types of scale and z.  Once the
-    recurrence fails, every later extension raises that same error."""
-
-    def __init__(self, coeffs: CoefficientSequence, scale, z):
-        self.exact = _wants_exact(scale, z)
-        self._gen = poly_pairs(coeffs, scale, z)
-        self._error: Optional[Exception] = None
-        self.p: list = []
-        self.q: list = []
-
-    def ensure(self, n: int) -> None:
-        if self._error is not None:
-            raise self._error
-        try:
-            while len(self.p) <= n:
-                _, pv, qv = next(self._gen)
-                self.p.append(pv)
-                self.q.append(qv)
-        except Exception as exc:
-            self._error = exc
-            raise
-
-
-def alpha_sq_terms(coeffs: CoefficientSequence, k: int, cache: PolyCache) -> Iterator:
+def alpha_sq_terms(k: int, cache: PolyCache) -> Iterator:
     """Terms of the alpha_k(z)^2 series, in the arithmetic of the cache.
 
     k = 0: |p_n|^2 for n >= 0.
@@ -463,8 +459,7 @@ def alpha_sq_terms(coeffs: CoefficientSequence, k: int, cache: PolyCache) -> Ite
             n += 1
     else:
         cache.ensure(k)
-        lam, _ = _accessors(coeffs, cache.exact)
-        lam2 = lam(k - 1) ** 2
+        lam2 = cache.lam(k - 1) ** 2
         pk, qk = cache.p[k - 1], cache.q[k - 1]
         n = k
         while True:
@@ -510,7 +505,7 @@ def alpha_series(coeffs: CoefficientSequence, d: int, z: complex, k_max: int,
     alphas, alpha_sqs, statuses, used, tails = [], [], [], [], []
     for k in range(k_max + 1):
         try:
-            res = sum_series(alpha_sq_terms(coeffs, k, cache), tol=tol, n_max=n_max)
+            res = sum_series(alpha_sq_terms(k, cache), tol=tol, n_max=n_max)
         except RecurrenceOverflow:
             res = SeriesResult("diverged", math.inf, len(cache.p),
                                note="recurrence overflow while summing")
@@ -535,5 +530,5 @@ def alpha_sq_partial(coeffs: CoefficientSequence, d: int, z, k: int, n_terms: in
 
     Exact when z is an ExactComplex (the scale is then the exact sqrt(d))."""
     scale = matching_sqrt(d, z)
-    terms = alpha_sq_terms(coeffs, k, PolyCache(coeffs, scale, z))
+    terms = alpha_sq_terms(k, PolyCache(coeffs, scale, z))
     return sum(itertools.islice(terms, n_terms), 0 * scale)  # 0 in the run's arithmetic

@@ -114,6 +114,21 @@ def test_exact_value_beyond_float_range_is_numeric_error(argv, capsys):
     assert "--mode exact" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "polys --coeffs power:1:-2000 --n 3",
+    "polys --coeffs power:1:-2000.5 --n 3",
+    "poisson --coeffs power:1:-2000",
+    "polys --coeffs geometric:1:1/2 --n 1100 --z 0,0 --scale 1",
+    "polys --coeffs constant:1e-300 --scale 1e-300 --n 3",
+])
+def test_lambda_underflow_is_numeric_error(argv, capsys):
+    # a positive scale * lambda_n rounds to 0.0 in a float: 2**-2000,
+    # 2**-1075 at n = 1075, or 1e-300 * 1e-300
+    code, _, err = run(argv.split(), capsys)
+    assert code == 3
+    assert "underflows to 0.0" in err and "Traceback" not in err
+
+
 def test_deficiency_over_budget_refused_before_any_recurrence_step(monkeypatch, capsys):
     def no_step(self, n):
         raise AssertionError("a recurrence step ran")
@@ -340,6 +355,8 @@ def test_malformed_config_is_validation_error(tmp_path, text, capsys):
     ["poisson", "--d", "0"],
     ["deficiency", "--depth", "-1"],
     ["deficiency", "--materialize-depth", "-1"],
+    ["classify", "--coeffs", "power:1:1.5e400"],
+    ["classify", "--coeffs", "power:1:-1.5e400"],
 ], ids=" ".join)
 def test_bad_numeric_option_is_validation_error(argv, capsys):
     code, _, err = run(argv, capsys)
@@ -384,7 +401,7 @@ _SHARED = {
     "coeffs": st.sampled_from([
         "paper", "constant:1", "constant:2:1", "constant:0", "geometric:1:1/2",
         "geometric:3/2:5/4", "geometric:1", "power:1:2", "power:1:0.5",
-        "power:1:1/2", "explicit:1,2,3", "explicit:1,-1:0", "bogus"]),
+        "power:1:1/2", "power:1:-2000", "explicit:1,2,3", "explicit:1,-1:0", "bogus"]),
     "z": st.one_of(st.builds("{},{}".format, _NUMBERS, _NUMBERS),
                    st.sampled_from(["1", "a,b", ""])),
     "tol": st.sampled_from(["1e-12", "1e-6", "0", "-1", "nan", "x"]),

@@ -75,6 +75,19 @@ def test_beta_errors_name_the_index():
             fetch(2)
 
 
+@pytest.mark.parametrize("exponent", [float("inf"), float("-inf"), float("nan")])
+def test_power_rejects_a_non_finite_exponent(exponent):
+    with pytest.raises(ValueError, match="finite"):
+        CoefficientSequence.power(1, exponent)
+
+
+def test_non_integer_power_sign_comes_from_the_base():
+    # lambda_1 = 2**-2000.5 is positive, though it rounds to 0.0
+    assert CoefficientSequence.power(1, -2000.5).lam(1) == 0.0
+    with pytest.raises(NonPositiveLambda, match="lambda_1 "):
+        CoefficientSequence.power(-1, -2000.5).lam(1)
+
+
 def test_paper_over_a_non_integer_power_has_float_values():
     base = CoefficientSequence.power(1, 0.5)
     coeffs = CoefficientSequence.paper_example(base)

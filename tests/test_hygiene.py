@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, every
 private module-level function or class is used somewhere, every local
-a function assigns and every parameter it takes is read, and every CLI flag
-is read by its subcommand's handler."""
+a function assigns and every parameter it takes is read, every CLI flag
+is read by its subcommand's handler, and only the recurrence table steps
+the recurrence."""
 import argparse
 import ast
 import inspect
@@ -110,6 +111,29 @@ def _unread_parameters(path: pathlib.Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert _unread_parameters(path) == []
+
+
+def _poly_pairs_loads() -> list:
+    """The scopes ("module.Class.function") that load poly_pairs."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}"
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name == "poly_pairs" and isinstance(node.ctx, ast.Load):
+            out.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path, tree in TREES.items():
+        visit(tree, path.stem)
+    return sorted(out)
+
+
+def test_only_the_table_steps_the_recurrence():
+    # a change to what the table stores then changes one class
+    assert _poly_pairs_loads() == ["orthopoly.PolyCache.__init__"]
 
 
 def _unread_cli_flags() -> list:

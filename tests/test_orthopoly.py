@@ -1,5 +1,4 @@
 """Recurrence values, Wronskian identity, roots, series engine, norms."""
-import dataclasses
 import io
 import itertools
 import math
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treejacobi.coefficients import CoefficientSequence
-from treejacobi.errors import (CoefficientIndexError, DivergedSeries,
+from treejacobi.errors import (CoefficientIndexError, CoefficientOverflow, DivergedSeries,
                                NonPositiveLambda, RealSpectralParameter,
                                RecurrenceOverflow)
 from treejacobi.exactnum import exact_complex, exact_sqrt
@@ -244,7 +243,7 @@ def test_exact_mode_rejects_float_values():
     with pytest.raises(ValueError):
         compute_polys(PAPER, exact_sqrt(2), 1j, 3)
     t = compute_polys(PAPER, Fraction(3, 2), exact_complex(0, 1), 3)
-    assert t.exact_mode and t.p[3].m == 1
+    assert t.exact and t.p[3].m == 1
 
 
 def test_exact_mode_needs_gaussian_z_and_rational_square_scale():
@@ -307,6 +306,27 @@ def _bits(row) -> int:
     return max(v.bit_length() for v in row)
 
 
+@pytest.mark.parametrize("coeffs, n", [
+    (CoefficientSequence.power(1, -2000), 1),
+    (CoefficientSequence.power(1, -2000.5), 1),
+    (CoefficientSequence.geometric(1, Fraction(1, 2)), 1075),
+])
+def test_float_recurrence_refuses_an_underflowed_lambda(coeffs, n):
+    assert coeffs.lam(n) == 0.0
+    with pytest.raises(CoefficientOverflow, match=f"lambda_{n} underflows"):
+        compute_polys(coeffs, 1.0, 0j, n + 1)
+
+
+def test_extended_table_keeps_an_exact_wronskian():
+    # compute_polys returns the lazily extended table itself: extending it
+    # past N keeps every row on the integer recurrence
+    N = 12
+    t = compute_polys(GEOMETRIC, exact_sqrt(2), exact_complex(Fraction(1, 3), Fraction(1, 2)), N)
+    t.ensure(N + 10)
+    assert t.N == N + 10
+    assert wronskian_residual(t) == [0.0] * (N + 10)
+
+
 @pytest.mark.parametrize("coeffs, d", [
     (CoefficientSequence.geometric(1, Fraction(3, 2)), 3),
     (CoefficientSequence.geometric(2, Fraction(5, 4)), 3),
@@ -329,15 +349,14 @@ def test_rows_carry_no_surplus_content(coeffs, d):
                                       ("q", 0), ("q", 5), ("q", 12)])
 def test_residual_detects_a_changed_value(which, n):
     t = compute_polys(GEOMETRIC, exact_sqrt(2), exact_complex(Fraction(1, 3), Fraction(1, 2)), 12)
-    changed = dataclasses.replace(t, p=list(t.p), q=list(t.q))
-    values = getattr(changed, which)
+    values = getattr(t, which)
     # a nudge of the row's grade: sqrt(2)**n for p_n, sqrt(2)**(n - 1) for q_n
     grade = exact_sqrt(2) if (n + (which == "q")) % 2 else exact_complex(1)
     values[n] = values[n] + grade * Fraction(1, 10 ** 6)
-    residual = wronskian_residual(changed)
+    residual = wronskian_residual(t)
     affected = {n - 1, n} & set(range(t.N))
     assert {k for k, r in enumerate(residual) if r != 0} == affected
-    p, q, lam = changed.p, changed.q, GEOMETRIC.lam_exact
+    p, q, lam = t.p, t.q, GEOMETRIC.lam_exact
     for k in affected:
         assert residual[k] == abs(p[k] * q[k + 1] - p[k + 1] * q[k] - 1 / lam(k))
 
@@ -416,12 +435,12 @@ def test_alpha_terms_match_deficiency_level_masses():
     from treejacobi.deficiency import DeficiencyContext
     ctx = DeficiencyContext(PAPER, 2, 1j)
     cache = PolyCache(PAPER, math.sqrt(2), 1j)
-    gen = alpha_sq_terms(PAPER, 0, cache)
+    gen = alpha_sq_terms(0, cache)
     for j in range(20):
         term = next(gen)
         mass = 2 ** j * abs(ctx.f_zero(j)) ** 2
         assert term == pytest.approx(mass, rel=1e-12)
-    gen = alpha_sq_terms(PAPER, 2, cache)
+    gen = alpha_sq_terms(2, cache)
     for offset in range(15):
         n = 2 + offset
         term = next(gen)
