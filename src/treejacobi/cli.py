@@ -19,14 +19,12 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
-
 from .coefficients import CoefficientSequence
 from .deficiency import (DeficiencyContext, DeficiencyElement, classify,
                          element_residual, element_max_abs)
 from .errors import (CoefficientOverflow, ConvergenceFailure, DivergedSeries,
-                     InconclusiveSeries, PatchTooLarge, RecurrenceOverflow,
-                     TreeJacobiError)
+                     ExactModeUnavailable, InconclusiveSeries, PatchTooLarge,
+                     RecurrenceOverflow, TreeJacobiError)
 from .exactnum import exact_complex, as_complex
 from .boundary import poisson_kernel, reproducing_check
 from .lambda_tree import (build_eigenpairs, dimension_audit, eigen_residual,
@@ -241,6 +239,8 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    import numpy as np
+
     coeffs = parse_coeffs(args.coeffs)
     block = build_radial_block(coeffs, args.d, 0, args.n)
     vals, _ = dense_eigensolve(block)
@@ -405,6 +405,19 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
+def _exact_hint(args) -> str:
+    """The hint to rerun in exact mode, where it can be followed: the
+    subcommand ran float mode through --mode, and the family has exact
+    values."""
+    if getattr(args, "mode", None) != "float":
+        return ""
+    try:
+        parse_coeffs(args.coeffs).lam_exact(0)
+    except ExactModeUnavailable:
+        return ""
+    return "\nhint: try --mode exact"
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -421,7 +434,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (RecurrenceOverflow, CoefficientOverflow) as exc:
-        print(f"numeric failure: {exc}\nhint: try --mode exact", file=sys.stderr)
+        print(f"numeric failure: {exc}{_exact_hint(args)}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConvergenceFailure, DivergedSeries, PatchTooLarge, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .coefficients import CoefficientSequence
 from .errors import RealSpectralParameter, RecurrenceOverflow
 from .exactnum import as_complex, conj, is_exact, is_zero, matching_sqrt
@@ -259,6 +257,8 @@ def element_residual(elements: Sequence[DeficiencyElement],
     """Eigenvalue-equation residual of a sum of elements below `depth`: the
     three-term equation at each path vertex, and vectorized along each branch
     chain, whose head has a path vertex as parent and each vertex d equal children."""
+    import numpy as np
+
     profile = _Profile(elements, ctx, depth)
     lam = np.array([ctx.coeffs.lam(n) for n in range(depth)])
     lam_up = np.concatenate(([0.0], lam[:-1]))

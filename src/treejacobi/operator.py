@@ -83,9 +83,12 @@ class JacobiOperator:
 def moments(J: JacobiOperator, N: int, route: str = "matrix") -> List[Fraction]:
     """m_n = <J^n delta_root, delta_root> for n = 0..N, exact rationals.
 
-    The matrix route iterates the radial tridiagonal matrix (polynomial
-    cost); the tree route applies J on the tree directly (exponential in N,
-    kept for cross-checks)."""
+    The matrix route iterates the radial tridiagonal matrix on the root
+    vector, computing only the triangle that reaches the root: after step s
+    the vector is zero past index s, and an entry past N - s cannot reach
+    the root in the N - s steps left, so step s computes the entries
+    j <= min(s, N - s).  The tree route applies J on the tree directly
+    (exponential in N, kept for cross-checks)."""
     if N < 0:
         raise ValueError("N must be nonnegative")
     if J.kind != "gamma":
@@ -96,18 +99,12 @@ def moments(J: JacobiOperator, N: int, route: str = "matrix") -> List[Fraction]:
         # root entry of each power is unchanged and every entry is rational.
         lam = [J.coeffs.lam_exact(n) for n in range(N)]
         beta = [J.coeffs.beta_exact(n) for n in range(N + 1)]
-        v = [Fraction(1)] + [Fraction(0)] * N
+        v = [Fraction(1)]
         out = [Fraction(1)]
-        for _ in range(N):
-            w = []
-            for j in range(N + 1):
-                t = beta[j] * v[j]
-                if j > 0:
-                    t += J.d * lam[j - 1] * v[j - 1]
-                if j < N:
-                    t += lam[j] * v[j + 1]
-                w.append(t)
-            v = w
+        for s in range(1, N + 1):
+            u = v + [0, 0]  # entries the previous step did not compute are 0
+            v = [beta[j] * u[j] + (J.d * lam[j - 1] * u[j - 1] if j else 0) + lam[j] * u[j + 1]
+                 for j in range(min(s, N - s) + 1)]
             out.append(v[0])
         return out
     if route == "tree":

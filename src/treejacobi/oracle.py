@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from .coefficients import CoefficientSequence
 from .errors import ConvergenceFailure, PatchTooLarge
 from .orthopoly import PolyCache
 from .treecore import Address, LambdaPatch, subtree_size, subtree_vertices
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_DENSE_ROWS = 4096
 
@@ -58,6 +59,8 @@ def _tree_section(coeffs: CoefficientSequence, d: int, depth: int,
     length at most depth, word x sitting on tree level level(x): beta on
     the diagonal, lam_n on each edge between levels n and n + 1.  The row
     count is checked, in closed form, before any word is built."""
+    import numpy as np
+
     _check_rows(subtree_size(depth, d))
     addresses = sorted(subtree_vertices((), depth, d))
     index = {x: i for i, x in enumerate(addresses)}
@@ -86,6 +89,8 @@ def build_radial_block(coeffs: CoefficientSequence, d: int, offset: int,
                        size: int) -> DenseTruncation:
     """The size-by-size tridiagonal block starting at beta_offset, with
     off-diagonal sqrt(d) * lam."""
+    import numpy as np
+
     _check_rows(size)
     scale = math.sqrt(d)
     M = np.zeros((size, size))
@@ -112,6 +117,8 @@ def build_lambda_patch_matrix(coeffs: CoefficientSequence, d: int,
 def dense_eigensolve(T: DenseTruncation) -> Tuple[np.ndarray, np.ndarray]:
     """Full spectrum of the section, ascending, with eigenvectors in
     columns."""
+    import numpy as np
+
     try:
         vals, vecs = np.linalg.eigh(T.matrix)
     except np.linalg.LinAlgError as exc:

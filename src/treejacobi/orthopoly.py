@@ -11,15 +11,16 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .coefficients import CoefficientSequence, _accessors
 from .errors import (CoefficientOverflow, ConvergenceFailure, RealSpectralParameter,
                      RecurrenceOverflow)
 from .exactnum import (ExactComplex, abs2, as_complex, exact_complex, is_exact,
                        matching_sqrt)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RATIO_CEILING = 0.99
 CONVERGENCE_WINDOW = 8
@@ -31,7 +32,9 @@ def _wants_exact(scale, z) -> bool:
 
 
 def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
-    """Yield (n, p_n(z), q_n(z)) indefinitely.
+    """Yield (n, p_n(z), q_n(z), row) indefinitely, where row is the
+    integer row (A_n, B_n, T_n) the exact values were built from (see
+    _IntegerRecurrence) and None in float mode.
 
     Off-diagonal entries are scale*lambda_n; initial data p_0 = 1,
     p_1 = (z - beta_0)/(scale*lambda_0), q_0 = 0, q_1 = 1/lambda_0.
@@ -53,7 +56,7 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     q_prev, q_cur = zero, zero
     n = 0
     while True:
-        yield n, p_cur, q_cur
+        yield n, p_cur, q_cur, None
         shift = z - beta(n)
         lam_n = lam(n)
         off_n = scale * lam_n
@@ -116,18 +119,6 @@ def _exact_value(row: tuple) -> ExactComplex:
     return ExactComplex(Fraction(x, den), Fraction(y, den), m)
 
 
-def _matches(value, row: tuple) -> bool:
-    """Whether value equals the edge row (x, y, den, m), by cross-multiplying."""
-    x, y, den, m = row
-    if not is_exact(value):
-        return False
-    if not (x or y):
-        return value.is_zero
-    re, im = value.re, value.im
-    return (value.m == m and re.numerator * den == x * re.denominator
-            and im.numerator * den == y * im.denominator)
-
-
 class _IntegerRecurrence:
     """The exact recurrence run fraction-free on integers (after Bareiss 1968).
 
@@ -178,9 +169,11 @@ class _IntegerRecurrence:
         self.unit = _over_one_denominator(scale.re, scale.im) + (scale.m,)
 
     def pairs(self) -> Iterator[tuple]:
-        """Yield (n, p_n, q_n) as ExactComplex values in lowest terms."""
+        """Yield (n, p_n, q_n, (A_n, B_n, T_n)), the values as ExactComplex
+        in lowest terms."""
         for n, a, b, t in self.rows():
-            yield n, _exact_value(self.edge(a, t, n)), _exact_value(self.edge(b, t, n - 1))
+            yield (n, _exact_value(self.edge(a, t, n)), _exact_value(self.edge(b, t, n - 1)),
+                   (a, b, t))
 
     def rows(self) -> Iterator[tuple]:
         """Yield (n, A_n, B_n, T_n) indefinitely: Gaussian integers (re, im)
@@ -237,16 +230,24 @@ class _IntegerRecurrence:
             den *= w
         return re * up, im * up, den, m
 
-    def casoratian_holds(self, n: int, row: tuple, next_row: tuple) -> bool:
-        """Whether A_n B_{n+1} - A_{n+1} B_n = sigma**n T_n T_{n+1} / lambda_n,
-        by integer cross-multiplication."""
-        _, a, b, (t, t_den) = row
-        _, a1, b1, (t1, t1_den) = next_row
-        re = a[0] * b1[0] - a[1] * b1[1] - a1[0] * b[0] + a1[1] * b[1]
-        im = a[0] * b1[1] + a[1] * b1[0] - a1[0] * b[1] - a1[1] * b[0]
-        lam_n = self.lam(n)
-        return im == 0 and (re * self.sigma.denominator ** n * t_den * t1_den * lam_n.numerator
-                            == self.sigma.numerator ** n * t * t1 * lam_n.denominator)
+
+def _gauss_product(x: tuple, y: tuple) -> tuple:
+    """The Gaussian-integer product x*y with three multiplications."""
+    k1 = y[0] * (x[0] + x[1])
+    return k1 - x[1] * (y[0] + y[1]), k1 + x[0] * (y[1] - y[0])
+
+
+def _casoratian_holds(sigma: Fraction, lam_n: Fraction, n: int, row: tuple,
+                      next_row: tuple) -> bool:
+    """Whether the rows (A, B, T) at n and n + 1 satisfy A_n B_{n+1} -
+    A_{n+1} B_n = sigma**n T_n T_{n+1} / lambda_n, by integer
+    cross-multiplication: the Wronskian identity at n for the values the
+    rows give (_IntegerRecurrence)."""
+    a, b, (t, t_den) = row
+    a1, b1, (t1, t1_den) = next_row
+    (re, im), (re1, im1) = _gauss_product(a, b1), _gauss_product(a1, b)
+    return im == im1 and ((re - re1) * sigma.denominator ** n * t_den * t1_den * lam_n.numerator
+                          == sigma.numerator ** n * t * t1 * lam_n.denominator)
 
 
 class PolyCache:
@@ -255,8 +256,10 @@ class PolyCache:
     this class steps poly_pairs.
 
     The arithmetic is fixed here, from the types of scale and z, and so is
-    `lam`, the lambda accessor of that arithmetic.  Once the recurrence
-    fails, every later extension raises that same error."""
+    `lam`, the lambda accessor of that arithmetic.  An exact table also
+    keeps each integer row with the two values it built from it, for
+    wronskian_residual.  Once the recurrence fails, every later extension
+    raises that same error."""
 
     def __init__(self, coeffs: CoefficientSequence, scale, z):
         self.coeffs, self.scale, self.z = coeffs, scale, z
@@ -266,6 +269,7 @@ class PolyCache:
         self._error: Optional[Exception] = None
         self.p: list = []
         self.q: list = []
+        self._rows: list = []  # exact mode: (p_n, q_n, (A_n, B_n, T_n)) as built
 
     @property
     def N(self) -> int:
@@ -277,9 +281,11 @@ class PolyCache:
             raise self._error
         try:
             while len(self.p) <= n:
-                _, pv, qv = next(self._gen)
+                _, pv, qv, row = next(self._gen)
                 self.p.append(pv)
                 self.q.append(qv)
+                if row is not None:
+                    self._rows.append((pv, qv, row))
         except Exception as exc:
             self._error = exc
             raise
@@ -308,26 +314,22 @@ def compute_polys(coeffs: CoefficientSequence, scale, z, N: int) -> PolyCache:
 def wronskian_residual(table: PolyCache) -> list:
     """|p_n q_{n+1} - p_{n+1} q_n - 1/lambda_n| for each n < N.
 
-    Exact tables give exact zeros, certified by integer arithmetic where
-    the table matches the integer recurrence (_exact_identity_holds) and
-    computed in ExactComplex arithmetic elsewhere."""
-    p, q, lam = table.p, table.q, table.lam
-    holds = _exact_identity_holds(table) if table.exact else [False] * table.N
-    return [0.0 if holds[n] else abs(p[n] * q[n + 1] - p[n + 1] * q[n] - 1 / lam(n))
-            for n in range(table.N)]
-
-
-def _exact_identity_holds(table: PolyCache) -> list:
-    """For each n < N, whether the Wronskian identity at n is certified
-    without fractions: the integer recurrence is run again, p[n], q[n],
-    p[n+1] and q[n+1] equal its rows, and the rows satisfy the Casoratian
-    identity."""
-    engine = _IntegerRecurrence(table.coeffs, table.scale, table.z)
-    rows = list(itertools.islice(engine.rows(), table.N + 1))
-    same = [_matches(table.p[n], engine.edge(a, t, n))
-            and _matches(table.q[n], engine.edge(b, t, n - 1))
-            for n, a, b, t in rows]
-    return [same[n] and same[n + 1] and engine.casoratian_holds(n, rows[n], rows[n + 1])
+    Exact tables give exact zeros.  Where p[n], q[n], p[n+1] and q[n+1] are
+    still the very values the table built from its integer rows (ExactComplex
+    is immutable), the identity is certified on those rows
+    (_casoratian_holds); any other value is checked in ExactComplex
+    arithmetic."""
+    p, q, lam, rows = table.p, table.q, table.lam, table._rows
+    certified = []
+    if rows:
+        scale = _exact_number(table.scale)
+        sigma = (scale * scale).re
+        held = [pv is p[n] and qv is q[n] for n, (pv, qv, _) in enumerate(rows)]
+        certified = [held[n] and held[n + 1]
+                     and _casoratian_holds(sigma, lam(n), n, rows[n][2], rows[n + 1][2])
+                     for n in range(len(rows) - 1)]
+    return [0.0 if n < len(certified) and certified[n]
+            else abs(p[n] * q[n + 1] - p[n + 1] * q[n] - 1 / lam(n))
             for n in range(table.N)]
 
 
@@ -352,6 +354,7 @@ def poly_roots(coeffs: CoefficientSequence, scale: float, n: int) -> np.ndarray:
     every root, small and zero ones included, to small relative error
     (Barlow & Demmel 1990).
     """
+    import numpy as np
     from scipy.linalg import eigh_tridiagonal  # the CLI's other subcommands never load scipy
 
     if n < 1:

@@ -96,10 +96,24 @@ def test_overflow_is_numeric_error_with_hint(capsys):
 
 @pytest.mark.parametrize("command", ["polys", "oracle"])
 def test_coefficient_overflow_is_numeric_error(command, capsys):
-    # lambda_1024 = 2**1024 of the paper family does not fit in a float
+    # lambda_1024 = 2**1024 of the paper family does not fit in a float;
+    # oracle has no --mode, so only polys hints at exact mode
     code, _, err = run([command, "--coeffs", "paper", "--n", "1100"], capsys)
     assert code == 3
-    assert "float" in err and "--mode exact" in err
+    assert "float" in err
+    assert ("--mode exact" in err) == (command == "polys")
+
+
+@pytest.mark.parametrize("argv", [
+    "poisson --coeffs power:1:-2000",
+    "polys --coeffs power:1:-2000.5 --n 3",
+])
+def test_no_exact_hint_where_it_cannot_be_followed(argv, capsys):
+    # poisson takes no --mode, and a non-integer power has no exact values:
+    # following the hint would exit 2
+    code, _, err = run(argv.split(), capsys)
+    assert code == 3
+    assert "hint" not in err and "--mode exact" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -265,21 +279,32 @@ def test_paper_example_small_budget_honest(capsys):
 COLD_START = """
 import contextlib, io, sys
 from treejacobi.cli import main
-for argv in (["classify"], ["polys"], ["polys", "--mode", "exact"], ["deficiency"],
-             ["poisson"], ["paper-example"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, argv
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+
+def run(*argvs):
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+
+def loaded(package):
+    return sorted(name for name in sys.modules if name.split(".")[0] == package)
+
+run(["classify"], ["polys"], ["polys", "--mode", "exact"], ["poisson"], ["paper-example"])
+print(loaded("numpy"))
+run(["deficiency"])
+print(loaded("scipy"))
 """
 
 
 def test_subcommands_without_roots_never_import_scipy():
-    # scipy is half of the import time; only the root-finding subcommands need it
+    # scipy and numpy are most of the import time: only the root-finding
+    # subcommands need scipy, and only those that build arrays need numpy
     src = os.path.dirname(os.path.dirname(treejacobi.__file__))
     proc = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    numpy_modules, scipy_modules = proc.stdout.split("\n")[:2]
+    assert numpy_modules == "[]"
+    assert scipy_modules == "[]"
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -87,9 +87,14 @@ def test_moments_basic_values():
 
 
 def test_moments_routes_agree():
-    for coeffs in (PAPER, CONSTANT):
-        J = JacobiOperator(coeffs, TreeConfig(2))
-        assert moments(J, 10, route="matrix") == moments(J, 10, route="tree")
+    # the matrix route computes a triangle whose edge depends on the parity of N
+    explicit = CoefficientSequence.explicit([Fraction(k + 2, 2 * k + 3) for k in range(10)],
+                                            [Fraction(k - 3, k + 5) for k in range(11)])
+    for coeffs in (PAPER, CONSTANT, explicit):
+        for d, sizes in ((2, (9, 10)), (3, (5, 6))):
+            J = JacobiOperator(coeffs, TreeConfig(d))
+            for N in sizes:
+                assert moments(J, N, route="matrix") == moments(J, N, route="tree")
 
 
 def test_moments_frozen_paper():

@@ -1,4 +1,5 @@
 """Recurrence values, Wronskian identity, roots, series engine, norms."""
+import copy
 import io
 import itertools
 import math
@@ -348,17 +349,27 @@ def test_rows_carry_no_surplus_content(coeffs, d):
 @pytest.mark.parametrize("which, n", [("p", 0), ("p", 5), ("p", 12),
                                       ("q", 0), ("q", 5), ("q", 12)])
 def test_residual_detects_a_changed_value(which, n):
-    t = compute_polys(GEOMETRIC, exact_sqrt(2), exact_complex(Fraction(1, 3), Fraction(1, 2)), 12)
-    values = getattr(t, which)
-    # a nudge of the row's grade: sqrt(2)**n for p_n, sqrt(2)**(n - 1) for q_n
-    grade = exact_sqrt(2) if (n + (which == "q")) % 2 else exact_complex(1)
-    values[n] = values[n] + grade * Fraction(1, 10 ** 6)
-    residual = wronskian_residual(t)
-    affected = {n - 1, n} & set(range(t.N))
-    assert {k for k, r in enumerate(residual) if r != 0} == affected
-    p, q, lam = t.p, t.q, GEOMETRIC.lam_exact
-    for k in affected:
-        assert residual[k] == abs(p[k] * q[k + 1] - p[k + 1] * q[k] - 1 / lam(k))
+    # a nudge of 0 writes an equal value that the table did not build
+    for nudge in (Fraction(1, 10 ** 6), 0):
+        t = compute_polys(GEOMETRIC, exact_sqrt(2),
+                          exact_complex(Fraction(1, 3), Fraction(1, 2)), 12)
+        values = getattr(t, which)
+        # a nudge of the row's grade: sqrt(2)**n for p_n, sqrt(2)**(n - 1) for q_n
+        grade = exact_sqrt(2) if (n + (which == "q")) % 2 else exact_complex(1)
+        values[n] = copy.copy(values[n] + grade * nudge)  # distinct even for a nudge of 0
+        residual = wronskian_residual(t)
+        affected = {n - 1, n} & set(range(t.N)) if nudge else set()
+        assert {k for k, r in enumerate(residual) if r != 0} == affected
+        p, q, lam = t.p, t.q, GEOMETRIC.lam_exact
+        for k in affected:
+            assert residual[k] == abs(p[k] * q[k + 1] - p[k + 1] * q[k] - 1 / lam(k))
+
+
+def test_residual_certifies_on_the_stored_rows(monkeypatch):
+    # the table keeps the rows it built its values from: no rerun of the recurrence
+    t = compute_polys(GEOMETRIC, exact_sqrt(2), exact_complex(Fraction(1, 3), Fraction(1, 2)), 30)
+    monkeypatch.setattr(_IntegerRecurrence, "rows", None)
+    assert wronskian_residual(t) == [0.0] * 30
 
 
 @pytest.mark.parametrize("coeffs", FAMILIES, ids=lambda c: c.family)
