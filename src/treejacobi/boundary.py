@@ -2,16 +2,14 @@
 functions, the isometry onto the deficiency space, and the Poisson kernel."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .deficiency import (AlphaTable, BasisFunction, DeficiencyContext,
-                         DeficiencyElement, _check_zero_sum)
+from .deficiency import AlphaTable, BasisFunction, DeficiencyContext, DeficiencyElement
 from .errors import AmbiguousPrefix
-from .exactnum import as_complex, conj, is_zero
+from .exactnum import as_complex, conj, is_zero, sums_to_zero
 from .treecore import Address, check_budget, format_address, level_vertices
 
 
@@ -94,9 +92,6 @@ class StepFunction:
                  "re": as_complex(v).real, "im": as_complex(v).imag}
                 for w, v in sorted(cells.items())]
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def integrate(F: StepFunction):
     """Integral against the product measure; exact rational weights."""
@@ -138,7 +133,8 @@ def bx_element(d: int, anchor: Address, values: Sequence) -> StepFunction:
     child cylinders, with the b_i summing to zero."""
     if len(values) != d:
         raise ValueError(f"need {d} child values, got {len(values)}")
-    _check_zero_sum(values, "child values")
+    if not sums_to_zero(values, 1e-14):
+        raise ValueError(f"child values must sum to zero, got {list(values)!r}")
     return StepFunction(d, [(anchor + (i + 1,), v) for i, v in enumerate(values)])
 
 

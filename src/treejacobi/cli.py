@@ -122,7 +122,7 @@ def emit(args, content: str) -> None:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,13 @@
 projections onto the branch spaces, and the selfadjointness classifier."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import CoefficientSequence
 from .errors import RealSpectralParameter, RecurrenceOverflow
-from .exactnum import as_complex, conj, is_exact, is_zero, matching_sqrt
+from .exactnum import as_complex, conj, is_zero, matching_sqrt, sums_to_zero
 from .orthopoly import (AlphaTable, PolyCache, SeriesResult, check_recurrence_inputs,
                         check_series_limits, sum_series)
 from .treecore import (GAMMA, Address, SparseFunction, check_budget,
@@ -70,17 +69,6 @@ def f_value(kind: str, k: int, n: int, ctx: DeficiencyContext):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _check_zero_sum(values: Sequence, what: str) -> None:
-    """Values that are all exact must sum to exactly zero; otherwise the
-    complex sum must vanish up to rounding."""
-    exact = all(is_exact(v) for v in values)
-    total = sum(values if exact else map(as_complex, values), 0)
-    if is_zero(total):
-        return
-    if exact or abs(total) > 1e-14 * max([1.0] + [abs(v) for v in values]):
-        raise ValueError(f"{what} must sum to zero, got {total!r}")
-
-
 @dataclass
 class DeficiencyElement:
     """An element of the deficiency space attached to one anchor.
@@ -98,8 +86,8 @@ class DeficiencyElement:
         if self.anchor is None:
             if len(self.coefficients) != 1:
                 raise ValueError("the radial element takes a single scalar")
-        else:
-            _check_zero_sum(self.coefficients, "coefficients")
+        elif not sums_to_zero(self.coefficients, 1e-14):
+            raise ValueError(f"coefficients must sum to zero, got {self.coefficients!r}")
 
     def _coefficient_on(self, x: Address):
         """The coefficient at x and on the subtree below x: the radial scalar,
@@ -314,9 +302,6 @@ class ClassificationReport:
             "diagnostics": self.diagnostics,
             "criterion": self.criterion,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
 
 def _criterion(coeffs: CoefficientSequence, scale) -> Optional[tuple]:

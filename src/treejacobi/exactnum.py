@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import Sequence
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -232,3 +233,18 @@ def is_zero(value) -> bool:
     if isinstance(value, ExactComplex):
         return value.is_zero
     return value == 0
+
+
+def sums_to_zero(values: Sequence, rtol: float) -> bool:
+    """Whether the values sum to zero.  When each is an ExactComplex or 0 the
+    test is exact: the sum on each grade vanishes (distinct square roots are
+    independent over the Gaussian rationals).  Otherwise |sum| must be at most
+    rtol * max |v|, so scaling every value does not change the answer."""
+    if all(is_exact(v) or v == 0 for v in values):
+        totals: dict = {}
+        for v in values:
+            if is_exact(v):
+                totals[v.m] = totals.get(v.m, 0) + v
+        return all(t.is_zero for t in totals.values())
+    floats = [as_complex(v) for v in values]
+    return abs(sum(floats)) <= rtol * max(map(abs, floats))

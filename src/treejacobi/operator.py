@@ -1,14 +1,19 @@
 """The Jacobi operator on both trees, radial averaging projections,
-moments, and the branch-space membership test."""
+moments, and the branch-space membership test.
+
+The branch space H_x below a vertex x holds the functions supported below
+x but not at x that are radial on each child subtree of x and whose d
+branch values sum to zero on every level; the radial functions and these
+spaces split l^2 of the tree into pieces that J maps into themselves."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .coefficients import CoefficientSequence, TreeConfig, _accessors
 from .errors import NotInSubtree, PatchTooLarge
-from .exactnum import as_complex, exact_complex, is_exact, is_zero
+from .exactnum import exact_complex, is_exact, is_zero, sums_to_zero
 from .treecore import (APEX_SUCCESSOR, GAMMA, Address, LambdaPatch,
                        SparseFunction, check_budget, children, format_address,
                        level_vertices)
@@ -162,101 +167,58 @@ class MembershipReport:
 RADIALITY_RTOL = 1e-10
 
 
-def _values_equal(a, b, scale: float) -> bool:
-    if is_exact(a) and is_exact(b):
-        return (a - b).is_zero
-    return abs(as_complex(a) - as_complex(b)) <= RADIALITY_RTOL * max(scale, 1e-300)
+def _level_values(entries: List[Tuple[int, object]], d: int) -> Dict[int, object]:
+    """The value on each level of a subtree, read from its listed entries
+    (level below the subtree's top, value), or None on a level where they
+    differ.  A level listing fewer than its d^n vertices has an unlisted
+    vertex at 0, so there each listed value is compared with 0."""
+    by_level: Dict[int, List] = {}
+    for n, v in entries:
+        by_level.setdefault(n, []).append(v)
+    values: Dict[int, object] = {}
+    for n, vals in sorted(by_level.items()):
+        ref = vals[0] if len(vals) == d ** n else 0
+        same = all(sums_to_zero((v, -ref), RADIALITY_RTOL) for v in vals)
+        values[n] = ref if same else None
+    return values
 
 
 def hx_membership(f: SparseFunction, x: Optional[Address], d: int) -> MembershipReport:
-    """Whether f belongs to the branch space anchored at x.
+    """Whether f belongs to the branch space H_x, a linear space that J
+    maps into itself.
 
-    Anchored at x: support inside the subtree below x but not touching x,
-    the child values sum to zero, f is radial on each child subtree, and the
-    per-level profiles of different child subtrees are proportional with
-    ratios f(x_i) : f(x_j).  Anchor None selects the radial subspace of the
-    whole tree."""
+    Anchor None: f is radial on the whole tree.  Anchor x: the support lies
+    in the subtree below x without touching x, f is radial on each child
+    subtree of x, and on every level the d branch values sum to zero."""
     if f.kind != GAMMA:
         return MembershipReport(False, "not a rooted-tree function")
-    if x is None:
-        by_level: Dict[int, List] = {}
-        for y, v in f.entries.items():
-            by_level.setdefault(len(y), []).append(v)
-        for lvl, vals in by_level.items():
-            if len(vals) < d ** lvl:
-                vals = vals + [0] * (d ** lvl - len(vals))
-            scale = max(abs(as_complex(v)) for v in vals)
-            ref = vals[0]
-            for v in vals[1:]:
-                if not _values_equal(v, ref, scale):
-                    return MembershipReport(False, f"not radial at level {lvl}")
-        return MembershipReport(True)
-
-    k = len(x)
-    # per-branch, per-relative-level values
-    branch_levels: List[Dict[int, List]] = [dict() for _ in range(d)]
+    top = () if x is None else x
+    k = len(top)
+    branches: Dict[Address, List[Tuple[int, object]]] = {}
     for y, v in f.entries.items():
-        if y[:k] != x or len(y) == k:
+        if y[:k] != top or (x is not None and len(y) == k):
             return MembershipReport(
                 False, f"support touches {format_address(y)} outside the "
-                       f"punctured subtree below {format_address(x)}")
-        branch = y[k] - 1
-        rel = len(y) - k - 1
-        branch_levels[branch].setdefault(rel, []).append(v)
-
-    # radiality within each branch
-    profiles: List[Dict[int, object]] = []
-    for b in range(d):
-        prof: Dict[int, object] = {}
-        for rel, vals in branch_levels[b].items():
-            if len(vals) < d ** rel:
-                vals = vals + [0] * (d ** rel - len(vals))
-            scale = max(abs(as_complex(v)) for v in vals)
-            ref = vals[0]
-            for v in vals[1:]:
-                if not _values_equal(v, ref, scale):
-                    return MembershipReport(
-                        False, f"branch {b + 1} not radial at relative level {rel}")
-            prof[rel] = ref
-        profiles.append(prof)
-
-    # zero child sum
-    child_vals = [profiles[b].get(0, 0) for b in range(d)]
-    total = sum(as_complex(v) for v in child_vals)
-    scale = max((abs(as_complex(v)) for v in child_vals), default=0.0)
-    if all(is_exact(v) or v == 0 for v in child_vals):
-        exact_total = None
-        for v in child_vals:
-            exact_total = v if exact_total is None else exact_total + v
-        if not is_zero(exact_total):
-            return MembershipReport(False, "child values do not sum to zero")
-    elif abs(total) > RADIALITY_RTOL * max(scale, 1e-300):
-        return MembershipReport(False, "child values do not sum to zero")
-
-    # cross-branch proportionality with ratios given by the child values
-    ref_b = next((b for b in range(d) if not is_zero(child_vals[b])
-                  and abs(as_complex(child_vals[b])) == max(
-                      abs(as_complex(c)) for c in child_vals)), None)
-    if ref_b is None:
-        ref_b = next((b for b in range(d) if not is_zero(child_vals[b])), None)
-    if ref_b is None:
-        if any(prof for prof in profiles):
+                       f"punctured subtree below {format_address(top)}")
+        if not all(1 <= i <= d for i in y[k:]):
             return MembershipReport(
-                False, "all child values vanish but deeper levels do not")
+                False, f"address {format_address(y)} has an index outside 1..{d}")
+        root = top if x is None else y[:k + 1]
+        branches.setdefault(root, []).append((len(y) - len(root), v))
+    profiles = []
+    for root, entries in branches.items():
+        levels = _level_values(entries, d)
+        bad = next((n for n, v in levels.items() if v is None), None)
+        if bad is not None:
+            if x is None:
+                return MembershipReport(False, f"not radial at level {bad}")
+            return MembershipReport(
+                False, f"branch {root[k]} not radial at relative level {bad}")
+        profiles.append(levels)
+    if x is None:
         return MembershipReport(True)
-    c_ref = child_vals[ref_b]
-    levels = sorted(set().union(*[prof.keys() for prof in profiles]))
-    for rel in levels:
-        v_ref = profiles[ref_b].get(rel, 0)
-        for b in range(d):
-            if b == ref_b:
-                continue
-            v_b = profiles[b].get(rel, 0)
-            lhs = v_b * c_ref
-            rhs = child_vals[b] * v_ref
-            scale = max(abs(as_complex(lhs)), abs(as_complex(rhs)))
-            if not _values_equal(lhs, rhs, scale):
-                return MembershipReport(
-                    False, f"branch {b + 1} profile not proportional at "
-                           f"relative level {rel}")
+    for n in sorted(set().union(*profiles)):
+        if not sums_to_zero([p.get(n, 0) for p in profiles], RADIALITY_RTOL):
+            return MembershipReport(
+                False, f"branch values do not sum to zero at relative level {n}")
     return MembershipReport(True)

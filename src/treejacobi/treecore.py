@@ -3,7 +3,6 @@ rooted tree and on finite patches of the one-ended tree."""
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -182,9 +181,6 @@ class SparseFunction:
             v = as_complex(self.entries[x])
             records.append({"address": format_address(x), "re": v.real, "im": v.imag})
         return records
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 def _check_kind(f: SparseFunction, g: SparseFunction) -> None:

@@ -14,6 +14,7 @@ from treejacobi.boundary import (CylinderSet, StepFunction, apply_U,
 from treejacobi.coefficients import CoefficientSequence
 from treejacobi.deficiency import DeficiencyContext, DeficiencyElement
 from treejacobi.errors import AmbiguousPrefix
+from treejacobi.exactnum import exact_complex, is_zero
 from treejacobi.orthopoly import alpha_series
 
 PAPER = CoefficientSequence.paper_example()
@@ -44,6 +45,18 @@ def test_bx_element_integrates_to_zero():
     assert integrate(G) == 0
     with pytest.raises(ValueError):
         bx_element(2, (1,), [1.0, 1.0])
+
+
+def test_zero_sum_rule_is_scale_free():
+    # a value that is small in absolute terms but not against the others
+    with pytest.raises(ValueError):
+        DeficiencyElement((), (1e-20, 0), 1j)
+    with pytest.raises(ValueError):
+        bx_element(2, (1,), [1e-20, 0])
+    for k in range(-40, 41):
+        for c in (2.0 ** k, exact_complex(Fraction(2) ** k)):
+            DeficiencyElement((), (c, -c), 1j)
+            assert is_zero(integrate(bx_element(2, (1,), [c, -c])))
 
 
 def test_canonicalization_preserves_integral():

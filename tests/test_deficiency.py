@@ -286,7 +286,7 @@ def test_classify_inconclusive_small_budget():
 def test_classify_json_round_trip():
     import json
     rep = classify(PAPER, 2)
-    obj = json.loads(rep.to_json())
+    obj = json.loads(json.dumps(rep.to_json_obj()))
     assert obj["verdict"] == "not_essentially_selfadjoint"
 
 

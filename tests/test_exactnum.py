@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treejacobi.exactnum import (ExactComplex, exact_complex, exact_sqrt,
-                                 half_power, squarefree_split)
+                                 half_power, squarefree_split, sums_to_zero)
 
 
 def test_squarefree_split():
@@ -55,6 +55,27 @@ def test_complex_parts_and_conjugate():
     assert sq.ar == Fraction(1, 4) + Fraction(9, 16)
     w = exact_complex(1, 2) * exact_sqrt(3)
     assert w.abs2() == exact_complex(15)
+
+
+def test_sums_to_zero_exact_per_grade():
+    r2 = exact_sqrt(2)
+    one = exact_complex(1)
+    assert sums_to_zero([one, 0, -one], 0.0)
+    assert sums_to_zero([one, r2, -one, -r2], 0.0)  # each grade cancels
+    assert not sums_to_zero([one, -r2], 0.5)
+    assert not sums_to_zero([one, exact_complex(Fraction(-1, 10 ** 30) - 1)], 1.0)
+    assert sums_to_zero([], 0.0) and sums_to_zero([0, 0.0], 0.0)
+
+
+def test_sums_to_zero_float_rule_is_scale_free():
+    for k in range(-300, 301, 20):
+        c = 2.0 ** k
+        assert sums_to_zero([c, -c], 1e-14)
+        assert sums_to_zero([c, -c * (1 + 1e-15)], 1e-14)
+        assert not sums_to_zero([c, -c * (1 + 1e-12)], 1e-14)
+        assert not sums_to_zero([c, 0.0], 1e-14)
+    assert sums_to_zero([1j, exact_complex(0, -1)], 1e-14)  # mixed: float rule
+    assert not sums_to_zero([float("nan"), 1.0], 1e-14)
 
 
 def test_incompatible_radicands_rejected():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treejacobi.coefficients import CoefficientSequence, TreeConfig
 from treejacobi.errors import PatchTooLarge
@@ -237,4 +238,93 @@ def test_membership_invariant_under_J():
             assert hx_membership(f, anchor, 2).ok
             jf = J2.apply(f)
             rep = hx_membership(jf, anchor, 2)
+            assert rep.ok, rep.reason
+
+
+def member_from_levels(x, d, levels) -> SparseFunction:
+    """The function equal to levels[n][i - 1] on level n of the subtree
+    below x + (i,), for n < len(levels)."""
+    entries = {}
+    for i in range(1, d + 1):
+        for y in subtree_vertices(x + (i,), len(levels) - 1, d):
+            entries[y] = levels[len(y) - len(x) - 1][i - 1]
+    return SparseFunction(entries)
+
+
+GAUSSIAN = st.builds(complex, st.integers(-5, 5), st.integers(-5, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.sampled_from([2, 3, 4]), anchor_level=st.integers(0, 2),
+       depth=st.integers(2, 3))
+def test_branch_space_is_linear_and_J_invariant(data, d, anchor_level, depth):
+    x = tuple(data.draw(st.lists(st.integers(1, d), min_size=anchor_level,
+                                 max_size=anchor_level)))
+
+    def zero_sum_levels():
+        levels = []
+        for _ in range(depth):
+            v = data.draw(st.lists(GAUSSIAN, min_size=d - 1, max_size=d - 1))
+            levels.append(v + [-sum(v)])
+        return levels
+
+    levels = zero_sum_levels()
+    f = member_from_levels(x, d, levels)
+    g = member_from_levels(x, d, zero_sum_levels())
+    c = complex(data.draw(st.floats(-1e6, 1e6)), data.draw(st.floats(-1e6, 1e6)))
+    for h in (f, g, f + g, f.scaled(c), g - f.scaled(c)):
+        rep = hx_membership(h, x, d)
+        assert rep.ok, rep.reason
+    J = JacobiOperator(PAPER, TreeConfig(d))
+    rep = hx_membership(J.apply(f), x, d)
+    assert rep.ok, rep.reason
+    exact = SparseFunction({y: exact_complex(int(v.real), int(v.imag))
+                            for y, v in f.entries.items()})
+    rep = hx_membership(J.apply(exact), x, d)
+    assert rep.ok, rep.reason
+
+    # one level of one branch moved off the zero sum
+    n = data.draw(st.integers(0, depth - 1))
+    b = data.draw(st.integers(1, d))
+    nudged = [list(row) for row in levels]
+    nudged[n][b - 1] += 1
+    rep = hx_membership(member_from_levels(x, d, nudged), x, d)
+    assert not rep.ok and "sum" in rep.reason
+    # one vertex of one branch moved off the branch's level value
+    n = data.draw(st.integers(1, depth - 1))
+    y = x + (b,) + tuple(data.draw(st.lists(st.integers(1, d), min_size=n, max_size=n)))
+    rep = hx_membership(f + SparseFunction({y: 1.0}), x, d)
+    assert not rep.ok and "radial" in rep.reason
+
+
+def test_branch_space_sums_of_members():
+    # two members whose profiles are not proportional; each is accepted
+    # alone, and so is their sum
+    d2 = [member_from_levels((), 2, [[1.0, -1.0], [1.0, -1.0]]),
+          member_from_levels((), 2, [[-1.0, 1.0], [1.0, -1.0]])]
+    d3 = [member_from_levels((), 3, [[1.0, -1.0, 0.0], [1.0, -1.0, 0.0]]),
+          member_from_levels((), 3, [[0.0, 1.0, -1.0], [0.0, 2.0, -2.0]])]
+    for d, (f, g) in ((2, d2), (3, d3)):
+        assert hx_membership(f, (), d).ok and hx_membership(g, (), d).ok
+        rep = hx_membership(f + g, (), d)
+        assert rep.ok, rep.reason
+        rep = hx_membership(JacobiOperator(PAPER, TreeConfig(d)).apply(f + g), (), d)
+        assert rep.ok, rep.reason
+
+
+def test_membership_edge_inputs():
+    # a deep radial test reads the listed entries, not the 2^40 vertices
+    rep = hx_membership(SparseFunction({(1,) * 40: 1.0}), None, 2)
+    assert not rep.ok and "level 40" in rep.reason
+    # index 0 and an index above d are no vertices of the degree-2 tree
+    for f in (SparseFunction({(1, 0): 1.0, (1, 1): -1.0}),
+              SparseFunction({(1, 3): 1.0, (1, 1): -1.0})):
+        rep = hx_membership(f, (1,), 2)
+        assert not rep.ok and "outside 1..2" in rep.reason
+    # (c, -c) at any scale, in float and in exact arithmetic
+    for k in range(-40, 41):
+        for c in (2.0 ** k, exact_complex(Fraction(2) ** k)):
+            f = SparseFunction({(1, 1): c, (1, 2): -c, (1, 1, 1): c, (1, 1, 2): c,
+                                (1, 2, 1): -c, (1, 2, 2): -c})
+            rep = hx_membership(f, (1,), 2)
             assert rep.ok, rep.reason

@@ -192,7 +192,7 @@ def test_level_indicator_values():
 def test_json_round_trip():
     f = SparseFunction({(1, 2): 1 + 2j, (): -0.5})
     entries = {parse_address(rec["address"]): complex(rec["re"], rec["im"])
-               for rec in json.loads(f.to_json())}
+               for rec in json.loads(json.dumps(f.to_json_obj()))}
     assert entries == {(1, 2): 1 + 2j, (): complex(-0.5)}
 
 
