@@ -7,7 +7,7 @@ operator — all cross-checked against dense finite-section oracles."""
 
 from .coefficients import CoefficientSequence, TreeConfig
 from .deficiency import (BasisFunction, ClassificationReport,
-                         DeficiencyContext, DeficiencyElement, classify,
+                         DeficiencyElement, classify,
                          classify_by_series,
                          deficiency_residual, element_max_abs,
                          element_residual, f_value, project_full,
@@ -34,7 +34,7 @@ from .operator import (JacobiOperator, MembershipReport, hx_membership,
 from .oracle import (DenseTruncation, build_gamma_patch,
                      build_lambda_patch_matrix, build_radial_block,
                      dense_eigensolve, series_oracle)
-from .orthopoly import (AlphaTable, PolyCache, SeriesResult,
+from .orthopoly import (AlphaTable, DeficiencyContext, PolyCache, SeriesResult,
                         alpha_series, alpha_sq_partial, alpha_sq_terms,
                         compute_polys, poly_pairs, poly_roots, sum_series,
                         wronskian_residual, wronskian_scale)

@@ -152,6 +152,7 @@ def u_isometry_basis(x: Address, d: int, alpha: AlphaTable
 
 def paired_step(elem: DeficiencyElement, d: int, alpha: AlphaTable) -> StepFunction:
     """The boundary step function the isometry sends to the given element."""
+    elem.check_degree(d)
     if elem.anchor is None:
         return StepFunction(d, [((), elem.coefficients[0] * alpha.alpha(0))])
     k = len(elem.anchor)

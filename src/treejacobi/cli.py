@@ -25,14 +25,14 @@ from .deficiency import (DeficiencyContext, DeficiencyElement, classify,
 from .errors import (CoefficientOverflow, ConvergenceFailure, DivergedSeries,
                      ExactModeUnavailable, InconclusiveSeries, PatchTooLarge,
                      RecurrenceOverflow, TreeJacobiError)
-from .exactnum import exact_complex, as_complex
+from .exactnum import as_complex, exact_complex, matching_sqrt
 from .boundary import poisson_kernel, reproducing_check
 from .lambda_tree import (build_eigenpairs, dimension_audit, eigen_residual,
                           spectrum_enumerate)
 from .operator import JacobiOperator, moments
 from .coefficients import TreeConfig
 from .oracle import build_radial_block, dense_eigensolve
-from .orthopoly import alpha_series, compute_polys, poly_roots
+from .orthopoly import compute_polys, poly_roots
 from .treecore import parse_address, validate_address
 
 EXIT_OK = 0
@@ -41,7 +41,7 @@ EXIT_NUMERIC = 3
 EXIT_INCONCLUSIVE = 4
 
 
-class ValidationError(Exception):
+class ValidationError(ValueError):
     pass
 
 
@@ -81,7 +81,7 @@ def parse_z(text: str, mode: str):
     if mode == "exact":
         try:
             return exact_complex(Fraction(re_text), Fraction(im_text))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad exact z {text!r}: {exc}") from None
     try:
         z = complex(float(re_text), float(im_text))
@@ -90,6 +90,21 @@ def parse_z(text: str, mode: str):
     if not cmath.isfinite(z):
         raise ValidationError(f"z must be finite, got {text!r}")
     return z
+
+
+def parse_scale(text: str, mode: str):
+    """The --scale value: a rational, exact in exact mode and otherwise a
+    float, which must not leave the float range."""
+    try:
+        scale = Fraction(text)
+    except ZeroDivisionError:
+        raise ValidationError(f"scale has a zero denominator, got {text!r}") from None
+    if mode == "exact":
+        return exact_complex(scale)
+    try:
+        return float(scale)
+    except OverflowError:
+        raise ValidationError(f"scale must fit in a float, got {text!r}") from None
 
 
 def parse_vertex(text: str, d: int):
@@ -132,11 +147,7 @@ def dump_json(obj) -> str:
 def cmd_polys(args) -> int:
     coeffs = parse_coeffs(args.coeffs)
     z = parse_z(args.z, args.mode)
-    if args.mode == "exact":
-        from .exactnum import exact_sqrt
-        scale = exact_sqrt(args.d) if args.scale is None else exact_complex(Fraction(args.scale))
-    else:
-        scale = math.sqrt(args.d) if args.scale is None else float(Fraction(args.scale))
+    scale = matching_sqrt(args.d, z) if args.scale is None else parse_scale(args.scale, args.mode)
     table = compute_polys(coeffs, scale, z, args.n)
     buf = io.StringIO()
     table.to_csv(buf)
@@ -147,7 +158,7 @@ def cmd_polys(args) -> int:
 def cmd_classify(args) -> int:
     coeffs = parse_coeffs(args.coeffs)
     z = parse_z(args.z, "float")
-    scale = float(Fraction(args.scale)) if args.scale is not None else None
+    scale = parse_scale(args.scale, "float") if args.scale is not None else None
     report = classify(coeffs, args.d, z=z, tol=args.tol, n_max=args.n_max,
                       scale=scale)
     emit(args, dump_json(report.to_json_obj()))
@@ -170,8 +181,9 @@ def cmd_deficiency(args) -> int:
         elem = DeficiencyElement(anchor, tuple(coeff_vec), z)
     residual = element_residual([elem], ctx, args.depth)
     peak = element_max_abs([elem], ctx, args.depth)
-    alpha = alpha_series(coeffs, args.d, as_complex(z), k_max=(len(anchor) + 1 if anchor else 0),
-                         tol=args.tol, n_max=args.n_max)
+    # the alpha series are float series in both modes
+    alpha_ctx = DeficiencyContext(coeffs, args.d, as_complex(z)) if ctx.exact else ctx
+    alpha = alpha_ctx.alphas(len(anchor) + 1 if anchor else 0, args.tol, args.n_max)
     f = elem.materialize(ctx, min(args.depth, args.materialize_depth))
     obj = {
         "element": elem.to_json_obj(),
@@ -191,8 +203,7 @@ def cmd_poisson(args) -> int:
     z = parse_z(args.z, "float")
     y = parse_vertex(args.y, args.d)
     ctx = DeficiencyContext(coeffs, args.d, z)
-    alpha = alpha_series(coeffs, args.d, z, k_max=len(y) + 1,
-                         tol=args.tol, n_max=args.n_max)
+    alpha = ctx.alphas(len(y) + 1, args.tol, args.n_max)
     kernel = poisson_kernel(y, ctx, alpha)
     anchor = y[:-1] if y else None
     if anchor is not None:
@@ -427,10 +438,7 @@ def main(argv=None) -> int:
         if "d" in args:
             TreeConfig(args.d)
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (RecurrenceOverflow, CoefficientOverflow) as exc:

@@ -7,54 +7,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import CoefficientSequence
-from .errors import RealSpectralParameter, RecurrenceOverflow
 from .exactnum import as_complex, conj, is_zero, matching_sqrt, sums_to_zero
-from .orthopoly import (AlphaTable, PolyCache, SeriesResult, check_recurrence_inputs,
-                        check_series_limits, sum_series)
+from .orthopoly import (AlphaTable, DeficiencyContext, PolyCache, _overflow_as_divergence,
+                        check_recurrence_inputs, check_series_limits)
 from .treecore import (GAMMA, Address, SparseFunction, check_budget,
                        format_address, subtree_size, subtree_vertices)
-
-
-class DeficiencyContext(PolyCache):
-    """The recurrence table at scale sqrt(d) and a non-real z, with the
-    degree d: the values every deficiency-space object reads."""
-
-    def __init__(self, coeffs: CoefficientSequence, d: int, z):
-        if as_complex(z).imag == 0:
-            raise RealSpectralParameter(
-                f"deficiency-space values need a non-real z, got {z}")
-        super().__init__(coeffs, matching_sqrt(d, z), z)
-        self.d = d
-
-    def f_zero(self, n: int):
-        """Value on level n of the radial basis function (anchor at the root
-        level of the whole tree): p_n(z) / d^(n/2)."""
-        self.ensure(n)
-        return self._over_root_power(self.p[n], n)
-
-    def f_anchored(self, k: int, n: int):
-        """Value on level n inside one child subtree of an anchor at level k:
-        lam_k (p_k q_n - q_k p_n) / d^((n-k-1)/2), for n >= k + 1.
-
-        The value at n = k + 1 is 1 for every k (discrete Wronskian)."""
-        if n < k + 1:
-            raise ValueError(f"anchored values start at level {k + 1}, got {n}")
-        lam_k = self.lam(k)
-        self.ensure(n)
-        p, q = self.p, self.q
-        return self._over_root_power(lam_k * (p[k] * q[n] - q[k] * p[n]), n - k - 1)
-
-    def _over_root_power(self, value, k: int):
-        """value / d^(k/2), the integer d^(k//2) times sqrt(d) when k is odd.
-        In float mode a d^(k//2) of more than 512 bits is split into a
-        correctly rounded mantissa and a power of two that ldexp divides
-        out, so no power is converted beyond the float range."""
-        whole = self.d ** (k // 2)
-        shift = whole.bit_length() - 512
-        if self.exact or shift <= 0:
-            return value / (whole * self.scale if k % 2 else whole)
-        value = value / (whole / (1 << shift) * (self.scale if k % 2 else 1))
-        return complex(math.ldexp(value.real, -shift), math.ldexp(value.imag, -shift))
 
 
 def f_value(kind: str, k: int, n: int, ctx: DeficiencyContext):
@@ -89,6 +46,13 @@ class DeficiencyElement:
         elif not sums_to_zero(self.coefficients, 1e-14):
             raise ValueError(f"coefficients must sum to zero, got {self.coefficients!r}")
 
+    def check_degree(self, d: int) -> None:
+        """Raise ValueError unless an anchored element has d coefficients,
+        one per child subtree of its anchor."""
+        if self.anchor is not None and len(self.coefficients) != d:
+            raise ValueError(f"an anchored element at degree {d} takes {d} coefficients, "
+                             f"got {len(self.coefficients)}")
+
     def _coefficient_on(self, x: Address):
         """The coefficient at x and on the subtree below x: the radial scalar,
         a_i inside the anchor's i-th child subtree, 0 elsewhere."""
@@ -107,6 +71,7 @@ class DeficiencyElement:
         return ctx.f_anchored(k, n) if n > k else 0
 
     def value_at(self, y: Address, ctx: DeficiencyContext):
+        self.check_degree(ctx.d)
         a = self._coefficient_on(y)
         return 0 if is_zero(a) else a * self._level_value(ctx, len(y))
 
@@ -136,6 +101,7 @@ class DeficiencyElement:
         |a| * alpha_0 for the radial element."""
         if self.anchor is None:
             return abs(as_complex(self.coefficients[0])) * alpha.alpha(0)
+        self.check_degree(alpha.d)
         s = sum(abs(as_complex(a)) ** 2 for a in self.coefficients)
         return alpha.alpha(len(self.anchor) + 1) * math.sqrt(s)
 
@@ -221,6 +187,8 @@ class _Profile:
                  ctx: DeficiencyContext, depth: int):
         if depth < 0:
             raise ValueError(f"depth must be nonnegative, got {depth}")
+        for e in elements:
+            e.check_degree(ctx.d)
         anchors = [e.anchor for e in elements if e.anchor is not None]
         self.paths = {()} | {a[:j] for a in anchors for j in range(min(len(a), depth) + 1)}
         roots = list(self.paths) + [p + (i,) for p in self.paths if len(p) < depth
@@ -379,15 +347,8 @@ def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1
             yield a * a
             n += 1
 
-    def run(values: list) -> SeriesResult:
-        try:
-            return sum_series(terms(values), tol=tol, n_max=n_max)
-        except RecurrenceOverflow:
-            return SeriesResult("diverged", math.inf, len(cache.p),
-                                note="recurrence overflow: terms left the float range")
-
-    res_p = run(cache.p)
-    res_q = run(cache.q)
+    res_p = _overflow_as_divergence(terms(cache.p), cache, tol, n_max)
+    res_q = _overflow_as_divergence(terms(cache.q), cache, tol, n_max)
     if res_p.status == "converged" and res_q.status == "converged":
         verdict = "not_essentially_selfadjoint"
         diag = "both series converged: nontrivial deficiency spaces"

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 from typing import List
 
 from .coefficients import CoefficientSequence, TreeConfig
-from .errors import RealSpectralParameter
 from .exactnum import as_complex, matching_sqrt, root_power
 from .operator import JacobiOperator
-from .orthopoly import PolyCache, poly_roots
+from .orthopoly import DeficiencyContext, PolyCache, poly_roots
 from .treecore import LambdaPatch, SparseFunction, subtree_vertices
 
 
@@ -51,15 +50,11 @@ def esa_certificate(coeffs: CoefficientSequence, d: int, z,
     (all roots are real), so any solution is a nonzero multiple of the
     radial profile on each subtree — and each level of the tree has
     infinitely many vertices carrying that mass."""
-    zc = complex(as_complex(z))
-    if zc.imag == 0:
-        raise RealSpectralParameter(
-            f"the certificate is about non-real spectral parameters, got {z}")
-    cache = PolyCache(coeffs, math.sqrt(d), zc)
-    cache.ensure(k_max)
-    abs_p = [abs(cache.p[k]) for k in range(k_max + 1)]
+    ctx = DeficiencyContext(coeffs, d, as_complex(z))
+    ctx.ensure(k_max)
+    abs_p = [abs(ctx.p[k]) for k in range(k_max + 1)]
     masses = [d ** k * abs_p[k] ** 2 for k in range(k_max + 1)]
-    return EsaCertificate(zc, k_max, min(abs_p), masses,
+    return EsaCertificate(ctx.z, k_max, min(abs_p), masses,
                           all(a > 0 for a in abs_p))
 
 

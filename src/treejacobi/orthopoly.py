@@ -1,5 +1,6 @@
 """Three-term recurrences: first/second-kind values p_n(z), q_n(z), their
-roots, and the norm series alpha_k(z)."""
+roots, the deficiency-space table at scale sqrt(d) and its norm series
+alpha_k(z)."""
 from __future__ import annotations
 
 import cmath
@@ -259,7 +260,8 @@ class PolyCache:
     `lam`, the lambda accessor of that arithmetic.  An exact table also
     keeps each integer row with the two values it built from it, for
     wronskian_residual.  Once the recurrence fails, every later extension
-    raises that same error."""
+    past the last index held raises that same error; the indices held are
+    still served, so readers can share one table."""
 
     def __init__(self, coeffs: CoefficientSequence, scale, z):
         self.coeffs, self.scale, self.z = coeffs, scale, z
@@ -277,6 +279,8 @@ class PolyCache:
         return len(self.p) - 1
 
     def ensure(self, n: int) -> None:
+        if n < len(self.p):
+            return
         if self._error is not None:
             raise self._error
         try:
@@ -448,6 +452,18 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12,
                         note=f"no verdict after {count} terms")
 
 
+def _overflow_as_divergence(terms: Iterable[float], table: PolyCache, tol: float,
+                            n_max: int) -> SeriesResult:
+    """sum_series over terms read from table, where a recurrence value that
+    leaves the float range reads as a diverged series after len(table.p)
+    terms."""
+    try:
+        return sum_series(terms, tol=tol, n_max=n_max)
+    except RecurrenceOverflow:
+        return SeriesResult("diverged", math.inf, len(table.p),
+                            note="recurrence overflow: terms left the float range")
+
+
 def alpha_sq_terms(k: int, cache: PolyCache) -> Iterator:
     """Terms of the alpha_k(z)^2 series, in the arithmetic of the cache.
 
@@ -496,42 +512,77 @@ class AlphaTable:
         return self.alphas[k]
 
 
+class DeficiencyContext(PolyCache):
+    """The recurrence table at scale sqrt(d) and a non-real z, with the
+    degree d: the values every deficiency-space object reads, and their
+    norms alpha_k.  Every sqrt(d) table at a non-real z is one of these."""
+
+    def __init__(self, coeffs: CoefficientSequence, d: int, z):
+        if as_complex(z).imag == 0:
+            raise RealSpectralParameter(
+                f"deficiency-space values need a non-real z, got {z}")
+        super().__init__(coeffs, matching_sqrt(d, z), z)
+        self.d = d
+
+    def f_zero(self, n: int):
+        """Value on level n of the radial basis function (anchor at the root
+        level of the whole tree): p_n(z) / d^(n/2)."""
+        self.ensure(n)
+        return self._over_root_power(self.p[n], n)
+
+    def f_anchored(self, k: int, n: int):
+        """Value on level n inside one child subtree of an anchor at level k:
+        lam_k (p_k q_n - q_k p_n) / d^((n-k-1)/2), for n >= k + 1.
+
+        The value at n = k + 1 is 1 for every k (discrete Wronskian)."""
+        if n < k + 1:
+            raise ValueError(f"anchored values start at level {k + 1}, got {n}")
+        lam_k = self.lam(k)
+        self.ensure(n)
+        p, q = self.p, self.q
+        return self._over_root_power(lam_k * (p[k] * q[n] - q[k] * p[n]), n - k - 1)
+
+    def _over_root_power(self, value, k: int):
+        """value / d^(k/2), the integer d^(k//2) times sqrt(d) when k is odd.
+        In float mode a d^(k//2) of more than 512 bits is split into a
+        correctly rounded mantissa and a power of two that ldexp divides
+        out, so no power is converted beyond the float range."""
+        whole = self.d ** (k // 2)
+        shift = whole.bit_length() - 512
+        if self.exact or shift <= 0:
+            return value / (whole * self.scale if k % 2 else whole)
+        value = value / (whole / (1 << shift) * (self.scale if k % 2 else 1))
+        return complex(math.ldexp(value.real, -shift), math.ldexp(value.imag, -shift))
+
+    def alphas(self, k_max: int, tol: float = 1e-12, n_max: int = 100_000) -> AlphaTable:
+        """alpha_k(z) for k = 0..k_max, with per-k series verdicts, summed
+        over this table, which must be a float table."""
+        if self.exact:
+            raise ValueError("the alpha series are float series: read them from a float table")
+        runs = [_overflow_as_divergence(alpha_sq_terms(k, self), self, tol, n_max)
+                for k in range(k_max + 1)]
+        totals = [r.partial_sum + r.tail_estimate for r in runs]
+        statuses = [r.status for r in runs]
+        overall = ("converged" if all(s == "converged" for s in statuses)
+                   else "diverged" if "diverged" in statuses else "inconclusive")
+        return AlphaTable(as_complex(self.z), self.d, k_max,
+                          [math.sqrt(t) if s == "converged" else math.nan
+                           for s, t in zip(statuses, totals)],
+                          totals, statuses, [r.terms_used for r in runs],
+                          [r.tail_estimate for r in runs], overall, tol, n_max)
+
+
 def alpha_series(coeffs: CoefficientSequence, d: int, z: complex, k_max: int,
                  tol: float = 1e-12, n_max: int = 100_000) -> AlphaTable:
-    """alpha_k(z) for k = 0..k_max, with per-k series verdicts.
-
-    Requires non-real z; uses the sqrt(d)-scaled recurrence."""
-    zc = complex(z)
-    if zc.imag == 0:
-        raise RealSpectralParameter(f"alpha series needs a non-real z, got {z}")
-    cache = PolyCache(coeffs, math.sqrt(d), zc)
-    alphas, alpha_sqs, statuses, used, tails = [], [], [], [], []
-    for k in range(k_max + 1):
-        try:
-            res = sum_series(alpha_sq_terms(k, cache), tol=tol, n_max=n_max)
-        except RecurrenceOverflow:
-            res = SeriesResult("diverged", math.inf, len(cache.p),
-                               note="recurrence overflow while summing")
-        total = res.partial_sum + res.tail_estimate
-        alphas.append(math.sqrt(total) if res.status == "converged" else math.nan)
-        alpha_sqs.append(total)
-        statuses.append(res.status)
-        used.append(res.terms_used)
-        tails.append(res.tail_estimate)
-    if all(s == "converged" for s in statuses):
-        overall = "converged"
-    elif any(s == "diverged" for s in statuses):
-        overall = "diverged"
-    else:
-        overall = "inconclusive"
-    return AlphaTable(zc, d, k_max, alphas, alpha_sqs, statuses, used, tails,
-                      overall, tol, n_max)
+    """alpha_k(z) for k = 0..k_max, with per-k series verdicts, on a float
+    DeficiencyContext of its own (DeficiencyContext.alphas)."""
+    return DeficiencyContext(coeffs, d, complex(z)).alphas(k_max, tol, n_max)
 
 
 def alpha_sq_partial(coeffs: CoefficientSequence, d: int, z, k: int, n_terms: int):
-    """Partial sum of the alpha_k^2 series with exactly n_terms terms.
-
-    Exact when z is an ExactComplex (the scale is then the exact sqrt(d))."""
-    scale = matching_sqrt(d, z)
-    terms = alpha_sq_terms(k, PolyCache(coeffs, scale, z))
-    return sum(itertools.islice(terms, n_terms), 0 * scale)  # 0 in the run's arithmetic
+    """Partial sum of the alpha_k^2 series with exactly n_terms terms, at a
+    non-real z.  Exact when z is an ExactComplex (the scale is then the
+    exact sqrt(d))."""
+    ctx = DeficiencyContext(coeffs, d, z)
+    return sum(itertools.islice(alpha_sq_terms(k, ctx), n_terms),
+               0 * ctx.scale)  # 0 in the run's arithmetic

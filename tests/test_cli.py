@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import treejacobi
 from treejacobi.cli import main, parse_coeffs, parse_z, ValidationError
+from treejacobi import orthopoly
 from treejacobi.orthopoly import PolyCache
 
 
@@ -217,6 +218,34 @@ def test_deficiency_exact_mode_matches_float(capsys):
     assert exact["max_abs"] == pytest.approx(floats["max_abs"], rel=1e-12)
 
 
+def _tables_stepped(argv, monkeypatch, capsys) -> list:
+    """(exact, values yielded) for each recurrence table the run steps."""
+    stepped, real = [], orthopoly.poly_pairs
+
+    def counting(coeffs, scale, z):
+        # a generator: a table counts once it takes its first value
+        stepped.append([orthopoly._wants_exact(scale, z), 0])
+        for item in real(coeffs, scale, z):
+            stepped[-1][1] += 1
+            yield item
+
+    monkeypatch.setattr(orthopoly, "poly_pairs", counting)
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    return [tuple(t) for t in stepped]
+
+
+@pytest.mark.parametrize("argv, tables", [
+    ("poisson --coeffs paper --z 0.3,1 --y 1.2", [(False, 49)]),
+    ("deficiency --z 0.3,1 --anchor 1 --depth 40", [(False, 49)]),
+    ("deficiency --mode exact --z 0,1 --anchor 1 --depth 10", [(True, 11), (False, 49)]),
+])
+def test_a_session_steps_one_table_per_arithmetic(argv, tables, monkeypatch, capsys):
+    # the alpha series read the session's own table; exact mode sums them
+    # on one float table beside its exact one
+    assert _tables_stepped(argv.split(), monkeypatch, capsys) == tables
+
+
 def test_poisson_artifact(capsys):
     code, out, _ = run(["poisson", "--y", "1.2", "--z", "0,1"], capsys)
     assert code == 0
@@ -382,6 +411,13 @@ def test_malformed_config_is_validation_error(tmp_path, text, capsys):
     ["deficiency", "--materialize-depth", "-1"],
     ["classify", "--coeffs", "power:1:1.5e400"],
     ["classify", "--coeffs", "power:1:-1.5e400"],
+    ["classify", "--scale", "1/0"],
+    ["classify", "--scale", "1e400"],
+    ["polys", "--scale", "1/0"],
+    ["polys", "--mode", "exact", "--scale", "1/0"],
+    ["polys", "--scale=-1e400"],
+    ["polys", "--mode", "exact", "--z", "1/0,1"],
+    ["deficiency", "--mode", "exact", "--z", "1/0,1"],
 ], ids=" ".join)
 def test_bad_numeric_option_is_validation_error(argv, capsys):
     code, _, err = run(argv, capsys)
@@ -417,7 +453,8 @@ def test_flag_the_subcommand_does_not_read_is_rejected(argv, tmp_path, capsys):
 # where they are optional, so that no case can exhaust memory or run long:
 # d <= 5, n <= 4, depth <= 40, materialize depth <= 4, n_max <= 2000 and
 # addresses of at most 5 levels.
-_NUMBERS = st.sampled_from(["0", "1", "-1", "0.5", "-2.5", "1/3", "1e308", "nan", "inf", "x"])
+_NUMBERS = st.sampled_from(["0", "1", "-1", "0.5", "-2.5", "1/3", "1/0", "1e308", "nan", "inf",
+                            "x"])
 _ADDRESS = st.one_of(
     st.lists(st.integers(0, 6), max_size=5).map(lambda x: ".".join(map(str, x)) or "e"),
     st.sampled_from(["", "1..2", "-1", "a"]))
@@ -434,7 +471,7 @@ _SHARED = {
     "strict": st.booleans(),
 }
 _N_MAX = {"n-max": st.integers(-2, 2000)}
-_SCALE = st.sampled_from(["1", "2", "1/2", "1.5", "0", "-1", "1e400", "x"])
+_SCALE = st.sampled_from(["1", "2", "1/2", "1.5", "0", "-1", "1/0", "1e400", "x"])
 _N = st.integers(-1, 4)
 
 

@@ -31,6 +31,12 @@ def test_real_z_rejected():
         DeficiencyContext(PAPER, D, 1.5)
 
 
+def test_alphas_read_a_float_table():
+    assert CTX.alphas(6).alphas == ALPHA.alphas
+    with pytest.raises(ValueError, match="float table"):
+        CTX_EXACT.alphas(1)
+
+
 def test_f_values_at_normalization_points():
     assert CTX.f_zero(0) == 1.0
     # value 1 at the first support level, for every anchor level
@@ -72,6 +78,22 @@ def test_element_requires_zero_sum():
     with pytest.raises(ValueError):
         DeficiencyElement((1,), (1.0, -0.5), 1j)
     DeficiencyElement((1,), (1.0, -1.0), 1j)  # fine
+
+
+@pytest.mark.parametrize("coefficients", [(1.0, 1.0, -2.0), (0.0,)],
+                         ids=["three-at-degree-2", "one-at-degree-2"])
+def test_anchored_element_needs_d_coefficients(coefficients):
+    from treejacobi.boundary import paired_step
+
+    elem = DeficiencyElement((1,), coefficients, 1j)  # sums to zero, so accepted
+    for use in (lambda: elem.materialize(CTX, 4),
+                lambda: element_residual([elem], CTX, 4),
+                lambda: element_max_abs([elem], CTX, 4),
+                lambda: elem.value_at((1, 1), CTX),
+                lambda: elem.norm(ALPHA),
+                lambda: paired_step(elem, D, ALPHA)):
+        with pytest.raises(ValueError, match="takes 2 coefficients"):
+            use()
 
 
 def test_materialize_radial_root_only():

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, every
 private module-level function or class is used somewhere, every local
 a function assigns and every parameter it takes is read, every CLI flag
-is read by its subcommand's handler, and only the recurrence table steps
-the recurrence."""
+is read by its subcommand's handler, only the recurrence table steps
+the recurrence, and only named scopes build a table."""
 import argparse
 import ast
 import inspect
@@ -113,15 +113,19 @@ def test_every_parameter_is_read(path):
     assert _unread_parameters(path) == []
 
 
-def _poly_pairs_loads() -> list:
-    """The scopes ("module.Class.function") that load poly_pairs."""
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _scopes_where(found) -> list:
+    """The scopes ("module.Class.function") of the nodes for which found(node)
+    holds, a class or function being in its own scope."""
     out = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}"
-        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-        if name == "poly_pairs" and isinstance(node.ctx, ast.Load):
+        if found(node):
             out.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -133,7 +137,21 @@ def _poly_pairs_loads() -> list:
 
 def test_only_the_table_steps_the_recurrence():
     # a change to what the table stores then changes one class
-    assert _poly_pairs_loads() == ["orthopoly.PolyCache.__init__"]
+    loads = _scopes_where(lambda node: _name(node) == "poly_pairs"
+                          and isinstance(node.ctx, ast.Load))
+    assert loads == ["orthopoly.PolyCache.__init__"]
+
+
+def test_only_these_scopes_build_a_recurrence_table():
+    # a sqrt(d) table at a non-real z is a DeficiencyContext, which builds
+    # its table only by subclassing
+    calls = _scopes_where(lambda node: isinstance(node, ast.Call)
+                          and _name(node.func) == "PolyCache")
+    assert calls == ["deficiency.classify_by_series", "lambda_tree.radial_propagate",
+                     "oracle.series_oracle", "orthopoly.compute_polys"]
+    subclasses = _scopes_where(lambda node: isinstance(node, ast.ClassDef)
+                               and any(_name(base) == "PolyCache" for base in node.bases))
+    assert subclasses == ["orthopoly.DeficiencyContext"]
 
 
 def _unread_cli_flags() -> list:

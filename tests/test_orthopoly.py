@@ -237,6 +237,19 @@ def test_poly_cache_keeps_its_first_error():
     assert again.value is first.value
 
 
+def test_failed_table_serves_the_indices_it_holds():
+    # five explicit lambdas build p_0..p_5; the step to p_6 needs lambda_5
+    cache = PolyCache(CoefficientSequence.explicit([1, 2, 3, 4, 5]), 1.0, 1j)
+    with pytest.raises(CoefficientIndexError) as first:
+        cache.ensure(10)
+    assert cache.N == 5
+    for j in (0, 3, cache.N):
+        cache.ensure(j)
+    with pytest.raises(CoefficientIndexError) as again:
+        cache.ensure(cache.N + 1)
+    assert again.value is first.value
+
+
 def test_exact_mode_rejects_float_values():
     # a float sqrt(2) must not turn into Fraction(1.4142135623730951)
     with pytest.raises(ValueError):
@@ -404,6 +417,10 @@ def test_degenerate_parameters_rejected():
 def test_alpha_requires_nonreal():
     with pytest.raises(RealSpectralParameter):
         alpha_series(PAPER, 2, 1.0, 2)
+    with pytest.raises(RealSpectralParameter):
+        alpha_sq_partial(PAPER, 2, 1.0, 0, 3)
+    with pytest.raises(RealSpectralParameter):
+        alpha_sq_partial(PAPER, 2, exact_complex(1), 0, 3)
 
 
 def test_alpha_paper_family_frozen():
