@@ -34,8 +34,9 @@ def _wants_exact(scale, z) -> bool:
 
 def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     """Yield (n, p_n(z), q_n(z), row) indefinitely, where row is the
-    integer row (A_n, B_n, T_n) the exact values were built from (see
-    _IntegerRecurrence) and None in float mode.
+    integer row (A_n, B_n, T_n, W_n) the exact values were built from, with
+    the witness W_n of the step that built it (see _IntegerRecurrence), and
+    None in float mode.
 
     Off-diagonal entries are scale*lambda_n; initial data p_0 = 1,
     p_1 = (z - beta_0)/(scale*lambda_0), q_0 = 0, q_1 = 1/lambda_0.
@@ -150,6 +151,9 @@ class _IntegerRecurrence:
     operand.  Values are brought to lowest terms only when they leave the
     table (_exact_value).
 
+    Row n >= 2 carries the step's small multipliers W_n = ((L_{n-1}/g)
+    G_{n-1}, c_{n-1}/g) as a witness for wronskian_residual.
+
     Domain: z a Gaussian rational and sigma a nonzero rational, so that
     scale is r, i*r, r*sqrt(m) or i*r*sqrt(m) for a rational r.
     """
@@ -170,23 +174,25 @@ class _IntegerRecurrence:
         self.unit = _over_one_denominator(scale.re, scale.im) + (scale.m,)
 
     def pairs(self) -> Iterator[tuple]:
-        """Yield (n, p_n, q_n, (A_n, B_n, T_n)), the values as ExactComplex
-        in lowest terms."""
-        for n, a, b, t in self.rows():
+        """Yield (n, p_n, q_n, (A_n, B_n, T_n, W_n)), the values as
+        ExactComplex in lowest terms."""
+        for n, a, b, t, w in self.rows():
             yield (n, _exact_value(self.edge(a, t, n)), _exact_value(self.edge(b, t, n - 1)),
-                   (a, b, t))
+                   (a, b, t, w))
 
     def rows(self) -> Iterator[tuple]:
-        """Yield (n, A_n, B_n, T_n) indefinitely: Gaussian integers (re, im)
-        and the integer pair T_n = D_n Pi_n."""
+        """Yield (n, A_n, B_n, T_n, W_n) indefinitely: Gaussian integers
+        (re, im), the integer pair T_n = D_n Pi_n and the witness (u, v) of
+        X_n = u X_{n-1} - v X_{n-2} (None for n < 2)."""
         zr, zi, zd = self.z
         s, s_den = self.sigma.numerator, self.sigma.denominator
         a_prev, a = (0, 0), (1, 0)
         b_prev, b = (0, 0), (0, 0)
         t, t_den = 1, 1
+        w = None
         n = 0
         while True:
-            yield n, a, b, (t, t_den)
+            yield n, a, b, (t, t_den), w
             beta = self.beta(n)
             lam_n = self.lam(n)
             e = zd * beta.denominator
@@ -207,6 +213,7 @@ class _IntegerRecurrence:
                 b_next = (lg_re * b[0] - lg_im * b[1] - c * b_prev[0],
                           lg_re * b[1] + lg_im * b[0] - c * b_prev[1])
                 big_r = e * big_l
+                w = ((lg_re, lg_im), c)
             up, down = big_r * lam_n.numerator, lam_n.denominator
             k = math.gcd(t_den, up)
             t, t_den = t * (up // k), t_den // k
@@ -232,23 +239,32 @@ class _IntegerRecurrence:
         return re * up, im * up, den, m
 
 
-def _gauss_product(x: tuple, y: tuple) -> tuple:
-    """The Gaussian-integer product x*y with three multiplications."""
-    k1 = y[0] * (x[0] + x[1])
-    return k1 - x[1] * (y[0] + y[1]), k1 + x[0] * (y[1] - y[0])
+def _casoratian_starts(lam_0: Fraction, row: tuple, next_row: tuple) -> bool:
+    """Whether rows 0 and 1 satisfy A_0 B_1 - A_1 B_0 = T_0 T_1 / lambda_0,
+    by integer cross-multiplication: the Wronskian identity at 0 for the
+    values the rows give (_IntegerRecurrence)."""
+    (ar, ai), (br, bi), (t, t_den), _ = row
+    (ar1, ai1), (br1, bi1), (t1, t1_den), _ = next_row
+    re = ar * br1 - ai * bi1 - ar1 * br + ai1 * bi
+    im = ar * bi1 + ai * br1 - ar1 * bi - ai1 * br
+    return im == 0 and re * t_den * t1_den * lam_0.numerator == t * t1 * lam_0.denominator
 
 
-def _casoratian_holds(sigma: Fraction, lam_n: Fraction, n: int, row: tuple,
-                      next_row: tuple) -> bool:
-    """Whether the rows (A, B, T) at n and n + 1 satisfy A_n B_{n+1} -
-    A_{n+1} B_n = sigma**n T_n T_{n+1} / lambda_n, by integer
-    cross-multiplication: the Wronskian identity at n for the values the
-    rows give (_IntegerRecurrence)."""
-    a, b, (t, t_den) = row
-    a1, b1, (t1, t1_den) = next_row
-    (re, im), (re1, im1) = _gauss_product(a, b1), _gauss_product(a1, b)
-    return im == im1 and ((re - re1) * sigma.denominator ** n * t_den * t1_den * lam_n.numerator
-                          == sigma.numerator ** n * t * t1 * lam_n.denominator)
+def _casoratian_steps(sigma: Fraction, lam_prev: Fraction, lam_n: Fraction, prev: tuple,
+                      row: tuple, next_row: tuple) -> bool:
+    """Whether the rows at n - 1, n, n + 1 carry the identity from n - 1 to
+    n >= 1.  With next_row's witness (u, v), X_{n+1} + v X_{n-1} = u X_n
+    for X = A, B gives C_n = v C_{n-1} for C_n = A_n B_{n+1} - A_{n+1} B_n,
+    and sigma T_{n+1} lambda_{n-1} = v T_{n-1} lambda_n gives the same
+    factor on the right-hand side.  Every product has a small operand."""
+    a0, b0, (t0, t0_den), _ = prev
+    a, b, _, _ = row
+    a1, b1, (t1, t1_den), ((ur, ui), v) = next_row
+    return (all(x1[0] + v * x0[0] == ur * x[0] - ui * x[1]
+                and x1[1] + v * x0[1] == ur * x[1] + ui * x[0]
+                for x0, x, x1 in ((a0, a, a1), (b0, b, b1)))
+            and t1 * (sigma.numerator * lam_prev.numerator * lam_n.denominator * t0_den)
+            == t0 * (v * sigma.denominator * lam_n.numerator * lam_prev.denominator * t1_den))
 
 
 class PolyCache:
@@ -271,7 +287,7 @@ class PolyCache:
         self._error: Optional[Exception] = None
         self.p: list = []
         self.q: list = []
-        self._rows: list = []  # exact mode: (p_n, q_n, (A_n, B_n, T_n)) as built
+        self._rows: list = []  # exact mode: (p_n, q_n, (A_n, B_n, T_n, W_n)) as built
 
     @property
     def N(self) -> int:
@@ -318,20 +334,25 @@ def compute_polys(coeffs: CoefficientSequence, scale, z, N: int) -> PolyCache:
 def wronskian_residual(table: PolyCache) -> list:
     """|p_n q_{n+1} - p_{n+1} q_n - 1/lambda_n| for each n < N.
 
-    Exact tables give exact zeros.  Where p[n], q[n], p[n+1] and q[n+1] are
-    still the very values the table built from its integer rows (ExactComplex
-    is immutable), the identity is certified on those rows
-    (_casoratian_holds); any other value is checked in ExactComplex
-    arithmetic."""
+    Exact tables give exact zeros.  The identity is certified on an exact
+    table's integer rows by induction, at n = 0 (_casoratian_starts) and
+    then step by step (_casoratian_steps), in time linear in the rows.
+    From the first failed link on, and where p[n], q[n], p[n+1] or q[n+1]
+    is not the very value built from its row (ExactComplex is immutable),
+    the residual is computed in ExactComplex arithmetic."""
     p, q, lam, rows = table.p, table.q, table.lam, table._rows
     certified = []
     if rows:
         scale = _exact_number(table.scale)
         sigma = (scale * scale).re
         held = [pv is p[n] and qv is q[n] for n, (pv, qv, _) in enumerate(rows)]
-        certified = [held[n] and held[n + 1]
-                     and _casoratian_holds(sigma, lam(n), n, rows[n][2], rows[n + 1][2])
-                     for n in range(len(rows) - 1)]
+        rows = [row for _, _, row in rows]
+        lams = [lam(n) for n in range(len(rows) - 1)]
+        chain = True
+        for n, lam_n in enumerate(lams):
+            chain = chain and (_casoratian_steps(sigma, lams[n - 1], lam_n, *rows[n - 1:n + 2])
+                               if n else _casoratian_starts(lam_n, *rows[:2]))
+            certified.append(chain and held[n] and held[n + 1])
     return [0.0 if n < len(certified) and certified[n]
             else abs(p[n] * q[n + 1] - p[n + 1] * q[n] - 1 / lam(n))
             for n in range(table.N)]

@@ -14,7 +14,7 @@ from treejacobi.coefficients import CoefficientSequence
 from treejacobi.errors import (CoefficientIndexError, CoefficientOverflow, DivergedSeries,
                                NonPositiveLambda, RealSpectralParameter,
                                RecurrenceOverflow)
-from treejacobi.exactnum import exact_complex, exact_sqrt
+from treejacobi.exactnum import ExactComplex, exact_complex, exact_sqrt
 from treejacobi.orthopoly import (PolyCache, _IntegerRecurrence, alpha_series,
                                   alpha_sq_partial, alpha_sq_terms,
                                   compute_polys, poly_roots, sum_series,
@@ -352,7 +352,7 @@ def test_rows_carry_no_surplus_content(coeffs, d):
     # carry 1.6-2.8 times the bits of its value in lowest terms
     engine = _IntegerRecurrence(coeffs, exact_sqrt(d),
                                 exact_complex(Fraction(1, 3), Fraction(1, 2)))
-    n, a, b, t = next(itertools.islice(engine.rows(), 100, None))
+    n, a, b, t, _ = next(itertools.islice(engine.rows(), 100, None))
     for x, k in ((a, n), (b, n - 1)):
         row = engine.edge(x, t, k)[:3]
         content = math.gcd(*row)
@@ -383,6 +383,105 @@ def test_residual_certifies_on_the_stored_rows(monkeypatch):
     t = compute_polys(GEOMETRIC, exact_sqrt(2), exact_complex(Fraction(1, 3), Fraction(1, 2)), 30)
     monkeypatch.setattr(_IntegerRecurrence, "rows", None)
     assert wronskian_residual(t) == [0.0] * 30
+
+
+def _gauss_product(x: tuple, y: tuple) -> tuple:
+    """The Gaussian-integer product x*y with three multiplications."""
+    k1 = y[0] * (x[0] + x[1])
+    return k1 - x[1] * (y[0] + y[1]), k1 + x[0] * (y[1] - y[0])
+
+
+def _casoratian_holds(sigma, lam_n, n, row, next_row) -> bool:
+    """The Wronskian identity at n straight on two stored rows: A_n B_{n+1}
+    - A_{n+1} B_n = sigma**n T_n T_{n+1} / lambda_n, by products of two
+    row-sized integers."""
+    a, b, (t, t_den), _ = row
+    a1, b1, (t1, t1_den), _ = next_row
+    (re, im), (re1, im1) = _gauss_product(a, b1), _gauss_product(a1, b)
+    return im == im1 and ((re - re1) * sigma.denominator ** n * t_den * t1_den * lam_n.numerator
+                          == sigma.numerator ** n * t * t1 * lam_n.denominator)
+
+
+def _residual_and_fallback(table) -> tuple:
+    """wronskian_residual(table), the indices n at which it multiplied
+    p[n] * q[n + 1] in ExactComplex arithmetic, and the count of its
+    ExactComplex multiplications of any table value."""
+    calls = []
+    original = ExactComplex.__mul__
+
+    def spy(x, y):
+        calls.append((x, y))
+        return original(x, y)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ExactComplex, "__mul__", spy)
+        residual = wronskian_residual(table)
+    p, q = table.p, table.q
+    fallback = {n for n in range(table.N) if any(x is p[n] and y is q[n + 1] for x, y in calls)}
+    values = {id(v) for v in p + q}
+    return residual, fallback, sum(id(x) in values or id(y) in values for x, y in calls)
+
+
+WITNESS_SCALES = st.one_of(
+    st.sampled_from([2, 3, 4]).map(exact_sqrt),
+    SMALL_POSITIVE,
+    SMALL_POSITIVE.map(lambda r: exact_complex(0, r)),  # sigma < 0
+)
+WITNESS_ZS = st.one_of(st.just(exact_complex(0)), st.builds(exact_complex, SMALL_ANY, SMALL_ANY))
+
+
+@settings(max_examples=40, deadline=None)
+@given(CLOSED_FORMS | st.builds(CoefficientSequence.paper_example, CLOSED_FORMS),
+       WITNESS_SCALES, WITNESS_ZS, st.integers(1, 40), st.integers(0, 40),
+       st.sampled_from(["A", "B", "T", "witness"]), st.integers(1, 5))
+def test_witness_chain_certifies_where_the_identity_holds(coeffs, scale, z, N, k, part, nudge):
+    t = compute_polys(coeffs, scale, z, N)
+    sigma = (exact_complex(1) * scale * scale).re
+    rows = [row for _, _, row in t._rows]
+    assert all(_casoratian_holds(sigma, t.lam(n), n, rows[n], rows[n + 1]) for n in range(N))
+    residual, fallback, calls = _residual_and_fallback(t)
+    assert residual == [0.0] * N and fallback == set() and calls == 0
+    # a changed row: every index the chain still certifies satisfies the identity
+    k = min(k, N)
+    a, b, (tv, t_den), w = rows[k]
+    if part == "A":
+        a = (a[0] + nudge, a[1])
+    elif part == "B":
+        b = (b[0], b[1] - nudge)
+    elif part == "T":
+        tv += nudge
+    elif w is not None:
+        (ur, ui), v = w
+        w = ((ur, ui + nudge), v)
+    t._rows[k] = t._rows[k][:2] + ((a, b, (tv, t_den), w),)
+    rows[k] = t._rows[k][2]
+    residual, fallback, _ = _residual_and_fallback(t)
+    assert residual == [0.0] * N
+    assert all(_casoratian_holds(sigma, t.lam(n), n, rows[n], rows[n + 1])
+               for n in set(range(N)) - fallback)
+
+
+@pytest.mark.parametrize("part, k, first", [
+    ("witness", 2, 1), ("witness", 9, 8), ("A", 0, 0), ("B", 0, 0), ("B", 1, 0),
+    ("A", 1, 1),  # A_1 meets only B_0 = 0 in the identity at 0
+    ("A", 7, 6), ("B", 12, 11)])
+def test_a_changed_row_falls_back_from_its_step(part, k, first):
+    # p and q are untouched, so the true residuals stay 0; the step that built
+    # row k carries the identity to index k - 1, and no later index can be
+    # reached past the broken link
+    N = 12
+    t = compute_polys(GEOMETRIC, exact_sqrt(2), exact_complex(Fraction(1, 3), Fraction(1, 2)), N)
+    pv, qv, (a, b, tv, w) = t._rows[k]
+    if part == "witness":
+        u, v = w
+        w = (u, v + 1)
+    elif part == "A":
+        a = (a[0] + 1, a[1])
+    else:
+        b = (b[0], b[1] + 1)
+    t._rows[k] = (pv, qv, (a, b, tv, w))
+    residual, fallback, _ = _residual_and_fallback(t)
+    assert residual == [0.0] * N
+    assert fallback == set(range(first, N))
 
 
 @pytest.mark.parametrize("coeffs", FAMILIES, ids=lambda c: c.family)
