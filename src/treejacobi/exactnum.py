@@ -11,7 +11,8 @@ has one grade: a representation
 with Fraction re, im and squarefree m is closed under *, / and the
 same-grade +, -, and is enough for every exact-mode computation in this
 package.  A sum of two nonzero values of different grades raises
-ValueError.
+ValueError.  An UnreducedComplex is such a value given by integers, which
+it brings to lowest terms only when its parts are first read.
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ def _grades(m1: int, m2: int) -> tuple[int, int]:
     raise ValueError(f"incompatible radicands {m1} and {m2}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactComplex:
     """A number (re + i*im) * sqrt(m) with rational re, im and squarefree
     m >= 1; zero is stored with m = 1."""
@@ -89,6 +90,14 @@ class ExactComplex:
     @property
     def bi(self) -> Fraction:
         return self.im if self.m != 1 else Fraction(0)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactComplex):
+            return NotImplemented
+        return (self.re, self.im, self.m) == (other.re, other.im, other.m)
+
+    def __hash__(self):
+        return hash((self.re, self.im, self.m))
 
     def _coerce(self, other):
         if isinstance(other, ExactComplex):
@@ -165,15 +174,70 @@ class ExactComplex:
     def to_complex(self) -> complex:
         root = self.m ** 0.5
         try:
-            return complex(float(self.re) * root, float(self.im) * root)
+            re, im = self._floats()
         except OverflowError:
             raise OverflowError("exact value does not fit in a float") from None
+        return complex(re * root, im * root)
+
+    def _floats(self) -> tuple:
+        return float(self.re), float(self.im)
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
 
     def __repr__(self):
         return f"ExactComplex({self.re}, {self.im}, sqrt={self.m})"
+
+
+class UnreducedComplex(ExactComplex):
+    """The ExactComplex (x + i*y)/den * sqrt(m) of integers x, y and den > 0
+    (a negative den is moved to x and y), kept as those integers until its
+    parts re and im are first read, which brings them to lowest terms once.
+
+    Until then nothing reduces it: to_complex is one correctly rounded
+    int / int per part, which is the float of the reduced Fraction too
+    (float(Fraction) divides the same way); is_zero reads x and y; abs2 is
+    one Fraction; and a product with an int or a Fraction is again an
+    UnreducedComplex.  Any other arithmetic reads the parts."""
+
+    def __init__(self, x: int, y: int, den: int, m: int = 1):
+        if den < 0:
+            x, y, den = -x, -y, -den
+        object.__setattr__(self, "ints", (x, y, den))
+        object.__setattr__(self, "m", m if x or y else 1)
+
+    def _parts(self) -> tuple:
+        parts = self.__dict__.get("_reduced")
+        if parts is None:
+            x, y, den = self.ints
+            parts = (Fraction(x, den), Fraction(y, den))
+            object.__setattr__(self, "_reduced", parts)
+        return parts
+
+    re = property(lambda self: self._parts()[0])
+    im = property(lambda self: self._parts()[1])
+
+    @property
+    def is_zero(self) -> bool:
+        x, y, _ = self.ints
+        return not (x or y)
+
+    def _floats(self) -> tuple:
+        x, y, den = self.ints
+        return x / den, y / den
+
+    def abs2(self) -> ExactComplex:
+        x, y, den = self.ints
+        return ExactComplex(Fraction((x * x + y * y) * self.m, den * den))
+
+    def __mul__(self, other):
+        if isinstance(other, Rational):
+            x, y, den = self.ints
+            return UnreducedComplex(x * other.numerator, y * other.numerator,
+                                    den * other.denominator, self.m)
+        return super().__mul__(other)
+
+    __rmul__ = __mul__
 
 
 def exact_complex(re, im=0) -> ExactComplex:

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 from .coefficients import CoefficientSequence, _accessors
 from .errors import (CoefficientOverflow, ConvergenceFailure, RealSpectralParameter,
                      RecurrenceOverflow)
-from .exactnum import (ExactComplex, abs2, as_complex, exact_complex, is_exact,
-                       matching_sqrt)
+from .exactnum import (ExactComplex, UnreducedComplex, abs2, as_complex, exact_complex,
+                       is_exact, matching_sqrt)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,7 +36,8 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     """Yield (n, p_n(z), q_n(z), row) indefinitely, where row is the
     integer row (A_n, B_n, T_n, W_n) the exact values were built from, with
     the witness W_n of the step that built it (see _IntegerRecurrence), and
-    None in float mode.
+    None in float mode.  Exact values are UnreducedComplex: nothing brings
+    them to lowest terms before a reader reads their parts.
 
     Off-diagonal entries are scale*lambda_n; initial data p_0 = 1,
     p_1 = (z - beta_0)/(scale*lambda_0), q_0 = 0, q_1 = 1/lambda_0.
@@ -114,13 +115,6 @@ def _over_one_denominator(re: Fraction, im: Fraction) -> tuple:
     return re.numerator * im.denominator, im.numerator * re.denominator, den
 
 
-def _exact_value(row: tuple) -> ExactComplex:
-    """The ExactComplex (x + i*y)/den * sqrt(m) of an edge row (x, y, den, m),
-    in lowest terms: the exact recurrence's only gcds of two large operands."""
-    x, y, den, m = row
-    return ExactComplex(Fraction(x, den), Fraction(y, den), m)
-
-
 class _IntegerRecurrence:
     """The exact recurrence run fraction-free on integers (after Bareiss 1968).
 
@@ -148,8 +142,9 @@ class _IntegerRecurrence:
     T_n = D_n Pi_n, which the edge divides by, as an integer pair
     (t, t_den) with T_{n+1} = T_n R_{n+1} lambda_n; each new factor is
     cancelled against the other side of the pair by a gcd with a small
-    operand.  Values are brought to lowest terms only when they leave the
-    table (_exact_value).
+    operand.  The values p_n, q_n are UnreducedComplex over their edge
+    rows (edge), so the only gcds of two large operands are those a reader
+    asks for by reading a value's parts, one per part and value.
 
     Row n >= 2 carries the step's small multipliers W_n = ((L_{n-1}/g)
     G_{n-1}, c_{n-1}/g) as a witness for wronskian_residual.
@@ -175,10 +170,9 @@ class _IntegerRecurrence:
 
     def pairs(self) -> Iterator[tuple]:
         """Yield (n, p_n, q_n, (A_n, B_n, T_n, W_n)), the values as
-        ExactComplex in lowest terms."""
+        UnreducedComplex over their edge rows."""
         for n, a, b, t, w in self.rows():
-            yield (n, _exact_value(self.edge(a, t, n)), _exact_value(self.edge(b, t, n - 1)),
-                   (a, b, t, w))
+            yield n, _EdgeValue(self, a, t, n), _EdgeValue(self, b, t, n - 1), (a, b, t, w)
 
     def rows(self) -> Iterator[tuple]:
         """Yield (n, A_n, B_n, T_n, W_n) indefinitely: Gaussian integers
@@ -224,29 +218,53 @@ class _IntegerRecurrence:
             n += 1
 
     def edge(self, x: tuple, t: tuple, k: int) -> tuple:
-        """(x/T) / scale**k as a row (re, im, den, m) for the value
-        (re + i*im)/den * sqrt(m), not in lowest terms.  k = -1 comes only
-        with x = Q_0 = 0."""
+        """(x/T) / scale**k as integers (re, im, den) for the value
+        (re + i*im)/den * sqrt(m), not in lowest terms, with den > 0 and m
+        the radicand of scale when k is odd (1 otherwise).  k = -1 comes
+        only with x = Q_0 = 0."""
         half = (k + 1) // 2  # 1/scale**k = (s'/s)**half, times scale if k is odd
         up = self.sigma.denominator ** half * t[1]
         den = t[0] * self.sigma.numerator ** half
         re, im = x
-        m = 1
         if k % 2:
-            u, v, w, m = self.unit
+            u, v, w, _ = self.unit
             re, im = re * u - im * v, re * v + im * u
             den *= w
-        return re * up, im * up, den, m
+        if den < 0:  # sigma < 0
+            up, den = -up, -den
+        return re * up, im * up, den
+
+
+class _EdgeValue(UnreducedComplex):
+    """A value p_n or q_n of an exact table, (x/T) / scale**k for the entry
+    x of its row: an UnreducedComplex whose integers are the edge, computed
+    each time they are read, so that the table holds no integers but its
+    rows (and the parts of the values read)."""
+
+    def __init__(self, engine: _IntegerRecurrence, x: tuple, t: tuple, k: int):
+        object.__setattr__(self, "_row", (engine, x, t, k))
+        object.__setattr__(self, "m", engine.unit[3] if k % 2 and (x[0] or x[1]) else 1)
+
+    @property
+    def ints(self) -> tuple:
+        engine, x, t, k = self._row
+        return engine.edge(x, t, k)
+
+
+def _row_cross(row: tuple, other: tuple) -> tuple:
+    """The Gaussian integer A B' - A' B of rows (A, B, ...) and (A', B', ...)."""
+    (ar, ai), (br, bi), _, _ = row
+    (ar1, ai1), (br1, bi1), _, _ = other
+    return (ar * br1 - ai * bi1 - ar1 * br + ai1 * bi,
+            ar * bi1 + ai * br1 - ar1 * bi - ai1 * br)
 
 
 def _casoratian_starts(lam_0: Fraction, row: tuple, next_row: tuple) -> bool:
     """Whether rows 0 and 1 satisfy A_0 B_1 - A_1 B_0 = T_0 T_1 / lambda_0,
     by integer cross-multiplication: the Wronskian identity at 0 for the
     values the rows give (_IntegerRecurrence)."""
-    (ar, ai), (br, bi), (t, t_den), _ = row
-    (ar1, ai1), (br1, bi1), (t1, t1_den), _ = next_row
-    re = ar * br1 - ai * bi1 - ar1 * br + ai1 * bi
-    im = ar * bi1 + ai * br1 - ar1 * bi - ai1 * br
+    re, im = _row_cross(row, next_row)
+    (t, t_den), (t1, t1_den) = row[2], next_row[2]
     return im == 0 and re * t_den * t1_den * lam_0.numerator == t * t1 * lam_0.denominator
 
 
@@ -275,9 +293,13 @@ class PolyCache:
     The arithmetic is fixed here, from the types of scale and z, and so is
     `lam`, the lambda accessor of that arithmetic.  An exact table also
     keeps each integer row with the two values it built from it, for
-    wronskian_residual.  Once the recurrence fails, every later extension
-    past the last index held raises that same error; the indices held are
-    still served, so readers can share one table."""
+    wronskian_residual.  Its values are UnreducedComplex: p[n] or q[n] is
+    brought to lowest terms when exact arithmetic first reads its parts,
+    and as_complex (to_csv) reads it without reducing it.  The exact
+    readers of the deficiency values (DeficiencyContext.f_zero, f_anchored
+    and alpha_sq_terms) compute from the rows.  Once the recurrence fails,
+    every later extension past the last index held raises that same error;
+    the indices held are still served, so readers can share one table."""
 
     def __init__(self, coeffs: CoefficientSequence, scale, z):
         self.coeffs, self.scale, self.z = coeffs, scale, z
@@ -309,6 +331,16 @@ class PolyCache:
         except Exception as exc:
             self._error = exc
             raise
+
+    def _cross(self, k: int, n: int) -> tuple:
+        """(c, den) with p_k q_n - q_k p_n = c / den / scale**(k + n - 1) on
+        an exact table holding n: c = (A_k B_n - B_k A_n) t'_k t'_n, a
+        Gaussian integer, over den = t_k t_n, where T = t/t'."""
+        row, other = self._rows[k][2], self._rows[n][2]
+        (tk, tk_den), (tn, tn_den) = row[2], other[2]
+        re, im = _row_cross(row, other)
+        up = tk_den * tn_den
+        return (re * up, im * up), tk * tn
 
     def to_csv(self, fileobj) -> None:
         writer = csv.writer(fileobj, lineterminator="\n")
@@ -343,8 +375,7 @@ def wronskian_residual(table: PolyCache) -> list:
     p, q, lam, rows = table.p, table.q, table.lam, table._rows
     certified = []
     if rows:
-        scale = _exact_number(table.scale)
-        sigma = (scale * scale).re
+        sigma = _sigma(table)
         held = [pv is p[n] and qv is q[n] for n, (pv, qv, _) in enumerate(rows)]
         rows = [row for _, _, row in rows]
         lams = [lam(n) for n in range(len(rows) - 1)]
@@ -358,9 +389,18 @@ def wronskian_residual(table: PolyCache) -> list:
             for n in range(table.N)]
 
 
+def _sigma(table: PolyCache) -> Fraction:
+    """scale**2 of an exact table, a rational."""
+    scale = _exact_number(table.scale)
+    return (scale * scale).re
+
+
 def wronskian_scale(table: PolyCache) -> list:
     """Magnitude scale max(1, |p_n q_{n+1}| + |p_{n+1} q_n|, 1/lambda_n) per n,
-    for relative residual checks."""
+    for relative residual checks of a float table."""
+    if table.exact:
+        raise ValueError("wronskian_scale is a float scale; an exact table's residuals "
+                         "(wronskian_residual) are exact")
     out = []
     for n in range(table.N):
         out.append(max(1.0,
@@ -490,8 +530,15 @@ def alpha_sq_terms(k: int, cache: PolyCache) -> Iterator:
 
     k = 0: |p_n|^2 for n >= 0.
     k >= 1: lambda_{k-1}^2 |p_{k-1} q_n - q_{k-1} p_n|^2 for n >= k.
+
+    An exact cache yields each term as one Fraction, read from its rows
+    (T = t/t', |scale|**2 = |sigma|): |A_n t'_n / t_n|^2 / |sigma|^n and
+    lambda_{k-1}^2 |c|^2 / den^2 / |sigma|^(k+n-2) for (c, den) =
+    PolyCache._cross(k - 1, n).
     """
-    if k == 0:
+    if cache.exact:
+        yield from _exact_alpha_sq_terms(k, cache)
+    elif k == 0:
         n = 0
         while True:
             cache.ensure(n)
@@ -506,6 +553,21 @@ def alpha_sq_terms(k: int, cache: PolyCache) -> Iterator:
             cache.ensure(n)
             yield lam2 * abs2(pk * cache.q[n] - qk * cache.p[n])
             n += 1
+
+
+def _exact_alpha_sq_terms(k: int, cache: PolyCache) -> Iterator[Fraction]:
+    """alpha_sq_terms of an exact cache, one Fraction per term."""
+    norm = abs(_sigma(cache))
+    lam2 = cache.lam(k - 1) ** 2 if k else 1
+    for n in itertools.count(k):
+        cache.ensure(n)
+        if k:
+            (re, im), den = cache._cross(k - 1, n)
+            w = lam2 / norm ** (k + n - 2)
+        else:
+            (re, im), _, (den, t_den), _ = cache._rows[n][2]
+            re, im, w = re * t_den, im * t_den, 1 / norm ** n
+        yield Fraction((re * re + im * im) * w.numerator, den * den * w.denominator)
 
 
 @dataclass
@@ -547,30 +609,40 @@ class DeficiencyContext(PolyCache):
 
     def f_zero(self, n: int):
         """Value on level n of the radial basis function (anchor at the root
-        level of the whole tree): p_n(z) / d^(n/2)."""
+        level of the whole tree): p_n(z) / d^(n/2).  Exact: the
+        UnreducedComplex A_n / (T_n d^n), read from row n."""
         self.ensure(n)
+        if self.exact:
+            (re, im), _, (t, t_den), _ = self._rows[n][2]
+            return UnreducedComplex(re * t_den, im * t_den, t * self.d ** n)
         return self._over_root_power(self.p[n], n)
 
     def f_anchored(self, k: int, n: int):
         """Value on level n inside one child subtree of an anchor at level k:
-        lam_k (p_k q_n - q_k p_n) / d^((n-k-1)/2), for n >= k + 1.
+        lam_k (p_k q_n - q_k p_n) / d^((n-k-1)/2), for n >= k + 1.  Exact:
+        the UnreducedComplex lam_k (A_k B_n - B_k A_n) / (T_k T_n d^(n-1)),
+        read from rows k and n (_cross).
 
         The value at n = k + 1 is 1 for every k (discrete Wronskian)."""
         if n < k + 1:
             raise ValueError(f"anchored values start at level {k + 1}, got {n}")
         lam_k = self.lam(k)
         self.ensure(n)
+        if self.exact:
+            (re, im), den = self._cross(k, n)
+            return UnreducedComplex(re * lam_k.numerator, im * lam_k.numerator,
+                                    den * lam_k.denominator * self.d ** (n - 1))
         p, q = self.p, self.q
         return self._over_root_power(lam_k * (p[k] * q[n] - q[k] * p[n]), n - k - 1)
 
-    def _over_root_power(self, value, k: int):
-        """value / d^(k/2), the integer d^(k//2) times sqrt(d) when k is odd.
-        In float mode a d^(k//2) of more than 512 bits is split into a
+    def _over_root_power(self, value: complex, k: int) -> complex:
+        """value / d^(k/2) in floats, the integer d^(k//2) times sqrt(d)
+        when k is odd.  A d^(k//2) of more than 512 bits is split into a
         correctly rounded mantissa and a power of two that ldexp divides
         out, so no power is converted beyond the float range."""
         whole = self.d ** (k // 2)
         shift = whole.bit_length() - 512
-        if self.exact or shift <= 0:
+        if shift <= 0:
             return value / (whole * self.scale if k % 2 else whole)
         value = value / (whole / (1 << shift) * (self.scale if k % 2 else 1))
         return complex(math.ldexp(value.real, -shift), math.ldexp(value.imag, -shift))

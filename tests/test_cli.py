@@ -1,6 +1,7 @@
 """CLI subcommands, config handling, exit codes, artifact files."""
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import treejacobi
 from treejacobi.cli import main, parse_coeffs, parse_z, ValidationError
+from treejacobi.exactnum import UnreducedComplex
 from treejacobi import orthopoly
 from treejacobi.orthopoly import PolyCache
 
@@ -120,6 +122,7 @@ def test_no_exact_hint_where_it_cannot_be_followed(argv, capsys):
 @pytest.mark.parametrize("argv", [
     "polys --mode exact --coeffs geometric:1:1/3 --n 40",
     "deficiency --mode exact --coeffs geometric:1:1/3 --depth 60",
+    "deficiency --mode exact --coeffs geometric:1:1/3 --depth 60 --anchor 1",
 ])
 def test_exact_value_beyond_float_range_is_numeric_error(argv, capsys):
     # p_n grows like 3**(n*n/2); printing it needs a float
@@ -216,6 +219,35 @@ def test_deficiency_exact_mode_matches_float(capsys):
     floats = json.loads(out)
     assert exact["residual"] <= 1e-10 * exact["max_abs"]
     assert exact["max_abs"] == pytest.approx(floats["max_abs"], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("deficiency --mode exact --depth 150",
+     "eb89c70af520574461da6882322b3fe05796c0f9bdedc911220e644ee2ea3c6e"),
+    ("deficiency --mode exact --depth 150 --anchor 1",
+     "ef29156740230beadb23e6dcb4a061cf259c0d2ffa06d384f172355bc56c1064"),
+])
+def test_deep_exact_deficiency_stdout_is_frozen(argv, digest, capsys):
+    # SHA-256 of the stdout that reduced every value to lowest terms before
+    # printing its float
+    code, out, err = run(argv.split(), capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    "deficiency --mode exact --depth 40",
+    "deficiency --mode exact --depth 40 --anchor 1 --d 3",
+    "polys --mode exact --coeffs geometric:1:3/2 --d 3 --n 30 --z 1/3,-1/2",
+])
+def test_exact_floats_reduce_nothing(argv, monkeypatch, capsys):
+    # residual, max_abs, the printed values and the CSV read each exact
+    # value by one int / int per part and never bring it to lowest terms
+    def refuse(self):
+        raise AssertionError("a value was brought to lowest terms")
+    monkeypatch.setattr(UnreducedComplex, "_parts", refuse)
+    code, _, err = run(argv.split(), capsys)
+    assert code == 0, err
 
 
 def _tables_stepped(argv, monkeypatch, capsys) -> list:

@@ -3,10 +3,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from treejacobi.exactnum import (ExactComplex, exact_complex, exact_sqrt,
-                                 half_power, squarefree_split, sums_to_zero)
+from treejacobi.exactnum import (ExactComplex, UnreducedComplex, abs2, as_complex,
+                                 exact_complex, exact_sqrt, half_power, is_zero,
+                                 squarefree_split, sums_to_zero)
 
 
 def test_squarefree_split():
@@ -141,3 +142,47 @@ def test_float_embedding_consistent(x, w, uv):
     u, v = uv
     assert _close(u + v, u.to_complex() + v.to_complex(),
                   abs(u.to_complex()) + abs(v.to_complex()))
+
+
+# -- values kept as integers until their parts are read ----------------------
+
+def _reduced(x, y, den, m):
+    return ExactComplex(Fraction(x, den), Fraction(y, den), m)
+
+
+def _floats_or_error(value):
+    try:
+        c = as_complex(value)
+    except OverflowError as exc:
+        return str(exc)
+    return repr(c.real), repr(c.imag)
+
+
+# integers whose quotients overflow, underflow to subnormals or to zero
+WIDE = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 400, 10 ** 400),
+                 st.builds(lambda a, e: a * 2 ** e, st.integers(-9, 9), st.integers(0, 1200)))
+
+
+@settings(max_examples=300)
+@given(WIDE, WIDE, WIDE.filter(bool), st.sampled_from([1, 2, 3]))
+def test_unreduced_floats_are_the_reduced_floats(x, y, den, m):
+    # one int / int per part rounds as float(Fraction) does, signed zeros
+    # and the overflow error included
+    v = UnreducedComplex(x, y, den, m)
+    assert _floats_or_error(v) == _floats_or_error(_reduced(x, y, den, m))
+    assert "_reduced" not in vars(v)
+
+
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-20, 20).filter(bool),
+       st.sampled_from([1, 2]), fractions, exacts(2))
+def test_unreduced_value_is_its_reduced_value(x, y, den, m, r, w):
+    v, want = UnreducedComplex(x, y, den, m), _reduced(x, y, den, m)
+    assert is_zero(v) == want.is_zero and v.m == want.m
+    assert "_reduced" not in vars(v)
+    assert abs2(v) == abs2(want)
+    assert type(v * r) is type(r * v) is UnreducedComplex and v * r == want * r == r * v
+    assert "_reduced" not in vars(v)
+    assert v == want and want == v and hash(v) == hash(want)
+    assert v.re is v.re  # brought to lowest terms once
+    assert v * w == want * w and w * v == w * want
+    assert v + want == want + want and v / 1 == want

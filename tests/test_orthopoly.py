@@ -14,7 +14,7 @@ from treejacobi.coefficients import CoefficientSequence
 from treejacobi.errors import (CoefficientIndexError, CoefficientOverflow, DivergedSeries,
                                NonPositiveLambda, RealSpectralParameter,
                                RecurrenceOverflow)
-from treejacobi.exactnum import ExactComplex, exact_complex, exact_sqrt
+from treejacobi.exactnum import ExactComplex, as_complex, exact_complex, exact_sqrt, half_power
 from treejacobi.orthopoly import (PolyCache, _IntegerRecurrence, alpha_series,
                                   alpha_sq_partial, alpha_sq_terms,
                                   compute_polys, poly_roots, sum_series,
@@ -482,6 +482,104 @@ def test_a_changed_row_falls_back_from_its_step(part, k, first):
     residual, fallback, _ = _residual_and_fallback(t)
     assert residual == [0.0] * N
     assert fallback == set(range(first, N))
+
+
+def test_read_values_keep_their_rows_identity():
+    # reading a value's parts caches them in the very value the row built,
+    # so the identity rule still certifies; a changed row leaves the values
+    # the table built before it untouched
+    N = 12
+    t = compute_polys(GEOMETRIC, exact_sqrt(2), exact_complex(Fraction(1, 3), Fraction(1, 2)), N)
+    plain = _plain_recurrence(GEOMETRIC, exact_sqrt(2),
+                              exact_complex(Fraction(1, 3), Fraction(1, 2)), N)
+    assert not any("_reduced" in vars(v) for v in t.p + t.q)
+    assert [v.re for v in t.p + t.q] == [v.re for v in plain[0] + plain[1]]
+    residual, fallback, calls = _residual_and_fallback(t)
+    assert residual == [0.0] * N and fallback == set() and calls == 0
+    t = compute_polys(GEOMETRIC, exact_sqrt(2), exact_complex(Fraction(1, 3), Fraction(1, 2)), N)
+    pv, qv, ((ar, ai), b, tv, w) = t._rows[5]
+    t._rows[5] = (pv, qv, ((ar + 1, ai), b, tv, w))
+    assert (t.p, t.q) == plain
+
+
+@pytest.mark.parametrize("coeffs, scale, N", [
+    (CoefficientSequence.power(1, -2000), exact_complex(1), 3),
+    (CoefficientSequence.geometric(1, 1000), exact_sqrt(2), 120),
+])
+def test_wronskian_scale_refuses_an_exact_table(coeffs, scale, N):
+    # its values need not fit in a float; wronskian_residual is exact there
+    t = compute_polys(coeffs, scale, exact_complex(0, 1), N)
+    with pytest.raises(ValueError, match="wronskian_residual"):
+        wronskian_scale(t)
+    assert wronskian_residual(t) == [0.0] * N
+
+
+def _old_f_zero(p, d, n):
+    """p_n / d^(n/2) on reduced values."""
+    return p[n] / half_power(d, n)
+
+
+def _old_f_anchored(coeffs, p, q, d, k, n):
+    """lambda_k (p_k q_n - q_k p_n) / d^((n-k-1)/2) on reduced values."""
+    return coeffs.lam_exact(k) * (p[k] * q[n] - q[k] * p[n]) / half_power(d, n - k - 1)
+
+
+def _old_alpha_sq_partial(coeffs, p, q, k, n_terms):
+    if k == 0:
+        return sum((p[n].abs2() for n in range(n_terms)), exact_complex(0))
+    lam2 = coeffs.lam_exact(k - 1) ** 2
+    return sum((lam2 * (p[k - 1] * q[n] - q[k - 1] * p[n]).abs2()
+                for n in range(k, k + n_terms)), exact_complex(0))
+
+
+def _csv_row(n, pv, qv):
+    pv, qv = pv.to_complex(), qv.to_complex()
+    return f"{n},{pv.real!r},{pv.imag!r},{qv.real!r},{qv.imag!r}"
+
+
+@pytest.mark.parametrize("scale", [exact_sqrt(2), Fraction(3, 2), exact_complex(0, Fraction(3, 2)),
+                                   exact_complex(0, 1) * exact_sqrt(3)], ids=repr)
+@pytest.mark.parametrize("z", [exact_complex(0), exact_complex(Fraction(1, 3), Fraction(-1, 2))],
+                         ids=repr)
+@pytest.mark.parametrize("coeffs", [PAPER, CONSTANT, GEOMETRIC], ids=lambda c: c.family)
+def test_exact_csv_is_the_reduced_floats(coeffs, scale, z):
+    # signed zeros included, at a negative scale**2 too
+    N = 16
+    t = compute_polys(coeffs, scale, z, N)
+    buf = io.StringIO()
+    t.to_csv(buf)
+    p, q = _plain_recurrence(coeffs, scale, z, N)
+    assert buf.getvalue().splitlines()[1:] == [_csv_row(n, p[n], q[n]) for n in range(N + 1)]
+
+
+NONREAL_ZS = st.builds(exact_complex, SMALL_ANY,
+                       SMALL_POSITIVE.flatmap(lambda r: st.sampled_from([r, -r])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(CLOSED_FORMS | st.builds(CoefficientSequence.paper_example, CLOSED_FORMS),
+       st.sampled_from([2, 3, 4]), NONREAL_ZS, st.integers(1, 24), st.data())
+def test_row_readers_equal_the_reduced_formulas(coeffs, d, z, N, data):
+    from treejacobi.deficiency import DeficiencyContext
+    ctx = DeficiencyContext(coeffs, d, z)
+    ctx.ensure(N)
+    p, q = _plain_recurrence(coeffs, exact_sqrt(d), z, N)
+    # floats and CSV first, while no value is reduced
+    buf = io.StringIO()
+    ctx.to_csv(buf)
+    assert buf.getvalue().splitlines()[1:] == [_csv_row(n, p[n], q[n]) for n in range(N + 1)]
+    assert all(as_complex(v) == w.to_complex() for v, w in zip(ctx.p + ctx.q, p + q))
+    assert not any("_reduced" in vars(v) for v in ctx.p + ctx.q)
+    for n in range(N + 1):
+        assert ctx.f_zero(n) == _old_f_zero(p, d, n)
+    k = data.draw(st.integers(0, N - 1))
+    for n in range(k + 1, N + 1):
+        assert ctx.f_anchored(k, n) == _old_f_anchored(coeffs, p, q, d, k, n)
+    k = data.draw(st.integers(0, N // 2))
+    n_terms = N + 1 - k
+    p, q = _plain_recurrence(coeffs, exact_sqrt(d), z, k + n_terms)
+    assert (alpha_sq_partial(coeffs, d, z, k, n_terms)
+            == _old_alpha_sq_partial(coeffs, p, q, k, n_terms))
 
 
 @pytest.mark.parametrize("coeffs", FAMILIES, ids=lambda c: c.family)
