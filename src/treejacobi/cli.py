@@ -20,8 +20,8 @@ import tempfile
 from fractions import Fraction
 
 from .coefficients import CoefficientSequence
-from .deficiency import (DeficiencyContext, DeficiencyElement, classify,
-                         element_residual, element_max_abs)
+from .deficiency import (DeficiencyContext, DeficiencyElement, _residual_and_max_abs,
+                         classify)
 from .errors import (CoefficientOverflow, ConvergenceFailure, DivergedSeries,
                      ExactModeUnavailable, InconclusiveSeries, PatchTooLarge,
                      RecurrenceOverflow, TreeJacobiError)
@@ -179,8 +179,7 @@ def cmd_deficiency(args) -> int:
         coeff_vec = [0] * args.d
         coeff_vec[0], coeff_vec[1] = 1, -1
         elem = DeficiencyElement(anchor, tuple(coeff_vec), z)
-    residual = element_residual([elem], ctx, args.depth)
-    peak = element_max_abs([elem], ctx, args.depth)
+    residual, peak = _residual_and_max_abs([elem], ctx, args.depth)
     # the alpha series are float series in both modes
     alpha_ctx = DeficiencyContext(coeffs, args.d, as_complex(z)) if ctx.exact else ctx
     alpha = alpha_ctx.alphas(len(anchor) + 1 if anchor else 0, args.tol, args.n_max)

@@ -1,13 +1,79 @@
-"""Coefficient sequences (lambda_n, beta_n) defining a Jacobi operator."""
+"""Coefficient sequences (lambda_n, beta_n) defining a Jacobi operator.
+
+Each family is one formula over an index range: from an index lo on, it
+yields lambda_n (and beta_n) as integer pairs (num, den), or as (x, 1) for
+the float x of a non-integer power, and raises at the first index whose
+value fails.  Every read is a list index: each sequence keeps its lambda_n
+and beta_n in tables, one of floats and one of Fractions each, made on the
+first read of its kind with indices 0..15.  A read past the end extends
+the table to twice its length, stopping before the first index that fails
+(a float overflow, a lambda_n that is not positive, the end of an explicit
+list, a float-only family read exactly), and an index still past the end
+is computed alone, so it raises its own error.  Values and errors do not
+depend on the order of the reads.
+"""
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import (CoefficientIndexError, CoefficientOverflow,
-                     ExactModeUnavailable, NonPositiveLambda)
+                     ExactModeUnavailable, NonPositiveLambda, TreeJacobiError)
+
+_FIRST_BLOCK = 16  # the indices a table is made with
+
+
+class _Table:
+    """A sequence's table of values convert(num, den) of the pairs of the
+    method named `pairs`: made on the first read, with indices below
+    _FIRST_BLOCK, and kept in the instance's __dict__, where every later
+    read finds it."""
+
+    def __init__(self, pairs: str, convert):
+        self.pairs, self.convert = pairs, convert
+
+    def __set_name__(self, _owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, _owner=None):
+        if obj is None:
+            return self
+        values: list = []
+        _extend(values, getattr(obj, self.pairs), self.convert, _FIRST_BLOCK)
+        obj.__dict__[self.name] = values
+        return values
+
+
+def _extend(values: list, pairs, convert, count: int) -> None:
+    """Append convert(num, den) of the next `count` pairs of
+    pairs(len(values)), up to the first that fails."""
+    try:
+        made = pairs(len(values))
+        if type(made) is itertools.repeat:  # one value at every index
+            values += [convert(*next(made))] * count
+        else:
+            values += itertools.starmap(convert, itertools.islice(made, count))
+    except (TreeJacobiError, ArithmeticError, ValueError):  # the table ends before it
+        pass
+
+
+def _read(values: list, n: int, pairs, convert, name: str):
+    """Index n of a table, past its end or negative: a nonnegative n
+    extends the table to twice its length, and an index still past the end
+    is read alone, raising the error of index n if it has one."""
+    if n >= 0:
+        _extend(values, pairs, convert, len(values))
+        if n < len(values):
+            return values[n]
+    num, den = next(pairs(n))
+    try:
+        return convert(num, den)
+    except OverflowError as exc:
+        raise CoefficientOverflow(f"{name}_{n} does not fit in a float") from exc
 
 
 @dataclass(frozen=True)
@@ -61,104 +127,117 @@ class CoefficientSequence:
         beta_t = tuple(Fraction(v) for v in (betas if betas is not None else [0] * len(lam_t)))
         return CoefficientSequence("explicit", lams=lam_t, betas=beta_t)
 
-    # -- family dispatch ----------------------------------------------
+    # -- each family's values from an index on ---------------------------
 
-    def _lam_ratio(self, n: int) -> tuple:
-        """lambda_n as an integer pair (num, den) with den > 0, not
-        necessarily in lowest terms."""
-        if n < 0:
+    def _lam_pairs(self, lo: int) -> Iterator[tuple]:
+        """lambda_lo, lambda_{lo+1}, ... as integer pairs (num, den) with
+        den > 0, not necessarily in lowest terms, or as (x, 1) for the
+        float x of a non-integer power; the iterator raises at the first
+        index whose lambda_n is not a positive value."""
+        if lo < 0:
             raise IndexError("lambda index must be nonnegative")
-        if self.family == "constant":
+        family = self.family
+        if family == "constant":
             value = self.params[0]
-            num, den = value.numerator, value.denominator
-        elif self.family == "geometric":
-            base, ratio = self.params
-            num = base.numerator * ratio.numerator ** n
-            den = base.denominator * ratio.denominator ** n
-        elif self.family == "power":
+            if value.numerator <= 0:
+                raise _not_positive(lo, value)
+            return itertools.repeat(value.as_integer_ratio())
+        if family == "geometric":
+            return _geometric_pairs(*self.params, lo)
+        if family == "power":
             base, exponent = self.params
             if not isinstance(exponent, int):
-                raise ExactModeUnavailable(
-                    "power family with non-integer exponent has no exact values")
-            num, den = base.numerator, base.denominator
+                if base.numerator <= 0:
+                    raise NonPositiveLambda(f"lambda_{lo} = {base} * {lo + 1}^{exponent} "
+                                            "is not positive")
+                return _power_floats(base, exponent, lo)
+            if base.numerator <= 0:
+                raise _not_positive(lo, base * Fraction(lo + 1) ** exponent)
+            num, den = base.as_integer_ratio()
             if exponent >= 0:
-                num *= (n + 1) ** exponent
-            else:
-                den *= (n + 1) ** -exponent
-        elif self.family == "paper":
-            num, den = self.base._lam_ratio(n)
-        elif self.family == "explicit":
-            if n >= len(self.lams):
-                raise CoefficientIndexError(
-                    f"lambda_{n} requested but the explicit list has "
-                    f"{len(self.lams)} entries (indices 0..{len(self.lams) - 1})")
-            value = self.lams[n]
-            num, den = value.numerator, value.denominator
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
-        if num <= 0:
-            raise NonPositiveLambda(f"lambda_{n} = {Fraction(num, den)} is not positive")
-        return num, den
+                return ((num * m ** exponent, den) for m in itertools.count(lo + 1))
+            return ((num, den * m ** -exponent) for m in itertools.count(lo + 1))
+        if family == "paper":
+            return self.base._lam_pairs(lo)
+        if family == "explicit":
+            return _listed_pairs(self.lams, lo, "lambda")
+        raise ValueError(f"unknown family {family!r}")
 
-    def _beta_ratio(self, n: int) -> tuple:
-        """beta_n as an integer pair (num, den) with den > 0."""
-        if n < 0:
+    def _beta_pairs(self, lo: int) -> Iterator[tuple]:
+        """beta_lo, beta_{lo+1}, ... as pairs, like _lam_pairs."""
+        if lo < 0:
             raise IndexError("beta index must be nonnegative")
-        if self.family == "constant":
-            value = self.params[1]
-        elif self.family in ("geometric", "power"):
-            return 0, 1
-        elif self.family == "paper":
-            if n == 0:
-                return self._lam_ratio(0)
-            a, b = self._lam_ratio(n)
-            c, e = self._lam_ratio(n - 1)
-            return a * e + c * b, b * e
-        elif self.family == "explicit":
-            if n >= len(self.betas):
-                raise CoefficientIndexError(
-                    f"beta_{n} requested but the explicit list has "
-                    f"{len(self.betas)} entries (indices 0..{len(self.betas) - 1})")
-            value = self.betas[n]
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
-        return value.numerator, value.denominator
+        family = self.family
+        if family == "constant":
+            return itertools.repeat(self.params[1].as_integer_ratio())
+        if family in ("geometric", "power"):
+            return itertools.repeat((0, 1))
+        if family == "paper":
+            return _paper_betas(self.base._lam_pairs, lo)
+        if family == "explicit":
+            return _listed_pairs(self.betas, lo, "beta")
+        raise ValueError(f"unknown family {family!r}")
 
-    # -- accessors ------------------------------------------------------
+    def _float_only(self) -> bool:
+        """Whether lambda has float values only: a non-integer power, or a
+        paper family over one."""
+        if self.family == "paper":
+            return self.base._float_only()
+        return self.family == "power" and not isinstance(self.params[1], int)
+
+    def _exact_lam_pairs(self, lo: int) -> Iterator[tuple]:
+        """_lam_pairs, refused where lambda has float values only."""
+        if lo >= 0 and self._float_only():
+            raise _no_exact_values()
+        return self._lam_pairs(lo)
+
+    def _exact_beta_pairs(self, lo: int) -> Iterator[tuple]:
+        """_beta_pairs, refused for a paper family over float values."""
+        if lo >= 0 and self.family == "paper" and self._float_only():
+            raise _no_exact_values()
+        return self._beta_pairs(lo)
+
+    # -- accessors: list indexes into the sequence's tables (_Table, _read) --
 
     def lam_exact(self, n: int) -> Fraction:
-        return Fraction(*self._lam_ratio(n))
+        try:
+            if n >= 0:
+                return self._lam_fractions[n]
+        except IndexError:
+            pass
+        return _read(self._lam_fractions, n, self._exact_lam_pairs, Fraction, "lambda")
 
     def beta_exact(self, n: int) -> Fraction:
-        return Fraction(*self._beta_ratio(n))
+        try:
+            if n >= 0:
+                return self._beta_fractions[n]
+        except IndexError:
+            pass
+        return _read(self._beta_fractions, n, self._exact_beta_pairs, Fraction, "beta")
 
     def lam(self, n: int) -> float:
         """lambda_n as the correctly rounded quotient of its integer pair,
         the same float as float(lam_exact(n)); a non-integer power, and a
         paper family over one, use the float formula."""
         try:
-            if self.family == "power" and not isinstance(self.params[1], int):
-                base, exponent = self.params
-                if base <= 0:
-                    raise NonPositiveLambda(f"lambda_{n} = {base} * {n + 1}^{exponent} "
-                                            "is not positive")
-                return float(base) * (n + 1) ** exponent
-            num, den = self._lam_ratio(n)
-            return num / den
-        except ExactModeUnavailable:  # a paper family over a non-integer power
-            return self.base.lam(n)
-        except OverflowError as exc:
-            raise CoefficientOverflow(f"lambda_{n} does not fit in a float") from exc
+            if n >= 0:
+                return self._lam_floats[n]
+        except IndexError:
+            pass
+        return _read(self._lam_floats, n, self._lam_pairs, operator.truediv, "lambda")
 
     def beta(self, n: int) -> float:
         try:
-            num, den = self._beta_ratio(n)
-        except ExactModeUnavailable:  # a paper family over a non-integer power
-            return self.lam(n) + self.lam(n - 1) if n else self.lam(0)
-        try:
-            return num / den
-        except OverflowError as exc:
-            raise CoefficientOverflow(f"beta_{n} does not fit in a float") from exc
+            if n >= 0:
+                return self._beta_floats[n]
+        except IndexError:
+            pass
+        return _read(self._beta_floats, n, self._beta_pairs, operator.truediv, "beta")
+
+    _lam_fractions = _Table("_exact_lam_pairs", Fraction)
+    _beta_fractions = _Table("_exact_beta_pairs", Fraction)
+    _lam_floats = _Table("_lam_pairs", operator.truediv)
+    _beta_floats = _Table("_beta_pairs", operator.truediv)
 
     def describe(self) -> str:
         if self.family == "constant":
@@ -170,6 +249,64 @@ class CoefficientSequence:
         if self.family == "paper":
             return f"paper({self.base.describe()})"
         return f"explicit({len(self.lams)} terms)"
+
+
+def _no_exact_values() -> ExactModeUnavailable:
+    return ExactModeUnavailable("power family with non-integer exponent has no exact values")
+
+
+def _not_positive(n: int, value: Fraction) -> NonPositiveLambda:
+    return NonPositiveLambda(f"lambda_{n} = {value} is not positive")
+
+
+def _geometric_pairs(base: Fraction, ratio: Fraction, lo: int) -> Iterator[tuple]:
+    """base * ratio**n from n = lo on, as running products of integers."""
+    rn, rd = ratio.as_integer_ratio()
+    num, den = base.numerator * rn ** lo, base.denominator * rd ** lo
+    for n in itertools.count(lo):
+        if num <= 0:
+            raise _not_positive(n, Fraction(num, den))
+        yield num, den
+        num *= rn
+        den *= rd
+
+
+def _power_floats(base: Fraction, exponent: float, lo: int) -> Iterator[tuple]:
+    """(base * (n + 1)**exponent, 1) in floats from n = lo on."""
+    n = lo
+    try:
+        scale = float(base)
+        for n in itertools.count(lo):
+            yield scale * (n + 1) ** exponent, 1
+    except OverflowError as exc:
+        raise CoefficientOverflow(f"lambda_{n} does not fit in a float") from exc
+
+
+def _listed_pairs(values: tuple, lo: int, name: str) -> Iterator[tuple]:
+    """The pairs of an explicit list from index lo on, raising past its end
+    and, for lambda, at a value that is not positive."""
+    for n, value in enumerate(itertools.islice(values, lo, None), lo):
+        pair = value.as_integer_ratio()
+        if pair[0] <= 0 and name == "lambda":
+            raise _not_positive(n, value)
+        yield pair
+    raise CoefficientIndexError(
+        f"{name}_{max(lo, len(values))} requested but the explicit list has "
+        f"{len(values)} entries (indices 0..{len(values) - 1})")
+
+
+def _paper_betas(lam_pairs, lo: int) -> Iterator[tuple]:
+    """beta_n = lambda_n + lambda_{n-1}, beta_0 = lambda_0, from n = lo on,
+    summed as pairs from the pairs of lam_pairs; lambda_lo is made before
+    lambda_{lo-1}, so an index fails as its lambda_n does, or else as its
+    lambda_{n-1} does."""
+    lams = lam_pairs(lo)
+    a, b = next(lams)
+    c, e = next(lam_pairs(lo - 1)) if lo else (0, 1)
+    yield a * e + c * b, b * e
+    for c, e in lams:
+        yield a * e + c * b, b * e
+        a, b = c, e
 
 
 def _accessors(coeffs: CoefficientSequence, exact: bool):

@@ -187,6 +187,7 @@ class _Profile:
                  ctx: DeficiencyContext, depth: int):
         if depth < 0:
             raise ValueError(f"depth must be nonnegative, got {depth}")
+        self.ctx, self.depth = ctx, depth
         for e in elements:
             e.check_degree(ctx.d)
         anchors = [e.anchor for e in elements if e.anchor is not None]
@@ -207,41 +208,56 @@ class _Profile:
                     total = part if total is None else [u + v for u, v in zip(total, part)]
             self.values[r] = total or [0] * len(levels)
 
+    def residual(self) -> float:
+        """Eigenvalue-equation residual below the depth: the three-term
+        equation at each path vertex, and vectorized along each branch
+        chain, whose head has a path vertex as parent and each vertex d
+        equal children."""
+        import numpy as np
+
+        ctx, depth = self.ctx, self.depth
+        lam = np.array([ctx.coeffs.lam(n) for n in range(depth)])
+        lam_up = np.concatenate(([0.0], lam[:-1]))
+        shift = as_complex(ctx.z) - np.array([ctx.coeffs.beta(n) for n in range(depth)])
+        head = lambda x: as_complex(self.values[x][0])
+        worst = 0.0
+        for top, values in self.values.items():
+            if len(top) == depth:
+                continue
+            n, f = len(top), np.array([as_complex(v) for v in values])
+            if top in self.paths:
+                below = np.array([sum(head(top + (i,)) for i in range(1, ctx.d + 1))])
+            else:
+                below = ctx.d * f[1:]
+            m = n + len(below)
+            above = np.concatenate(([head(top[:-1]) if top else 0j], f[:m - n - 1]))
+            r = shift[n:m] * f[:m - n] - lam_up[n:m] * above - lam[n:m] * below
+            worst = max(worst, float(np.abs(r).max()))
+        return worst
+
+    def max_abs(self) -> float:
+        """Max |value| over levels 0..depth."""
+        return max(abs(as_complex(v)) for values in self.values.values() for v in values)
+
 
 def element_residual(elements: Sequence[DeficiencyElement],
                      ctx: DeficiencyContext, depth: int) -> float:
-    """Eigenvalue-equation residual of a sum of elements below `depth`: the
-    three-term equation at each path vertex, and vectorized along each branch
-    chain, whose head has a path vertex as parent and each vertex d equal children."""
-    import numpy as np
-
-    profile = _Profile(elements, ctx, depth)
-    lam = np.array([ctx.coeffs.lam(n) for n in range(depth)])
-    lam_up = np.concatenate(([0.0], lam[:-1]))
-    shift = as_complex(ctx.z) - np.array([ctx.coeffs.beta(n) for n in range(depth)])
-    head = lambda x: as_complex(profile.values[x][0])
-    worst = 0.0
-    for top, values in profile.values.items():
-        if len(top) == depth:
-            continue
-        n, f = len(top), np.array([as_complex(v) for v in values])
-        if top in profile.paths:
-            below = np.array([sum(head(top + (i,)) for i in range(1, ctx.d + 1))])
-        else:
-            below = ctx.d * f[1:]
-        m = n + len(below)
-        above = np.concatenate(([head(top[:-1]) if top else 0j], f[:m - n - 1]))
-        r = shift[n:m] * f[:m - n] - lam_up[n:m] * above - lam[n:m] * below
-        worst = max(worst, float(np.abs(r).max()))
-    return worst
+    """Eigenvalue-equation residual of a sum of elements below `depth`, from
+    its profile (_Profile.residual)."""
+    return _Profile(elements, ctx, depth).residual()
 
 
 def element_max_abs(elements: Sequence[DeficiencyElement],
                     ctx: DeficiencyContext, depth: int) -> float:
     """Max |value| of a sum of elements over levels 0..depth, from its profile."""
-    return max(abs(as_complex(v))
-               for values in _Profile(elements, ctx, depth).values.values()
-               for v in values)
+    return _Profile(elements, ctx, depth).max_abs()
+
+
+def _residual_and_max_abs(elements: Sequence[DeficiencyElement],
+                         ctx: DeficiencyContext, depth: int) -> tuple:
+    """(element_residual, element_max_abs) of a sum of elements, from one profile."""
+    profile = _Profile(elements, ctx, depth)
+    return profile.residual(), profile.max_abs()
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +305,8 @@ def _criterion(coeffs: CoefficientSequence, scale) -> Optional[tuple]:
     if base <= 0 or (family == "geometric" and shape <= 0):
         return None
     law = {"constant": "", "geometric": f" * ({shape})^n", "power": f" * (n+1)^{shape}"}[family]
-    hypotheses = f"lambda_n = {base}{law}, beta_n = {coeffs.beta_exact(0)}"
+    beta = coeffs.params[1] if family == "constant" else 0
+    hypotheses = f"lambda_n = {base}{law}, beta_n = {beta}"
     if family == "power" and shape <= 1:
         return ("carleman", "essentially_selfadjoint",
                 f"Carleman: {hypotheses}, sum 1/lambda_n diverges")

@@ -133,6 +133,8 @@ class ExactComplex:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a rational: one product per part
+            return ExactComplex(self.re * other, self.im * other, self.m)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

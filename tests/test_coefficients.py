@@ -1,9 +1,10 @@
 """Coefficient families: float accessors agree bit for bit with the exact
 ones, and errors name the index that was requested."""
+import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treejacobi.coefficients import CoefficientSequence
 from treejacobi.deficiency import classify
@@ -100,3 +101,131 @@ def test_paper_over_a_non_integer_power_has_float_values():
             fetch(3)
     assert classify(coeffs, 2).verdict in (
         "essentially_selfadjoint", "not_essentially_selfadjoint", "inconclusive")
+
+
+# -- tables ------------------------------------------------------------------
+
+TABLED = st.one_of(
+    FAMILIES,
+    st.builds(CoefficientSequence.power, POSITIVE, st.floats(-3, 3)),
+    st.builds(CoefficientSequence.paper_example,
+              st.builds(CoefficientSequence.power, POSITIVE, st.floats(-3, 3))),
+    st.builds(CoefficientSequence.geometric, POSITIVE, st.fractions(-2, 2, max_denominator=4)),
+    st.lists(st.tuples(ANY, ANY), min_size=1, max_size=20).map(
+        lambda pairs: CoefficientSequence.explicit(*zip(*pairs))),
+)
+
+
+def _read_or_error(fetch, n):
+    try:
+        return fetch(n)
+    except Exception as exc:  # the error is the value read
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(TABLED, st.lists(st.tuples(st.sampled_from(["lam", "beta", "lam_exact", "beta_exact"]),
+                                  st.one_of(st.integers(0, 40), st.integers(0, 150))),
+                        min_size=1, max_size=30))
+def test_table_reads_equal_one_index_reads(coeffs, reads):
+    # any read order on one instance, in both arithmetics, gives what one
+    # read on a fresh instance does
+    for name, n in reads:
+        fresh = dataclasses.replace(coeffs)
+        assert (_read_or_error(getattr(coeffs, name), n)
+                == _read_or_error(getattr(fresh, name), n))
+
+
+def _in_both_orders(make, reads):
+    """The outcome of each (accessor, index) read, reading forwards on one
+    instance and backwards on another; both must agree."""
+    first, second = make(), make()
+    forwards = [_read_or_error(getattr(first, name), n) for name, n in reads]
+    backwards = [_read_or_error(getattr(second, name), n) for name, n in reversed(reads)]
+    assert forwards == backwards[::-1]
+    return forwards
+
+
+def test_paper_tables_end_at_the_float_range_in_both_orders():
+    got = _in_both_orders(CoefficientSequence.paper_example,
+                          [("lam", 1023), ("lam", 1024), ("beta", 1023), ("beta", 1024)])
+    assert got == [2.0 ** 1023, (CoefficientOverflow, "lambda_1024 does not fit in a float"),
+                   1.5 * 2.0 ** 1023, (CoefficientOverflow, "beta_1024 does not fit in a float")]
+
+
+def test_zero_ratio_fails_from_index_one_in_both_orders():
+    got = _in_both_orders(lambda: CoefficientSequence.geometric(1, 0),
+                          [("lam", 0), ("lam", 1), ("lam", 3), ("beta", 3)])
+    assert got == [1.0, (NonPositiveLambda, "lambda_1 = 0 is not positive"),
+                   (NonPositiveLambda, "lambda_3 = 0 is not positive"), 0.0]
+
+
+def test_paper_beta_fails_as_its_own_lambda_does_first():
+    got = _in_both_orders(
+        lambda: CoefficientSequence.paper_example(CoefficientSequence.geometric(1, 0)),
+        [("beta", 0), ("beta", 1), ("beta", 2), ("lam", 2)])
+    assert got == [1.0, (NonPositiveLambda, "lambda_1 = 0 is not positive"),
+                   (NonPositiveLambda, "lambda_2 = 0 is not positive"),
+                   (NonPositiveLambda, "lambda_2 = 0 is not positive")]
+
+
+def test_a_zero_entry_fails_only_its_own_index():
+    got = _in_both_orders(lambda: CoefficientSequence.explicit([1, 0, 2], [5, 6, 7]),
+                          [("lam", 0), ("lam", 1), ("lam", 2), ("beta", 2)])
+    assert got == [1.0, (NonPositiveLambda, "lambda_1 = 0 is not positive"), 2.0, 7.0]
+    paper = CoefficientSequence.paper_example(CoefficientSequence.explicit([1, 0, 3]))
+    assert [_read_or_error(paper.beta, n) for n in range(4)] == [
+        1.0, (NonPositiveLambda, "lambda_1 = 0 is not positive"),
+        (NonPositiveLambda, "lambda_1 = 0 is not positive"),
+        (CoefficientIndexError, "lambda_3 requested but the explicit list has 3 entries "
+                                "(indices 0..2)")]
+
+
+def test_reads_past_an_explicit_list_name_their_index():
+    got = _in_both_orders(lambda: CoefficientSequence.explicit([1, 2], [3, 4]),
+                          [("lam", 1), ("lam", 2), ("lam", 40), ("beta", 0), ("beta", 2)])
+    assert got == [2.0, (CoefficientIndexError, "lambda_2 requested but the explicit list "
+                                                "has 2 entries (indices 0..1)"),
+                   (CoefficientIndexError, "lambda_40 requested but the explicit list "
+                                           "has 2 entries (indices 0..1)"),
+                   3.0, (CoefficientIndexError, "beta_2 requested but the explicit list "
+                                                "has 2 entries (indices 0..1)")]
+
+
+@pytest.mark.parametrize("coeffs", [
+    CoefficientSequence.geometric(1, 2), CoefficientSequence.power(1, 0.5),
+    CoefficientSequence.paper_example(CoefficientSequence.power(1, 0.5)),
+    CoefficientSequence.explicit([1, 2]),
+])
+def test_negative_indices_are_refused(coeffs):
+    # even with a table, whose list would read index -1 from its end
+    coeffs.lam(1), coeffs.beta(1)
+    for fetch, text in ((coeffs.lam, "lambda"), (coeffs.beta, "beta")):
+        with pytest.raises(IndexError, match=f"{text} index must be nonnegative"):
+            fetch(-1)
+
+
+def test_a_table_is_made_on_the_first_float_read_and_doubles():
+    coeffs = CoefficientSequence.geometric(1, 3)
+    assert "_lam_floats" not in vars(coeffs) and "_beta_floats" not in vars(coeffs)
+    assert coeffs.lam_exact(4) == 81 and "_lam_floats" not in vars(coeffs)
+    assert coeffs.lam(3) == 27.0
+    table = vars(coeffs)["_lam_floats"]
+    assert table[:4] == [1.0, 3.0, 9.0, 27.0] and len(table) == 16
+    assert "_beta_floats" not in vars(coeffs)
+    assert coeffs.lam(16) == float(3 ** 16) and len(table) == 32
+    assert coeffs.lam(100) == float(3 ** 100) and len(table) == 64  # read alone
+    assert table == [float(3 ** n) for n in range(64)]
+    assert coeffs == CoefficientSequence.geometric(1, 3)
+    assert hash(coeffs) == hash(CoefficientSequence.geometric(1, 3))
+    one_value = CoefficientSequence.constant(2, -1)
+    assert one_value.beta(20) == -1.0 and vars(one_value)["_beta_floats"] == [-1.0] * 32
+
+
+@pytest.mark.parametrize("coeffs", [CoefficientSequence.geometric(1, 2),
+                                    CoefficientSequence.power(1, 1),
+                                    CoefficientSequence.constant(1, 3)])
+def test_a_criterion_verdict_reads_no_coefficient(coeffs):
+    assert classify(coeffs, 2).criterion is not None
+    tables = {"_lam_floats", "_beta_floats", "_lam_fractions", "_beta_fractions"}
+    assert not tables & set(vars(coeffs))

@@ -186,3 +186,19 @@ def test_unreduced_value_is_its_reduced_value(x, y, den, m, r, w):
     assert v.re is v.re  # brought to lowest terms once
     assert v * w == want * w and w * v == w * want
     assert v + want == want + want and v / 1 == want
+
+
+RATIONALS = st.one_of(st.integers(-30, 30), fractions, st.just(0), st.just(Fraction(0)))
+
+
+@given(RATIONALS, exacts(2), st.integers(-50, 50), st.integers(-50, 50),
+       st.integers(-20, 20).filter(bool), st.sampled_from([1, 3]))
+def test_rational_times_exact_is_the_coerced_product(r, x, a, b, den, m):
+    # an int or a Fraction multiplies each part once; zero resets the grade
+    for value in (x, UnreducedComplex(a, b, den, m)):
+        want = exact_complex(r) * value
+        for got in (r * value, value * r):
+            assert got == want and got.m == want.m
+            assert got.m == 1 or not got.is_zero
+    assert type(r * UnreducedComplex(a, b, den, m)) is UnreducedComplex
+    assert type(r * x) is ExactComplex and isinstance((r * x).re, Fraction)
