@@ -6,8 +6,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coefficients import CoefficientSequence
-from .exactnum import as_complex, conj, is_zero, matching_sqrt, sums_to_zero
+from .coefficients import CoefficientSequence, TreeConfig
+from .exactnum import as_complex, conj, is_exact, is_zero, matching_sqrt, sums_to_zero
+from .operator import JacobiOperator
 from .orthopoly import (AlphaTable, DeficiencyContext, PolyCache, _overflow_as_divergence,
                         check_recurrence_inputs, check_series_limits)
 from .treecore import (GAMMA, Address, SparseFunction, check_budget,
@@ -136,42 +137,18 @@ class BasisFunction:
 # residual of the eigenvalue equation
 # ---------------------------------------------------------------------------
 
-def _residual_at(values, x: Address, z, coeffs, d: int):
-    """z f(x) - lam_{n-1} f(parent) - beta_n f(x) - lam_n sum f(children)."""
-    n = len(x)
-    r = (z - coeffs.beta(n)) * values(x)
-    if n > 0:
-        r = r - coeffs.lam(n - 1) * values(x[:-1])
-    child_sum = None
-    for i in range(1, d + 1):
-        v = values(x + (i,))
-        child_sum = v if child_sum is None else child_sum + v
-    r = r - coeffs.lam(n) * child_sum
-    return r
-
-
 def deficiency_residual(f: SparseFunction, z, coeffs: CoefficientSequence,
                         d: int, depth: int) -> float:
-    """Max eigenvalue-equation residual over all levels below `depth`.
+    """Max |(J f - z f)(x)| over the vertices x above level `depth`, from
+    JacobiOperator.apply: exact when f and z are, in floats otherwise.
 
     The level-`depth` equation is excluded: it needs values one level
-    further down.  Vertices where f and all its neighbors vanish contribute
-    nothing, so only the support and its one-ring are visited."""
-    check: set = set()
-    for x in f.entries:
-        if len(x) < depth:
-            check.add(x)
-        if x and len(x) - 1 < depth:
-            check.add(x[:-1])
-        for i in range(1, d + 1):
-            if len(x) + 1 < depth:
-                check.add(x + (i,))
-    zc = as_complex(z)
-    values = lambda y: as_complex(f.entries.get(y, 0))
-    worst = 0.0
-    for x in check:
-        worst = max(worst, abs(_residual_at(values, x, zc, coeffs, d)))
-    return worst
+    further down."""
+    if not (is_exact(z) and all(map(is_exact, f.entries.values()))):
+        f, z = f.to_complex(), as_complex(z)
+    r = JacobiOperator(coeffs, TreeConfig(d)).apply(f) - f.scaled(z)
+    return max((abs(as_complex(v)) for x, v in r.entries.items() if len(x) < depth),
+               default=0.0)
 
 
 class _Profile:

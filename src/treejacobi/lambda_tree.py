@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List
 
 from .coefficients import CoefficientSequence, TreeConfig
@@ -43,6 +44,17 @@ class EsaCertificate:
                 "all_nonzero": self.all_nonzero}
 
 
+def _level_mass(d: int, k: int, a: float) -> float:
+    """d^k * a^2, or inf past the float range."""
+    try:
+        return d ** k * a ** 2
+    except OverflowError:  # d^k or a^2 alone is past the float range
+        try:
+            return float(d ** k * Fraction(a) ** 2)
+        except OverflowError:
+            return math.inf
+
+
 def esa_certificate(coeffs: CoefficientSequence, d: int, z,
                     k_max: int) -> EsaCertificate:
     """Evidence that the one-ended operator has no square-summable
@@ -53,7 +65,7 @@ def esa_certificate(coeffs: CoefficientSequence, d: int, z,
     ctx = DeficiencyContext(coeffs, d, as_complex(z))
     ctx.ensure(k_max)
     abs_p = [abs(ctx.p[k]) for k in range(k_max + 1)]
-    masses = [d ** k * abs_p[k] ** 2 for k in range(k_max + 1)]
+    masses = [_level_mass(d, k, abs_p[k]) for k in range(k_max + 1)]
     return EsaCertificate(ctx.z, k_max, min(abs_p), masses,
                           all(a > 0 for a in abs_p))
 

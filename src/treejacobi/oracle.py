@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 from .coefficients import CoefficientSequence
 from .errors import ConvergenceFailure, PatchTooLarge
-from .orthopoly import PolyCache
+from .orthopoly import PolyCache, _tridiagonal
 from .treecore import Address, LambdaPatch, subtree_size, subtree_vertices
 
 if TYPE_CHECKING:
@@ -88,18 +88,12 @@ def build_gamma_patch(coeffs: CoefficientSequence, d: int,
 def build_radial_block(coeffs: CoefficientSequence, d: int, offset: int,
                        size: int) -> DenseTruncation:
     """The size-by-size tridiagonal block starting at beta_offset, with
-    off-diagonal sqrt(d) * lam."""
+    off-diagonal sqrt(d) * lam (orthopoly._tridiagonal)."""
     import numpy as np
 
     _check_rows(size)
-    scale = math.sqrt(d)
-    M = np.zeros((size, size))
-    for j in range(size):
-        M[j, j] = coeffs.beta(offset + j)
-        if j + 1 < size:
-            v = scale * coeffs.lam(offset + j)
-            M[j, j + 1] = v
-            M[j + 1, j] = v
+    diag, off = _tridiagonal(coeffs, math.sqrt(d), offset, size)
+    M = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     addresses = [(j,) for j in range(size)]
     index = {x: i for i, x in enumerate(addresses)}
     return DenseTruncation(("radial_block", offset, size), M, addresses, index)

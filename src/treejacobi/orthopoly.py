@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import itertools
 import math
 import statistics
@@ -162,7 +163,7 @@ class _IntegerRecurrence:
             raise ValueError(f"exact mode needs a scale whose square is rational, got {scale!r}")
         if sigma.is_zero:
             raise ValueError("scale must be nonzero")
-        self.lam, self.beta = _accessors(coeffs, True)
+        self.coeffs = coeffs
         self.z = _over_one_denominator(z.re, z.im)
         self.sigma = sigma.re
         # scale = (u + i*v)/w * sqrt(m), the factor of an odd power
@@ -178,6 +179,7 @@ class _IntegerRecurrence:
         """Yield (n, A_n, B_n, T_n, W_n) indefinitely: Gaussian integers
         (re, im), the integer pair T_n = D_n Pi_n and the witness (u, v) of
         X_n = u X_{n-1} - v X_{n-2} (None for n < 2)."""
+        lam, beta = _accessors(self.coeffs, True)
         zr, zi, zd = self.z
         s, s_den = self.sigma.numerator, self.sigma.denominator
         a_prev, a = (0, 0), (1, 0)
@@ -187,11 +189,11 @@ class _IntegerRecurrence:
         n = 0
         while True:
             yield n, a, b, (t, t_den), w
-            beta = self.beta(n)
-            lam_n = self.lam(n)
-            e = zd * beta.denominator
-            g_re = zr * beta.denominator - beta.numerator * zd
-            g_im = zi * beta.denominator
+            beta_n = beta(n)
+            lam_n = lam(n)
+            e = zd * beta_n.denominator
+            g_re = zr * beta_n.denominator - beta_n.numerator * zd
+            g_im = zi * beta_n.denominator
             h = math.gcd(e, g_re, g_im)
             e, g_re, g_im = e // h, g_re // h, g_im // h
             if n == 0:
@@ -401,13 +403,21 @@ def wronskian_scale(table: PolyCache) -> list:
     if table.exact:
         raise ValueError("wronskian_scale is a float scale; an exact table's residuals "
                          "(wronskian_residual) are exact")
-    out = []
-    for n in range(table.N):
-        out.append(max(1.0,
-                       abs(as_complex(table.p[n])) * abs(as_complex(table.q[n + 1]))
-                       + abs(as_complex(table.p[n + 1])) * abs(as_complex(table.q[n])),
-                       1.0 / table.coeffs.lam(n)))
-    return out
+    return [max(1.0, abs(as_complex(table.p[n])) * abs(as_complex(table.q[n + 1]))
+                + abs(as_complex(table.p[n + 1])) * abs(as_complex(table.q[n])),
+                1.0 / table.coeffs.lam(n))
+            for n in range(table.N)]
+
+
+def _tridiagonal(coeffs: CoefficientSequence, scale: float, offset: int,
+                 size: int) -> tuple:
+    """(diag, off): the size-by-size section of the radial matrix starting
+    at index offset, with diagonal beta_k and off-diagonal scale*lambda_k.
+    The one place that writes the tridiagonal's entries."""
+    import numpy as np
+
+    return (np.array([coeffs.beta(k) for k in range(offset, offset + size)]),
+            np.array([scale * coeffs.lam(k) for k in range(offset, offset + size - 1)]))
 
 
 def poly_roots(coeffs: CoefficientSequence, scale: float, n: int) -> np.ndarray:
@@ -424,8 +434,7 @@ def poly_roots(coeffs: CoefficientSequence, scale: float, n: int) -> np.ndarray:
 
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    diag = np.array([coeffs.beta(k) for k in range(n)])
-    off = np.array([scale * coeffs.lam(k) for k in range(n - 1)])
+    diag, off = _tridiagonal(coeffs, scale, 0, n)
     try:
         return eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="stebz",
                                 tol=2 * np.finfo(float).tiny)
@@ -595,6 +604,17 @@ class AlphaTable:
         return self.alphas[k]
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _root_power(d: int, k: int, scale: float) -> tuple:
+    """(divisor, shift) with d^(k/2) = divisor * 2^shift: the integer
+    d^(k//2), times scale = sqrt(d) when k is odd, its mantissa cut to 512
+    bits so that no power is converted beyond the float range.  Cached, as
+    every float deficiency value divides by one."""
+    whole = d ** (k // 2)
+    shift = max(whole.bit_length() - 512, 0)
+    return whole / (1 << shift) * (scale if k % 2 else 1), shift
+
+
 class DeficiencyContext(PolyCache):
     """The recurrence table at scale sqrt(d) and a non-real z, with the
     degree d: the values every deficiency-space object reads, and their
@@ -636,16 +656,12 @@ class DeficiencyContext(PolyCache):
         return self._over_root_power(lam_k * (p[k] * q[n] - q[k] * p[n]), n - k - 1)
 
     def _over_root_power(self, value: complex, k: int) -> complex:
-        """value / d^(k/2) in floats, the integer d^(k//2) times sqrt(d)
-        when k is odd.  A d^(k//2) of more than 512 bits is split into a
-        correctly rounded mantissa and a power of two that ldexp divides
-        out, so no power is converted beyond the float range."""
-        whole = self.d ** (k // 2)
-        shift = whole.bit_length() - 512
-        if shift <= 0:
-            return value / (whole * self.scale if k % 2 else whole)
-        value = value / (whole / (1 << shift) * (self.scale if k % 2 else 1))
-        return complex(math.ldexp(value.real, -shift), math.ldexp(value.imag, -shift))
+        """value / d^(k/2) in floats (_root_power)."""
+        divisor, shift = _root_power(self.d, k, self.scale)
+        value = value / divisor
+        if shift:
+            return complex(math.ldexp(value.real, -shift), math.ldexp(value.imag, -shift))
+        return value
 
     def alphas(self, k_max: int, tol: float = 1e-12, n_max: int = 100_000) -> AlphaTable:
         """alpha_k(z) for k = 0..k_max, with per-k series verdicts, summed

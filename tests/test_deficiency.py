@@ -6,17 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treejacobi.coefficients import CoefficientSequence
+from treejacobi.coefficients import CoefficientSequence, TreeConfig
 from treejacobi import orthopoly
 from treejacobi.deficiency import (BasisFunction, DeficiencyContext,
                                    DeficiencyElement, classify, classify_by_series,
                                    deficiency_residual, element_max_abs,
                                    element_residual, f_value, project_full,
                                    project_onto_Ax)
-from treejacobi.errors import (PatchTooLarge, RealSpectralParameter)
-from treejacobi.exactnum import exact_complex, exact_sqrt, is_exact, is_zero
+from treejacobi.errors import NotInSubtree, PatchTooLarge, RealSpectralParameter
+from treejacobi.exactnum import as_complex, exact_complex, exact_sqrt, is_exact, is_zero
+from treejacobi.operator import JacobiOperator
 from treejacobi.orthopoly import alpha_series, alpha_sq_partial
-from treejacobi.treecore import SparseFunction, inner, subtree_vertices
+from treejacobi.treecore import LambdaPatch, SparseFunction, inner, subtree_vertices
 
 PAPER = CoefficientSequence.paper_example()
 D = 2
@@ -189,9 +190,27 @@ def test_residual_vanishes_at_anchor():
     elem = DeficiencyElement((2,), (0.7, -0.7), 1j)
     f = elem.materialize(CTX, 6)
     # residual at the anchor vertex alone
-    from treejacobi.deficiency import _residual_at
-    values = lambda y: complex(f.entries.get(y, 0))
-    assert abs(_residual_at(values, (2,), 1j, PAPER, D)) < 1e-14
+    residual = JacobiOperator(PAPER, TreeConfig(D)).apply(f) - f.scaled(1j)
+    assert abs(residual.value((2,))) < 1e-14
+
+
+@pytest.mark.parametrize("anchor, coeffs", [(None, (1,)), ((), (1, -1)), ((1,), (1, -1))],
+                         ids=["radial", "root", "1"])
+def test_residual_of_an_exact_element_is_zero(anchor, coeffs):
+    # exact f and z: apply runs in exact arithmetic, so the equation holds exactly
+    z = exact_complex(Fraction(1, 3), Fraction(1, 2))
+    ctx = DeficiencyContext(PAPER, D, z)
+    f = DeficiencyElement(anchor, tuple(map(exact_complex, coeffs)), z).materialize(ctx, 6)
+    assert f.entries and all(map(is_exact, f.entries.values()))
+    assert deficiency_residual(f, z, PAPER, D, 6) == 0.0
+    # a float z reads the exact values in floats
+    assert deficiency_residual(f, as_complex(z), PAPER, D, 6) < 1e-13
+
+
+def test_residual_refuses_a_patch_function():
+    f = SparseFunction.delta((), kind=LambdaPatch(2, D))
+    with pytest.raises(NotInSubtree):
+        deficiency_residual(f, 1j, PAPER, D, 2)
 
 
 def test_norm_identity_direct_vs_series():
@@ -380,7 +399,7 @@ def test_series_verdict_ignores_the_scale(c, paper, d):
 
 @pytest.mark.xfail(strict=True, reason="a term that overflows the float range counts as "
                    "divergence whatever the scale; the float recurrence that does not "
-                   "overflow is ROADMAP direction 2")
+                   "overflow is ROADMAP direction 1")
 @pytest.mark.parametrize("coeffs", [
     CoefficientSequence.power(Fraction(1, 10 ** 6), 2),
     CoefficientSequence.geometric(Fraction(1, 2 ** 20), Fraction(5, 4)),

@@ -2,7 +2,7 @@
 private module-level function or class is used somewhere, every local
 a function assigns and every parameter it takes is read, every CLI flag
 is read by its subcommand's handler, only the recurrence table steps
-the recurrence, and only named scopes build a table."""
+the recurrence, and only named scopes build a table or read beta_n."""
 import argparse
 import ast
 import inspect
@@ -152,6 +152,35 @@ def test_only_these_scopes_build_a_recurrence_table():
     subclasses = _scopes_where(lambda node: isinstance(node, ast.ClassDef)
                                and any(_name(base) == "PolyCache" for base in node.bases))
     assert subclasses == ["orthopoly.DeficiencyContext"]
+
+
+def _discards_beta(node) -> bool:
+    """An assignment `lam, _ = _accessors(...)`, which keeps only lam."""
+    return (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+            and len(node.targets[0].elts) == 2 and _name(node.targets[0].elts[1]) == "_")
+
+
+def test_only_these_scopes_read_beta():
+    # J's entries are written once per representation, so each scope here
+    # is one representation of J (or the selector of its accessors); a
+    # further hand-written copy of J reads beta_n and lands in this list.
+    # PolyCache.__init__ selects lam only, so its call does not count
+    lam_only = {id(node.value) for tree in TREES.values() for node in ast.walk(tree)
+                if _discards_beta(node)}
+    reads = _scopes_where(lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in ("beta", "beta_exact"))
+        or (isinstance(node, ast.Call) and _name(node.func) == "_accessors"
+            and id(node) not in lam_only))
+    assert sorted(set(reads)) == [
+        "coefficients._accessors",            # the accessor selector
+        "deficiency._Profile.residual",       # level profiles
+        "operator.JacobiOperator.apply",      # sparse functions on either tree
+        "operator.moments",                   # the exact radial matrix, conjugated
+        "oracle._tree_section",               # dense sections of the tree operators
+        "orthopoly._IntegerRecurrence.rows",  # the integer recurrence
+        "orthopoly._tridiagonal",             # the radial tridiagonal section
+        "orthopoly.poly_pairs",               # the float recurrence
+    ]
 
 
 def _unread_cli_flags() -> list:

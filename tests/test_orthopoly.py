@@ -532,6 +532,35 @@ def _old_alpha_sq_partial(coeffs, p, q, k, n_terms):
                 for n in range(k, k + n_terms)), exact_complex(0))
 
 
+def _old_over_root_power(value, d, scale, k):
+    """value / d^(k/2) with d^(k//2) rebuilt for each value."""
+    whole = d ** (k // 2)
+    shift = whole.bit_length() - 512
+    if shift <= 0:
+        return value / (whole * scale if k % 2 else whole)
+    value = value / (whole / (1 << shift) * (scale if k % 2 else 1))
+    return complex(math.ldexp(value.real, -shift), math.ldexp(value.imag, -shift))
+
+
+@pytest.mark.parametrize("coeffs, d, N", [(PAPER, 3, 1023), (CONSTANT, 2, 2000)],
+                         ids=["paper-d3", "constant-d2"])
+def test_float_f_values_match_the_uncached_divisor(coeffs, d, N):
+    # d^(k//2) passes 2^512 from k = 648 at d = 3 and k = 1026 at d = 2;
+    # repr tells signed zeros and nan apart
+    from treejacobi.deficiency import DeficiencyContext
+    ctx = DeficiencyContext(coeffs, d, 1j)
+    ctx.ensure(N)
+    p, q = ctx.p, ctx.q
+    for n in range(N + 1):
+        assert repr(ctx.f_zero(n)) == repr(_old_over_root_power(p[n], d, ctx.scale, n))
+    for k in (0, 1, 6, 611):
+        lam_k = coeffs.lam(k)
+        for n in range(k + 1, N + 1):
+            value = lam_k * (p[k] * q[n] - q[k] * p[n])
+            assert (repr(ctx.f_anchored(k, n))
+                    == repr(_old_over_root_power(value, d, ctx.scale, n - k - 1)))
+
+
 def _csv_row(n, pv, qv):
     pv, qv = pv.to_complex(), qv.to_complex()
     return f"{n},{pv.real!r},{pv.imag!r},{qv.real!r},{qv.imag!r}"
