@@ -81,7 +81,9 @@ def parse_z(text: str, mode: str):
     if mode == "exact":
         try:
             return exact_complex(Fraction(re_text), Fraction(im_text))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:
+            raise ValidationError(f"exact z has a zero denominator, got {text!r}") from None
+        except ValueError as exc:
             raise ValidationError(f"bad exact z {text!r}: {exc}") from None
     try:
         z = complex(float(re_text), float(im_text))
@@ -89,6 +91,15 @@ def parse_z(text: str, mode: str):
         raise ValidationError(f"bad z {text!r}: {exc}") from None
     if not cmath.isfinite(z):
         raise ValidationError(f"z must be finite, got {text!r}")
+    return z
+
+
+def parse_nonreal_z(text: str, mode: str):
+    """parse_z for the deficiency-space subcommands, which refuse a real z
+    by the text it was given as."""
+    z = parse_z(text, mode)
+    if as_complex(z).imag == 0:
+        raise ValidationError(f"deficiency-space values need a non-real z, got {text!r}")
     return z
 
 
@@ -169,7 +180,7 @@ def cmd_classify(args) -> int:
 
 def cmd_deficiency(args) -> int:
     coeffs = parse_coeffs(args.coeffs)
-    z = parse_z(args.z, args.mode)
+    z = parse_nonreal_z(args.z, args.mode)
     ctx = DeficiencyContext(coeffs, args.d, z)
     anchor = parse_vertex(args.anchor, args.d) if args.anchor else None
     # integer coefficients serve both arithmetics
@@ -199,7 +210,7 @@ def cmd_deficiency(args) -> int:
 
 def cmd_poisson(args) -> int:
     coeffs = parse_coeffs(args.coeffs)
-    z = parse_z(args.z, "float")
+    z = parse_nonreal_z(args.z, "float")
     y = parse_vertex(args.y, args.d)
     ctx = DeficiencyContext(coeffs, args.d, z)
     alpha = ctx.alphas(len(y) + 1, args.tol, args.n_max)

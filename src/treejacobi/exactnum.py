@@ -6,18 +6,21 @@ drift.  On the radial matrix with off-diagonal sqrt(d)*lambda_n, p_n(z)
 and q_n(z) are Gaussian rationals times a power of sqrt(d), so each value
 has one grade: a representation
 
-    (re + i im) * sqrt(m)
+    (x + i y) / den * sqrt(m)
 
-with Fraction re, im and squarefree m is closed under *, / and the
+with integers x, y, den > 0 and squarefree m is closed under *, / and the
 same-grade +, -, and is enough for every exact-mode computation in this
 package.  A sum of two nonzero values of different grades raises
-ValueError.  An UnreducedComplex is such a value given by integers, which
-it brings to lowest terms only when its parts are first read.
+ValueError.  An ExactComplex holds those integers, as the fraction-free
+recurrence holds its rows (Bareiss 1968; Geddes, Czapor & Labahn 1992,
+ch. 2): each arithmetic operation brings its result to lowest terms by one
+gcd (_lowest), a product with a rational cancelling only against the
+rational's parts (_scaled), and the rational parts re and im are built
+when read.  unreduced() gives the same type from integers without the gcd.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
@@ -42,17 +45,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, m
 
 
-def _cmul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _cdiv(x, y):
-    den = y[0] * y[0] + y[1] * y[1]
-    if den == 0:
-        raise ZeroDivisionError("division by exact zero")
-    return ((x[0] * y[0] + x[1] * y[1]) / den, (x[1] * y[0] - x[0] * y[1]) / den)
-
-
 def _grades(m1: int, m2: int) -> tuple[int, int]:
     """(k, m) with sqrt(m1) * sqrt(m2) = k * sqrt(m)."""
     if m1 == 1 or m2 == 1:
@@ -62,70 +54,106 @@ def _grades(m1: int, m2: int) -> tuple[int, int]:
     raise ValueError(f"incompatible radicands {m1} and {m2}")
 
 
-@dataclass(frozen=True, eq=False)
+def _operand(value):
+    """(x, y, den, m) of an ExactComplex or a rational, else None."""
+    if isinstance(value, ExactComplex):
+        return value.ints + (value.m,)
+    if isinstance(value, int):
+        return value, 0, 1, 1
+    if isinstance(value, Rational):
+        return value.numerator, 0, value.denominator, 1
+    return None
+
+
+def _new(x: int, y: int, den: int, m: int) -> "ExactComplex":
+    value = object.__new__(ExactComplex)
+    value.ints = (x, y, den)
+    value.m = m
+    return value
+
+
+def _lowest(x: int, y: int, den: int, m: int) -> "ExactComplex":
+    """(x + i*y)/den * sqrt(m) in lowest terms, for den > 0: the one gcd of
+    an arithmetic operation.  A zero gets grade 1."""
+    g = math.gcd(den, x, y)
+    if g != 1:
+        x, y, den = x // g, y // g, den // g
+    return _new(x, y, den, m if x or y else 1)
+
+
+def _scaled(x: int, y: int, den: int, m: int, p: int, q: int) -> "ExactComplex":
+    """(x + i*y)/den * sqrt(m) times p/q in lowest terms, q > 0, cancelling
+    only against p and q, as Fraction's product does: gcds with one small
+    operand, which keep a value in lowest terms if it was."""
+    if not (p and (x or y)):
+        return _new(0, 0, 1, 1)
+    g = math.gcd(p, den)
+    if g != 1:
+        p, den = p // g, den // g
+    if q != 1:
+        h = math.gcd(q, x, y)
+        if h != 1:
+            q, x, y = q // h, x // h, y // h
+        den *= q
+    if p != 1:
+        x, y = x * p, y * p
+    return _new(x, y, den, m)
+
+
 class ExactComplex:
-    """A number (re + i*im) * sqrt(m) with rational re, im and squarefree
-    m >= 1; zero is stored with m = 1."""
+    """(x + i*y)/den * sqrt(m) with integers x, y, den > 0 and squarefree
+    m >= 1 (zero has m = 1), built from rational parts: ExactComplex(re, im,
+    m).  + - * / keep gcd(x, y, den) = 1.  Immutable; == and hash compare values."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-    m: int = 1
+    __slots__ = ("ints", "m")
 
-    def __post_init__(self):
-        if self.m != 1 and not (self.re or self.im):
-            object.__setattr__(self, "m", 1)
+    def __init__(self, re=0, im=0, m: int = 1):
+        re, im = Fraction(re), Fraction(im)
+        value = _lowest(re.numerator * im.denominator, im.numerator * re.denominator,
+                        re.denominator * im.denominator, m)
+        self.ints, self.m = value.ints, value.m
 
-    @property
-    def ar(self) -> Fraction:
-        return self.re if self.m == 1 else Fraction(0)
-
-    @property
-    def ai(self) -> Fraction:
-        return self.im if self.m == 1 else Fraction(0)
-
-    @property
-    def br(self) -> Fraction:
-        return self.re if self.m != 1 else Fraction(0)
-
-    @property
-    def bi(self) -> Fraction:
-        return self.im if self.m != 1 else Fraction(0)
+    re = property(lambda self: Fraction(self.ints[0], self.ints[2]))
+    im = property(lambda self: Fraction(self.ints[1], self.ints[2]))
+    # the parts of a + b*sqrt(m), with a = ar + i*ai and b = br + i*bi
+    ar = property(lambda self: self.re if self.m == 1 else Fraction(0))
+    ai = property(lambda self: self.im if self.m == 1 else Fraction(0))
+    br = property(lambda self: self.re if self.m != 1 else Fraction(0))
+    bi = property(lambda self: self.im if self.m != 1 else Fraction(0))
 
     def __eq__(self, other):
         if not isinstance(other, ExactComplex):
             return NotImplemented
-        return (self.re, self.im, self.m) == (other.re, other.im, other.m)
+        (x1, y1, d1), (x2, y2, d2) = self.ints, other.ints
+        return self.m == other.m and x1 * d2 == x2 * d1 and y1 * d2 == y2 * d1
 
     def __hash__(self):
         return hash((self.re, self.im, self.m))
 
-    def _coerce(self, other):
-        if isinstance(other, ExactComplex):
-            return other
-        if isinstance(other, (int, Rational)):
-            return ExactComplex(Fraction(other))
-        return NotImplemented
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        if other.m != self.m:
-            if other.is_zero:
-                return self
-            if self.is_zero:
-                return other
-            raise ValueError(f"cannot add values of grades sqrt({self.m}) and sqrt({other.m})")
-        return ExactComplex(self.re + other.re, self.im + other.im, self.m)
+        x2, y2, d2, m2 = b
+        x1, y1, d1 = self.ints
+        if not (x2 or y2):
+            return _new(x1, y1, d1, self.m)
+        if not (x1 or y1):
+            return _new(x2, y2, d2, m2)
+        if m2 != self.m:
+            raise ValueError(f"cannot add values of grades sqrt({self.m}) and sqrt({m2})")
+        if d1 == d2:
+            return _lowest(x1 + x2, y1 + y2, d1, m2)
+        return _lowest(x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2, m2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im, self.m)
+        x, y, den = self.ints
+        return _new(-x, -y, den, self.m)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if _operand(other) is None:
             return NotImplemented
         return self + (-other)
 
@@ -133,56 +161,67 @@ class ExactComplex:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # a rational: one product per part
-            return ExactComplex(self.re * other, self.im * other, self.m)
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        k, m = _grades(self.m, other.m)
-        re, im = _cmul((self.re, self.im), (other.re, other.im))
-        if k != 1:
-            re, im = k * re, k * im
-        return ExactComplex(re, im, m)
+        x2, y2, d2, m2 = b
+        x1, y1, d1 = self.ints
+        if not y2 and m2 == 1:  # a rational: cancel against its two parts
+            return _scaled(x1, y1, d1, self.m, x2, d2)
+        if not y1 and self.m == 1:
+            return _scaled(x2, y2, d2, m2, x1, d1)
+        k, m = _grades(self.m, m2)
+        return _lowest(k * (x1 * x2 - y1 * y2), k * (x1 * y2 + y1 * x2), d1 * d2, m)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        k, m = _grades(self.m, other.m)
-        re, im = _cdiv((self.re, self.im), (other.re, other.im))
-        if k != other.m:  # 1/sqrt(m2) = sqrt(m2)/m2
-            re, im = re / other.m, im / other.m
-        return ExactComplex(re, im, m)
+        x2, y2, d2, m2 = b
+        x1, y1, d1 = self.ints
+        norm = x2 * x2 + y2 * y2
+        if not norm:
+            raise ZeroDivisionError("division by exact zero")
+        if not y2 and m2 == 1:  # times d2/x2, its sign moved to the numerator
+            return _scaled(x1, y1, d1, self.m, d2 if x2 > 0 else -d2, abs(x2))
+        k, m = _grades(self.m, m2)
+        den = d1 * norm
+        if k != m2:  # 1/sqrt(m2) = sqrt(m2)/m2
+            den *= m2
+        return _lowest(d2 * (x1 * x2 + y1 * y2), d2 * (y1 * x2 - x1 * y2), den, m)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        return other / self
+        return _new(*b) / self
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im, self.m)
+        x, y, den = self.ints
+        return _new(x, -y, den, self.m)
 
     def abs2(self) -> "ExactComplex":
-        """|x|^2 = (re^2 + im^2) * m, exact and rational."""
-        return ExactComplex((self.re * self.re + self.im * self.im) * self.m)
+        """|x|^2 = (x^2 + y^2) * m / den^2, exact and rational."""
+        x, y, den = self.ints
+        return _lowest((x * x + y * y) * self.m, 0, den * den, 1)
 
     @property
     def is_zero(self) -> bool:
-        return not (self.re or self.im)
+        x, y, _ = self.ints
+        return not (x or y)
 
     def to_complex(self) -> complex:
+        """One correctly rounded int / int per part, which is the float of
+        the part's Fraction whether or not the integers are in lowest terms."""
+        x, y, den = self.ints
         root = self.m ** 0.5
         try:
-            re, im = self._floats()
+            re, im = x / den, y / den
         except OverflowError:
             raise OverflowError("exact value does not fit in a float") from None
         return complex(re * root, im * root)
-
-    def _floats(self) -> tuple:
-        return float(self.re), float(self.im)
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
@@ -191,55 +230,14 @@ class ExactComplex:
         return f"ExactComplex({self.re}, {self.im}, sqrt={self.m})"
 
 
-class UnreducedComplex(ExactComplex):
-    """The ExactComplex (x + i*y)/den * sqrt(m) of integers x, y and den > 0
-    (a negative den is moved to x and y), kept as those integers until its
-    parts re and im are first read, which brings them to lowest terms once.
-
-    Until then nothing reduces it: to_complex is one correctly rounded
-    int / int per part, which is the float of the reduced Fraction too
-    (float(Fraction) divides the same way); is_zero reads x and y; abs2 is
-    one Fraction; and a product with an int or a Fraction is again an
-    UnreducedComplex.  Any other arithmetic reads the parts."""
-
-    def __init__(self, x: int, y: int, den: int, m: int = 1):
-        if den < 0:
-            x, y, den = -x, -y, -den
-        object.__setattr__(self, "ints", (x, y, den))
-        object.__setattr__(self, "m", m if x or y else 1)
-
-    def _parts(self) -> tuple:
-        parts = self.__dict__.get("_reduced")
-        if parts is None:
-            x, y, den = self.ints
-            parts = (Fraction(x, den), Fraction(y, den))
-            object.__setattr__(self, "_reduced", parts)
-        return parts
-
-    re = property(lambda self: self._parts()[0])
-    im = property(lambda self: self._parts()[1])
-
-    @property
-    def is_zero(self) -> bool:
-        x, y, _ = self.ints
-        return not (x or y)
-
-    def _floats(self) -> tuple:
-        x, y, den = self.ints
-        return x / den, y / den
-
-    def abs2(self) -> ExactComplex:
-        x, y, den = self.ints
-        return ExactComplex(Fraction((x * x + y * y) * self.m, den * den))
-
-    def __mul__(self, other):
-        if isinstance(other, Rational):
-            x, y, den = self.ints
-            return UnreducedComplex(x * other.numerator, y * other.numerator,
-                                    den * other.denominator, self.m)
-        return super().__mul__(other)
-
-    __rmul__ = __mul__
+def unreduced(x: int, y: int, den: int, m: int = 1) -> ExactComplex:
+    """The ExactComplex (x + i*y)/den * sqrt(m) of integers x, y and
+    den != 0 (a negative den is moved to x and y), built without the gcd,
+    for a value that may only be read as floats: to_complex is one int / int
+    per part.  Arithmetic on it brings its result to lowest terms."""
+    if den < 0:
+        x, y, den = -x, -y, -den
+    return _new(x, y, den, m if x or y else 1)
 
 
 def exact_complex(re, im=0) -> ExactComplex:

@@ -7,6 +7,7 @@ branch values sum to zero on every level; the radial functions and these
 spaces split l^2 of the tree into pieces that J maps into themselves."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -47,7 +48,9 @@ class JacobiOperator:
         return "gamma" if self.patch is None else "lambda"
 
     def apply(self, f: SparseFunction) -> SparseFunction:
-        """J f, in exact arithmetic when any value of f is an ExactComplex."""
+        """J f, in exact arithmetic when any value of f is an ExactComplex.
+        The value is the left operand of each coefficient product, so an
+        exact value skips Fraction's reflected-operand detour."""
         if f.kind != self.patch:
             raise NotInSubtree(
                 f"function on {f.kind or 'the rooted tree'} cannot be fed to a "
@@ -63,9 +66,9 @@ class JacobiOperator:
             for x, v in f.entries.items():
                 n = len(x)
                 if n > 0:
-                    acc(x[:-1], lam(n - 1) * v)
-                acc(x, beta(n) * v)
-                down = lam(n) * v
+                    acc(x[:-1], v * lam(n - 1))
+                acc(x, v * beta(n))
+                down = v * lam(n)
                 for c in children(x, self.d):
                     acc(c, down)
         else:
@@ -76,12 +79,12 @@ class JacobiOperator:
                         "support reached the virtual successor; enlarge the patch")
                 n = patch.level(x)
                 if n > 0:
-                    down = lam(n - 1) * v
+                    down = v * lam(n - 1)
                     for i in range(1, self.d + 1):
                         acc(x + (i,), down)
-                acc(x, beta(n) * v)
+                acc(x, v * beta(n))
                 up = APEX_SUCCESSOR if not x else x[:-1]
-                acc(up, lam(n) * v)
+                acc(up, v * lam(n))
         return SparseFunction(out, f.kind)
 
 
@@ -92,8 +95,11 @@ def moments(J: JacobiOperator, N: int, route: str = "matrix") -> List[Fraction]:
     vector, computing only the triangle that reaches the root: after step s
     the vector is zero past index s, and an entry past N - s cannot reach
     the root in the N - s steps left, so step s computes the entries
-    j <= min(s, N - s).  The tree route applies J on the tree directly
-    (exponential in N, kept for cross-checks)."""
+    j <= min(s, N - s).  It runs fraction-free: with D the lcm of the
+    denominators of lam_0..lam_{N-1} and beta_0..beta_N, the matrix D*M has
+    integer entries, and m_s is the root entry of (D*M)^s over D^s.  The
+    tree route applies J on the tree directly (exponential in N, kept for
+    cross-checks)."""
     if N < 0:
         raise ValueError("N must be nonnegative")
     if J.kind != "gamma":
@@ -104,13 +110,16 @@ def moments(J: JacobiOperator, N: int, route: str = "matrix") -> List[Fraction]:
         # root entry of each power is unchanged and every entry is rational.
         lam = [J.coeffs.lam_exact(n) for n in range(N)]
         beta = [J.coeffs.beta_exact(n) for n in range(N + 1)]
-        v = [Fraction(1)]
+        D = math.lcm(*(c.denominator for c in lam + beta))
+        up, diag = ([int(D * c) for c in cs] for cs in (lam, beta))  # D lam_j, D beta_j
+        down = [J.d * u for u in up]
+        v = [1]
         out = [Fraction(1)]
         for s in range(1, N + 1):
             u = v + [0, 0]  # entries the previous step did not compute are 0
-            v = [beta[j] * u[j] + (J.d * lam[j - 1] * u[j - 1] if j else 0) + lam[j] * u[j + 1]
+            v = [diag[j] * u[j] + (down[j - 1] * u[j - 1] if j else 0) + up[j] * u[j + 1]
                  for j in range(min(s, N - s) + 1)]
-            out.append(v[0])
+            out.append(Fraction(v[0], D ** s))
         return out
     if route == "tree":
         check_budget(J.d ** N, f"tree-route moment m_{N}")

@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 from .coefficients import CoefficientSequence, _accessors
 from .errors import (CoefficientOverflow, ConvergenceFailure, RealSpectralParameter,
                      RecurrenceOverflow)
-from .exactnum import (ExactComplex, UnreducedComplex, abs2, as_complex, exact_complex,
-                       is_exact, matching_sqrt)
+from .exactnum import (ExactComplex, abs2, as_complex, exact_complex, is_exact,
+                       matching_sqrt, unreduced)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,8 +37,8 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     """Yield (n, p_n(z), q_n(z), row) indefinitely, where row is the
     integer row (A_n, B_n, T_n, W_n) the exact values were built from, with
     the witness W_n of the step that built it (see _IntegerRecurrence), and
-    None in float mode.  Exact values are UnreducedComplex: nothing brings
-    them to lowest terms before a reader reads their parts.
+    None in float mode.  Exact values are ExactComplex over their rows,
+    not in lowest terms: nothing reduces them before arithmetic reads them.
 
     Off-diagonal entries are scale*lambda_n; initial data p_0 = 1,
     p_1 = (z - beta_0)/(scale*lambda_0), q_0 = 0, q_1 = 1/lambda_0.
@@ -110,12 +110,6 @@ def _exact_number(value) -> ExactComplex:
     raise ValueError(f"exact mode takes int, Fraction or ExactComplex values, got {value!r}")
 
 
-def _over_one_denominator(re: Fraction, im: Fraction) -> tuple:
-    """re + i*im as integers (x, y, den) with (re, im) = (x, y)/den, den > 0."""
-    den = re.denominator * im.denominator
-    return re.numerator * im.denominator, im.numerator * re.denominator, den
-
-
 class _IntegerRecurrence:
     """The exact recurrence run fraction-free on integers (after Bareiss 1968).
 
@@ -143,9 +137,9 @@ class _IntegerRecurrence:
     T_n = D_n Pi_n, which the edge divides by, as an integer pair
     (t, t_den) with T_{n+1} = T_n R_{n+1} lambda_n; each new factor is
     cancelled against the other side of the pair by a gcd with a small
-    operand.  The values p_n, q_n are UnreducedComplex over their edge
-    rows (edge), so the only gcds of two large operands are those a reader
-    asks for by reading a value's parts, one per part and value.
+    operand.  The values p_n, q_n are ExactComplex over their edge rows
+    (edge), built without a gcd, so the only gcds of two large operands are
+    those of the arithmetic a reader does with them.
 
     Row n >= 2 carries the step's small multipliers W_n = ((L_{n-1}/g)
     G_{n-1}, c_{n-1}/g) as a witness for wronskian_residual.
@@ -164,14 +158,14 @@ class _IntegerRecurrence:
         if sigma.is_zero:
             raise ValueError("scale must be nonzero")
         self.coeffs = coeffs
-        self.z = _over_one_denominator(z.re, z.im)
+        self.z = z.ints
         self.sigma = sigma.re
         # scale = (u + i*v)/w * sqrt(m), the factor of an odd power
-        self.unit = _over_one_denominator(scale.re, scale.im) + (scale.m,)
+        self.unit = scale.ints + (scale.m,)
 
     def pairs(self) -> Iterator[tuple]:
         """Yield (n, p_n, q_n, (A_n, B_n, T_n, W_n)), the values as
-        UnreducedComplex over their edge rows."""
+        ExactComplex over their edge rows, not in lowest terms."""
         for n, a, b, t, w in self.rows():
             yield n, _EdgeValue(self, a, t, n), _EdgeValue(self, b, t, n - 1), (a, b, t, w)
 
@@ -237,15 +231,17 @@ class _IntegerRecurrence:
         return re * up, im * up, den
 
 
-class _EdgeValue(UnreducedComplex):
+class _EdgeValue(ExactComplex):
     """A value p_n or q_n of an exact table, (x/T) / scale**k for the entry
-    x of its row: an UnreducedComplex whose integers are the edge, computed
-    each time they are read, so that the table holds no integers but its
-    rows (and the parts of the values read)."""
+    x of its row: an ExactComplex whose integers are the edge, not in lowest
+    terms and computed each time they are read, so that the table holds no
+    integers but its rows."""
+
+    __slots__ = ("_row",)
 
     def __init__(self, engine: _IntegerRecurrence, x: tuple, t: tuple, k: int):
-        object.__setattr__(self, "_row", (engine, x, t, k))
-        object.__setattr__(self, "m", engine.unit[3] if k % 2 and (x[0] or x[1]) else 1)
+        self._row = (engine, x, t, k)
+        self.m = engine.unit[3] if k % 2 and (x[0] or x[1]) else 1
 
     @property
     def ints(self) -> tuple:
@@ -295,9 +291,9 @@ class PolyCache:
     The arithmetic is fixed here, from the types of scale and z, and so is
     `lam`, the lambda accessor of that arithmetic.  An exact table also
     keeps each integer row with the two values it built from it, for
-    wronskian_residual.  Its values are UnreducedComplex: p[n] or q[n] is
-    brought to lowest terms when exact arithmetic first reads its parts,
-    and as_complex (to_csv) reads it without reducing it.  The exact
+    wronskian_residual.  Its values are not in lowest terms: exact
+    arithmetic on p[n] or q[n] reduces only its result, and as_complex
+    (to_csv) reads it without a gcd.  The exact
     readers of the deficiency values (DeficiencyContext.f_zero, f_anchored
     and alpha_sq_terms) compute from the rows.  Once the recurrence fails,
     every later extension past the last index held raises that same error;
@@ -629,19 +625,20 @@ class DeficiencyContext(PolyCache):
 
     def f_zero(self, n: int):
         """Value on level n of the radial basis function (anchor at the root
-        level of the whole tree): p_n(z) / d^(n/2).  Exact: the
-        UnreducedComplex A_n / (T_n d^n), read from row n."""
+        level of the whole tree): p_n(z) / d^(n/2).  Exact: A_n / (T_n d^n),
+        read from row n and built without the gcd (unreduced)."""
         self.ensure(n)
         if self.exact:
             (re, im), _, (t, t_den), _ = self._rows[n][2]
-            return UnreducedComplex(re * t_den, im * t_den, t * self.d ** n)
+            return unreduced(re * t_den, im * t_den, t * self.d ** n)
         return self._over_root_power(self.p[n], n)
 
     def f_anchored(self, k: int, n: int):
         """Value on level n inside one child subtree of an anchor at level k:
         lam_k (p_k q_n - q_k p_n) / d^((n-k-1)/2), for n >= k + 1.  Exact:
-        the UnreducedComplex lam_k (A_k B_n - B_k A_n) / (T_k T_n d^(n-1)),
-        read from rows k and n (_cross).
+        lam_k (A_k B_n - B_k A_n) / (T_k T_n d^(n-1)), read from rows k and
+        n (_cross) and built without the gcd.  Float: RecurrenceOverflow
+        when the product leaves the float range.
 
         The value at n = k + 1 is 1 for every k (discrete Wronskian)."""
         if n < k + 1:
@@ -650,10 +647,15 @@ class DeficiencyContext(PolyCache):
         self.ensure(n)
         if self.exact:
             (re, im), den = self._cross(k, n)
-            return UnreducedComplex(re * lam_k.numerator, im * lam_k.numerator,
-                                    den * lam_k.denominator * self.d ** (n - 1))
+            return unreduced(re * lam_k.numerator, im * lam_k.numerator,
+                             den * lam_k.denominator * self.d ** (n - 1))
         p, q = self.p, self.q
-        return self._over_root_power(lam_k * (p[k] * q[n] - q[k] * p[n]), n - k - 1)
+        value = lam_k * (p[k] * q[n] - q[k] * p[n])
+        if not cmath.isfinite(value):
+            raise RecurrenceOverflow(
+                f"anchored value at levels {k}, {n} left the float range; "
+                "switch to exact mode or rescale")
+        return self._over_root_power(value, n - k - 1)
 
     def _over_root_power(self, value: complex, k: int) -> complex:
         """value / d^(k/2) in floats (_root_power)."""

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 import treejacobi
 from treejacobi.cli import main, parse_coeffs, parse_z, ValidationError
-from treejacobi.exactnum import UnreducedComplex
 from treejacobi import orthopoly
 from treejacobi.orthopoly import PolyCache
 
@@ -240,14 +239,14 @@ def test_deep_exact_deficiency_stdout_is_frozen(argv, digest, capsys):
     "deficiency --mode exact --depth 40 --anchor 1 --d 3",
     "polys --mode exact --coeffs geometric:1:3/2 --d 3 --n 30 --z 1/3,-1/2",
 ])
-def test_exact_floats_reduce_nothing(argv, monkeypatch, capsys):
+def test_exact_floats_reduce_nothing(argv, reductions, capsys):
     # residual, max_abs, the printed values and the CSV read each exact
-    # value by one int / int per part and never bring it to lowest terms
-    def refuse(self):
-        raise AssertionError("a value was brought to lowest terms")
-    monkeypatch.setattr(UnreducedComplex, "_parts", refuse)
-    code, _, err = run(argv.split(), capsys)
+    # value by one int / int per part and never bring it to lowest terms:
+    # the only values reduced are the parsed z and scale and scale**2
+    with reductions() as bits:
+        code, _, err = run(argv.split(), capsys)
     assert code == 0, err
+    assert max(bits) < 16
 
 
 def _tables_stepped(argv, monkeypatch, capsys) -> list:
@@ -456,6 +455,23 @@ def test_bad_numeric_option_is_validation_error(argv, capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("deficiency --mode exact --z=0,0", "deficiency-space values need a non-real z, got '0,0'"),
+    ("deficiency --z=0,0", "deficiency-space values need a non-real z, got '0,0'"),
+    ("deficiency --mode exact --z=1/2,0", "deficiency-space values need a non-real z, got '1/2,0'"),
+    ("poisson --z=1,0", "deficiency-space values need a non-real z, got '1,0'"),
+    ("polys --mode exact --z=1/0,1", "exact z has a zero denominator, got '1/0,1'"),
+    ("polys --mode exact --z=1,-2/0", "exact z has a zero denominator, got '1,-2/0'"),
+    ("deficiency --mode exact --z=1/0,1", "exact z has a zero denominator, got '1/0,1'"),
+    ("polys --mode exact --z=a,1", "bad exact z 'a,1': "),
+])
+def test_z_errors_name_the_value_as_written(argv, message, capsys):
+    code, _, err = run(argv.split(), capsys)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert "ExactComplex" not in err and "Fraction(" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,13 +1,16 @@
 """Exact arithmetic on Gaussian rationals times sqrt(m)."""
 import math
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treejacobi.exactnum import (ExactComplex, UnreducedComplex, abs2, as_complex,
-                                 exact_complex, exact_sqrt, half_power, is_zero,
-                                 squarefree_split, sums_to_zero)
+from treejacobi.exactnum import (ExactComplex, abs2, as_complex, exact_complex, exact_sqrt,
+                                 half_power, is_exact, is_zero, squarefree_split,
+                                 sums_to_zero, unreduced)
 
 
 def test_squarefree_split():
@@ -144,7 +147,7 @@ def test_float_embedding_consistent(x, w, uv):
                   abs(u.to_complex()) + abs(v.to_complex()))
 
 
-# -- values kept as integers until their parts are read ----------------------
+# -- values given by integers, not in lowest terms ---------------------------
 
 def _reduced(x, y, den, m):
     return ExactComplex(Fraction(x, den), Fraction(y, den), m)
@@ -152,7 +155,7 @@ def _reduced(x, y, den, m):
 
 def _floats_or_error(value):
     try:
-        c = as_complex(value)
+        c = as_complex(value) if is_exact(value) else value.to_complex()  # or a FractionPair
     except OverflowError as exc:
         return str(exc)
     return repr(c.real), repr(c.imag)
@@ -165,25 +168,28 @@ WIDE = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 400, 10 ** 4
 
 @settings(max_examples=300)
 @given(WIDE, WIDE, WIDE.filter(bool), st.sampled_from([1, 2, 3]))
-def test_unreduced_floats_are_the_reduced_floats(x, y, den, m):
+def test_unreduced_floats_are_the_reduced_floats(reductions, x, y, den, m):
     # one int / int per part rounds as float(Fraction) does, signed zeros
-    # and the overflow error included
-    v = UnreducedComplex(x, y, den, m)
-    assert _floats_or_error(v) == _floats_or_error(_reduced(x, y, den, m))
-    assert "_reduced" not in vars(v)
+    # and the overflow error included, and reduces nothing
+    v = unreduced(x, y, den, m)
+    with reductions() as bits:
+        got = _floats_or_error(v)
+    assert got == _floats_or_error(_reduced(x, y, den, m)) and bits == []
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-20, 20).filter(bool),
        st.sampled_from([1, 2]), fractions, exacts(2))
-def test_unreduced_value_is_its_reduced_value(x, y, den, m, r, w):
-    v, want = UnreducedComplex(x, y, den, m), _reduced(x, y, den, m)
-    assert is_zero(v) == want.is_zero and v.m == want.m
-    assert "_reduced" not in vars(v)
+def test_unreduced_value_is_its_reduced_value(reductions, x, y, den, m, r, w):
+    v, want = unreduced(x, y, den, m), _reduced(x, y, den, m)
+    with reductions() as bits:
+        assert is_zero(v) == want.is_zero and v.m == want.m
+        # a rational product cancels only against the rational's parts
+        assert v * r == want * r == r * v
+        assert v == want and want == v
+    assert bits == []
     assert abs2(v) == abs2(want)
-    assert type(v * r) is type(r * v) is UnreducedComplex and v * r == want * r == r * v
-    assert "_reduced" not in vars(v)
-    assert v == want and want == v and hash(v) == hash(want)
-    assert v.re is v.re  # brought to lowest terms once
+    assert hash(v) == hash(want)
+    assert v.re == want.re and v.ints == ((x, y, den) if den > 0 else (-x, -y, -den))
     assert v * w == want * w and w * v == w * want
     assert v + want == want + want and v / 1 == want
 
@@ -194,11 +200,273 @@ RATIONALS = st.one_of(st.integers(-30, 30), fractions, st.just(0), st.just(Fract
 @given(RATIONALS, exacts(2), st.integers(-50, 50), st.integers(-50, 50),
        st.integers(-20, 20).filter(bool), st.sampled_from([1, 3]))
 def test_rational_times_exact_is_the_coerced_product(r, x, a, b, den, m):
-    # an int or a Fraction multiplies each part once; zero resets the grade
-    for value in (x, UnreducedComplex(a, b, den, m)):
+    # an int or a Fraction cancels against each part once; zero resets the grade
+    for value in (x, unreduced(a, b, den, m)):
         want = exact_complex(r) * value
         for got in (r * value, value * r):
             assert got == want and got.m == want.m
             assert got.m == 1 or not got.is_zero
-    assert type(r * UnreducedComplex(a, b, den, m)) is UnreducedComplex
+    assert type(r * unreduced(a, b, den, m)) is ExactComplex
     assert type(r * x) is ExactComplex and isinstance((r * x).re, Fraction)
+
+
+# -- oracle: the Fraction-pair ExactComplex the integer type replaced ---------
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _cdiv(x, y):
+    den = y[0] * y[0] + y[1] * y[1]
+    if den == 0:
+        raise ZeroDivisionError("division by exact zero")
+    return ((x[0] * y[0] + x[1] * y[1]) / den, (x[1] * y[0] - x[0] * y[1]) / den)
+
+
+def _grades(m1, m2):
+    if m1 == 1 or m2 == 1:
+        return 1, m1 * m2
+    if m1 == m2:
+        return m1, 1
+    raise ValueError(f"incompatible radicands {m1} and {m2}")
+
+
+@dataclass(frozen=True, eq=False)
+class FractionPair:
+    """(re + i*im) * sqrt(m) held as two Fractions, as ExactComplex was."""
+
+    re: Fraction = Fraction(0)
+    im: Fraction = Fraction(0)
+    m: int = 1
+
+    def __post_init__(self):
+        if self.m != 1 and not (self.re or self.im):
+            object.__setattr__(self, "m", 1)
+
+    def __eq__(self, other):
+        if not isinstance(other, FractionPair):
+            return NotImplemented
+        return (self.re, self.im, self.m) == (other.re, other.im, other.m)
+
+    def __hash__(self):
+        return hash((self.re, self.im, self.m))
+
+    def _coerce(self, other):
+        if isinstance(other, FractionPair):
+            return other
+        if isinstance(other, (int, Rational)):
+            return FractionPair(Fraction(other))
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.m != self.m:
+            if other.is_zero:
+                return self
+            if self.is_zero:
+                return other
+            raise ValueError(f"cannot add values of grades sqrt({self.m}) and sqrt({other.m})")
+        return FractionPair(self.re + other.re, self.im + other.im, self.m)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPair(-self.re, -self.im, self.m)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        k, m = _grades(self.m, other.m)
+        re, im = _cmul((self.re, self.im), (other.re, other.im))
+        return FractionPair(k * re, k * im, m)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        k, m = _grades(self.m, other.m)
+        re, im = _cdiv((self.re, self.im), (other.re, other.im))
+        if k != other.m:  # 1/sqrt(m2) = sqrt(m2)/m2
+            re, im = re / other.m, im / other.m
+        return FractionPair(re, im, m)
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def conjugate(self):
+        return FractionPair(self.re, -self.im, self.m)
+
+    def abs2(self):
+        return FractionPair((self.re * self.re + self.im * self.im) * self.m)
+
+    @property
+    def is_zero(self):
+        return not (self.re or self.im)
+
+    def to_complex(self):
+        root = self.m ** 0.5
+        try:
+            re, im = float(self.re), float(self.im)
+        except OverflowError:
+            raise OverflowError("exact value does not fit in a float") from None
+        return complex(re * root, im * root)
+
+    def __repr__(self):
+        return f"ExactComplex({self.re}, {self.im}, sqrt={self.m})"
+
+
+def _oracle(value):
+    """The FractionPair of an ExactComplex, and a rational as itself."""
+    return FractionPair(value.re, value.im, value.m) if is_exact(value) else value
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _in_lowest_terms(value) -> bool:
+    x, y, den = value.ints
+    return math.gcd(x, y, den) == 1
+
+
+def _same(got, want, lowest: bool) -> None:
+    """got (integer type) is want (FractionPair): the same value, grade,
+    repr and hash, or the same error; den > 0 always, and gcd(x, y, den) = 1
+    when every operand was in lowest terms."""
+    if isinstance(want, tuple) or want is NotImplemented:
+        assert got == want
+        return
+    assert type(got) is ExactComplex and _oracle(got) == want
+    assert got.m == want.m and repr(got) == repr(want) and hash(got) == hash(want)
+    assert got.ints[2] > 0
+    assert _in_lowest_terms(got) or not lowest
+
+
+SMALL = st.integers(-60, 60)
+DENS = st.integers(-40, 40).filter(bool)
+
+
+def integer_operands(m: int):
+    """Values of grade 1 or m with their FractionPair: from rational parts,
+    from integers not in lowest terms (den of either sign), zeros of the
+    grade, and ints and Fractions."""
+    grade = st.sampled_from([1, m])
+    from_parts = st.builds(lambda re, im, g: (ExactComplex(re, im, g), FractionPair(re, im, g)),
+                           fractions, fractions, grade)
+    from_ints = st.builds(lambda x, y, den, g: (unreduced(x, y, den, g),
+                                                FractionPair(Fraction(x, den), Fraction(y, den), g)),
+                          SMALL, SMALL, DENS, grade)
+    zeros = grade.map(lambda g: (ExactComplex(0, 0, g), FractionPair(Fraction(0), Fraction(0), g)))
+    rationals = st.one_of(st.integers(-30, 30), fractions).map(lambda r: (r, r))
+    return st.one_of(from_parts, from_ints, zeros, rationals)
+
+
+DUNDERS = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+           "__truediv__", "__rtruediv__"]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3]).flatmap(lambda m: st.tuples(integer_operands(m),
+                                                           integer_operands(m))),
+       st.sampled_from(DUNDERS))
+def test_integer_type_is_the_fraction_pair_on_every_dunder(operands, name):
+    (a, fa), (b, fb) = operands
+    if not is_exact(a):
+        (a, fa), (b, fb) = (b, fb), (a, fa)
+    if not is_exact(a):
+        return
+    lowest = all(_in_lowest_terms(v) for v in (a, b) if is_exact(v))
+    _same(_outcome(getattr(ExactComplex, name), a, b),
+          _outcome(getattr(FractionPair, name), fa, fb), lowest)
+    # and through the operator, whichever side the rational is on
+    op = getattr(operator, name.strip("_").removeprefix("r"))
+    _same(_outcome(op, b, a), _outcome(op, fb, fa), lowest)
+
+
+@given(st.sampled_from([2, 3]).flatmap(lambda m: st.tuples(integer_operands(m),
+                                                           integer_operands(m))))
+def test_integer_type_is_the_fraction_pair_on_the_other_operations(operands):
+    (a, fa), (b, fb) = operands
+    if not is_exact(a):
+        return
+    lowest = _in_lowest_terms(a)
+    for name in ("__neg__", "conjugate"):
+        _same(getattr(a, name)(), getattr(fa, name)(), lowest)
+    _same(a.abs2(), fa.abs2(), True)
+    assert a.is_zero == fa.is_zero and repr(a) == repr(fa) and hash(a) == hash(fa)
+    assert (a == b) == (fa == fb) and (b == a) == (fb == fa)
+    assert (a != b) == (fa != fb)
+    assert (a.ar, a.ai, a.br, a.bi) == ((fa.re, fa.im, 0, 0) if fa.m == 1
+                                        else (0, 0, fa.re, fa.im))
+    assert _floats_or_error(a) == _floats_or_error(fa)
+
+
+@settings(max_examples=200)
+@given(WIDE, WIDE, WIDE.filter(bool), st.sampled_from([1, 2, 3]))
+def test_integer_type_rounds_as_the_fraction_pair(x, y, den, m):
+    # correctly rounded parts, signed zeros and the overflow text included,
+    # for values not in lowest terms and for their reduced form
+    want = _floats_or_error(FractionPair(Fraction(x, den), Fraction(y, den), m))
+    assert _floats_or_error(unreduced(x, y, den, m)) == want
+    assert _floats_or_error(_reduced(x, y, den, m)) == want
+
+
+def test_integer_type_edge_cases():
+    r2, r3 = exact_sqrt(2), exact_sqrt(3)
+    # mixed grades
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="grades sqrt\\(2\\) and sqrt\\(3\\)"):
+            op(r2, r3)
+    for op in (operator.mul, operator.truediv):
+        with pytest.raises(ValueError, match="incompatible radicands 2 and 3"):
+            op(r2, r3)
+    # division by an exact zero, of any form
+    for zero in (0, Fraction(0), exact_complex(0), unreduced(0, 0, -7, 2)):
+        with pytest.raises(ZeroDivisionError, match="division by exact zero"):
+            r2 / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / exact_complex(0)
+    # a zero resets the grade, and then adds to any grade
+    for zero in (r2 * 0, r2 - r2, 0 * r2, r2 * exact_complex(0), unreduced(0, 0, 5, 3)):
+        assert zero.is_zero and zero.m == 1
+        assert (zero + r3) == r3 and (r3 + zero) == r3
+    # a negative den moves to the numerator, and division by a negative
+    # rational keeps den positive
+    v = unreduced(3, -4, -6, 2)
+    assert v.ints == (-3, 4, 6) and v == ExactComplex(Fraction(-1, 2), Fraction(2, 3), 2)
+    for q in (v / -3, v / Fraction(-3, 4), exact_complex(1, 1) / -2, r2 / Fraction(-2, 9)):
+        assert q.ints[2] > 0 and _in_lowest_terms(q)
+    assert r2 / Fraction(-2, 9) == ExactComplex(Fraction(-9, 2), 0, 2)
+    # a rational product cancels against the rational's parts
+    assert (exact_complex(2, 4) * Fraction(1, 6)).ints == (1, 2, 3)
+    assert (Fraction(3, 2) * ExactComplex(Fraction(1, 3), 0, 2)).ints == (1, 0, 2)
+    assert (exact_complex(Fraction(1, 6), Fraction(1, 4)) * -12).ints == (-2, -3, 1)
+    # quotients through sqrt(m)
+    assert exact_complex(1) / r3 == ExactComplex(Fraction(1, 3), 0, 3)
+    assert exact_complex(1, 2) / (exact_complex(0, 1) * r2) == ExactComplex(1, Fraction(-1, 2), 2)
+    assert (r3 / r3).m == 1 and r3 / r3 == exact_complex(1)
+    # floats are not exact operands
+    assert ExactComplex.__add__(r2, 0.5) is NotImplemented
+    with pytest.raises(TypeError):
+        r2 * 0.5

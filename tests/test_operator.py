@@ -98,6 +98,43 @@ def test_moments_routes_agree():
                 assert moments(J, N, route="matrix") == moments(J, N, route="tree")
 
 
+def _fraction_triangle(J, N):
+    """moments(J, N) by the triangle on Fractions, as the matrix route ran
+    before it went fraction-free."""
+    lam = [J.coeffs.lam_exact(n) for n in range(N)]
+    beta = [J.coeffs.beta_exact(n) for n in range(N + 1)]
+    v = [Fraction(1)]
+    out = [Fraction(1)]
+    for s in range(1, N + 1):
+        u = v + [0, 0]
+        v = [beta[j] * u[j] + (J.d * lam[j - 1] * u[j - 1] if j else 0) + lam[j] * u[j + 1]
+             for j in range(min(s, N - s) + 1)]
+        out.append(v[0])
+    return out
+
+
+FRACTION_FREE_FAMILIES = {
+    "paper": PAPER,
+    "geometric:1/3:3/2": CoefficientSequence.geometric(Fraction(1, 3), Fraction(3, 2)),
+    "constant:1:1/3": CoefficientSequence.constant(1, Fraction(1, 3)),
+    "explicit": CoefficientSequence.explicit(
+        [Fraction(2 * k + 3, 3 * k + 4) for k in range(40)],
+        [Fraction(5 - 2 * k, 7 + k) for k in range(41)]),
+}
+
+
+@pytest.mark.parametrize("name", FRACTION_FREE_FAMILIES)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_fraction_free_moments_are_the_fraction_triangle(name, d):
+    J = JacobiOperator(FRACTION_FREE_FAMILIES[name], TreeConfig(d))
+    for N in (0, 1, 2, 7, 20, 39, 40):
+        got = moments(J, N, route="matrix")
+        assert got == _fraction_triangle(J, N)
+        assert all(type(m) is Fraction for m in got)
+    for N in range(6 if d == 2 else 4):
+        assert moments(J, N, route="matrix") == moments(J, N, route="tree")
+
+
 def test_moments_frozen_paper():
     m = moments(J2, 6)
     assert [str(v) for v in m] == ["1", "1", "3", "11", "57", "377", "3291"]

@@ -1,4 +1,5 @@
 """Recurrence values, Wronskian identity, roots, series engine, norms."""
+import cmath
 import copy
 import io
 import itertools
@@ -484,15 +485,17 @@ def test_a_changed_row_falls_back_from_its_step(part, k, first):
     assert fallback == set(range(first, N))
 
 
-def test_read_values_keep_their_rows_identity():
-    # reading a value's parts caches them in the very value the row built,
-    # so the identity rule still certifies; a changed row leaves the values
-    # the table built before it untouched
+def test_read_values_keep_their_rows_identity(reductions):
+    # building the table reduces no value (scale**2 is the one value brought
+    # to lowest terms); reading a value's parts leaves the very value the
+    # row built in the table, so the identity rule still certifies; a
+    # changed row leaves the values the table built before it untouched
     N = 12
-    t = compute_polys(GEOMETRIC, exact_sqrt(2), exact_complex(Fraction(1, 3), Fraction(1, 2)), N)
-    plain = _plain_recurrence(GEOMETRIC, exact_sqrt(2),
-                              exact_complex(Fraction(1, 3), Fraction(1, 2)), N)
-    assert not any("_reduced" in vars(v) for v in t.p + t.q)
+    z = exact_complex(Fraction(1, 3), Fraction(1, 2))
+    with reductions() as bits:
+        t = compute_polys(GEOMETRIC, exact_sqrt(2), z, N)
+    assert max(bits) < 8
+    plain = _plain_recurrence(GEOMETRIC, exact_sqrt(2), z, N)
     assert [v.re for v in t.p + t.q] == [v.re for v in plain[0] + plain[1]]
     residual, fallback, calls = _residual_and_fallback(t)
     assert residual == [0.0] * N and fallback == set() and calls == 0
@@ -546,7 +549,8 @@ def _old_over_root_power(value, d, scale, k):
                          ids=["paper-d3", "constant-d2"])
 def test_float_f_values_match_the_uncached_divisor(coeffs, d, N):
     # d^(k//2) passes 2^512 from k = 648 at d = 3 and k = 1026 at d = 2;
-    # repr tells signed zeros and nan apart
+    # repr tells signed zeros apart; where the product is not finite
+    # (constant(1), k = 611, n >= 1441) f_anchored raises
     from treejacobi.deficiency import DeficiencyContext
     ctx = DeficiencyContext(coeffs, d, 1j)
     ctx.ensure(N)
@@ -557,8 +561,27 @@ def test_float_f_values_match_the_uncached_divisor(coeffs, d, N):
         lam_k = coeffs.lam(k)
         for n in range(k + 1, N + 1):
             value = lam_k * (p[k] * q[n] - q[k] * p[n])
+            if not cmath.isfinite(value):
+                with pytest.raises(RecurrenceOverflow):
+                    ctx.f_anchored(k, n)
+                continue
             assert (repr(ctx.f_anchored(k, n))
                     == repr(_old_over_root_power(value, d, ctx.scale, n - k - 1)))
+
+
+def test_f_anchored_refuses_a_product_that_left_the_float_range():
+    # p_611 q_1441 and q_611 p_1441 each overflow to inf, where the product
+    # used to read nan+nanj; exact mode reads the value, about 2i/3
+    from treejacobi.deficiency import DeficiencyContext
+    ctx = DeficiencyContext(CONSTANT, 2, 1j)
+    with pytest.raises(RecurrenceOverflow, match="levels 611, 1441"):
+        ctx.f_anchored(611, 1441)
+    exact = DeficiencyContext(CONSTANT, 2, exact_complex(0, 1))
+    assert abs(exact.f_anchored(611, 1441).to_complex() - 2j / 3) < 1e-12
+    # where the float product is finite, float and exact mode agree
+    for k, n in ((0, 1441), (6, 1441), (6, 1440)):
+        want = exact.f_anchored(k, n).to_complex()
+        assert abs(ctx.f_anchored(k, n) - want) <= 1e-12 * abs(want)
 
 
 def _csv_row(n, pv, qv):
@@ -588,17 +611,19 @@ NONREAL_ZS = st.builds(exact_complex, SMALL_ANY,
 @settings(max_examples=40, deadline=None)
 @given(CLOSED_FORMS | st.builds(CoefficientSequence.paper_example, CLOSED_FORMS),
        st.sampled_from([2, 3, 4]), NONREAL_ZS, st.integers(1, 24), st.data())
-def test_row_readers_equal_the_reduced_formulas(coeffs, d, z, N, data):
+def test_row_readers_equal_the_reduced_formulas(reductions, coeffs, d, z, N, data):
     from treejacobi.deficiency import DeficiencyContext
     ctx = DeficiencyContext(coeffs, d, z)
     ctx.ensure(N)
     p, q = _plain_recurrence(coeffs, exact_sqrt(d), z, N)
-    # floats and CSV first, while no value is reduced
+    # floats and CSV read no part and reduce no value
     buf = io.StringIO()
-    ctx.to_csv(buf)
+    with reductions() as bits:
+        ctx.to_csv(buf)
+        floats = [as_complex(v) for v in ctx.p + ctx.q]
+    assert bits == []
     assert buf.getvalue().splitlines()[1:] == [_csv_row(n, p[n], q[n]) for n in range(N + 1)]
-    assert all(as_complex(v) == w.to_complex() for v, w in zip(ctx.p + ctx.q, p + q))
-    assert not any("_reduced" in vars(v) for v in ctx.p + ctx.q)
+    assert floats == [w.to_complex() for w in p + q]
     for n in range(N + 1):
         assert ctx.f_zero(n) == _old_f_zero(p, d, n)
     k = data.draw(st.integers(0, N - 1))
