@@ -21,10 +21,10 @@ from fractions import Fraction
 
 from .coefficients import CoefficientSequence
 from .deficiency import (DeficiencyContext, DeficiencyElement, _residual_and_max_abs,
-                         classify)
+                         classify, element_residual)
 from .errors import (CoefficientOverflow, ConvergenceFailure, DivergedSeries,
-                     ExactModeUnavailable, InconclusiveSeries, PatchTooLarge,
-                     RecurrenceOverflow, TreeJacobiError)
+                     InconclusiveSeries, PatchTooLarge, RecurrenceOverflow,
+                     TreeJacobiError)
 from .exactnum import as_complex, exact_complex, matching_sqrt
 from .boundary import poisson_kernel, reproducing_check
 from .lambda_tree import (build_eigenpairs, dimension_audit, eigen_residual,
@@ -428,13 +428,17 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
 
 def _exact_hint(args) -> str:
     """The hint to rerun in exact mode, where it can be followed: the
-    subcommand ran float mode through --mode, and the family has exact
-    values."""
+    subcommand ran float mode through --mode, the family has exact values,
+    and, for deficiency, the float lambda_n and beta_n that its residual
+    reads in either mode (an empty profile's residual) are floats."""
     if getattr(args, "mode", None) != "float":
         return ""
+    coeffs = parse_coeffs(args.coeffs)
     try:
-        parse_coeffs(args.coeffs).lam_exact(0)
-    except ExactModeUnavailable:
+        coeffs.lam_exact(0)
+        if args.command == "deficiency":
+            element_residual([], DeficiencyContext(coeffs, args.d, 1j), args.depth)
+    except TreeJacobiError:
         return ""
     return "\nhint: try --mode exact"
 

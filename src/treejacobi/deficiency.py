@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coefficients import CoefficientSequence, TreeConfig
+from .errors import CoefficientIndexError
 from .exactnum import as_complex, conj, is_exact, is_zero, matching_sqrt, sums_to_zero
 from .operator import JacobiOperator
 from .orthopoly import (AlphaTable, DeficiencyContext, PolyCache, _overflow_as_divergence,
@@ -71,6 +72,16 @@ class DeficiencyElement:
         k = len(self.anchor)
         return ctx.f_anchored(k, n) if n > k else 0
 
+    def _level_values(self, ctx: DeficiencyContext, depth: int) -> list:
+        """_level_value on levels 0..depth; an anchored element's levels
+        are one slice of its anchor level's table (anchored_levels)."""
+        if self.anchor is None:
+            return [ctx.f_zero(n) for n in range(depth + 1)]
+        k = len(self.anchor)
+        if depth <= k:
+            return [0] * (depth + 1)
+        return [0] * (k + 1) + ctx.anchored_levels(k, depth)
+
     def value_at(self, y: Address, ctx: DeficiencyContext):
         self.check_degree(ctx.d)
         a = self._coefficient_on(y)
@@ -85,17 +96,23 @@ class DeficiencyElement:
             raise ValueError(f"depth {depth} does not reach the anchor's "
                              f"children at level {len(self.anchor) + 1}")
         d = ctx.d
-        classes = [(top, values) for top, values in _Profile([self], ctx, depth).values.items()
-                   if not all(map(is_zero, values))]
-        check_budget(sum(subtree_size(len(values) - 1, d) for _, values in classes),
+        classes = []
+        for top, values in _Profile([self], ctx, depth).values.items():
+            kept = [None if is_zero(v) else v for v in values]  # one test per level
+            if kept.count(None) < len(kept):
+                classes.append((top, kept))
+        check_budget(sum(subtree_size(len(kept) - 1, d) for _, kept in classes),
                      f"materializing to depth {depth}")
         entries: Dict[Address, object] = {}
-        for top, values in classes:
-            for x in subtree_vertices(top, len(values) - 1, d):
-                v = values[len(x) - len(top)]
-                if not is_zero(v):
+        for top, kept in classes:
+            base = len(top)
+            for x in subtree_vertices(top, len(kept) - 1, d):
+                v = kept[len(x) - base]
+                if v is not None:
                     entries[x] = v
-        return SparseFunction(entries, GAMMA)
+        f = SparseFunction(kind=GAMMA)
+        f.entries = entries  # holds no zero: each level was tested once
+        return f
 
     def norm(self, alpha: AlphaTable) -> float:
         """alpha_{k+1} * sqrt(sum |a_i|^2) for an anchor at level k, and
@@ -173,7 +190,7 @@ class _Profile:
                                     for i in range(1, ctx.d + 1) if p + (i,) not in self.paths]
         check_budget(sum(1 if r in self.paths else depth + 1 - len(r) for r in roots),
                      f"a profile to depth {depth}")
-        tables = [[e._level_value(ctx, n) for n in range(depth + 1)] for e in elements]
+        tables = [e._level_values(ctx, depth) for e in elements]
         self.values: Dict[Address, list] = {}
         for r in roots:
             levels = range(len(r), len(r) + 1 if r in self.paths else depth + 1)
@@ -201,7 +218,7 @@ class _Profile:
         for top, values in self.values.items():
             if len(top) == depth:
                 continue
-            n, f = len(top), np.array([as_complex(v) for v in values])
+            n, f = len(top), self._array(values)
             if top in self.paths:
                 below = np.array([sum(head(top + (i,)) for i in range(1, ctx.d + 1))])
             else:
@@ -213,8 +230,27 @@ class _Profile:
         return worst
 
     def max_abs(self) -> float:
-        """Max |value| over levels 0..depth."""
+        """Max |value| over levels 0..depth, as np.hypot of each class's
+        parts, which is abs of each complex bit for bit.  Where a class's
+        maximum is not finite, the maximum is taken again value by value:
+        abs raises OverflowError where finite parts have no finite modulus,
+        and max orders nan and inf as it did."""
+        import numpy as np
+
+        with np.errstate(over="ignore"):  # abs raises below instead
+            peaks = [float(np.hypot(f.real, f.imag).max())
+                     for f in map(self._array, self.values.values())]
+        if all(map(math.isfinite, peaks)):
+            return max(peaks)
         return max(abs(as_complex(v)) for values in self.values.values() for v in values)
+
+    def _array(self, values: list):
+        """One class's values as a complex array; as_complex runs per value
+        only in exact mode."""
+        import numpy as np
+
+        return np.array([as_complex(v) for v in values] if self.ctx.exact else values,
+                        dtype=complex)
 
 
 def element_residual(elements: Sequence[DeficiencyElement],
@@ -341,8 +377,14 @@ def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1
             yield a * a
             n += 1
 
-    res_p = _overflow_as_divergence(terms(cache.p), cache, tol, n_max)
-    res_q = _overflow_as_divergence(terms(cache.q), cache, tol, n_max)
+    try:
+        res_p = _overflow_as_divergence(terms(cache.p), cache, tol, n_max)
+        res_q = _overflow_as_divergence(terms(cache.q), cache, tol, n_max)
+    except CoefficientIndexError:  # only an explicit list ends
+        entries = min(len(coeffs.lams), len(coeffs.betas))
+        raise CoefficientIndexError(
+            f"a {entries}-entry explicit list cannot decide essential selfadjointness: "
+            "the square series ran past its last entry without a verdict") from None
     if res_p.status == "converged" and res_q.status == "converged":
         verdict = "not_essentially_selfadjoint"
         diag = "both series converged: nontrivial deficiency spaces"

@@ -622,6 +622,9 @@ class DeficiencyContext(PolyCache):
                 f"deficiency-space values need a non-real z, got {z}")
         super().__init__(coeffs, matching_sqrt(d, z), z)
         self.d = d
+        # float mode: anchor level k -> {level n: f_anchored(k, n)} for the
+        # levels read, None where the product left the float range
+        self._anchored: dict = {}
 
     def f_zero(self, n: int):
         """Value on level n of the radial basis function (anchor at the root
@@ -637,25 +640,52 @@ class DeficiencyContext(PolyCache):
         """Value on level n inside one child subtree of an anchor at level k:
         lam_k (p_k q_n - q_k p_n) / d^((n-k-1)/2), for n >= k + 1.  Exact:
         lam_k (A_k B_n - B_k A_n) / (T_k T_n d^(n-1)), read from rows k and
-        n (_cross) and built without the gcd.  Float: RecurrenceOverflow
-        when the product leaves the float range.
+        n (_cross) and built without the gcd.  Float: read from the table
+        of anchor level k (_anchored_floats); RecurrenceOverflow when the
+        product leaves the float range.
 
         The value at n = k + 1 is 1 for every k (discrete Wronskian)."""
         if n < k + 1:
             raise ValueError(f"anchored values start at level {k + 1}, got {n}")
+        if not self.exact:
+            return self._anchored_floats(k, n, n)[0]
         lam_k = self.lam(k)
         self.ensure(n)
-        if self.exact:
-            (re, im), den = self._cross(k, n)
-            return unreduced(re * lam_k.numerator, im * lam_k.numerator,
-                             den * lam_k.denominator * self.d ** (n - 1))
-        p, q = self.p, self.q
-        value = lam_k * (p[k] * q[n] - q[k] * p[n])
-        if not cmath.isfinite(value):
-            raise RecurrenceOverflow(
-                f"anchored value at levels {k}, {n} left the float range; "
-                "switch to exact mode or rescale")
-        return self._over_root_power(value, n - k - 1)
+        (re, im), den = self._cross(k, n)
+        return unreduced(re * lam_k.numerator, im * lam_k.numerator,
+                         den * lam_k.denominator * self.d ** (n - 1))
+
+    def anchored_levels(self, k: int, n: int) -> list:
+        """f_anchored(k, m) for m = k + 1..n, with the error of the first
+        level that fails; float values are read from the table in one call."""
+        if not self.exact:
+            return self._anchored_floats(k, k + 1, n)
+        return [self.f_anchored(k, m) for m in range(k + 1, n + 1)]
+
+    def _anchored_floats(self, k: int, lo: int, n: int) -> list:
+        """Float f_anchored(k, m) for m = lo..n.  The table of anchor level
+        k gains the levels read that it lacks, as far as the recurrence
+        reaches, from the formula in this one place; a value does not
+        depend on which read built it.  A product that left the float
+        range below the level where the recurrence fails is the first
+        error."""
+        lam_k = self.lam(k)
+        row = self._anchored.setdefault(k, {})
+        try:
+            self.ensure(n)
+        finally:
+            p, q, levels = self.p, self.q, range(lo, min(n, self.N) + 1)
+            for m in levels:
+                if m not in row:
+                    value = lam_k * (p[k] * q[m] - q[k] * p[m])
+                    row[m] = (self._over_root_power(value, m - k - 1)
+                              if cmath.isfinite(value) else None)
+            values = [row[m] for m in levels]
+            if None in values:
+                raise RecurrenceOverflow(
+                    f"anchored value at levels {k}, {lo + values.index(None)} left the "
+                    "float range; switch to exact mode or rescale")
+        return values
 
     def _over_root_power(self, value: complex, k: int) -> complex:
         """value / d^(k/2) in floats (_root_power)."""

@@ -83,14 +83,18 @@ def subtree_size(depth: int, d: int) -> int:
 def subtree_vertices(x: Address, depth: int, d: int) -> Iterator[Address]:
     """Vertices of the subtree below x, down `depth` extra levels, in preorder."""
     check_budget(subtree_size(depth, d), f"a subtree of depth {depth}")
+    return _preorder(x, len(x) + depth, d)
 
-    def walk(prefix: Address, remaining: int) -> Iterator[Address]:
-        yield prefix
-        if remaining:
-            for i in range(1, d + 1):
-                yield from walk(prefix + (i,), remaining - 1)
 
-    return walk(x, depth)
+def _preorder(x: Address, bottom: int, d: int) -> Iterator[Address]:
+    """The vertices below x down to level `bottom`, in preorder, from a
+    stack holding each pending child in reverse order."""
+    stack, reverse = [x], range(d, 0, -1)
+    while stack:
+        y = stack.pop()
+        yield y
+        if len(y) < bottom:
+            stack += [y + (i,) for i in reverse]
 
 
 @dataclass(frozen=True)
@@ -176,10 +180,20 @@ class SparseFunction:
     # -- JSON ----------------------------------------------------------
 
     def to_json_obj(self) -> list:
+        """One record per vertex of the support, in address order.  An
+        address is its parent's text plus its last index where the parent
+        is in the support, and each distinct value object is converted once."""
+        names: Dict[Address, str] = {}
+        parts: Dict[int, complex] = {}  # id of a value object -> its complex
         records = []
         for x in self.support():
-            v = as_complex(self.entries[x])
-            records.append({"address": format_address(x), "re": v.real, "im": v.imag})
+            parent = names.get(x[:-1]) if len(x) > 1 else None
+            name = names[x] = format_address(x) if parent is None else f"{parent}.{x[-1]}"
+            v = self.entries[x]
+            c = parts.get(id(v))
+            if c is None:
+                c = parts[id(v)] = as_complex(v)
+            records.append({"address": name, "re": c.real, "im": c.imag})
         return records
 
 

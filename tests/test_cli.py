@@ -155,11 +155,26 @@ def test_deficiency_over_budget_refused_before_any_recurrence_step(monkeypatch, 
     assert "budget" in err and "Traceback" not in err
 
 
-def test_deep_float_deficiency_overflows_with_exact_hint(capsys):
-    # the paper family's coefficients leave the float range at index 1024
-    code, _, err = run(["deficiency", "--depth", "100000"], capsys)
+@pytest.mark.parametrize("argv", [
+    "deficiency --depth 100000",
+    "deficiency --d 2 --anchor=1 --depth 2000",
+    "deficiency --d 2 --anchor=1 --depth 1025 --mode exact",
+])
+def test_deep_deficiency_overflow_hints_no_exact_mode_that_fails_alike(argv, capsys):
+    # the paper family's coefficients leave the float range at index 1024;
+    # the residual reads float coefficients in exact mode too (ROADMAP
+    # direction 3), so exact mode fails at the same index
+    code, _, err = run(argv.split(), capsys)
     assert code == 3
-    assert "_1024 " in err and "--mode exact" in err
+    assert "_1024 does not fit in a float" in err
+    assert "hint" not in err and "--mode exact" not in err
+
+
+def test_classify_says_a_finite_list_decides_no_limit(capsys):
+    code, _, err = run(["classify", "--coeffs", "explicit:1,2,4,8", "--d", "2"], capsys)
+    assert code == 2
+    assert err == ("error: a 4-entry explicit list cannot decide essential selfadjointness: "
+                   "the square series ran past its last entry without a verdict\n")
 
 
 def test_deep_float_deficiency_past_the_float_power(capsys):

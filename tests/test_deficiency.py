@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from treejacobi.coefficients import CoefficientSequence, TreeConfig
 from treejacobi import orthopoly
 from treejacobi.deficiency import (BasisFunction, DeficiencyContext,
-                                   DeficiencyElement, classify, classify_by_series,
+                                   DeficiencyElement, _Profile, classify, classify_by_series,
                                    deficiency_residual, element_max_abs,
                                    element_residual, f_value, project_full,
                                    project_onto_Ax)
@@ -484,3 +484,55 @@ def test_basis_function_values():
     below = subtree_vertices((1, 2), 7, D)
     assert (sum(fx.value_at(y, CTX_EXACT).abs2() for y in below)
             == alpha_sq_partial(PAPER, D, EXACT_I, 2, 8))
+
+
+def _value_by_value_max(profile):
+    """The maximum one value at a time, as abs of each complex."""
+    try:
+        return repr(max(abs(as_complex(v)) for values in profile.values.values() for v in values))
+    except OverflowError as exc:
+        return OverflowError, str(exc)
+
+
+def _profile_max(profile):
+    try:
+        return repr(profile.max_abs())
+    except OverflowError as exc:
+        return OverflowError, str(exc)
+
+
+@pytest.mark.parametrize("ctx", [CTX, CTX_EXACT], ids=["float", "exact"])
+@pytest.mark.parametrize("anchor", [None, (), (2,), (1, 2)])
+def test_profile_max_is_the_value_by_value_max(ctx, anchor):
+    coeffs = (1,) if anchor is None else (1, -1)
+    for depth in (0, 3, 9, 40):
+        profile = _Profile([DeficiencyElement(anchor, coeffs, ctx.z)], ctx, depth)
+        assert _profile_max(profile) == _value_by_value_max(profile)
+
+
+PARTS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1.7e308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.builds(complex, PARTS, PARTS), min_size=1, max_size=6),
+                min_size=1, max_size=4))
+def test_profile_max_over_the_float_range_is_abs_bit_for_bit(classes):
+    # np.hypot agrees with abs of a complex; where finite parts have no
+    # finite modulus, abs raises and np.hypot reads inf, and the profile
+    # raises as abs does; nan and inf order as in max
+    profile = _Profile([], CTX, 0)
+    profile.values = {(i,): values for i, values in enumerate(classes)}
+    assert _profile_max(profile) == _value_by_value_max(profile)
+
+
+def test_profile_max_raises_where_abs_overflows():
+    import numpy as np
+
+    profile = _Profile([], CTX, 0)
+    profile.values = {(): [1j], (1,): [complex(1.5e308, 1.5e308), complex(2, 0)]}
+    with np.errstate(over="ignore"):
+        assert np.hypot(1.5e308, 1.5e308) == math.inf
+    with pytest.raises(OverflowError):
+        profile.max_abs()
+    profile.values[(1,)][0] = complex(math.inf, 1.5e308)
+    assert profile.max_abs() == math.inf

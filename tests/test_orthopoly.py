@@ -584,6 +584,119 @@ def test_f_anchored_refuses_a_product_that_left_the_float_range():
         assert abs(ctx.f_anchored(k, n) - want) <= 1e-12 * abs(want)
 
 
+def _parent_f_anchored(ctx, k, n):
+    """The float anchored value as it was computed before the per-anchor
+    tables, one value per call: lam_k (p_k q_n - q_k p_n) over the uncached
+    divisor, RecurrenceOverflow where the product is not finite."""
+    lam_k = ctx.coeffs.lam(k)
+    ctx.ensure(n)
+    p, q = ctx.p, ctx.q
+    value = lam_k * (p[k] * q[n] - q[k] * p[n])
+    if not cmath.isfinite(value):
+        raise RecurrenceOverflow(
+            f"anchored value at levels {k}, {n} left the float range; "
+            "switch to exact mode or rescale")
+    return _old_over_root_power(value, ctx.d, ctx.scale, n - k - 1)
+
+
+def _outcome(read):
+    """repr of the value read, or the type and text of the error raised."""
+    try:
+        value = read()
+    except (ArithmeticError, LookupError) as exc:
+        return type(exc), str(exc)
+    return repr(value)
+
+
+def _parent_levels(ctx, k, n):
+    """The parent's level-by-level read of levels k + 1..n: the values, or
+    the first error in level order."""
+    return _outcome(lambda: [_parent_f_anchored(ctx, k, m) for m in range(k + 1, n + 1)])
+
+
+TABLE_FAMILIES = [CoefficientSequence.constant(1), CoefficientSequence.constant(2, -1),
+                  CoefficientSequence.geometric(1, Fraction(3, 2)),
+                  CoefficientSequence.geometric(Fraction(1, 2), Fraction(1, 2)),
+                  CoefficientSequence.geometric(3, Fraction(9, 10)),
+                  CoefficientSequence.power(1, 1), CoefficientSequence.power(Fraction(1, 3), 2),
+                  PAPER]
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.sampled_from(TABLE_FAMILIES), d=st.sampled_from([2, 3, 4]),
+       z=st.sampled_from([1j, 0.5 + 1j, -2 + 0.25j, 3 - 1e-3j]),
+       reads=st.lists(st.tuples(st.booleans(), st.integers(0, 60), st.integers(1, 70)),
+                      min_size=1, max_size=25))
+def test_anchored_tables_read_as_the_parent_formula_in_any_order(coeffs, d, z, reads):
+    # single values and level slices, in the order drawn, against a
+    # context that computes each value alone
+    from treejacobi.deficiency import DeficiencyContext
+    table, oracle = DeficiencyContext(coeffs, d, z), DeficiencyContext(coeffs, d, z)
+    for whole, k, span in reads:
+        n = k + span
+        if whole:
+            assert (_outcome(lambda: table.anchored_levels(k, n))
+                    == _parent_levels(oracle, k, n))
+        else:
+            assert (_outcome(lambda: table.f_anchored(k, n))
+                    == _outcome(lambda: _parent_f_anchored(oracle, k, n)))
+
+
+def test_anchored_table_serves_lower_levels_after_an_overflow():
+    # p_611 q_n - q_611 p_n leaves the float range from n = 1441 on
+    from treejacobi.deficiency import DeficiencyContext
+    ctx, oracle = DeficiencyContext(CONSTANT, 2, 1j), DeficiencyContext(CONSTANT, 2, 1j)
+    with pytest.raises(RecurrenceOverflow, match="levels 611, 1441 left"):
+        ctx.f_anchored(611, 1441)
+    with pytest.raises(RecurrenceOverflow, match="levels 611, 1441 left"):
+        ctx.anchored_levels(611, 1500)
+    with pytest.raises(RecurrenceOverflow, match="levels 611, 1460 left"):
+        ctx.f_anchored(611, 1460)
+    for n in (612, 1000, 1440):
+        assert repr(ctx.f_anchored(611, n)) == repr(_parent_f_anchored(oracle, 611, n))
+    assert (repr(ctx.anchored_levels(611, 1440))
+            == repr([_parent_f_anchored(oracle, 611, n) for n in range(612, 1441)]))
+
+
+def test_anchored_slice_names_an_overflow_below_the_recurrence_failure():
+    # constant(1) at d = 2: the recurrence leaves the float range at index
+    # 2049, the anchored product at level 1441 first
+    from treejacobi.deficiency import DeficiencyContext
+    ctx = DeficiencyContext(CONSTANT, 2, 1j)
+    with pytest.raises(RecurrenceOverflow, match="levels 611, 1441 left"):
+        ctx.anchored_levels(611, 3000)
+    with pytest.raises(RecurrenceOverflow, match="recurrence value left the float range"):
+        ctx.f_anchored(0, 3000)
+    assert repr(ctx.f_anchored(0, 2000)) == repr(_parent_f_anchored(ctx, 0, 2000))
+
+
+def test_a_single_anchored_read_computes_one_value(monkeypatch):
+    # a kernel at a vertex of level L reads L values, not L^2 / 2
+    from treejacobi.deficiency import DeficiencyContext
+    divided = []
+    original = DeficiencyContext._over_root_power
+    monkeypatch.setattr(DeficiencyContext, "_over_root_power",
+                        lambda self, value, k: divided.append(k) or original(self, value, k))
+    ctx = DeficiencyContext(PAPER, 2, 1j)
+    ctx.f_anchored(3, 500)
+    ctx.f_anchored(3, 500)
+    assert divided == [496]
+    ctx.anchored_levels(3, 8)
+    assert divided == [496, 0, 1, 2, 3, 4]
+
+
+@pytest.mark.xfail(strict=True, reason="float f_anchored cancels p_k q_n against q_k p_n, "
+                   "which outgrow their difference past an anchor near level 35; "
+                   "ROADMAP direction 8")
+def test_late_anchor_float_values_match_exact_mode():
+    from treejacobi.deficiency import DeficiencyContext
+    ctx = DeficiencyContext(CONSTANT, 2, 1j)
+    exact = DeficiencyContext(CONSTANT, 2, exact_complex(0, 1))
+    for n in range(41, 46):
+        want = exact.f_anchored(40, n).to_complex()
+        assert abs(ctx.f_anchored(40, n) - want) <= 1e-12 * abs(want)
+
+
 def _csv_row(n, pv, qv):
     pv, qv = pv.to_complex(), qv.to_complex()
     return f"{n},{pv.real!r},{pv.imag!r},{qv.real!r},{qv.imag!r}"

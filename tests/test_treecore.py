@@ -1,5 +1,6 @@
 """Addresses, sparse functions, levels, inner products."""
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from treejacobi.boundary import StepFunction
 from treejacobi.coefficients import CoefficientSequence, TreeConfig
 from treejacobi.deficiency import DeficiencyContext, DeficiencyElement
 from treejacobi.errors import KindMismatch, PatchTooLarge
+from treejacobi.exactnum import as_complex, exact_complex
 from treejacobi.operator import JacobiOperator, moments, subtree_average_Ex
 from treejacobi.treecore import (GAMMA, LambdaPatch, SparseFunction,
                                  children, format_address, inner, level,
@@ -206,3 +208,51 @@ def test_subtree_vertices():
 def test_subtree_vertices_rejects_a_negative_depth_or_degree_below_two(depth, d):
     with pytest.raises(ValueError):
         subtree_vertices((), depth, d)
+
+
+def _recursive_subtree(x, depth, d):
+    """The recursive preorder definition: x, then each child's subtree in
+    index order."""
+    yield x
+    if depth:
+        for i in range(1, d + 1):
+            yield from _recursive_subtree(x + (i,), depth - 1, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 12])
+@pytest.mark.parametrize("depth", range(7))
+def test_subtree_vertices_is_the_recursive_preorder(d, depth):
+    for x in ((), (1,), (d, 1), (2, d, 1)):
+        if treecore.subtree_size(depth, d) > treecore.DEFAULT_ENTRY_BUDGET:
+            with pytest.raises(PatchTooLarge):
+                subtree_vertices(x, depth, d)  # refused when called, not when iterated
+            continue
+        assert list(subtree_vertices(x, depth, d)) == list(_recursive_subtree(x, depth, d))
+
+
+def _per_vertex_json(f):
+    """The formatter one record at a time: format_address and as_complex
+    per vertex."""
+    return [{"address": format_address(x), "re": as_complex(v).real,
+             "im": as_complex(v).imag} for x, v in sorted(f.entries.items())]
+
+
+def _json_cases():
+    z, exact_z = 0.3 + 1j, exact_complex(Fraction(1, 3), 1)
+    for d in (2, 3, 11):
+        depth = 5 if d < 11 else 3
+        for zz, coeffs in ((z, (1, -1) + (0,) * (d - 2)),
+                           (exact_z, (exact_complex(1), exact_complex(-1)) + (0,) * (d - 2))):
+            ctx = DeficiencyContext(CoefficientSequence.paper_example(), d, zz)
+            yield DeficiencyElement(None, (1,), zz).materialize(ctx, depth)
+            yield DeficiencyElement((d,), coeffs, zz).materialize(ctx, depth)
+    # a support with its root, vertices without their parents, indices >= 10
+    yield SparseFunction({(): -0.0 + 2j, (1,): 1.5, (11, 3): -2j, (11, 3, 12): 7,
+                          (12,): exact_complex(Fraction(2, 3), -1), (3, 10, 1): 1e-310j})
+    yield SparseFunction.delta((2,) * 1500, value=exact_complex(1, Fraction(1, 7)))
+    yield SparseFunction()
+
+
+@pytest.mark.parametrize("f", list(_json_cases()))
+def test_json_records_are_the_per_vertex_records(f):
+    assert json.dumps(f.to_json_obj()) == json.dumps(_per_vertex_json(f))
