@@ -191,9 +191,12 @@ def cmd_deficiency(args) -> int:
         coeff_vec[0], coeff_vec[1] = 1, -1
         elem = DeficiencyElement(anchor, tuple(coeff_vec), z)
     residual, peak = _residual_and_max_abs([elem], ctx, args.depth)
-    # the alpha series are float series in both modes
+    # the alpha series are float series in both modes: no exact hint for them
     alpha_ctx = DeficiencyContext(coeffs, args.d, as_complex(z)) if ctx.exact else ctx
-    alpha = alpha_ctx.alphas(len(anchor) + 1 if anchor else 0, args.tol, args.n_max)
+    try:
+        alpha = alpha_ctx.alphas(len(anchor) + 1 if anchor else 0, args.tol, args.n_max)
+    except OverflowError as exc:
+        raise OverflowError(str(exc)) from None
     f = elem.materialize(ctx, min(args.depth, args.materialize_depth))
     obj = {
         "element": elem.to_json_obj(),

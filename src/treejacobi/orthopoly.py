@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import cmath
 import csv
-import functools
 import itertools
 import math
 import statistics
@@ -534,7 +533,8 @@ def alpha_sq_terms(k: int, cache: PolyCache) -> Iterator:
     """Terms of the alpha_k(z)^2 series, in the arithmetic of the cache.
 
     k = 0: |p_n|^2 for n >= 0.
-    k >= 1: lambda_{k-1}^2 |p_{k-1} q_n - q_{k-1} p_n|^2 for n >= k.
+    k >= 1: lambda_{k-1}^2 |p_{k-1} q_n - q_{k-1} p_n|^2 for n >= k; in
+    floats, CoefficientOverflow where lambda_{k-1}^2 leaves the float range.
 
     An exact cache yields each term as one Fraction, read from its rows
     (T = t/t', |scale|**2 = |sigma|): |A_n t'_n / t_n|^2 / |sigma|^n and
@@ -551,7 +551,10 @@ def alpha_sq_terms(k: int, cache: PolyCache) -> Iterator:
             n += 1
     else:
         cache.ensure(k)
-        lam2 = cache.lam(k - 1) ** 2
+        try:
+            lam2 = cache.lam(k - 1) ** 2
+        except OverflowError:
+            raise CoefficientOverflow(f"lambda_{k - 1}^2 does not fit in a float") from None
         pk, qk = cache.p[k - 1], cache.q[k - 1]
         n = k
         while True:
@@ -600,17 +603,6 @@ class AlphaTable:
         return self.alphas[k]
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _root_power(d: int, k: int, scale: float) -> tuple:
-    """(divisor, shift) with d^(k/2) = divisor * 2^shift: the integer
-    d^(k//2), times scale = sqrt(d) when k is odd, its mantissa cut to 512
-    bits so that no power is converted beyond the float range.  Cached, as
-    every float deficiency value divides by one."""
-    whole = d ** (k // 2)
-    shift = max(whole.bit_length() - 512, 0)
-    return whole / (1 << shift) * (scale if k % 2 else 1), shift
-
-
 class DeficiencyContext(PolyCache):
     """The recurrence table at scale sqrt(d) and a non-real z, with the
     degree d: the values every deficiency-space object reads, and their
@@ -622,33 +614,32 @@ class DeficiencyContext(PolyCache):
                 f"deficiency-space values need a non-real z, got {z}")
         super().__init__(coeffs, matching_sqrt(d, z), z)
         self.d = d
-        # float mode: anchor level k -> {level n: f_anchored(k, n)} for the
-        # levels read, None where the product left the float range
-        self._anchored: dict = {}
+        # float mode: anchor level k (-1 for the radial function) -> its level values
+        self._levels: dict = {}
 
     def f_zero(self, n: int):
         """Value on level n of the radial basis function (anchor at the root
         level of the whole tree): p_n(z) / d^(n/2).  Exact: A_n / (T_n d^n),
-        read from row n and built without the gcd (unreduced)."""
+        read from row n and built without the gcd (unreduced).  Float: the
+        table of anchor level -1 (_float_levels)."""
+        if not self.exact:
+            return self._float_levels(-1, n, n)[0]
         self.ensure(n)
-        if self.exact:
-            (re, im), _, (t, t_den), _ = self._rows[n][2]
-            return unreduced(re * t_den, im * t_den, t * self.d ** n)
-        return self._over_root_power(self.p[n], n)
+        (re, im), _, (t, t_den), _ = self._rows[n][2]
+        return unreduced(re * t_den, im * t_den, t * self.d ** n)
 
     def f_anchored(self, k: int, n: int):
         """Value on level n inside one child subtree of an anchor at level k:
         lam_k (p_k q_n - q_k p_n) / d^((n-k-1)/2), for n >= k + 1.  Exact:
         lam_k (A_k B_n - B_k A_n) / (T_k T_n d^(n-1)), read from rows k and
         n (_cross) and built without the gcd.  Float: read from the table
-        of anchor level k (_anchored_floats); RecurrenceOverflow when the
-        product leaves the float range.
+        of anchor level k (_float_levels).
 
         The value at n = k + 1 is 1 for every k (discrete Wronskian)."""
         if n < k + 1:
             raise ValueError(f"anchored values start at level {k + 1}, got {n}")
         if not self.exact:
-            return self._anchored_floats(k, n, n)[0]
+            return self._float_levels(k, n, n)[0]
         lam_k = self.lam(k)
         self.ensure(n)
         (re, im), den = self._cross(k, n)
@@ -659,41 +650,33 @@ class DeficiencyContext(PolyCache):
         """f_anchored(k, m) for m = k + 1..n, with the error of the first
         level that fails; float values are read from the table in one call."""
         if not self.exact:
-            return self._anchored_floats(k, k + 1, n)
+            return self._float_levels(k, k + 1, n)
         return [self.f_anchored(k, m) for m in range(k + 1, n + 1)]
 
-    def _anchored_floats(self, k: int, lo: int, n: int) -> list:
-        """Float f_anchored(k, m) for m = lo..n.  The table of anchor level
-        k gains the levels read that it lacks, as far as the recurrence
-        reaches, from the formula in this one place; a value does not
-        depend on which read built it.  A product that left the float
-        range below the level where the recurrence fails is the first
-        error."""
-        lam_k = self.lam(k)
-        row = self._anchored.setdefault(k, {})
-        try:
-            self.ensure(n)
-        finally:
-            p, q, levels = self.p, self.q, range(lo, min(n, self.N) + 1)
-            for m in levels:
-                if m not in row:
-                    value = lam_k * (p[k] * q[m] - q[k] * p[m])
-                    row[m] = (self._over_root_power(value, m - k - 1)
-                              if cmath.isfinite(value) else None)
-            values = [row[m] for m in levels]
-            if None in values:
-                raise RecurrenceOverflow(
-                    f"anchored value at levels {k}, {lo + values.index(None)} left the "
-                    "float range; switch to exact mode or rescale")
-        return values
-
-    def _over_root_power(self, value: complex, k: int) -> complex:
-        """value / d^(k/2) in floats (_root_power)."""
-        divisor, shift = _root_power(self.d, k, self.scale)
-        value = value / divisor
-        if shift:
-            return complex(math.ldexp(value.real, -shift), math.ldexp(value.imag, -shift))
-        return value
+    def _float_levels(self, k: int, lo: int, n: int) -> list:
+        """Float values on levels lo..n below an anchor at level k, or of
+        the radial function for k = -1: the solution of the level equation
+        d lam_m f(m+1) = (z - beta_m) f(m) - lam_{m-1} f(m-1) from f(k) = 0,
+        f(k + 1) = 1, stepped from the anchor as far as it is read, so that
+        no value cancels as lam_k (p_k q_n - q_k p_n) does.  A step that
+        fails raises at each read that needs it; the levels above it are
+        still served."""
+        f = self._levels.setdefault(k, [1 + 0j])  # f(k + 1), f(k + 2), ...
+        if len(f) < n - k:
+            _, z = _float_inputs(self.scale, self.z)
+            lam, beta = self.coeffs.lam, self.coeffs.beta
+            for m in range(k + len(f), n):  # from the last level held
+                lam_m = lam(m)
+                if lam_m == 0:
+                    raise CoefficientOverflow(f"lambda_{m} underflows to 0.0 in a float")
+                above = lam(m - 1) * f[-2] if len(f) > 1 else 0  # f(k) = 0
+                value = ((z - beta(m)) * f[-1] - above) / lam_m / self.d
+                if not cmath.isfinite(value):
+                    below = f" below anchor level {k}" if k >= 0 else ""
+                    raise RecurrenceOverflow(f"deficiency value at level {m + 1}{below} left "
+                                             "the float range; switch to exact mode or rescale")
+                f.append(value)
+        return f[lo - k - 1:n - k]
 
     def alphas(self, k_max: int, tol: float = 1e-12, n_max: int = 100_000) -> AlphaTable:
         """alpha_k(z) for k = 0..k_max, with per-k series verdicts, summed

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import treejacobi
 from treejacobi.cli import main, parse_coeffs, parse_z, ValidationError
 from treejacobi import orthopoly
-from treejacobi.orthopoly import PolyCache
+from treejacobi.orthopoly import DeficiencyContext, PolyCache
 
 
 def run(args, capsys):
@@ -135,6 +135,7 @@ def test_exact_value_beyond_float_range_is_numeric_error(argv, capsys):
     "polys --coeffs power:1:-2000 --n 3",
     "polys --coeffs power:1:-2000.5 --n 3",
     "poisson --coeffs power:1:-2000",
+    "deficiency --coeffs power:1:-2000",
     "polys --coeffs geometric:1:1/2 --n 1100 --z 0,0 --scale 1",
     "polys --coeffs constant:1e-300 --scale 1e-300 --n 3",
 ])
@@ -147,9 +148,10 @@ def test_lambda_underflow_is_numeric_error(argv, capsys):
 
 
 def test_deficiency_over_budget_refused_before_any_recurrence_step(monkeypatch, capsys):
-    def no_step(self, n):
+    def no_step(self, *levels):
         raise AssertionError("a recurrence step ran")
     monkeypatch.setattr(PolyCache, "ensure", no_step)
+    monkeypatch.setattr(DeficiencyContext, "_float_levels", no_step)
     code, _, err = run(["deficiency", "--depth", "2000000"], capsys)
     assert code == 3
     assert "budget" in err and "Traceback" not in err
@@ -177,14 +179,62 @@ def test_classify_says_a_finite_list_decides_no_limit(capsys):
                    "the square series ran past its last entry without a verdict\n")
 
 
-def test_deep_float_deficiency_past_the_float_power(capsys):
-    # d**(n//2) leaves the float range at n = 2048 for d = 2, before p_n does
-    code, _, err = run(["deficiency", "--coeffs", "constant:1", "--z", "0,1",
-                        "--depth", "3000"], capsys)
-    assert "Traceback" not in err
-    assert code in (0, 3)
-    if code == 3:
-        assert "--mode exact" in err
+def test_deep_float_deficiency_reads_past_the_recurrence_overflow(capsys):
+    # p_n leaves the float range at n = 2049 for d = 2; the level values,
+    # stepped from the root, stay near 2/3
+    code, out, err = run(["deficiency", "--coeffs", "constant:1", "--z", "0,1",
+                          "--depth", "3000"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["max_abs"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_poisson_names_a_squared_lambda_beyond_the_float_range(capsys):
+    # the alpha_513 series squares lambda_512 = 2^512 of the paper family
+    y = ".".join(["1"] * 600)
+    code, _, err = run(["poisson", "--coeffs", "paper", "--y", y], capsys)
+    assert code == 3
+    assert err == "numeric failure: lambda_512^2 does not fit in a float\n"
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_deficiency_alpha_overflow_hints_no_exact_mode(mode, capsys):
+    # the alpha series are float series in both modes, so exact mode
+    # fails alike: the alpha_513 series squares lambda_512 = 2^512
+    anchor = ".".join(["1"] * 520)
+    code, _, err = run(["deficiency", "--coeffs", "paper", f"--anchor={anchor}",
+                        "--depth", "530", "--mode", mode], capsys)
+    assert code == 3
+    assert err == "numeric failure: lambda_512^2 does not fit in a float\n"
+
+
+def _values(obj) -> dict:
+    return {r["address"]: complex(r["re"], r["im"]) for r in obj["values"]}
+
+
+@pytest.mark.parametrize("argv", [
+    f"deficiency --coeffs {spec} --d {d} --anchor={anchor}"
+    for spec in ("paper", "constant:1") for d in (2, 3) for anchor in ("", "e", "1", "1.2")
+] + [
+    "deficiency --coeffs constant:1 --z 0,1 --depth 60 --materialize-depth 41 --anchor="
+    + ".".join(["1"] * 40),
+    "deficiency --coeffs geometric:3:9/10 --z 3,-0.0009765625 --depth 60 "
+    "--materialize-depth 31 --anchor=" + ".".join(["1"] * 30),
+])
+def test_float_deficiency_agrees_with_exact_mode(argv, capsys):
+    # the last two read max_abs 1.00006 and 1.1e62 from the difference
+    # formula, where exact mode reads 1.0 and 9.5e50
+    code, out, err = run(argv.split(), capsys)
+    assert code == 0, err
+    floats = json.loads(out)
+    code, out, err = run(argv.split() + ["--mode", "exact"], capsys)
+    assert code == 0, err
+    exact = json.loads(out)
+    got, want = _values(floats), _values(exact)
+    assert got.keys() == want.keys()
+    peak = max(abs(v) for v in want.values())
+    assert max(abs(got[x] - want[x]) for x in want) <= 1e-12 * peak
+    assert abs(floats["max_abs"] - exact["max_abs"]) <= 1e-12 * exact["max_abs"]
+    assert floats["residual"] <= 1e-12 * floats["max_abs"]
 
 
 def test_classify_huge_z_gives_a_verdict(capsys):

@@ -177,6 +177,7 @@ def test_only_these_scopes_read_beta():
         "operator.JacobiOperator.apply",      # sparse functions on either tree
         "operator.moments",                   # the exact radial matrix, conjugated
         "oracle._tree_section",               # dense sections of the tree operators
+        "orthopoly.DeficiencyContext._float_levels",  # the level equation below an anchor
         "orthopoly._IntegerRecurrence.rows",  # the integer recurrence
         "orthopoly._tridiagonal",             # the radial tridiagonal section
         "orthopoly.poly_pairs",               # the float recurrence

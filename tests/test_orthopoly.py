@@ -1,5 +1,4 @@
 """Recurrence values, Wronskian identity, roots, series engine, norms."""
-import cmath
 import copy
 import io
 import itertools
@@ -15,7 +14,8 @@ from treejacobi.coefficients import CoefficientSequence
 from treejacobi.errors import (CoefficientIndexError, CoefficientOverflow, DivergedSeries,
                                NonPositiveLambda, RealSpectralParameter,
                                RecurrenceOverflow)
-from treejacobi.exactnum import ExactComplex, as_complex, exact_complex, exact_sqrt, half_power
+from treejacobi.exactnum import (ExactComplex, abs2, as_complex, exact_complex, exact_sqrt,
+                                 half_power)
 from treejacobi.orthopoly import (PolyCache, _IntegerRecurrence, alpha_series,
                                   alpha_sq_partial, alpha_sq_terms,
                                   compute_polys, poly_roots, sum_series,
@@ -535,68 +535,62 @@ def _old_alpha_sq_partial(coeffs, p, q, k, n_terms):
                 for n in range(k, k + n_terms)), exact_complex(0))
 
 
-def _old_over_root_power(value, d, scale, k):
-    """value / d^(k/2) with d^(k//2) rebuilt for each value."""
-    whole = d ** (k // 2)
-    shift = whole.bit_length() - 512
-    if shift <= 0:
-        return value / (whole * scale if k % 2 else whole)
-    value = value / (whole / (1 << shift) * (scale if k % 2 else 1))
-    return complex(math.ldexp(value.real, -shift), math.ldexp(value.imag, -shift))
-
-
-@pytest.mark.parametrize("coeffs, d, N", [(PAPER, 3, 1023), (CONSTANT, 2, 2000)],
-                         ids=["paper-d3", "constant-d2"])
-def test_float_f_values_match_the_uncached_divisor(coeffs, d, N):
-    # d^(k//2) passes 2^512 from k = 648 at d = 3 and k = 1026 at d = 2;
-    # repr tells signed zeros apart; where the product is not finite
-    # (constant(1), k = 611, n >= 1441) f_anchored raises
+@pytest.mark.parametrize("coeffs, d", [(CONSTANT, 2), (CoefficientSequence.power(1, 2), 2),
+                                       (CoefficientSequence.geometric(1, 2), 3), (PAPER, 2)],
+                         ids=["constant-d2", "power-d2", "geometric-d3", "paper-d2"])
+def test_float_f_values_match_exact_mode_pointwise(coeffs, d):
+    # p_k q_n - q_k p_n over d^((n-k-1)/2) read up to 5e74 relative here;
+    # stepped from each anchor, every 23rd level below it agrees
     from treejacobi.deficiency import DeficiencyContext
     ctx = DeficiencyContext(coeffs, d, 1j)
-    ctx.ensure(N)
-    p, q = ctx.p, ctx.q
-    for n in range(N + 1):
-        assert repr(ctx.f_zero(n)) == repr(_old_over_root_power(p[n], d, ctx.scale, n))
-    for k in (0, 1, 6, 611):
-        lam_k = coeffs.lam(k)
-        for n in range(k + 1, N + 1):
-            value = lam_k * (p[k] * q[n] - q[k] * p[n])
-            if not cmath.isfinite(value):
-                with pytest.raises(RecurrenceOverflow):
-                    ctx.f_anchored(k, n)
-                continue
-            assert (repr(ctx.f_anchored(k, n))
-                    == repr(_old_over_root_power(value, d, ctx.scale, n - k - 1)))
+    exact = DeficiencyContext(coeffs, d, exact_complex(0, 1))
+    for n in range(0, 601, 23):
+        want = exact.f_zero(n).to_complex()
+        assert abs(ctx.f_zero(n) - want) <= 1e-12 * abs(want)
+    for k in (10, 35, 100, 300):
+        for n in range(k + 1, k + 301, 23):
+            want = exact.f_anchored(k, n).to_complex()
+            assert abs(ctx.f_anchored(k, n) - want) <= 1e-12 * abs(want)
 
 
-def test_f_anchored_refuses_a_product_that_left_the_float_range():
-    # p_611 q_1441 and q_611 p_1441 each overflow to inf, where the product
-    # used to read nan+nanj; exact mode reads the value, about 2i/3
+def test_f_anchored_reads_where_the_product_left_the_float_range():
+    # p_611 q_1441 and q_611 p_1441 each overflow to inf, and p_n itself
+    # leaves the float range at n = 2049; the value is about 2i/3
     from treejacobi.deficiency import DeficiencyContext
     ctx = DeficiencyContext(CONSTANT, 2, 1j)
-    with pytest.raises(RecurrenceOverflow, match="levels 611, 1441"):
-        ctx.f_anchored(611, 1441)
     exact = DeficiencyContext(CONSTANT, 2, exact_complex(0, 1))
     assert abs(exact.f_anchored(611, 1441).to_complex() - 2j / 3) < 1e-12
-    # where the float product is finite, float and exact mode agree
-    for k, n in ((0, 1441), (6, 1441), (6, 1440)):
+    for k, n in ((611, 1441), (611, 3000), (0, 1441), (6, 1440)):
         want = exact.f_anchored(k, n).to_complex()
         assert abs(ctx.f_anchored(k, n) - want) <= 1e-12 * abs(want)
 
 
-def _parent_f_anchored(ctx, k, n):
-    """The float anchored value as it was computed before the per-anchor
-    tables, one value per call: lam_k (p_k q_n - q_k p_n) over the uncached
-    divisor, RecurrenceOverflow where the product is not finite."""
-    lam_k = ctx.coeffs.lam(k)
-    ctx.ensure(n)
-    p, q = ctx.p, ctx.q
-    value = lam_k * (p[k] * q[n] - q[k] * p[n])
-    if not cmath.isfinite(value):
-        raise RecurrenceOverflow(
-            f"anchored value at levels {k}, {n} left the float range; "
-            "switch to exact mode or rescale")
-    return _old_over_root_power(value, ctx.d, ctx.scale, n - k - 1)
+def test_level_values_do_not_extend_the_recurrence_table():
+    # constant(1) at d = 2: the p, q recurrence leaves the float range at
+    # index 2049, the level values stay near 2/3
+    from treejacobi.deficiency import DeficiencyContext
+    ctx = DeficiencyContext(CONSTANT, 2, 1j)
+    exact = DeficiencyContext(CONSTANT, 2, exact_complex(0, 1))
+    for n in (700, 2040, 3000):
+        want = exact.f_zero(n).to_complex()
+        assert abs(ctx.f_zero(n) - want) <= 1e-12 * abs(want)
+    assert len(ctx.anchored_levels(611, 3000)) == 2389
+    assert ctx.N == -1
+    with pytest.raises(RecurrenceOverflow, match="index 2049"):
+        ctx.ensure(3000)
+
+
+def test_level_value_beyond_the_float_range_raises():
+    # geometric(1/2, 1/2) at d = 2: the values grow like 2^(n^2/2), and the
+    # exact radial value at level 46 does not fit in a float either
+    from treejacobi.deficiency import DeficiencyContext
+    ctx = DeficiencyContext(CoefficientSequence.geometric(Fraction(1, 2), Fraction(1, 2)), 2, 1j)
+    with pytest.raises(RecurrenceOverflow, match="^deficiency value at level 46 left the float"):
+        ctx.f_zero(60)
+    with pytest.raises(RecurrenceOverflow, match="^deficiency value at level 47 below anchor "
+                                                 "level 5 left the float range"):
+        ctx.anchored_levels(5, 60)
+    assert len(ctx.anchored_levels(5, 46)) == 41
 
 
 def _outcome(read):
@@ -608,10 +602,13 @@ def _outcome(read):
     return repr(value)
 
 
-def _parent_levels(ctx, k, n):
-    """The parent's level-by-level read of levels k + 1..n: the values, or
-    the first error in level order."""
-    return _outcome(lambda: [_parent_f_anchored(ctx, k, m) for m in range(k + 1, n + 1)])
+def _level_read(k, n, whole):
+    """The read of level n below anchor level k (k = -1: the radial
+    function), or of all levels k + 1..n when whole."""
+    if whole:
+        return lambda ctx: ([ctx.f_zero(m) for m in range(n + 1)] if k < 0
+                            else ctx.anchored_levels(k, n))
+    return lambda ctx: ctx.f_zero(n) if k < 0 else ctx.f_anchored(k, n)
 
 
 TABLE_FAMILIES = [CoefficientSequence.constant(1), CoefficientSequence.constant(2, -1),
@@ -620,81 +617,124 @@ TABLE_FAMILIES = [CoefficientSequence.constant(1), CoefficientSequence.constant(
                   CoefficientSequence.geometric(3, Fraction(9, 10)),
                   CoefficientSequence.power(1, 1), CoefficientSequence.power(Fraction(1, 3), 2),
                   PAPER]
+TABLE_ZS = [exact_complex(0, 1), exact_complex(Fraction(1, 2), 1),
+            exact_complex(-2, Fraction(1, 4)), exact_complex(3, Fraction(-1, 1024))]
 
 
 @settings(max_examples=60, deadline=None)
 @given(coeffs=st.sampled_from(TABLE_FAMILIES), d=st.sampled_from([2, 3, 4]),
-       z=st.sampled_from([1j, 0.5 + 1j, -2 + 0.25j, 3 - 1e-3j]),
-       reads=st.lists(st.tuples(st.booleans(), st.integers(0, 60), st.integers(1, 70)),
+       z=st.sampled_from(TABLE_ZS),
+       reads=st.lists(st.tuples(st.booleans(), st.integers(-1, 60), st.integers(1, 70)),
                       min_size=1, max_size=25))
-def test_anchored_tables_read_as_the_parent_formula_in_any_order(coeffs, d, z, reads):
-    # single values and level slices, in the order drawn, against a
-    # context that computes each value alone
+def test_anchored_tables_read_alike_in_any_order(coeffs, d, z, reads):
+    # single values and level slices, in the order drawn, against a fresh
+    # context for each read: the same values, or the same error
     from treejacobi.deficiency import DeficiencyContext
-    table, oracle = DeficiencyContext(coeffs, d, z), DeficiencyContext(coeffs, d, z)
+    z = z.to_complex()
+    table = DeficiencyContext(coeffs, d, z)
     for whole, k, span in reads:
-        n = k + span
-        if whole:
-            assert (_outcome(lambda: table.anchored_levels(k, n))
-                    == _parent_levels(oracle, k, n))
-        else:
-            assert (_outcome(lambda: table.f_anchored(k, n))
-                    == _outcome(lambda: _parent_f_anchored(oracle, k, n)))
+        read = _level_read(k, k + span, whole)
+        assert (_outcome(lambda: read(table))
+                == _outcome(lambda: read(DeficiencyContext(coeffs, d, z))))
 
 
-def test_anchored_table_serves_lower_levels_after_an_overflow():
-    # p_611 q_n - q_611 p_n leaves the float range from n = 1441 on
+def _in_float_range(values) -> list:
+    """The exact values as complex numbers, up to the first one beyond
+    2^1000 in modulus, which leaves room for the float step's products."""
+    out = []
+    for v in values:
+        try:
+            c = v.to_complex()
+        except OverflowError:
+            break
+        if not abs(c) < 2.0 ** 1000:
+            break
+        out.append(c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.sampled_from(TABLE_FAMILIES), d=st.sampled_from([2, 3, 4]),
+       z=st.sampled_from(TABLE_ZS), k=st.integers(-1, 60))
+def test_float_level_values_match_exact_mode_normwise(coeffs, d, z, k):
+    # 70 levels below anchor level k (k = -1: levels 0..69 of the radial
+    # function), as far as the exact values lie in the float range
     from treejacobi.deficiency import DeficiencyContext
-    ctx, oracle = DeficiencyContext(CONSTANT, 2, 1j), DeficiencyContext(CONSTANT, 2, 1j)
-    with pytest.raises(RecurrenceOverflow, match="levels 611, 1441 left"):
-        ctx.f_anchored(611, 1441)
-    with pytest.raises(RecurrenceOverflow, match="levels 611, 1441 left"):
-        ctx.anchored_levels(611, 1500)
-    with pytest.raises(RecurrenceOverflow, match="levels 611, 1460 left"):
-        ctx.f_anchored(611, 1460)
-    for n in (612, 1000, 1440):
-        assert repr(ctx.f_anchored(611, n)) == repr(_parent_f_anchored(oracle, 611, n))
-    assert (repr(ctx.anchored_levels(611, 1440))
-            == repr([_parent_f_anchored(oracle, 611, n) for n in range(612, 1441)]))
+    exact = DeficiencyContext(coeffs, d, z)
+    want = _in_float_range(_level_read(k, k + 70, True)(exact))
+    got = _level_read(k, k + len(want), True)(DeficiencyContext(coeffs, d, z.to_complex()))
+    assert len(got) == len(want)
+    assert (max(abs(g - w) for g, w in zip(got, want))
+            <= 1e-12 * max(abs(w) for w in want))
 
 
-def test_anchored_slice_names_an_overflow_below_the_recurrence_failure():
-    # constant(1) at d = 2: the recurrence leaves the float range at index
-    # 2049, the anchored product at level 1441 first
+def test_anchored_table_serves_lower_levels_after_an_error():
+    # lambda_1024 = 2^1024 of the paper family does not fit in a float
     from treejacobi.deficiency import DeficiencyContext
-    ctx = DeficiencyContext(CONSTANT, 2, 1j)
-    with pytest.raises(RecurrenceOverflow, match="levels 611, 1441 left"):
-        ctx.anchored_levels(611, 3000)
-    with pytest.raises(RecurrenceOverflow, match="recurrence value left the float range"):
-        ctx.f_anchored(0, 3000)
-    assert repr(ctx.f_anchored(0, 2000)) == repr(_parent_f_anchored(ctx, 0, 2000))
+    ctx, fresh = DeficiencyContext(PAPER, 2, 1j), DeficiencyContext(PAPER, 2, 1j)
+    message = "lambda_1024 does not fit in a float"
+    with pytest.raises(CoefficientOverflow, match=message) as first:
+        ctx.f_anchored(611, 1025)
+    for read in (lambda: ctx.anchored_levels(611, 1500), lambda: ctx.f_anchored(611, 1460)):
+        with pytest.raises(CoefficientOverflow) as again:
+            read()
+        assert str(again.value) == str(first.value)
+    for n in (612, 1000, 1024):
+        assert repr(ctx.f_anchored(611, n)) == repr(fresh.f_anchored(611, n))
+    assert repr(ctx.anchored_levels(611, 1024)) == repr(fresh.anchored_levels(611, 1024))
+    with pytest.raises(CoefficientOverflow, match=message):
+        ctx.f_zero(1025)
+    assert repr(ctx.f_zero(1024)) == repr(fresh.f_zero(1024))
 
 
-def test_a_single_anchored_read_computes_one_value(monkeypatch):
-    # a kernel at a vertex of level L reads L values, not L^2 / 2
+def test_a_second_anchored_read_steps_nothing(monkeypatch):
+    # each table steps a level once, when it is first read: a step reads
+    # beta_n once
     from treejacobi.deficiency import DeficiencyContext
-    divided = []
-    original = DeficiencyContext._over_root_power
-    monkeypatch.setattr(DeficiencyContext, "_over_root_power",
-                        lambda self, value, k: divided.append(k) or original(self, value, k))
+    stepped = []
+    original = CoefficientSequence.beta
+    monkeypatch.setattr(CoefficientSequence, "beta",
+                        lambda self, n: stepped.append(n) or original(self, n))
     ctx = DeficiencyContext(PAPER, 2, 1j)
     ctx.f_anchored(3, 500)
+    assert stepped == list(range(4, 500))
     ctx.f_anchored(3, 500)
-    assert divided == [496]
     ctx.anchored_levels(3, 8)
-    assert divided == [496, 0, 1, 2, 3, 4]
+    ctx.f_anchored(3, 4)
+    assert stepped == list(range(4, 500))
+    ctx.f_zero(5)
+    assert stepped == list(range(4, 500)) + list(range(5))
 
 
-@pytest.mark.xfail(strict=True, reason="float f_anchored cancels p_k q_n against q_k p_n, "
-                   "which outgrow their difference past an anchor near level 35; "
-                   "ROADMAP direction 8")
 def test_late_anchor_float_values_match_exact_mode():
+    # ROADMAP direction 8: the difference formula cancelled here
     from treejacobi.deficiency import DeficiencyContext
     ctx = DeficiencyContext(CONSTANT, 2, 1j)
     exact = DeficiencyContext(CONSTANT, 2, exact_complex(0, 1))
     for n in range(41, 46):
         want = exact.f_anchored(40, n).to_complex()
         assert abs(ctx.f_anchored(40, n) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.xfail(strict=True, reason="the float alpha_k terms for k >= 1 cancel "
+                   "p_{k-1} q_n against q_{k-1} p_n: the alpha half of ROADMAP direction 8")
+def test_late_anchor_float_alpha_sums_match_exact_mode():
+    # 5.1389e17 in floats against 5.1241e17 exact (1.6e-7 off at k = 30)
+    want = alpha_sq_partial(CONSTANT, 2, exact_complex(0, 1), 45, 60).to_complex()
+    assert abs(alpha_sq_partial(CONSTANT, 2, 1j, 45, 60) - want) <= 1e-12 * abs(want)
+
+
+def test_alpha_terms_name_a_squared_lambda_beyond_the_float_range():
+    # lambda_512 = 2^512 of the paper family fits in a float, its square
+    # does not; the terms whose lambda^2 fits are unchanged
+    from treejacobi.deficiency import DeficiencyContext
+    ctx = DeficiencyContext(PAPER, 2, 1j)
+    with pytest.raises(CoefficientOverflow, match=r"^lambda_512\^2 does not fit in a float$"):
+        next(alpha_sq_terms(513, ctx))
+    lam2 = PAPER.lam(511) * PAPER.lam(511)
+    terms = alpha_sq_terms(512, ctx)
+    for n in range(512, 520):
+        assert next(terms) == lam2 * abs2(ctx.p[511] * ctx.q[n] - ctx.q[511] * ctx.p[n])
 
 
 def _csv_row(n, pv, qv):
@@ -717,6 +757,15 @@ def test_exact_csv_is_the_reduced_floats(coeffs, scale, z):
     assert buf.getvalue().splitlines()[1:] == [_csv_row(n, p[n], q[n]) for n in range(N + 1)]
 
 
+def _float_readings(csv_rows, values):
+    """(csv_rows(), the values as complex numbers), or the text of the
+    OverflowError of the first value beyond the float range."""
+    try:
+        return csv_rows(), [as_complex(v) for v in values]
+    except OverflowError as exc:
+        return str(exc)
+
+
 NONREAL_ZS = st.builds(exact_complex, SMALL_ANY,
                        SMALL_POSITIVE.flatmap(lambda r: st.sampled_from([r, -r])))
 
@@ -729,14 +778,14 @@ def test_row_readers_equal_the_reduced_formulas(reductions, coeffs, d, z, N, dat
     ctx = DeficiencyContext(coeffs, d, z)
     ctx.ensure(N)
     p, q = _plain_recurrence(coeffs, exact_sqrt(d), z, N)
-    # floats and CSV read no part and reduce no value
+    # floats and CSV read no part and reduce no value; where a value lies
+    # beyond the float range, both refuse it alike
     buf = io.StringIO()
     with reductions() as bits:
-        ctx.to_csv(buf)
-        floats = [as_complex(v) for v in ctx.p + ctx.q]
+        got = _float_readings(lambda: (ctx.to_csv(buf), buf.getvalue().splitlines()[1:])[1],
+                              ctx.p + ctx.q)
     assert bits == []
-    assert buf.getvalue().splitlines()[1:] == [_csv_row(n, p[n], q[n]) for n in range(N + 1)]
-    assert floats == [w.to_complex() for w in p + q]
+    assert got == _float_readings(lambda: [_csv_row(n, p[n], q[n]) for n in range(N + 1)], p + q)
     for n in range(N + 1):
         assert ctx.f_zero(n) == _old_f_zero(p, d, n)
     k = data.draw(st.integers(0, N - 1))
@@ -772,6 +821,9 @@ def test_degenerate_parameters_rejected():
             PolyCache(PAPER, scale, z).ensure(0)
     with pytest.raises(ValueError):
         alpha_series(PAPER, 2, complex(math.nan, 1), 1)
+    from treejacobi.deficiency import DeficiencyContext
+    with pytest.raises(ValueError):
+        DeficiencyContext(PAPER, 2, complex(math.nan, 1)).f_zero(1)
     for tol, n_max in [(0.0, 10), (-1.0, 10), (math.nan, 10), (math.inf, 10), (1e-12, 0)]:
         with pytest.raises(ValueError):
             sum_series(iter([1.0]), tol=tol, n_max=n_max)
