@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .coefficients import CoefficientSequence
 from .deficiency import (DeficiencyContext, DeficiencyElement, _residual_and_max_abs,
-                         classify, element_residual)
+                         classify)
 from .errors import (CoefficientOverflow, ConvergenceFailure, DivergedSeries,
                      InconclusiveSeries, PatchTooLarge, RecurrenceOverflow,
                      TreeJacobiError)
@@ -61,8 +61,10 @@ def parse_coeffs(spec: str) -> CoefficientSequence:
         if name == "geometric":
             return CoefficientSequence.geometric(Fraction(parts[1]), Fraction(parts[2]))
         if name == "power":
-            exp_text = parts[2]
-            exp = int(exp_text) if "." not in exp_text else float(exp_text)
+            try:
+                exp = int(parts[2])
+            except ValueError:  # not an integer literal: 0.5, 1e-3
+                exp = float(parts[2])
             return CoefficientSequence.power(Fraction(parts[1]), exp)
         if name == "explicit":
             lams = [Fraction(v) for v in parts[1].split(",")]
@@ -191,12 +193,9 @@ def cmd_deficiency(args) -> int:
         coeff_vec[0], coeff_vec[1] = 1, -1
         elem = DeficiencyElement(anchor, tuple(coeff_vec), z)
     residual, peak = _residual_and_max_abs([elem], ctx, args.depth)
-    # the alpha series are float series in both modes: no exact hint for them
+    # the alpha series are float series in both modes
     alpha_ctx = DeficiencyContext(coeffs, args.d, as_complex(z)) if ctx.exact else ctx
-    try:
-        alpha = alpha_ctx.alphas(len(anchor) + 1 if anchor else 0, args.tol, args.n_max)
-    except OverflowError as exc:
-        raise OverflowError(str(exc)) from None
+    alpha = alpha_ctx.alphas(len(anchor) + 1 if anchor else 0, args.tol, args.n_max)
     f = elem.materialize(ctx, min(args.depth, args.materialize_depth))
     obj = {
         "element": elem.to_json_obj(),
@@ -429,18 +428,18 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
     return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
-def _exact_hint(args) -> str:
-    """The hint to rerun in exact mode, where it can be followed: the
-    subcommand ran float mode through --mode, the family has exact values,
-    and, for deficiency, the float lambda_n and beta_n that its residual
-    reads in either mode (an empty profile's residual) are floats."""
-    if getattr(args, "mode", None) != "float":
+def _exact_hint(args, exc: OverflowError) -> str:
+    """The hint to rerun in exact mode, where it can be followed: polys ran
+    float mode through --mode, exc is a coefficient too large for a float
+    (a CoefficientOverflow raised from the conversion's OverflowError, not
+    an underflow), and the family has exact values.  Elsewhere exact mode
+    fails alike: its values leave the float range when printed, or the
+    subcommand reads float coefficients in either mode."""
+    if not (args.command == "polys" and args.mode == "float"
+            and isinstance(exc.__cause__, OverflowError)):
         return ""
-    coeffs = parse_coeffs(args.coeffs)
     try:
-        coeffs.lam_exact(0)
-        if args.command == "deficiency":
-            element_residual([], DeficiencyContext(coeffs, args.d, 1j), args.depth)
+        parse_coeffs(args.coeffs).lam_exact(0)
     except TreeJacobiError:
         return ""
     return "\nhint: try --mode exact"
@@ -459,7 +458,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (RecurrenceOverflow, CoefficientOverflow) as exc:
-        print(f"numeric failure: {exc}{_exact_hint(args)}", file=sys.stderr)
+        print(f"numeric failure: {exc}{_exact_hint(args, exc)}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConvergenceFailure, DivergedSeries, PatchTooLarge, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -10,8 +10,8 @@ from .coefficients import CoefficientSequence, TreeConfig
 from .errors import CoefficientIndexError
 from .exactnum import as_complex, conj, is_exact, is_zero, matching_sqrt, sums_to_zero
 from .operator import JacobiOperator
-from .orthopoly import (AlphaTable, DeficiencyContext, PolyCache, _overflow_as_divergence,
-                        check_recurrence_inputs, check_series_limits)
+from .orthopoly import (AlphaTable, DeficiencyContext, PolyCache, check_recurrence_inputs,
+                        check_series_limits, sum_series)
 from .treecore import (GAMMA, Address, SparseFunction, check_budget,
                        format_address, subtree_size, subtree_vertices)
 
@@ -378,8 +378,8 @@ def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1
             n += 1
 
     try:
-        res_p = _overflow_as_divergence(terms(cache.p), cache, tol, n_max)
-        res_q = _overflow_as_divergence(terms(cache.q), cache, tol, n_max)
+        res_p = sum_series(terms(cache.p), tol, n_max)
+        res_q = sum_series(terms(cache.q), tol, n_max)
     except CoefficientIndexError:  # only an explicit list ends
         entries = min(len(coeffs.lams), len(coeffs.betas))
         raise CoefficientIndexError(

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 from .coefficients import CoefficientSequence, _accessors
 from .errors import (CoefficientOverflow, ConvergenceFailure, RealSpectralParameter,
                      RecurrenceOverflow)
-from .exactnum import (ExactComplex, abs2, as_complex, exact_complex, is_exact,
+from .exactnum import (ExactComplex, as_complex, exact_complex, is_exact,
                        matching_sqrt, unreduced)
 
 if TYPE_CHECKING:
@@ -471,96 +471,74 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12,
     reported ratio is R**(1/CONVERGENCE_WINDOW) and the geometric tail is
     newer_block * R / (1 - R).
 
-    Diverged: a term leaves the float range, or the terms stop decreasing
-    (the median of the last STALL_WINDOW terms is no smaller than the median
-    of the preceding block).  Every rule but the float-range one compares
-    terms with each other, so multiplying all terms by a positive constant
-    changes none of their verdicts.
+    Diverged: a term leaves the float range, the terms raise
+    RecurrenceOverflow (partial_sum inf, after the terms summed before it),
+    or the terms stop decreasing (the median of the last STALL_WINDOW terms
+    is no smaller than the median of the preceding block).  Every rule but
+    the float-range ones compares terms with each other, so multiplying all
+    terms by a positive constant changes none of their verdicts.
 
-    Otherwise inconclusive after n_max terms.  tol must be finite and
-    positive, n_max at least 1 (check_series_limits).
+    Otherwise inconclusive after n_max terms; no term past the n_max-th is
+    read.  tol must be finite and positive, n_max at least 1
+    (check_series_limits).
     """
     check_series_limits(tol, n_max)
     s = 0.0
     recent: deque = deque(maxlen=2 * max(CONVERGENCE_WINDOW, STALL_WINDOW))
     count = 0
-    for t in terms:
-        if count >= n_max:
-            break
-        if not math.isfinite(t):
-            return SeriesResult("diverged", s, count, note="term overflowed the float range")
-        s += t
-        count += 1
-        recent.append(t)
+    try:
+        for t in itertools.islice(terms, n_max):
+            if not math.isfinite(t):
+                return SeriesResult("diverged", s, count, note="term overflowed the float range")
+            s += t
+            count += 1
+            recent.append(t)
 
-        if t < tol * s and count >= 2 * CONVERGENCE_WINDOW:
-            last = list(itertools.islice(reversed(recent), 2 * CONVERGENCE_WINDOW))
-            newer = sum(last[:CONVERGENCE_WINDOW])
-            older = sum(last[CONVERGENCE_WINDOW:])
-            if all(v < tol * s for v in last[:CONVERGENCE_WINDOW]) and (
-                    newer < RATIO_CEILING ** CONVERGENCE_WINDOW * older
-                    or newer == older == 0):
-                big_r = newer / older if older > 0 else 0.0
-                tail_est = newer * big_r / (1.0 - big_r)
-                return SeriesResult("converged", s, count, tail_est,
-                                    big_r ** (1.0 / CONVERGENCE_WINDOW))
+            if t < tol * s and count >= 2 * CONVERGENCE_WINDOW:
+                last = list(itertools.islice(reversed(recent), 2 * CONVERGENCE_WINDOW))
+                newer = sum(last[:CONVERGENCE_WINDOW])
+                older = sum(last[CONVERGENCE_WINDOW:])
+                if all(v < tol * s for v in last[:CONVERGENCE_WINDOW]) and (
+                        newer < RATIO_CEILING ** CONVERGENCE_WINDOW * older
+                        or newer == older == 0):
+                    big_r = newer / older if older > 0 else 0.0
+                    tail_est = newer * big_r / (1.0 - big_r)
+                    return SeriesResult("converged", s, count, tail_est,
+                                        big_r ** (1.0 / CONVERGENCE_WINDOW))
 
-        if count % STALL_WINDOW == 0 and count >= 2 * STALL_WINDOW:
-            block = list(recent)[-2 * STALL_WINDOW:]
-            older = statistics.median(block[:STALL_WINDOW])
-            newer = statistics.median(block[STALL_WINDOW:])
-            if newer >= older and newer > 0:
-                return SeriesResult(
-                    "diverged", s, count,
-                    note=f"terms stopped decreasing over {STALL_WINDOW} consecutive terms")
+            if count % STALL_WINDOW == 0 and count >= 2 * STALL_WINDOW:
+                block = list(recent)[-2 * STALL_WINDOW:]
+                older = statistics.median(block[:STALL_WINDOW])
+                newer = statistics.median(block[STALL_WINDOW:])
+                if newer >= older and newer > 0:
+                    return SeriesResult(
+                        "diverged", s, count,
+                        note=f"terms stopped decreasing over {STALL_WINDOW} consecutive terms")
+    except RecurrenceOverflow:
+        return SeriesResult("diverged", math.inf, count,
+                            note="recurrence overflow: terms left the float range")
     return SeriesResult("inconclusive", s, count,
                         note=f"no verdict after {count} terms")
 
 
-def _overflow_as_divergence(terms: Iterable[float], table: PolyCache, tol: float,
-                            n_max: int) -> SeriesResult:
-    """sum_series over terms read from table, where a recurrence value that
-    leaves the float range reads as a diverged series after len(table.p)
-    terms."""
-    try:
-        return sum_series(terms, tol=tol, n_max=n_max)
-    except RecurrenceOverflow:
-        return SeriesResult("diverged", math.inf, len(table.p),
-                            note="recurrence overflow: terms left the float range")
+def alpha_sq_terms(k: int, ctx: DeficiencyContext) -> Iterator:
+    """Terms of the alpha_k(z)^2 series, in the arithmetic of ctx:
+    |g_{k-1}(n)|^2 for n >= k, where g_{k-1} solves the sqrt(d)-scaled
+    recurrence below anchor level k - 1 with g(k - 1) = 0, g(k) = 1 (g_{-1}
+    is the radial solution p_n).
 
-
-def alpha_sq_terms(k: int, cache: PolyCache) -> Iterator:
-    """Terms of the alpha_k(z)^2 series, in the arithmetic of the cache.
-
-    k = 0: |p_n|^2 for n >= 0.
-    k >= 1: lambda_{k-1}^2 |p_{k-1} q_n - q_{k-1} p_n|^2 for n >= k; in
-    floats, CoefficientOverflow where lambda_{k-1}^2 leaves the float range.
-
-    An exact cache yields each term as one Fraction, read from its rows
-    (T = t/t', |scale|**2 = |sigma|): |A_n t'_n / t_n|^2 / |sigma|^n and
-    lambda_{k-1}^2 |c|^2 / den^2 / |sigma|^(k+n-2) for (c, den) =
-    PolyCache._cross(k - 1, n).
+    Floats: read from the table of anchor level k - 1 at weights
+    (sqrt(d), sqrt(d)) (DeficiencyContext._float_levels), stepped as far as
+    the terms are read.  An exact ctx yields each term as one Fraction, read
+    from its rows (T = t/t', |scale|**2 = |sigma|): |A_n t'_n / t_n|^2 /
+    |sigma|^n and lambda_{k-1}^2 |c|^2 / den^2 / |sigma|^(k+n-2) for
+    (c, den) = PolyCache._cross(k - 1, n).
     """
-    if cache.exact:
-        yield from _exact_alpha_sq_terms(k, cache)
-    elif k == 0:
-        n = 0
-        while True:
-            cache.ensure(n)
-            yield abs2(cache.p[n])
-            n += 1
-    else:
-        cache.ensure(k)
-        try:
-            lam2 = cache.lam(k - 1) ** 2
-        except OverflowError:
-            raise CoefficientOverflow(f"lambda_{k - 1}^2 does not fit in a float") from None
-        pk, qk = cache.p[k - 1], cache.q[k - 1]
-        n = k
-        while True:
-            cache.ensure(n)
-            yield lam2 * abs2(pk * cache.q[n] - qk * cache.p[n])
-            n += 1
+    if ctx.exact:
+        yield from _exact_alpha_sq_terms(k, ctx)
+        return
+    for v in ctx._float_levels(k - 1, k, True):
+        yield v.real * v.real + v.imag * v.imag
 
 
 def _exact_alpha_sq_terms(k: int, cache: PolyCache) -> Iterator[Fraction]:
@@ -605,8 +583,8 @@ class AlphaTable:
 
 class DeficiencyContext(PolyCache):
     """The recurrence table at scale sqrt(d) and a non-real z, with the
-    degree d: the values every deficiency-space object reads, and their
-    norms alpha_k.  Every sqrt(d) table at a non-real z is one of these."""
+    degree d: the values every deficiency-space object reads, and their norms
+    alpha_k (in floats, from _float_levels).  Every such table is one of these."""
 
     def __init__(self, coeffs: CoefficientSequence, d: int, z):
         if as_complex(z).imag == 0:
@@ -614,7 +592,8 @@ class DeficiencyContext(PolyCache):
                 f"deficiency-space values need a non-real z, got {z}")
         super().__init__(coeffs, matching_sqrt(d, z), z)
         self.d = d
-        # float mode: anchor level k (-1 for the radial function) -> its level values
+        # float mode: (anchor level k, norm weights) -> [[x(k), x(k + 1), ...],
+        # down * lambda of the last step, z, up, down] (_float_levels)
         self._levels: dict = {}
 
     def f_zero(self, n: int):
@@ -623,7 +602,7 @@ class DeficiencyContext(PolyCache):
         read from row n and built without the gcd (unreduced).  Float: the
         table of anchor level -1 (_float_levels)."""
         if not self.exact:
-            return self._float_levels(-1, n, n)[0]
+            return self._float_table(-1, n)[n + 1]
         self.ensure(n)
         (re, im), _, (t, t_den), _ = self._rows[n][2]
         return unreduced(re * t_den, im * t_den, t * self.d ** n)
@@ -639,7 +618,7 @@ class DeficiencyContext(PolyCache):
         if n < k + 1:
             raise ValueError(f"anchored values start at level {k + 1}, got {n}")
         if not self.exact:
-            return self._float_levels(k, n, n)[0]
+            return self._float_table(k, n)[n - k]
         lam_k = self.lam(k)
         self.ensure(n)
         (re, im), den = self._cross(k, n)
@@ -648,43 +627,62 @@ class DeficiencyContext(PolyCache):
 
     def anchored_levels(self, k: int, n: int) -> list:
         """f_anchored(k, m) for m = k + 1..n, with the error of the first
-        level that fails; float values are read from the table in one call."""
+        level that fails; float values are one slice of the table."""
         if not self.exact:
-            return self._float_levels(k, k + 1, n)
+            return self._float_table(k, n)[1:n - k + 1]
         return [self.f_anchored(k, m) for m in range(k + 1, n + 1)]
 
-    def _float_levels(self, k: int, lo: int, n: int) -> list:
-        """Float values on levels lo..n below an anchor at level k, or of
-        the radial function for k = -1: the solution of the level equation
-        d lam_m f(m+1) = (z - beta_m) f(m) - lam_{m-1} f(m-1) from f(k) = 0,
-        f(k + 1) = 1, stepped from the anchor as far as it is read, so that
-        no value cancels as lam_k (p_k q_n - q_k p_n) does.  A step that
-        fails raises at each read that needs it; the levels above it are
-        still served."""
-        f = self._levels.setdefault(k, [1 + 0j])  # f(k + 1), f(k + 2), ...
-        if len(f) < n - k:
+    def _float_table(self, k: int, n: int) -> list:
+        """The value table [x(k), x(k + 1), ...] of _float_levels, held
+        through level n."""
+        table = self._levels.get((k, False))
+        if table is None or len(table[0]) <= n - k:
+            next(self._float_levels(k, n))
+        return self._levels[k, False][0]
+
+    def _float_levels(self, k: int, lo: int, norm: bool = False) -> Iterator[complex]:
+        """Yield the float values x(lo), x(lo + 1), ... below an anchor at
+        level k (k = -1: the radial function), of the solution of
+
+            up lam_m x(m+1) = (z - beta_m) x(m) - down lam_{m-1} x(m-1)
+
+        from x(k) = 0, x(k + 1) = 1.  Each (k, weights) has one table,
+        stepped from the anchor as far as any reader reads it, so that no
+        value cancels as lam_k (p_k q_n - q_k p_n) does.  Weights
+        (up, down) = (d, 1) give the deficiency values, (sqrt(d), sqrt(d))
+        (norm) the terms of their norm series (alpha_sq_terms).  Each step
+        carries down * lam_m to the next.  A step that fails raises at each
+        read that needs it; the levels above it are still served."""
+        table = self._levels.get((k, norm))
+        if table is None:
             _, z = _float_inputs(self.scale, self.z)
-            lam, beta = self.coeffs.lam, self.coeffs.beta
-            for m in range(k + len(f), n):  # from the last level held
+            up, down = (self.scale, self.scale) if norm else (self.d, 1)
+            table = self._levels[k, norm] = [[0j, 1 + 0j], 0, z, up, down]
+        x, _, z, up, down = table
+        lam, beta = self.coeffs.lam, self.coeffs.beta
+        for i in itertools.count(lo - k):
+            while len(x) <= i:  # step the table from the last level held
+                m = k + len(x) - 1
                 lam_m = lam(m)
                 if lam_m == 0:
                     raise CoefficientOverflow(f"lambda_{m} underflows to 0.0 in a float")
-                above = lam(m - 1) * f[-2] if len(f) > 1 else 0  # f(k) = 0
-                value = ((z - beta(m)) * f[-1] - above) / lam_m / self.d
+                value = ((z - beta(m)) * x[-1] - table[1] * x[-2]) / lam_m / up
                 if not cmath.isfinite(value):
-                    below = f" below anchor level {k}" if k >= 0 else ""
-                    raise RecurrenceOverflow(f"deficiency value at level {m + 1}{below} left "
-                                             "the float range; switch to exact mode or rescale")
-                f.append(value)
-        return f[lo - k - 1:n - k]
+                    name = f"solution anchored at level {k}" if k >= 0 else "radial solution"
+                    weights = "sqrt(d), sqrt(d)" if norm else "d, 1"
+                    raise RecurrenceOverflow(
+                        f"the {name} (weights {weights}) left the float range at level "
+                        f"{m + 1}; switch to exact mode or rescale")
+                x.append(value)
+                table[1] = down * lam_m
+            yield x[i]
 
     def alphas(self, k_max: int, tol: float = 1e-12, n_max: int = 100_000) -> AlphaTable:
         """alpha_k(z) for k = 0..k_max, with per-k series verdicts, summed
         over this table, which must be a float table."""
         if self.exact:
             raise ValueError("the alpha series are float series: read them from a float table")
-        runs = [_overflow_as_divergence(alpha_sq_terms(k, self), self, tol, n_max)
-                for k in range(k_max + 1)]
+        runs = [sum_series(alpha_sq_terms(k, self), tol, n_max) for k in range(k_max + 1)]
         totals = [r.partial_sum + r.tail_estimate for r in runs]
         statuses = [r.status for r in runs]
         overall = ("converged" if all(s == "converged" for s in statuses)

@@ -39,6 +39,16 @@ def test_parse_coeffs_families():
         parse_coeffs("geometric:1")
 
 
+@pytest.mark.parametrize("text, exponent", [("2", 2), ("-3", -3), ("0.5", 0.5), ("1e-3", 0.001),
+                                             ("2e0", 2.0), ("-1.5E+2", -150.0)])
+def test_power_exponent_is_int_only_for_an_integer_literal(text, exponent, capsys):
+    # only an int exponent has exact values
+    assert repr(parse_coeffs(f"power:1:{text}").params[1]) == repr(exponent)
+    code, out, err = run(["classify", "--coeffs", f"power:1:{text}"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["criterion"] is not None
+
+
 def test_parse_z():
     assert parse_z("0,1", "float") == 1j
     exact = parse_z("1/2,-1/3", "exact")
@@ -89,11 +99,13 @@ def test_explicit_overrun_is_validation_error(capsys):
     assert "2" in err  # names the failing index range
 
 
-def test_overflow_is_numeric_error_with_hint(capsys):
+def test_recurrence_overflow_is_numeric_error_without_hint(capsys):
+    # exact mode fails alike: p_n then leaves the float range when printed
     code, _, err = run(["polys", "--coeffs", "geometric:1:1/4",
                         "--z", "0,1", "--n", "3000"], capsys)
     assert code == 3
-    assert "exact" in err
+    assert err.startswith("numeric failure: recurrence value left the float range")
+    assert "hint:" not in err
 
 
 @pytest.mark.parametrize("command", ["polys", "oracle"])
@@ -109,10 +121,14 @@ def test_coefficient_overflow_is_numeric_error(command, capsys):
 @pytest.mark.parametrize("argv", [
     "poisson --coeffs power:1:-2000",
     "polys --coeffs power:1:-2000.5 --n 3",
+    "polys --coeffs power:1:-2000 --n 3",
+    "polys --coeffs geometric:1:1/4 --z 0,1 --n 3000",
+    "deficiency --coeffs power:1:-2000",
 ])
 def test_no_exact_hint_where_it_cannot_be_followed(argv, capsys):
     # poisson takes no --mode, and a non-integer power has no exact values:
-    # following the hint would exit 2
+    # following the hint would exit 2; on a lambda_n that underflows, or a
+    # recurrence that leaves the float range, exact mode exits 3 alike
     code, _, err = run(argv.split(), capsys)
     assert code == 3
     assert "hint" not in err and "--mode exact" not in err
@@ -188,23 +204,28 @@ def test_deep_float_deficiency_reads_past_the_recurrence_overflow(capsys):
     assert json.loads(out)["max_abs"] == pytest.approx(1.0, rel=1e-12)
 
 
-def test_poisson_names_a_squared_lambda_beyond_the_float_range(capsys):
-    # the alpha_513 series squares lambda_512 = 2^512 of the paper family
+def test_poisson_at_a_deep_vertex_sums_alpha_and_stops_on_the_budget(capsys):
+    # the alpha_601 series of the paper family sums past lambda_512 = 2^512,
+    # whose square is not a float; the depth-600 kernel is over the budget
     y = ".".join(["1"] * 600)
     code, _, err = run(["poisson", "--coeffs", "paper", "--y", y], capsys)
     assert code == 3
-    assert err == "numeric failure: lambda_512^2 does not fit in a float\n"
+    assert err.startswith("numeric failure: refinement to depth 600 needs ")
+    assert err.endswith(" entries, over the budget of 2000000\n")
 
 
 @pytest.mark.parametrize("mode", ["float", "exact"])
-def test_deficiency_alpha_overflow_hints_no_exact_mode(mode, capsys):
-    # the alpha series are float series in both modes, so exact mode
-    # fails alike: the alpha_513 series squares lambda_512 = 2^512
+def test_deficiency_sums_alpha_past_a_squared_lambda_beyond_the_float_range(mode, capsys):
+    # the alpha series are float series in both modes: the alpha_521
+    # series of the paper family steps past lambda_512 = 2^512
     anchor = ".".join(["1"] * 520)
-    code, _, err = run(["deficiency", "--coeffs", "paper", f"--anchor={anchor}",
-                        "--depth", "530", "--mode", mode], capsys)
-    assert code == 3
-    assert err == "numeric failure: lambda_512^2 does not fit in a float\n"
+    code, out, err = run(["deficiency", "--coeffs", "paper", f"--anchor={anchor}",
+                          "--depth", "530", "--materialize-depth", "521", "--mode", mode],
+                         capsys)
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["alpha_status"] == "converged"
+    assert (obj["max_abs"], obj["residual"]) == (1.0, 0.0)
 
 
 def _values(obj) -> dict:
@@ -314,9 +335,12 @@ def test_exact_floats_reduce_nothing(argv, reductions, capsys):
     assert max(bits) < 16
 
 
-def _tables_stepped(argv, monkeypatch, capsys) -> list:
-    """(exact, values yielded) for each recurrence table the run steps."""
-    stepped, real = [], orthopoly.poly_pairs
+def _tables_stepped(argv, monkeypatch, capsys) -> tuple:
+    """(exact, values yielded) for each recurrence table the run steps, and
+    (anchor level, norm weights, levels stepped) for each float level table
+    of the run's deficiency contexts, sorted."""
+    stepped, contexts, real = [], [], orthopoly.poly_pairs
+    made = DeficiencyContext.__init__
 
     def counting(coeffs, scale, z):
         # a generator: a table counts once it takes its first value
@@ -325,21 +349,34 @@ def _tables_stepped(argv, monkeypatch, capsys) -> list:
             stepped[-1][1] += 1
             yield item
 
+    def recorded(self, *args):
+        made(self, *args)
+        contexts.append(self)
+
     monkeypatch.setattr(orthopoly, "poly_pairs", counting)
+    monkeypatch.setattr(DeficiencyContext, "__init__", recorded)
     code, _, err = run(argv, capsys)
     assert code == 0, err
-    return [tuple(t) for t in stepped]
+    levels = sorted((k, norm, len(table[0]) - 2) for ctx in contexts
+                    for (k, norm), table in ctx._levels.items())
+    return [tuple(t) for t in stepped], levels
 
 
-@pytest.mark.parametrize("argv, tables", [
-    ("poisson --coeffs paper --z 0.3,1 --y 1.2", [(False, 49)]),
-    ("deficiency --z 0.3,1 --anchor 1 --depth 40", [(False, 49)]),
-    ("deficiency --mode exact --z 0,1 --anchor 1 --depth 10", [(True, 11), (False, 49)]),
+@pytest.mark.parametrize("argv, tables, levels", [
+    ("poisson --coeffs paper --z 0.3,1 --y 1.2", [],
+     [(-1, False, 2), (-1, True, 48), (0, False, 1), (0, True, 47), (1, False, 0),
+      (1, True, 45), (2, True, 45)]),
+    ("deficiency --z 0.3,1 --anchor 1 --depth 40", [],
+     [(-1, True, 48), (0, True, 47), (1, False, 38), (1, True, 45)]),
+    ("deficiency --mode exact --z 0,1 --anchor 1 --depth 10", [(True, 11)],
+     [(-1, True, 48), (0, True, 47), (1, True, 45)]),
 ])
-def test_a_session_steps_one_table_per_arithmetic(argv, tables, monkeypatch, capsys):
-    # the alpha series read the session's own table; exact mode sums them
-    # on one float table beside its exact one
-    assert _tables_stepped(argv.split(), monkeypatch, capsys) == tables
+def test_a_session_steps_one_table_per_arithmetic(argv, tables, levels, monkeypatch, capsys):
+    # a float session steps no p, q table: its values and its alpha series
+    # read one table per anchor level and weights, each held by one context
+    # and stepped once; exact mode sums the alpha series on a float context
+    # beside its exact table
+    assert _tables_stepped(argv.split(), monkeypatch, capsys) == (tables, levels)
 
 
 def test_poisson_artifact(capsys):

@@ -228,6 +228,31 @@ def test_sum_series_overflowing_term():
     assert res.status == "diverged"
 
 
+def _overflowing_after(n: int, pulls: list):
+    """Terms 1.0 counted in pulls, raising RecurrenceOverflow on pull n + 1."""
+    for _ in range(n):
+        pulls.append(1)
+        yield 1.0
+    pulls.append(1)
+    raise RecurrenceOverflow("recurrence value left the float range")
+
+
+def test_sum_series_reads_no_term_past_n_max():
+    # an overflow one term past n_max is never reached
+    pulls = []
+    res = sum_series(_overflowing_after(3, pulls), n_max=3)
+    assert len(pulls) == 3
+    assert (res.status, res.partial_sum, res.terms_used) == ("inconclusive", 3.0, 3)
+
+
+def test_sum_series_reads_a_recurrence_overflow_as_divergence():
+    pulls = []
+    res = sum_series(_overflowing_after(3, pulls), n_max=4)
+    assert len(pulls) == 4
+    assert (res.status, res.partial_sum, res.terms_used) == ("diverged", math.inf, 3)
+    assert res.note == "recurrence overflow: terms left the float range"
+
+
 def test_poly_cache_keeps_its_first_error():
     # lambda_1024 = 2**1024 of the paper family does not fit in a float
     cache = PolyCache(PAPER, math.sqrt(2), 1j)
@@ -585,10 +610,11 @@ def test_level_value_beyond_the_float_range_raises():
     # exact radial value at level 46 does not fit in a float either
     from treejacobi.deficiency import DeficiencyContext
     ctx = DeficiencyContext(CoefficientSequence.geometric(Fraction(1, 2), Fraction(1, 2)), 2, 1j)
-    with pytest.raises(RecurrenceOverflow, match="^deficiency value at level 46 left the float"):
+    with pytest.raises(RecurrenceOverflow, match=r"^the radial solution \(weights d, 1\) left "
+                                                 "the float range at level 46;"):
         ctx.f_zero(60)
-    with pytest.raises(RecurrenceOverflow, match="^deficiency value at level 47 below anchor "
-                                                 "level 5 left the float range"):
+    with pytest.raises(RecurrenceOverflow, match=r"^the solution anchored at level 5 \(weights "
+                                                 r"d, 1\) left the float range at level 47;"):
         ctx.anchored_levels(5, 60)
     assert len(ctx.anchored_levels(5, 46)) == 41
 
@@ -716,25 +742,36 @@ def test_late_anchor_float_values_match_exact_mode():
         assert abs(ctx.f_anchored(40, n) - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.xfail(strict=True, reason="the float alpha_k terms for k >= 1 cancel "
-                   "p_{k-1} q_n against q_{k-1} p_n: the alpha half of ROADMAP direction 8")
 def test_late_anchor_float_alpha_sums_match_exact_mode():
-    # 5.1389e17 in floats against 5.1241e17 exact (1.6e-7 off at k = 30)
+    # ROADMAP direction 8: the float terms lambda_{k-1}^2 |p_{k-1} q_n -
+    # q_{k-1} p_n|^2 cancelled here (5.1389e17 against 5.1241e17 exact)
     want = alpha_sq_partial(CONSTANT, 2, exact_complex(0, 1), 45, 60).to_complex()
     assert abs(alpha_sq_partial(CONSTANT, 2, 1j, 45, 60) - want) <= 1e-12 * abs(want)
 
 
-def test_alpha_terms_name_a_squared_lambda_beyond_the_float_range():
+def test_alpha_terms_past_a_squared_lambda_beyond_the_float_range_match_exact_mode():
     # lambda_512 = 2^512 of the paper family fits in a float, its square
-    # does not; the terms whose lambda^2 fits are unchanged
+    # does not; the float alpha_513 terms are stepped from the anchor and
+    # never square it
     from treejacobi.deficiency import DeficiencyContext
-    ctx = DeficiencyContext(PAPER, 2, 1j)
-    with pytest.raises(CoefficientOverflow, match=r"^lambda_512\^2 does not fit in a float$"):
-        next(alpha_sq_terms(513, ctx))
-    lam2 = PAPER.lam(511) * PAPER.lam(511)
-    terms = alpha_sq_terms(512, ctx)
-    for n in range(512, 520):
-        assert next(terms) == lam2 * abs2(ctx.p[511] * ctx.q[n] - ctx.q[511] * ctx.p[n])
+    floats = alpha_sq_terms(513, DeficiencyContext(PAPER, 2, 1j))
+    exact = alpha_sq_terms(513, DeficiencyContext(PAPER, 2, exact_complex(0, 1)))
+    for _ in range(6):
+        want = float(next(exact))
+        assert next(floats) == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=40)
+@given(coeffs=st.sampled_from(TABLE_FAMILIES), d=st.sampled_from([2, 3, 4]),
+       z=st.sampled_from(TABLE_ZS), k=st.integers(0, 60), n_terms=st.integers(1, 20))
+def test_float_alpha_partial_sums_match_exact_mode(coeffs, d, z, k, n_terms):
+    # wherever the exact partial sum fits in a float
+    try:
+        want = alpha_sq_partial(coeffs, d, z, k, n_terms).to_complex().real
+    except OverflowError:
+        return
+    got = alpha_sq_partial(coeffs, d, z.to_complex(), k, n_terms)
+    assert abs(got - want) <= 1e-12 * want
 
 
 def _csv_row(n, pv, qv):
@@ -878,13 +915,12 @@ def test_alpha_terms_match_deficiency_level_masses():
     # f-values produced by the deficiency module
     from treejacobi.deficiency import DeficiencyContext
     ctx = DeficiencyContext(PAPER, 2, 1j)
-    cache = PolyCache(PAPER, math.sqrt(2), 1j)
-    gen = alpha_sq_terms(0, cache)
+    gen = alpha_sq_terms(0, DeficiencyContext(PAPER, 2, 1j))
     for j in range(20):
         term = next(gen)
         mass = 2 ** j * abs(ctx.f_zero(j)) ** 2
         assert term == pytest.approx(mass, rel=1e-12)
-    gen = alpha_sq_terms(2, cache)
+    gen = alpha_sq_terms(2, DeficiencyContext(PAPER, 2, 1j))
     for offset in range(15):
         n = 2 + offset
         term = next(gen)
