@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .coefficients import CoefficientSequence
 from .deficiency import (DeficiencyContext, DeficiencyElement, _residual_and_max_abs,
-                         classify)
+                         classify, classify_by_series)
 from .errors import (CoefficientOverflow, ConvergenceFailure, DivergedSeries,
                      InconclusiveSeries, PatchTooLarge, RecurrenceOverflow,
                      TreeJacobiError)
@@ -203,6 +203,7 @@ def cmd_deficiency(args) -> int:
         "max_abs": peak,
         "depth": args.depth,
         "alpha_status": alpha.status,
+        "alpha_criterion": alpha.criterion,
         "alphas": alpha.alphas,
         "values": f.to_json_obj(),
     }
@@ -230,6 +231,7 @@ def cmd_poisson(args) -> int:
         "reproducing_residual_plain": check.residual_plain,
         "reproducing_residual_conjugated": check.residual_conjugated,
         "matching_convention": check.matching_convention,
+        "alpha_criterion": alpha.criterion,
     }
     emit(args, dump_json(obj))
     return EXIT_OK
@@ -290,7 +292,10 @@ def cmd_paper_example(args) -> int:
     with beta_0 = lam_0.  The unscaled matrix is essentially selfadjoint
     (p_n(0) alternates between +1 and -1, so its square series diverges)
     while the sqrt(2)-scaled radial matrix is not (both series converge
-    geometrically at z = i) — hence neither is the tree operator."""
+    geometrically at z = i) — hence neither is the tree operator.  Both
+    verdicts are the square series' own (classify_by_series), reproducing
+    the paper's computation, where classify would decide the family from
+    its parameters."""
     coeffs = CoefficientSequence.paper_example()
     checks = {}
 
@@ -302,7 +307,7 @@ def cmd_paper_example(args) -> int:
         "pass": bool(alternating), "n": n_alt,
         "detail": "p_n(0) = (-1)^n in exact arithmetic"}
 
-    scaled = classify(coeffs, 2, z=1j, tol=args.tol, n_max=args.n_max)
+    scaled = classify_by_series(coeffs, 2, z=1j, tol=args.tol, n_max=args.n_max)
     checks["scaled_series"] = {
         "pass": scaled.verdict == "not_essentially_selfadjoint",
         "series_p_status": scaled.series_p_status,
@@ -310,8 +315,8 @@ def cmd_paper_example(args) -> int:
         "verdict": scaled.verdict,
         "detail": "sqrt(2)-scaled matrix: both square series converge at z = i"}
 
-    classical = classify(coeffs, 2, z=0.0 + 0.0j, tol=args.tol,
-                         n_max=args.n_max, scale=1.0)
+    classical = classify_by_series(coeffs, 2, z=0.0 + 0.0j, tol=args.tol,
+                                   n_max=args.n_max, scale=1.0)
     checks["classical_series"] = {
         "pass": classical.verdict == "essentially_selfadjoint",
         "series_p_status": classical.series_p_status,

@@ -19,10 +19,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterator, Optional
 
 from .errors import (CoefficientIndexError, CoefficientOverflow,
                      ExactModeUnavailable, NonPositiveLambda, TreeJacobiError)
+from .exactnum import as_complex, is_exact
 
 _FIRST_BLOCK = 16  # the indices a table is made with
 
@@ -315,6 +317,111 @@ def _accessors(coeffs: CoefficientSequence, exact: bool):
     if exact:
         return coeffs.lam_exact, coeffs.beta_exact
     return coeffs.lam, coeffs.beta
+
+
+ESA, NOT_ESA = "essentially_selfadjoint", "not_essentially_selfadjoint"
+
+
+def _criterion(coeffs: CoefficientSequence, scale) -> Optional[tuple]:
+    """(criterion, verdict, hypotheses) of the theorem that decides the
+    matrix with off-diagonal scale * lambda_n from the family's exact
+    parameters, or None.
+
+    Multiplying the off-diagonal by a real nonzero scale changes neither
+    boundedness, nor whether sum 1/lambda_n diverges, nor log-concavity, so
+    the bounded, Carleman and Berezanskii criteria decide a `constant`,
+    `geometric` or `power` family at every such scale and every z.  A
+    `paper` family over one of them (beta_n = lambda_n + lambda_{n-1}) is
+    decided at a real scale s by the sign of s**2 - 1, taken exactly
+    (_side_of_one): at |s| = 1 by alternation, since p_n(0) = (-s)^n for
+    every lambda is not l^2; else by the bounded or Carleman criterion of
+    its base, or by Perron's theorem for a geometric base with ratio above
+    1 (_perron).  The series decide `explicit`, a paper family over a power
+    with exponent above 1 at |s| != 1 (its limit roots lie on the unit
+    circle), a non-real scale, and a family whose lambda_n are not all
+    positive and finite (the recurrence then reports the fault)."""
+    side = _side_of_one(scale)
+    paper = coeffs.family == "paper"
+    lams = coeffs.base if paper else coeffs
+    family = lams.family
+    if side is None or family not in ("constant", "geometric", "power"):
+        return None
+    base, shape = lams.params
+    if base <= 0 or (family == "geometric" and shape <= 0):
+        return None
+    law = {"constant": "", "geometric": f" * ({shape})^n", "power": f" * (n+1)^{shape}"}[family]
+    beta = ("lambda_n + lambda_{n-1}, beta_0 = lambda_0" if paper
+            else shape if family == "constant" else 0)
+    hypotheses = f"lambda_n = {base}{law}, beta_n = {beta}"
+    if paper and side == 0:
+        return ("alternation", ESA,
+                f"alternation: {hypotheses}, |s| = 1: p_n(0) = (-s)^n whatever lambda is, "
+                "so p(0) is not l^2")
+    if family == "power" and shape <= 1:
+        return ("carleman", ESA, f"Carleman: {hypotheses}, sum 1/lambda_n diverges")
+    if family == "constant" or shape <= 1:
+        return ("bounded", ESA,
+                f"bounded: {hypotheses}, both bounded, so the matrix is a bounded operator")
+    if not paper:
+        return ("berezanskii", NOT_ESA,
+                f"Berezanskii: {hypotheses}, lambda_n log-concave "
+                "(lambda_{n-1} lambda_{n+1} <= lambda_n^2), sum 1/lambda_n converges: "
+                "nontrivial deficiency spaces")
+    if family == "geometric":
+        return _perron(hypotheses, shape, abs(as_complex(scale).real), side)
+    return None
+
+
+def _side_of_one(scale) -> Optional[int]:
+    """The sign of scale**2 - 1 when scale is real, None otherwise, taken
+    exactly: an ExactComplex (re + i*im)*sqrt(m) with im = 0 squares to
+    re**2 * m (exact_sqrt(d) to d), and a rational or a float compares its
+    size with 1 as its exact value."""
+    if is_exact(scale):
+        if scale.im:
+            return None
+        size = scale.re ** 2 * scale.m
+    elif isinstance(scale, Rational):
+        size = abs(scale)
+    else:
+        value = complex(scale)
+        if value.imag:
+            return None
+        size = abs(value.real)
+    return (size > 1) - (size < 1)
+
+
+def _perron(hypotheses: str, r: Fraction, s: float, side: int) -> tuple:
+    """The verdict for a paper family over a geometric base with ratio
+    r > 1 at a real scale of size s, where side, the sign of s**2 - 1, is
+    not 0.
+
+    Dividing the recurrence by lambda_n, lambda_{n-1}/lambda_n -> 1/r and
+    beta_n/lambda_n -> 1 + 1/r give the limit equation
+    s x^2 + (1 + 1/r) x + s/r = 0, whose roots multiply to 1/r < 1.  By
+    the Schur-Cohn-Jury test both lie inside the unit circle exactly when
+    |s| > 1, and then every solution is l^2 (Perron): not ESA.  For |s| < 1
+    the roots are real with one outside the circle, so a solution grows
+    geometrically (Perron): ESA.  The root moduli in the hypotheses are
+    floats; the verdict reads only side."""
+    r_inv = float(1 / r)
+    b = 1 + r_inv
+    disc = b * b - 4 * s * s * r_inv
+    if disc < 0:  # complex conjugate roots, each of modulus sqrt(1/r)
+        big = small = math.sqrt(r_inv)
+    else:
+        big = (b + math.sqrt(disc)) / (2 * s)
+        small = r_inv / big
+    limits = (f"Perron: {hypotheses}; lambda_{{n-1}}/lambda_n -> 1/r and beta_n/lambda_n "
+              f"-> 1 + 1/r for r = {r}, so the limit equation s x^2 + (1 + 1/r) x + s/r = 0 "
+              f"has root moduli {big:.6g} and {small:.6g}")
+    if side > 0:
+        return ("perron", NOT_ESA,
+                f"{limits}, both inside the unit circle as |s| > 1 (Schur-Cohn-Jury): "
+                "every solution is l^2, nontrivial deficiency spaces")
+    return ("perron", ESA,
+            f"{limits}, one outside the unit circle as |s| < 1: a solution grows "
+            "geometrically, so the deficiency spaces are trivial")
 
 
 @dataclass(frozen=True)

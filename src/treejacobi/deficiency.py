@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coefficients import CoefficientSequence, TreeConfig
+from .coefficients import CoefficientSequence, TreeConfig, _criterion
 from .errors import CoefficientIndexError
 from .exactnum import as_complex, conj, is_exact, is_zero, matching_sqrt, sums_to_zero
 from .operator import JacobiOperator
@@ -286,7 +286,8 @@ class ClassificationReport:
     z: complex
     scale: float
     diagnostics: str = ""
-    criterion: Optional[str] = None  # "bounded" | "carleman" | "berezanskii"; None: the series decided
+    # "bounded" | "carleman" | "berezanskii" | "perron" | "alternation"; None: the series decided
+    criterion: Optional[str] = None
 
     def to_json_obj(self) -> dict:
         return {
@@ -301,37 +302,6 @@ class ClassificationReport:
         }
 
 
-def _criterion(coeffs: CoefficientSequence, scale) -> Optional[tuple]:
-    """(criterion, verdict, hypotheses) of the classical test that decides
-    the matrix with off-diagonal scale * lambda_n from the family's exact
-    parameters, or None.
-
-    Multiplying the off-diagonal by a real nonzero scale changes neither
-    boundedness, nor whether sum 1/lambda_n diverges, nor log-concavity, so
-    each rule holds for every such scale and every z.  The series decide
-    `paper`, `explicit`, a non-real scale, and a family whose lambda_n are
-    not all positive and finite (the recurrence then reports the fault)."""
-    family = coeffs.family
-    if family not in ("constant", "geometric", "power") or as_complex(scale).imag != 0:
-        return None
-    base, shape = coeffs.params
-    if base <= 0 or (family == "geometric" and shape <= 0):
-        return None
-    law = {"constant": "", "geometric": f" * ({shape})^n", "power": f" * (n+1)^{shape}"}[family]
-    beta = coeffs.params[1] if family == "constant" else 0
-    hypotheses = f"lambda_n = {base}{law}, beta_n = {beta}"
-    if family == "power" and shape <= 1:
-        return ("carleman", "essentially_selfadjoint",
-                f"Carleman: {hypotheses}, sum 1/lambda_n diverges")
-    if family == "constant" or shape <= 1:
-        return ("bounded", "essentially_selfadjoint",
-                f"bounded: {hypotheses}, both bounded, so the matrix is a bounded operator")
-    return ("berezanskii", "not_essentially_selfadjoint",
-            f"Berezanskii: {hypotheses}, lambda_n log-concave "
-            "(lambda_{n-1} lambda_{n+1} <= lambda_n^2), sum 1/lambda_n converges: "
-            "nontrivial deficiency spaces")
-
-
 def classify(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1e-12,
              n_max: int = 100_000, scale=None) -> ClassificationReport:
     """Essential-selfadjointness verdict for the scaled tridiagonal matrix
@@ -339,10 +309,12 @@ def classify(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1e-12,
 
     A `constant`, `geometric` or `power` family at a real scale is decided
     from its exact parameters by the bounded, Carleman or Berezanskii
-    criterion (_criterion), with no recurrence step: the report names the
-    criterion, its series statuses read "not_run" and terms_used is (0, 0).
-    Every other input goes to classify_by_series.  Both routes reject the
-    same tol, n_max, scale and z."""
+    criterion, and a `paper` family over one of them by alternation (|s| =
+    1), its base's criterion or Perron's theorem (_criterion), with no
+    recurrence step: the report names the criterion, its series statuses
+    read "not_run" and terms_used is (0, 0).  Every other input goes to
+    classify_by_series.  Both routes reject the same tol, n_max, scale and
+    z."""
     if scale is None:
         scale = matching_sqrt(d, z)
     check_series_limits(tol, n_max)

@@ -14,9 +14,9 @@ from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .coefficients import CoefficientSequence, _accessors
-from .errors import (CoefficientOverflow, ConvergenceFailure, RealSpectralParameter,
-                     RecurrenceOverflow)
+from .coefficients import ESA, NOT_ESA, CoefficientSequence, _accessors, _criterion
+from .errors import (CoefficientOverflow, ConvergenceFailure, DivergedSeries,
+                     InconclusiveSeries, RealSpectralParameter, RecurrenceOverflow)
 from .exactnum import (ExactComplex, as_complex, exact_complex, is_exact,
                        matching_sqrt, unreduced)
 
@@ -471,16 +471,16 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12,
     reported ratio is R**(1/CONVERGENCE_WINDOW) and the geometric tail is
     newer_block * R / (1 - R).
 
-    Diverged: a term leaves the float range, the terms raise
-    RecurrenceOverflow (partial_sum inf, after the terms summed before it),
-    or the terms stop decreasing (the median of the last STALL_WINDOW terms
-    is no smaller than the median of the preceding block).  Every rule but
-    the float-range ones compares terms with each other, so multiplying all
-    terms by a positive constant changes none of their verdicts.
+    Diverged: the terms stop decreasing (the median of the last
+    STALL_WINDOW terms is no smaller than the median of the preceding
+    block).  Both rules compare terms with each other, so multiplying all
+    terms by a positive constant changes neither verdict.
 
-    Otherwise inconclusive after n_max terms; no term past the n_max-th is
-    read.  tol must be finite and positive, n_max at least 1
-    (check_series_limits).
+    Otherwise inconclusive: a term leaves the float range, or the terms
+    raise RecurrenceOverflow, since a value past the float range says
+    nothing about the limit (partial_sum is the sum of the terms before it);
+    or n_max terms gave no verdict, and no term past the n_max-th is read.
+    tol must be finite and positive, n_max at least 1 (check_series_limits).
     """
     check_series_limits(tol, n_max)
     s = 0.0
@@ -489,7 +489,8 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12,
     try:
         for t in itertools.islice(terms, n_max):
             if not math.isfinite(t):
-                return SeriesResult("diverged", s, count, note="term overflowed the float range")
+                return SeriesResult("inconclusive", s, count,
+                                    note="term overflowed the float range")
             s += t
             count += 1
             recent.append(t)
@@ -515,7 +516,7 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12,
                         "diverged", s, count,
                         note=f"terms stopped decreasing over {STALL_WINDOW} consecutive terms")
     except RecurrenceOverflow:
-        return SeriesResult("diverged", math.inf, count,
+        return SeriesResult("inconclusive", s, count,
                             note="recurrence overflow: terms left the float range")
     return SeriesResult("inconclusive", s, count,
                         note=f"no verdict after {count} terms")
@@ -558,7 +559,9 @@ def _exact_alpha_sq_terms(k: int, cache: PolyCache) -> Iterator[Fraction]:
 
 @dataclass
 class AlphaTable:
-    """Norm coefficients alpha_0..alpha_K at a fixed non-real z."""
+    """Norm coefficients alpha_0..alpha_K at a fixed non-real z.  criterion
+    names the theorem that set every status (_criterion), None where each
+    status is its series verdict."""
 
     z: complex
     d: int
@@ -571,13 +574,23 @@ class AlphaTable:
     status: str
     tol: float
     n_max: int
+    criterion: Optional[str] = None
 
     def alpha(self, k: int) -> float:
-        from .errors import DivergedSeries, InconclusiveSeries
+        """alpha_k, refused unless its series converges to a finite sum: a
+        status set by a criterion can be "converged" where the float series
+        gave no value (alpha_sqs inf)."""
         if self.statuses[k] == "diverged":
             raise DivergedSeries(f"alpha_{k} series diverged at z = {self.z}")
         if self.statuses[k] != "converged":
             raise InconclusiveSeries(f"alpha_{k} series inconclusive at z = {self.z}")
+        if not math.isfinite(self.alpha_sqs[k]):
+            where = (f"alpha_{k} converges at z = {self.z} ({self.criterion}), "
+                     "but its float series gave no value")
+            if self.terms_used[k] >= self.n_max:
+                raise InconclusiveSeries(f"{where} within n_max = {self.n_max} terms")
+            raise RecurrenceOverflow(f"{where} in the float range after "
+                                     f"{self.terms_used[k]} terms")
         return self.alphas[k]
 
 
@@ -678,20 +691,37 @@ class DeficiencyContext(PolyCache):
             yield x[i]
 
     def alphas(self, k_max: int, tol: float = 1e-12, n_max: int = 100_000) -> AlphaTable:
-        """alpha_k(z) for k = 0..k_max, with per-k series verdicts, summed
-        over this table, which must be a float table."""
+        """alpha_k(z) for k = 0..k_max, with per-k verdicts, summed over this
+        table, which must be a float table.
+
+        Where the family's exact parameters decide the sqrt(d)-scaled matrix
+        (_criterion), they decide every alpha_k, since each series sums the
+        squares of a solution of that recurrence: ESA, every series diverges
+        and none is summed (terms_used 0, alpha_sqs inf); not ESA, every
+        series converges, and its value is the float sum, or inf in
+        alpha_sqs where the float series gives none.  Elsewhere each status
+        is its series verdict."""
         if self.exact:
             raise ValueError("the alpha series are float series: read them from a float table")
-        runs = [sum_series(alpha_sq_terms(k, self), tol, n_max) for k in range(k_max + 1)]
+        check_series_limits(tol, n_max)
+        _float_inputs(self.scale, self.z)
+        criterion, verdict, _ = _criterion(self.coeffs, self.scale) or (None, None, None)
+        if verdict == ESA:
+            runs = [SeriesResult("diverged", math.inf, 0) for _ in range(k_max + 1)]
+        else:
+            runs = [sum_series(alpha_sq_terms(k, self), tol, n_max) for k in range(k_max + 1)]
         totals = [r.partial_sum + r.tail_estimate for r in runs]
         statuses = [r.status for r in runs]
+        if verdict == NOT_ESA:
+            totals = [t if s == "converged" else math.inf for s, t in zip(statuses, totals)]
+            statuses = ["converged"] * len(runs)
         overall = ("converged" if all(s == "converged" for s in statuses)
                    else "diverged" if "diverged" in statuses else "inconclusive")
         return AlphaTable(as_complex(self.z), self.d, k_max,
-                          [math.sqrt(t) if s == "converged" else math.nan
+                          [math.sqrt(t) if s == "converged" and math.isfinite(t) else math.nan
                            for s, t in zip(statuses, totals)],
                           totals, statuses, [r.terms_used for r in runs],
-                          [r.tail_estimate for r in runs], overall, tol, n_max)
+                          [r.tail_estimate for r in runs], overall, tol, n_max, criterion)
 
 
 def alpha_series(coeffs: CoefficientSequence, d: int, z: complex, k_max: int,

@@ -16,7 +16,8 @@ from treejacobi.boundary import (bx_element, inner_boundary, integrate,
                                  StepFunction)
 from treejacobi.coefficients import CoefficientSequence, TreeConfig
 from treejacobi.deficiency import (DeficiencyContext, DeficiencyElement,
-                                   classify, element_max_abs, element_residual)
+                                   classify, classify_by_series, element_max_abs,
+                                   element_residual)
 from treejacobi.exactnum import exact_complex, exact_sqrt, is_zero
 from treejacobi.lambda_tree import (build_eigenpairs, dimension_audit,
                                     eigen_residual)
@@ -50,7 +51,7 @@ def test_criterion_1_worked_example_reproduction():
     table = compute_polys(PAPER, exact_complex(1), exact_complex(0), 200)
     alternation = all(table.p[n] == exact_complex((-1) ** n) for n in range(201))
 
-    scaled = classify(PAPER, 2, z=1j)
+    scaled = classify_by_series(PAPER, 2, z=1j)
     both_converged = (scaled.series_p_status == "converged"
                       and scaled.series_q_status == "converged")
     from treejacobi.oracle import series_oracle
@@ -59,15 +60,19 @@ def test_criterion_1_worked_example_reproduction():
         terms[n + 8] <= 0.9 * terms[n] + 1e-300
         for terms in (p_terms, q_terms) for n in range(8, 70))
 
-    classical = classify(PAPER, 2, z=0j, scale=1.0)
+    classical = classify_by_series(PAPER, 2, z=0j, scale=1.0)
     verdicts = (classical.verdict == "essentially_selfadjoint"
                 and scaled.verdict == "not_essentially_selfadjoint")
+    # the criterion gives both verdicts from the family's parameters
+    criteria = ((classify(PAPER, 2, z=1j).verdict, classify(PAPER, 2, z=0j, scale=1.0).verdict)
+                == (scaled.verdict, classical.verdict))
     elapsed = time.perf_counter() - start
     ok = alternation and both_converged and geometric_decay and verdicts \
-        and elapsed < 5.0
+        and criteria and elapsed < 5.0
     report(1, "worked-example reproduction", ok,
            f"alternation={alternation} converged={both_converged} "
-           f"decay={geometric_decay} verdicts={verdicts} time={elapsed:.2f}s")
+           f"decay={geometric_decay} verdicts={verdicts} criteria={criteria} "
+           f"time={elapsed:.2f}s")
 
 
 def test_criterion_2_wronskian_identity():

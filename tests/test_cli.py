@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treejacobi
-from treejacobi.cli import main, parse_coeffs, parse_z, ValidationError
+from treejacobi.cli import ValidationError, dump_json, main, parse_coeffs, parse_z
 from treejacobi import orthopoly
 from treejacobi.orthopoly import DeficiencyContext, PolyCache
 
@@ -85,11 +85,46 @@ def test_classify_verdict_json(capsys):
     assert obj["verdict"] == "not_essentially_selfadjoint"
 
 
+@pytest.mark.parametrize("argv, criterion, verdict", [
+    ("--d 2", "perron", "not_essentially_selfadjoint"),
+    ("--d 3", "perron", "not_essentially_selfadjoint"),
+    ("--d 2 --scale 1", "alternation", "essentially_selfadjoint"),
+    ("--d 2 --scale 1/2", "perron", "essentially_selfadjoint"),
+])
+def test_classify_paper_by_its_criterion(argv, criterion, verdict, capsys):
+    code, out, _ = run(["classify", "--coeffs", "paper"] + argv.split(), capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["criterion"], obj["verdict"], obj["terms_used"]) == (criterion, verdict, [0, 0])
+
+
+@pytest.mark.parametrize("coeffs, criterion, status", [
+    ("paper", "perron", "converged"), ("constant:1", "bounded", "diverged"),
+    ("geometric:1:3/2", "berezanskii", "converged"),
+])
+def test_alpha_criterion_printed(coeffs, criterion, status, capsys):
+    code, out, _ = run(["deficiency", "--coeffs", coeffs, "--depth", "4"], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["alpha_criterion"], obj["alpha_status"]) == (criterion, status)
+    code, out, _ = run(["poisson", "--coeffs", coeffs], capsys)
+    if status == "converged":
+        assert code == 0 and json.loads(out)["alpha_criterion"] == criterion
+    else:  # the kernel needs every alpha_k
+        assert code == 3
+
+
 def test_classify_strict_inconclusive_exit_code(capsys):
-    code, out, _ = run(["classify", "--coeffs", "paper", "--d", "2",
+    # an explicit list reaches the series, which five terms cannot decide
+    code, out, _ = run(["classify", "--coeffs", "explicit:1,2,4,8,16,32,64,128", "--d", "2",
                         "--n-max", "5", "--strict"], capsys)
     assert code == 4
     assert json.loads(out)["verdict"] == "inconclusive"
+    # the paper family is decided from its parameters whatever the budget
+    code, out, _ = run(["classify", "--coeffs", "paper", "--d", "2",
+                        "--n-max", "5", "--strict"], capsys)
+    assert code == 0
+    assert json.loads(out)["criterion"] == "perron"
 
 
 def test_explicit_overrun_is_validation_error(capsys):
@@ -314,10 +349,12 @@ def test_deficiency_exact_mode_matches_float(capsys):
 ])
 def test_deep_exact_deficiency_stdout_is_frozen(argv, digest, capsys):
     # SHA-256 of the stdout that reduced every value to lowest terms before
-    # printing its float
+    # printing its float, which had no alpha_criterion key
     code, out, err = run(argv.split(), capsys)
     assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    obj = json.loads(out)
+    assert obj.pop("alpha_criterion") == "perron"
+    assert hashlib.sha256(dump_json(obj).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

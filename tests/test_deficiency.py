@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treejacobi.coefficients import CoefficientSequence, TreeConfig
+from treejacobi.coefficients import CoefficientSequence, TreeConfig, _criterion
 from treejacobi import orthopoly
 from treejacobi.deficiency import (BasisFunction, DeficiencyContext,
                                    DeficiencyElement, _Profile, classify, classify_by_series,
                                    deficiency_residual, element_max_abs,
                                    element_residual, f_value, project_full,
                                    project_onto_Ax)
-from treejacobi.errors import NotInSubtree, PatchTooLarge, RealSpectralParameter
+from treejacobi.errors import (InconclusiveSeries, NotInSubtree, PatchTooLarge,
+                               RealSpectralParameter, RecurrenceOverflow)
 from treejacobi.exactnum import as_complex, exact_complex, exact_sqrt, is_exact, is_zero
 from treejacobi.operator import JacobiOperator
 from treejacobi.orthopoly import alpha_series, alpha_sq_partial
@@ -275,6 +276,9 @@ def test_pairwise_orthogonality_float():
 
 def test_classify_paper_not_esa():
     rep = classify(PAPER, 2)
+    assert (rep.verdict, rep.criterion) == ("not_essentially_selfadjoint", "perron")
+    assert rep.series_p_status == rep.series_q_status == "not_run"
+    rep = classify_by_series(PAPER, 2)
     assert rep.verdict == "not_essentially_selfadjoint"
     assert rep.series_p_status == rep.series_q_status == "converged"
 
@@ -319,9 +323,11 @@ def test_classify_accepts_exact_scale():
 
 
 def test_classify_inconclusive_small_budget():
-    rep = classify(PAPER, 2, n_max=5)
+    rep = classify_by_series(PAPER, 2, n_max=5)
     assert rep.verdict == "inconclusive"
     assert "n_max" in rep.diagnostics
+    # the criterion needs no budget
+    assert classify(PAPER, 2, n_max=5).criterion == "perron"
 
 
 def test_classify_json_round_trip():
@@ -397,15 +403,18 @@ def test_series_verdict_ignores_the_scale(c, paper, d):
             == classify_by_series(family(1), d).verdict == "not_essentially_selfadjoint")
 
 
-@pytest.mark.xfail(strict=True, reason="a term that overflows the float range counts as "
-                   "divergence whatever the scale; the float recurrence that does not "
-                   "overflow is ROADMAP direction 1")
 @pytest.mark.parametrize("coeffs", [
     CoefficientSequence.power(Fraction(1, 10 ** 6), 2),
     CoefficientSequence.geometric(Fraction(1, 2 ** 20), Fraction(5, 4)),
 ], ids=["power:1/1000000:2", "geometric:2^-20:5/4"])
 def test_series_verdict_on_small_berezanskii_families(coeffs):
-    assert classify_by_series(coeffs, 2).verdict != "essentially_selfadjoint"
+    # the squared terms leave the float range before they decay, which
+    # decides no limit; the criterion decides the family
+    rep = classify_by_series(coeffs, 2)
+    assert rep.verdict == "inconclusive"
+    assert "float range" in rep.diagnostics
+    rep = classify(coeffs, 2)
+    assert (rep.verdict, rep.criterion) == ("not_essentially_selfadjoint", "berezanskii")
 
 
 @pytest.mark.parametrize("coeffs", [CoefficientSequence.constant(1),
@@ -421,6 +430,99 @@ def test_classify_rejects_what_the_series_rejects(coeffs, kwargs):
         classify_by_series(coeffs, 2, **kwargs)
     with pytest.raises(ValueError):
         classify(coeffs, 2, **kwargs)
+
+
+def test_a_decided_family_reads_no_coefficient(monkeypatch):
+    def refuse(self, n):
+        raise AssertionError(f"coefficient {n} read")
+
+    for name in ("lam", "beta", "lam_exact", "beta_exact"):
+        monkeypatch.setattr(CoefficientSequence, name, refuse)
+    for d in (2, 3):
+        assert classify(PAPER, d).criterion == "perron"
+        assert classify(PAPER, d, z=EXACT_I).criterion == "perron"
+    assert classify(PAPER, 2, scale=1.0).criterion == "alternation"
+    for coeffs in (CoefficientSequence.constant(1), CoefficientSequence.geometric(1, 1),
+                   CoefficientSequence.geometric(2, Fraction(1, 2)),
+                   CoefficientSequence.power(1, 1), CoefficientSequence.power(3, 0.5)):
+        assert classify(coeffs, 2).criterion in ("bounded", "carleman")
+        table = alpha_series(coeffs, 3, 0.5 + 1j, 3)
+        assert table.statuses == ["diverged"] * 4 and table.terms_used == [0] * 4
+
+
+def test_series_statuses_name_no_criterion():
+    # a paper family over a power with exponent above 1 goes to the series
+    coeffs = CoefficientSequence.paper_example(CoefficientSequence.power(1, 2))
+    assert classify(coeffs, 2).criterion is None
+    assert alpha_series(coeffs, 2, 1j, 1, n_max=2000).criterion is None
+
+
+def test_a_converged_alpha_past_the_float_range_has_no_value():
+    # Berezanskii decides the family; its float terms leave the float range
+    # after 66-67 terms, and the sum is past what a float holds
+    table = alpha_series(CoefficientSequence.geometric(Fraction(1, 1000), Fraction(21, 20)),
+                         3, 1.664 + 0.957j, 2)
+    assert table.criterion == "berezanskii" and table.status == "converged"
+    assert table.statuses == ["converged"] * 3 and table.alpha_sqs == [math.inf] * 3
+    assert all(map(math.isnan, table.alphas))
+    with pytest.raises(RecurrenceOverflow, match="float range"):
+        table.alpha(0)
+    # a budget that runs out is no float-range fault
+    table = alpha_series(PAPER, 2, 1j, 1, n_max=5)
+    assert table.statuses == ["converged"] * 2 and table.alpha_sqs == [math.inf] * 2
+    with pytest.raises(InconclusiveSeries, match="n_max = 5"):
+        table.alpha(1)
+
+
+# families that a criterion decides at every scale sqrt(d)
+DECIDED_FAMILIES = [
+    CoefficientSequence.constant(1), CoefficientSequence.constant(2, -1),
+    CoefficientSequence.geometric(1, Fraction(1, 2)), CoefficientSequence.geometric(3, 1),
+    CoefficientSequence.power(1, 1), CoefficientSequence.power(2, 0.5),
+    CoefficientSequence.geometric(1, Fraction(3, 2)), CoefficientSequence.geometric(2, 3),
+    CoefficientSequence.power(1, 2), PAPER,
+    CoefficientSequence.paper_example(CoefficientSequence.geometric(Fraction(1, 2), 3)),
+    CoefficientSequence.paper_example(CoefficientSequence.constant(1)),
+    CoefficientSequence.paper_example(CoefficientSequence.power(1, 1)),
+]
+NONREAL_Z = st.builds(complex, st.floats(-3, 3),
+                      st.floats(0.2, 3) | st.floats(-3, -0.2))
+
+
+@settings(max_examples=40)
+@given(coeffs=st.sampled_from(DECIDED_FAMILIES), d=st.integers(2, 4), z=NONREAL_Z,
+       k_max=st.integers(0, 2))
+def test_alpha_statuses_follow_the_criterion(coeffs, d, z, k_max):
+    rep = classify(coeffs, d, z=z)
+    table = alpha_series(coeffs, d, z, k_max, n_max=2000)  # a power law decays slowly
+    assert table.criterion == rep.criterion is not None
+    expected = "diverged" if rep.verdict == "essentially_selfadjoint" else "converged"
+    assert table.statuses == [expected] * (k_max + 1)
+
+
+_GROWING_BASES = [CoefficientSequence.geometric(1, 2), CoefficientSequence.geometric(2, 3),
+                  CoefficientSequence.geometric(Fraction(1, 2), Fraction(5, 4))]
+_OTHER_BASES = [CoefficientSequence.geometric(1, Fraction(1, 2)),
+                CoefficientSequence.geometric(2, 1), CoefficientSequence.constant(1),
+                CoefficientSequence.constant(3), CoefficientSequence.power(1, 1),
+                CoefficientSequence.power(1, 2)]
+# (lambda family, real scale): Perron at |s| != 1, alternation at |s| = 1
+PAPER_RULE_CASES = (
+    st.tuples(st.sampled_from(_GROWING_BASES),
+              st.sampled_from([0.5, -0.8, 1.25, math.sqrt(2), -2.0, Fraction(3, 2)]))
+    | st.tuples(st.sampled_from(_GROWING_BASES + _OTHER_BASES),
+                st.sampled_from([1.0, -1.0, 1, Fraction(-1)])))
+
+
+@settings(max_examples=40)
+@given(case=PAPER_RULE_CASES, z=NONREAL_Z)
+def test_paper_rules_never_contradict_a_series_verdict(case, z):
+    base, scale = case
+    coeffs = CoefficientSequence.paper_example(base)
+    criterion, verdict, _ = _criterion(coeffs, scale)
+    assert criterion == ("alternation" if abs(scale) == 1 else "perron")
+    assert classify_by_series(coeffs, 2, z=z, scale=scale, n_max=4000).verdict in (
+        verdict, "inconclusive")
 
 
 # -- projections ------------------------------------------------------------

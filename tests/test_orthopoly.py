@@ -225,7 +225,8 @@ def test_sum_series_inconclusive():
 
 def test_sum_series_overflowing_term():
     res = sum_series(iter([1.0, float("inf")]))
-    assert res.status == "diverged"
+    assert (res.status, res.partial_sum, res.terms_used) == ("inconclusive", 1.0, 1)
+    assert res.note == "term overflowed the float range"
 
 
 def _overflowing_after(n: int, pulls: list):
@@ -245,11 +246,11 @@ def test_sum_series_reads_no_term_past_n_max():
     assert (res.status, res.partial_sum, res.terms_used) == ("inconclusive", 3.0, 3)
 
 
-def test_sum_series_reads_a_recurrence_overflow_as_divergence():
+def test_sum_series_reads_a_recurrence_overflow_as_inconclusive():
     pulls = []
     res = sum_series(_overflowing_after(3, pulls), n_max=4)
     assert len(pulls) == 4
-    assert (res.status, res.partial_sum, res.terms_used) == ("diverged", math.inf, 3)
+    assert (res.status, res.partial_sum, res.terms_used) == ("inconclusive", 3.0, 3)
     assert res.note == "recurrence overflow: terms left the float range"
 
 
