@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coefficients import CoefficientSequence, TreeConfig, _criterion
 from .errors import CoefficientIndexError
@@ -341,17 +341,14 @@ def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1
         scale = matching_sqrt(d, z)
     cache = PolyCache(coeffs, scale, z)
 
-    def terms(values: list):
-        n = 0
-        while True:
-            cache.ensure(n)
-            a = float(abs(as_complex(values[n])))
+    def terms(values: Iterator):
+        for v in values:
+            a = float(abs(as_complex(v)))
             yield a * a
-            n += 1
 
     try:
-        res_p = sum_series(terms(cache.p), tol, n_max)
-        res_q = sum_series(terms(cache.q), tol, n_max)
+        res_p = sum_series(terms(cache.values()), tol, n_max)
+        res_q = sum_series(terms(cache.values(True)), tol, n_max)
     except CoefficientIndexError:  # only an explicit list ends
         entries = min(len(coeffs.lams), len(coeffs.betas))
         raise CoefficientIndexError(

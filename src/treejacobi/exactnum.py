@@ -257,16 +257,11 @@ def matching_sqrt(d: int, *values):
     return exact_sqrt(d) if any(map(is_exact, values)) else math.sqrt(d)
 
 
-def root_power(root, d: int, k: int):
-    """d**(k/2) in the arithmetic of root, the square root of d as a float or
-    as exact_sqrt(d): the integer d**(k // 2), times root when k is odd."""
-    whole = d ** (k // 2)
-    return whole * root if k % 2 else whole
-
-
 def half_power(d: int, k: int) -> ExactComplex:
-    """Exact d**(k/2) for integers d >= 1, k >= 0."""
-    return exact_complex(1) * root_power(exact_sqrt(d), d, k)
+    """Exact d**(k/2) for integers d >= 1, k >= 0: the integer d**(k // 2),
+    times exact_sqrt(d) when k is odd."""
+    whole = exact_complex(d ** (k // 2))
+    return whole * exact_sqrt(d) if k % 2 else whole
 
 
 def is_exact(value) -> bool:

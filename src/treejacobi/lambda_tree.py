@@ -3,13 +3,14 @@ essential-selfadjointness certificate, finitely supported eigenfunctions
 from polynomial roots, dimension counts, and spectrum enumeration."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List
 
 from .coefficients import CoefficientSequence, TreeConfig
-from .exactnum import as_complex, matching_sqrt, root_power
+from .errors import RecurrenceOverflow
+from .exactnum import as_complex, matching_sqrt, unreduced
 from .operator import JacobiOperator
 from .orthopoly import DeficiencyContext, PolyCache, poly_roots
 from .treecore import LambdaPatch, SparseFunction, subtree_vertices
@@ -18,16 +19,18 @@ from .treecore import LambdaPatch, SparseFunction, subtree_vertices
 def radial_propagate(v0, z, k_max: int, coeffs: CoefficientSequence,
                      d: int) -> List:
     """Level values of the radial solution below one vertex: the value on
-    level k is d^(k/2) * p_k(z) * v0 (scaled recurrence).
+    level k is d^(k/2) * p_k(z) * v0: the float solution at weights (1, d)
+    (PolyCache._solution), or A_k / T_k from the exact rows (_monic).
 
     Any square-summable solution of the eigenvalue equation restricted to
     the subtree under a vertex is forced into this form."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    root = matching_sqrt(d, z, v0)
-    cache = PolyCache(coeffs, root, z)
+    cache = PolyCache(coeffs, matching_sqrt(d, z, v0), z)
+    if not cache.exact:
+        return [v * v0 for v in cache._held(-1, (1, d), k_max)[1:k_max + 2]]
     cache.ensure(k_max)
-    return [root_power(root, d, k) * cache.p[k] * v0 for k in range(k_max + 1)]
+    return [unreduced(*cache._monic(k)) * v0 for k in range(k_max + 1)]
 
 
 @dataclass
@@ -44,28 +47,23 @@ class EsaCertificate:
                 "all_nonzero": self.all_nonzero}
 
 
-def _level_mass(d: int, k: int, a: float) -> float:
-    """d^k * a^2, or inf past the float range."""
-    try:
-        return d ** k * a ** 2
-    except OverflowError:  # d^k or a^2 alone is past the float range
-        try:
-            return float(d ** k * Fraction(a) ** 2)
-        except OverflowError:
-            return math.inf
-
-
 def esa_certificate(coeffs: CoefficientSequence, d: int, z,
                     k_max: int) -> EsaCertificate:
     """Evidence that the one-ended operator has no square-summable
     eigenvalue-equation solution at non-real z: every p_k(z) is nonzero
     (all roots are real), so any solution is a nonzero multiple of the
     radial profile on each subtree — and each level of the tree has
-    infinitely many vertices carrying that mass."""
+    infinitely many vertices carrying that mass.  The masses are the
+    squared radial level values (radial_propagate), inf from the level
+    where that value leaves the float range."""
     ctx = DeficiencyContext(coeffs, d, as_complex(z))
-    ctx.ensure(k_max)
-    abs_p = [abs(ctx.p[k]) for k in range(k_max + 1)]
-    masses = [_level_mass(d, k, abs_p[k]) for k in range(k_max + 1)]
+    abs_p = [abs(v) for v in ctx._held(-1, ctx._weights, k_max)[1:k_max + 2]]
+    masses: List[float] = []
+    try:
+        for v in itertools.islice(ctx._solution(-1, (1, d), 0), k_max + 1):
+            masses.append(v.real * v.real + v.imag * v.imag)
+    except RecurrenceOverflow:
+        masses += [math.inf] * (k_max + 1 - len(masses))
     return EsaCertificate(ctx.z, k_max, min(abs_p), masses,
                           all(a > 0 for a in abs_p))
 

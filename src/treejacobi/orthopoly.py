@@ -44,61 +44,28 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     Runs in exact arithmetic when scale or z is an ExactComplex; the other
     must then be exact too (an int, a Fraction or an ExactComplex), z a
     Gaussian rational and scale**2 a nonzero rational (see
-    _IntegerRecurrence).  In float mode z and scale must be finite; scale
-    must be nonzero, and an off-diagonal entry that underflows to 0.0
-    raises CoefficientOverflow.  Each step fetches lambda_n and beta_n once.
+    _IntegerRecurrence).  In float mode z and scale must be finite and
+    scale nonzero, and the values are read from a PolyCache of their own
+    (PolyCache._solution, the one float stepper).
     """
     if _wants_exact(scale, z):
         yield from _IntegerRecurrence(coeffs, scale, z).pairs()
+    else:
+        yield from PolyCache(coeffs, scale, z)._float_pairs(0)
+
+
+def check_recurrence_inputs(coeffs: CoefficientSequence, scale, z) -> None:
+    """Raise the ValueError that PolyCache(coeffs, scale, z) raises when it
+    is made (floats: scale and z finite, scale nonzero) or first extended
+    (exact), without running a step."""
+    if _wants_exact(scale, z):
+        _IntegerRecurrence(coeffs, scale, z)
         return
-    scale, z = _float_inputs(scale, z)
-    one, zero = complex(1), complex(0)
-    lam, beta = _accessors(coeffs, False)
-
-    p_prev, p_cur = zero, one
-    q_prev, q_cur = zero, zero
-    n = 0
-    while True:
-        yield n, p_cur, q_cur, None
-        shift = z - beta(n)
-        lam_n = lam(n)
-        off_n = scale * lam_n
-        if off_n == 0:
-            raise CoefficientOverflow(f"scale * lambda_{n} underflows to 0.0 in a float")
-        if n == 0:
-            p_next = shift / off_n
-            q_next = one / lam_n
-        else:
-            p_next = (shift * p_cur - off_prev * p_prev) / off_n
-            q_next = (shift * q_cur - off_prev * q_prev) / off_n
-        if not (cmath.isfinite(p_next) and cmath.isfinite(q_next)):
-            raise RecurrenceOverflow(
-                f"recurrence value left the float range at index {n + 1}; "
-                "switch to exact mode or rescale")
-        p_prev, p_cur = p_cur, p_next
-        q_prev, q_cur = q_cur, q_next
-        off_prev = off_n
-        n += 1
-
-
-def _float_inputs(scale, z) -> tuple:
-    """scale and z as complex numbers, after checking that both are finite
-    and scale is nonzero."""
     scale, z = complex(scale), complex(z)
     if not (cmath.isfinite(scale) and cmath.isfinite(z)):
         raise ValueError(f"scale and z must be finite, got scale={scale}, z={z}")
     if scale == 0:
         raise ValueError("scale must be nonzero")
-    return scale, z
-
-
-def check_recurrence_inputs(coeffs: CoefficientSequence, scale, z) -> None:
-    """Raise the ValueError that poly_pairs(coeffs, scale, z) raises on its
-    first value, without running a step."""
-    if _wants_exact(scale, z):
-        _IntegerRecurrence(coeffs, scale, z)
-    else:
-        _float_inputs(scale, z)
 
 
 def _exact_number(value) -> ExactComplex:
@@ -285,16 +252,15 @@ def _casoratian_steps(sigma: Fraction, lam_prev: Fraction, lam_n: Fraction, prev
 class PolyCache:
     """The table of p_n(z), q_n(z) at off-diagonal scale * lambda_n,
     extended on demand; every reader of the recurrence reads one, and only
-    this class steps poly_pairs.
+    this class steps it.
 
     The arithmetic is fixed here, from the types of scale and z, and so is
-    `lam`, the lambda accessor of that arithmetic.  An exact table also
-    keeps each integer row with the two values it built from it, for
-    wronskian_residual.  Its values are not in lowest terms: exact
-    arithmetic on p[n] or q[n] reduces only its result, and as_complex
-    (to_csv) reads it without a gcd.  The exact
-    readers of the deficiency values (DeficiencyContext.f_zero, f_anchored
-    and alpha_sq_terms) compute from the rows.  Once the recurrence fails,
+    `lam`, the lambda accessor of that arithmetic.  An exact table reads
+    poly_pairs and keeps each integer row with the two values it built from
+    it, for wronskian_residual and the exact readers.  Its values are not in
+    lowest terms: exact arithmetic on p[n] or q[n] reduces only its result,
+    and as_complex (to_csv) reads it without a gcd.  Every float value is
+    read from the one float stepper (_solution).  Once the recurrence fails,
     every later extension past the last index held raises that same error;
     the indices held are still served, so readers can share one table."""
 
@@ -302,11 +268,19 @@ class PolyCache:
         self.coeffs, self.scale, self.z = coeffs, scale, z
         self.exact = _wants_exact(scale, z)
         self.lam, _ = _accessors(coeffs, self.exact)
-        self._gen = poly_pairs(coeffs, scale, z)
         self._error: Optional[Exception] = None
         self.p: list = []
         self.q: list = []
-        self._rows: list = []  # exact mode: (p_n, q_n, (A_n, B_n, T_n, W_n)) as built
+        self._rows: list = []  # exact: (p_n, q_n, (A_n, B_n, T_n, W_n)) as built
+        self._coeff_rows: list = []  # float: (z - beta_m, lambda_m), read by every table
+        self._solutions: dict = {}  # float: (k, weights) -> [x values, carry, first error]
+        if self.exact:
+            self._gen = poly_pairs(coeffs, scale, z)
+            return
+        check_recurrence_inputs(coeffs, scale, z)
+        scale, self._z = complex(scale), complex(z)
+        scale = scale.real if scale.imag == 0 else scale
+        self._weights = (scale, scale)
 
     @property
     def N(self) -> int:
@@ -318,9 +292,10 @@ class PolyCache:
             return
         if self._error is not None:
             raise self._error
+        pairs = self._gen if self.exact else self._float_pairs(len(self.p))
         try:
             while len(self.p) <= n:
-                _, pv, qv, row = next(self._gen)
+                _, pv, qv, row = next(pairs)
                 self.p.append(pv)
                 self.q.append(qv)
                 if row is not None:
@@ -328,6 +303,89 @@ class PolyCache:
         except Exception as exc:
             self._error = exc
             raise
+
+    def values(self, q: bool = False, lo: int = 0) -> Iterator:
+        """Yield p_n, or q_n when q, for n >= lo, extending the table as they
+        are read; a float table steps only the solution it reads: x(n) from
+        level -1 for p_n, x(n) / lambda_0 from level 0 for q_n (_solution)."""
+        if self.exact:
+            held = self.q if q else self.p
+            for n in itertools.count(lo):
+                self.ensure(n)
+                yield held[n]
+        values = self._solution(int(q) - 1, self._weights, lo)
+        if q:
+            lam_0 = self.lam(0)
+            values = (v / lam_0 for v in values)
+        yield from values
+
+    def _float_pairs(self, lo: int) -> Iterator[tuple]:
+        """(n, p_n, q_n, None) for n >= lo of a float table, made per read
+        so that the cache holds no generator that holds the cache."""
+        return zip(itertools.count(lo), self.values(False, lo), self.values(True, lo),
+                   itertools.repeat(None))
+
+    def _solution(self, k: int, weights: tuple, lo: int) -> Iterator[complex]:
+        """Yield x(lo), x(lo + 1), ... (lo >= k) of the float solution of
+
+            up lam_m x(m+1) = (z - beta_m) x(m) - down lam_{m-1} x(m-1)
+
+        from x(k) = 0, x(k + 1) = 1 at weights (up, down): the one float
+        stepper.  Each (k, weights) has one table, stepped as far as it is
+        read, and all tables share one list of rows (z - beta_m, lam_m).  A
+        step divides by lam_m, then by up, and carries down * lam_m.  A
+        table's first error is raised again past the levels it holds.
+        Weights (scale, scale) give p and lambda_0 q (values) and the
+        alpha terms, (d, 1) the deficiency values, (1, d) d^(n/2) p_n."""
+        table = self._solutions.get((k, weights))
+        if table is None:
+            table = self._solutions[k, weights] = [[0j, 1 + 0j], 0, None]
+        x = table[0]
+        up, down = weights
+        rows, lam, beta = self._coeff_rows, self.coeffs.lam, self.coeffs.beta
+        for i in itertools.count(lo - k):
+            while len(x) <= i:  # step the table from the last level held
+                if table[2] is not None:
+                    raise table[2]
+                m = k + len(x) - 1
+                try:
+                    while len(rows) <= m:
+                        j = len(rows)
+                        lam_j = lam(j)
+                        if lam_j == 0:
+                            raise CoefficientOverflow(f"lambda_{j} underflows to 0.0 in a float")
+                        rows.append((self._z - beta(j), lam_j))
+                    shift, lam_m = rows[m]
+                    value = (shift * x[-1] - table[1] * x[-2]) / lam_m / up
+                    if not cmath.isfinite(value):
+                        if up * lam_m == 0:
+                            raise CoefficientOverflow(
+                                f"{up:.6g} * lambda_{m} underflows to 0.0 in a float")
+                        raise RecurrenceOverflow(
+                            f"the solution anchored at level {k} (weights {up:.6g}, "
+                            f"{down:.6g}) left the float range at level {m + 1}; "
+                            "switch to exact mode or rescale")
+                except Exception as exc:
+                    table[2] = exc
+                    raise
+                x.append(value)
+                table[1] = down * lam_m
+            yield x[i]
+
+    def _held(self, k: int, weights: tuple, n: int) -> list:
+        """The value table [x(k), x(k + 1), ...] of _solution, held through
+        level n."""
+        table = self._solutions.get((k, weights))
+        if table is None or len(table[0]) <= n - k:
+            next(self._solution(k, weights, n))
+            table = self._solutions[k, weights]
+        return table[0]
+
+    def _monic(self, n: int) -> tuple:
+        """Integers (re, im, den) with (re + i*im)/den = A_n/T_n = scale**n
+        p_n, from row n of an exact table holding n."""
+        (re, im), _, (t, t_den), _ = self._rows[n][2]
+        return re * t_den, im * t_den, t
 
     def _cross(self, k: int, n: int) -> tuple:
         """(c, den) with p_k q_n - q_k p_n = c / den / scale**(k + n - 1) on
@@ -528,17 +586,17 @@ def alpha_sq_terms(k: int, ctx: DeficiencyContext) -> Iterator:
     recurrence below anchor level k - 1 with g(k - 1) = 0, g(k) = 1 (g_{-1}
     is the radial solution p_n).
 
-    Floats: read from the table of anchor level k - 1 at weights
-    (sqrt(d), sqrt(d)) (DeficiencyContext._float_levels), stepped as far as
-    the terms are read.  An exact ctx yields each term as one Fraction, read
-    from its rows (T = t/t', |scale|**2 = |sigma|): |A_n t'_n / t_n|^2 /
-    |sigma|^n and lambda_{k-1}^2 |c|^2 / den^2 / |sigma|^(k+n-2) for
-    (c, den) = PolyCache._cross(k - 1, n).
+    Floats: read from the table of anchor level k - 1 at weights (sqrt(d),
+    sqrt(d)) (PolyCache._solution), which for k = 0, 1 gives p_n, lambda_0 q_n.
+    An exact ctx yields each term as one Fraction, read from its rows:
+    |A_n / T_n|^2 / |sigma|^n (PolyCache._monic, |scale|**2 = |sigma|) and
+    lambda_{k-1}^2 |c|^2 / den^2 / |sigma|^(k+n-2) for (c, den) =
+    PolyCache._cross(k - 1, n).
     """
     if ctx.exact:
         yield from _exact_alpha_sq_terms(k, ctx)
         return
-    for v in ctx._float_levels(k - 1, k, True):
+    for v in ctx._solution(k - 1, ctx._weights, k):
         yield v.real * v.real + v.imag * v.imag
 
 
@@ -552,8 +610,8 @@ def _exact_alpha_sq_terms(k: int, cache: PolyCache) -> Iterator[Fraction]:
             (re, im), den = cache._cross(k - 1, n)
             w = lam2 / norm ** (k + n - 2)
         else:
-            (re, im), _, (den, t_den), _ = cache._rows[n][2]
-            re, im, w = re * t_den, im * t_den, 1 / norm ** n
+            re, im, den = cache._monic(n)
+            w = 1 / norm ** n
         yield Fraction((re * re + im * im) * w.numerator, den * den * w.denominator)
 
 
@@ -597,7 +655,7 @@ class AlphaTable:
 class DeficiencyContext(PolyCache):
     """The recurrence table at scale sqrt(d) and a non-real z, with the
     degree d: the values every deficiency-space object reads, and their norms
-    alpha_k (in floats, from _float_levels).  Every such table is one of these."""
+    alpha_k (in floats, from _solution).  Every such table is one of these."""
 
     def __init__(self, coeffs: CoefficientSequence, d: int, z):
         if as_complex(z).imag == 0:
@@ -605,33 +663,30 @@ class DeficiencyContext(PolyCache):
                 f"deficiency-space values need a non-real z, got {z}")
         super().__init__(coeffs, matching_sqrt(d, z), z)
         self.d = d
-        # float mode: (anchor level k, norm weights) -> [[x(k), x(k + 1), ...],
-        # down * lambda of the last step, z, up, down] (_float_levels)
-        self._levels: dict = {}
 
     def f_zero(self, n: int):
         """Value on level n of the radial basis function (anchor at the root
         level of the whole tree): p_n(z) / d^(n/2).  Exact: A_n / (T_n d^n),
         read from row n and built without the gcd (unreduced).  Float: the
-        table of anchor level -1 (_float_levels)."""
+        solution anchored at level -1 at weights (d, 1)."""
         if not self.exact:
-            return self._float_table(-1, n)[n + 1]
+            return self._held(-1, (self.d, 1), n)[n + 1]
         self.ensure(n)
-        (re, im), _, (t, t_den), _ = self._rows[n][2]
-        return unreduced(re * t_den, im * t_den, t * self.d ** n)
+        re, im, den = self._monic(n)
+        return unreduced(re, im, den * self.d ** n)
 
     def f_anchored(self, k: int, n: int):
         """Value on level n inside one child subtree of an anchor at level k:
         lam_k (p_k q_n - q_k p_n) / d^((n-k-1)/2), for n >= k + 1.  Exact:
         lam_k (A_k B_n - B_k A_n) / (T_k T_n d^(n-1)), read from rows k and
-        n (_cross) and built without the gcd.  Float: read from the table
-        of anchor level k (_float_levels).
+        n (_cross) and built without the gcd.  Float: the solution anchored
+        at level k at weights (d, 1), which cancels nothing.
 
         The value at n = k + 1 is 1 for every k (discrete Wronskian)."""
         if n < k + 1:
             raise ValueError(f"anchored values start at level {k + 1}, got {n}")
         if not self.exact:
-            return self._float_table(k, n)[n - k]
+            return self._held(k, (self.d, 1), n)[n - k]
         lam_k = self.lam(k)
         self.ensure(n)
         (re, im), den = self._cross(k, n)
@@ -642,53 +697,8 @@ class DeficiencyContext(PolyCache):
         """f_anchored(k, m) for m = k + 1..n, with the error of the first
         level that fails; float values are one slice of the table."""
         if not self.exact:
-            return self._float_table(k, n)[1:n - k + 1]
+            return self._held(k, (self.d, 1), n)[1:n - k + 1]
         return [self.f_anchored(k, m) for m in range(k + 1, n + 1)]
-
-    def _float_table(self, k: int, n: int) -> list:
-        """The value table [x(k), x(k + 1), ...] of _float_levels, held
-        through level n."""
-        table = self._levels.get((k, False))
-        if table is None or len(table[0]) <= n - k:
-            next(self._float_levels(k, n))
-        return self._levels[k, False][0]
-
-    def _float_levels(self, k: int, lo: int, norm: bool = False) -> Iterator[complex]:
-        """Yield the float values x(lo), x(lo + 1), ... below an anchor at
-        level k (k = -1: the radial function), of the solution of
-
-            up lam_m x(m+1) = (z - beta_m) x(m) - down lam_{m-1} x(m-1)
-
-        from x(k) = 0, x(k + 1) = 1.  Each (k, weights) has one table,
-        stepped from the anchor as far as any reader reads it, so that no
-        value cancels as lam_k (p_k q_n - q_k p_n) does.  Weights
-        (up, down) = (d, 1) give the deficiency values, (sqrt(d), sqrt(d))
-        (norm) the terms of their norm series (alpha_sq_terms).  Each step
-        carries down * lam_m to the next.  A step that fails raises at each
-        read that needs it; the levels above it are still served."""
-        table = self._levels.get((k, norm))
-        if table is None:
-            _, z = _float_inputs(self.scale, self.z)
-            up, down = (self.scale, self.scale) if norm else (self.d, 1)
-            table = self._levels[k, norm] = [[0j, 1 + 0j], 0, z, up, down]
-        x, _, z, up, down = table
-        lam, beta = self.coeffs.lam, self.coeffs.beta
-        for i in itertools.count(lo - k):
-            while len(x) <= i:  # step the table from the last level held
-                m = k + len(x) - 1
-                lam_m = lam(m)
-                if lam_m == 0:
-                    raise CoefficientOverflow(f"lambda_{m} underflows to 0.0 in a float")
-                value = ((z - beta(m)) * x[-1] - table[1] * x[-2]) / lam_m / up
-                if not cmath.isfinite(value):
-                    name = f"solution anchored at level {k}" if k >= 0 else "radial solution"
-                    weights = "sqrt(d), sqrt(d)" if norm else "d, 1"
-                    raise RecurrenceOverflow(
-                        f"the {name} (weights {weights}) left the float range at level "
-                        f"{m + 1}; switch to exact mode or rescale")
-                x.append(value)
-                table[1] = down * lam_m
-            yield x[i]
 
     def alphas(self, k_max: int, tol: float = 1e-12, n_max: int = 100_000) -> AlphaTable:
         """alpha_k(z) for k = 0..k_max, with per-k verdicts, summed over this
@@ -704,7 +714,6 @@ class DeficiencyContext(PolyCache):
         if self.exact:
             raise ValueError("the alpha series are float series: read them from a float table")
         check_series_limits(tol, n_max)
-        _float_inputs(self.scale, self.z)
         criterion, verdict, _ = _criterion(self.coeffs, self.scale) or (None, None, None)
         if verdict == ESA:
             runs = [SeriesResult("diverged", math.inf, 0) for _ in range(k_max + 1)]

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -139,7 +140,8 @@ def test_recurrence_overflow_is_numeric_error_without_hint(capsys):
     code, _, err = run(["polys", "--coeffs", "geometric:1:1/4",
                         "--z", "0,1", "--n", "3000"], capsys)
     assert code == 3
-    assert err.startswith("numeric failure: recurrence value left the float range")
+    assert err.startswith("numeric failure: the solution anchored at level -1 (weights "
+                          "1.41421, 1.41421) left the float range at level 33;")
     assert "hint:" not in err
 
 
@@ -199,10 +201,11 @@ def test_lambda_underflow_is_numeric_error(argv, capsys):
 
 
 def test_deficiency_over_budget_refused_before_any_recurrence_step(monkeypatch, capsys):
-    def no_step(self, *levels):
+    def no_step(*args):
         raise AssertionError("a recurrence step ran")
-    monkeypatch.setattr(PolyCache, "ensure", no_step)
-    monkeypatch.setattr(DeficiencyContext, "_float_levels", no_step)
+        yield  # a generator, like both steppers: making one steps nothing
+    monkeypatch.setattr(orthopoly, "poly_pairs", no_step)  # the exact rows
+    monkeypatch.setattr(PolyCache, "_solution", no_step)  # the one float stepper
     code, _, err = run(["deficiency", "--depth", "2000000"], capsys)
     assert code == 3
     assert "budget" in err and "Traceback" not in err
@@ -373,11 +376,11 @@ def test_exact_floats_reduce_nothing(argv, reductions, capsys):
 
 
 def _tables_stepped(argv, monkeypatch, capsys) -> tuple:
-    """(exact, values yielded) for each recurrence table the run steps, and
-    (anchor level, norm weights, levels stepped) for each float level table
-    of the run's deficiency contexts, sorted."""
-    stepped, contexts, real = [], [], orthopoly.poly_pairs
-    made = DeficiencyContext.__init__
+    """(exact, rows yielded) for each exact recurrence table the run steps,
+    and (anchor level, weights, levels stepped) for each float solution
+    table of the run's recurrence caches (PolyCache._solution), sorted."""
+    stepped, caches, real = [], [], orthopoly.poly_pairs
+    made = PolyCache.__init__
 
     def counting(coeffs, scale, z):
         # a generator: a table counts once it takes its first value
@@ -388,31 +391,36 @@ def _tables_stepped(argv, monkeypatch, capsys) -> tuple:
 
     def recorded(self, *args):
         made(self, *args)
-        contexts.append(self)
+        caches.append(self)
 
     monkeypatch.setattr(orthopoly, "poly_pairs", counting)
-    monkeypatch.setattr(DeficiencyContext, "__init__", recorded)
+    monkeypatch.setattr(PolyCache, "__init__", recorded)
     code, _, err = run(argv, capsys)
     assert code == 0, err
-    levels = sorted((k, norm, len(table[0]) - 2) for ctx in contexts
-                    for (k, norm), table in ctx._levels.items())
+    levels = sorted((k, weights, len(table[0]) - 2) for cache in caches
+                    for (k, weights), table in cache._solutions.items())
     return [tuple(t) for t in stepped], levels
+
+
+R2 = (math.sqrt(2), math.sqrt(2))  # the alpha weights, and those of p and lambda_0 q
 
 
 @pytest.mark.parametrize("argv, tables, levels", [
     ("poisson --coeffs paper --z 0.3,1 --y 1.2", [],
-     [(-1, False, 2), (-1, True, 48), (0, False, 1), (0, True, 47), (1, False, 0),
-      (1, True, 45), (2, True, 45)]),
+     [(-1, R2, 48), (-1, (2, 1), 2), (0, R2, 47), (0, (2, 1), 1), (1, R2, 45),
+      (1, (2, 1), 0), (2, R2, 45)]),
     ("deficiency --z 0.3,1 --anchor 1 --depth 40", [],
-     [(-1, True, 48), (0, True, 47), (1, False, 38), (1, True, 45)]),
+     [(-1, R2, 48), (0, R2, 47), (1, R2, 45), (1, (2, 1), 38)]),
     ("deficiency --mode exact --z 0,1 --anchor 1 --depth 10", [(True, 11)],
-     [(-1, True, 48), (0, True, 47), (1, True, 45)]),
+     [(-1, R2, 48), (0, R2, 47), (1, R2, 45)]),
+    ("polys --coeffs geometric:1:3/2 --z 0.3,1 --n 30", [],
+     [(-1, R2, 30), (0, R2, 29)]),
 ])
 def test_a_session_steps_one_table_per_arithmetic(argv, tables, levels, monkeypatch, capsys):
-    # a float session steps no p, q table: its values and its alpha series
-    # read one table per anchor level and weights, each held by one context
-    # and stepped once; exact mode sums the alpha series on a float context
-    # beside its exact table
+    # a float session steps no table twice: its values, its alpha series
+    # and p, q read one table per anchor level and weights, each held by one
+    # cache and stepped once; exact mode sums the alpha series on a float
+    # context beside its exact table
     assert _tables_stepped(argv.split(), monkeypatch, capsys) == (tables, levels)
 
 

@@ -384,8 +384,14 @@ def test_criterion_verdict_ignores_the_scale_and_runs_no_step(c, family, d, scal
     make, criterion, verdict = family
     if is_exact(scale):
         z = exact_complex(Fraction(z.real), Fraction(z.imag))
+    def no_step(*args):
+        raise AssertionError("a recurrence step ran")
+        yield  # a generator, like both steppers: making one steps nothing
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orthopoly, "poly_pairs", None)  # any recurrence step would raise
+        # any recurrence step would raise: exact rows, or the one float stepper
+        mp.setattr(orthopoly, "poly_pairs", no_step)
+        mp.setattr(orthopoly.PolyCache, "_solution", no_step)
         rep = classify(make(c), d, z=z, scale=scale)
     assert (rep.verdict, rep.criterion) == (verdict, criterion)
     assert rep.terms_used == (0, 0)

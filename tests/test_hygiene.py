@@ -136,10 +136,16 @@ def _scopes_where(found) -> list:
 
 
 def test_only_the_table_steps_the_recurrence():
-    # a change to what the table stores then changes one class
+    # a change to what the table stores then changes one class: exact rows
+    # reach readers through PolyCache, the only reader of poly_pairs, and
+    # every float value through PolyCache._solution, the one float stepper
     loads = _scopes_where(lambda node: _name(node) == "poly_pairs"
                           and isinstance(node.ctx, ast.Load))
     assert loads == ["orthopoly.PolyCache.__init__"]
+    steppers = _scopes_where(lambda node: isinstance(node, ast.Attribute)
+                             and node.attr == "_coeff_rows")
+    assert sorted(set(steppers)) == ["orthopoly.PolyCache.__init__",
+                                     "orthopoly.PolyCache._solution"]
 
 
 def test_only_these_scopes_build_a_recurrence_table():
@@ -148,7 +154,7 @@ def test_only_these_scopes_build_a_recurrence_table():
     calls = _scopes_where(lambda node: isinstance(node, ast.Call)
                           and _name(node.func) == "PolyCache")
     assert calls == ["deficiency.classify_by_series", "lambda_tree.radial_propagate",
-                     "oracle.series_oracle", "orthopoly.compute_polys"]
+                     "oracle.series_oracle", "orthopoly.compute_polys", "orthopoly.poly_pairs"]
     subclasses = _scopes_where(lambda node: isinstance(node, ast.ClassDef)
                                and any(_name(base) == "PolyCache" for base in node.bases))
     assert subclasses == ["orthopoly.DeficiencyContext"]
@@ -177,10 +183,9 @@ def test_only_these_scopes_read_beta():
         "operator.JacobiOperator.apply",      # sparse functions on either tree
         "operator.moments",                   # the exact radial matrix, conjugated
         "oracle._tree_section",               # dense sections of the tree operators
-        "orthopoly.DeficiencyContext._float_levels",  # the level equation below an anchor
+        "orthopoly.PolyCache._solution",      # the float recurrence, every weighting
         "orthopoly._IntegerRecurrence.rows",  # the integer recurrence
         "orthopoly._tridiagonal",             # the radial tridiagonal section
-        "orthopoly.poly_pairs",               # the float recurrence
     ]
 
 

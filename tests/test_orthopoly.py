@@ -1,4 +1,5 @@
 """Recurrence values, Wronskian identity, roots, series engine, norms."""
+import cmath
 import copy
 import io
 import itertools
@@ -15,10 +16,10 @@ from treejacobi.errors import (CoefficientIndexError, CoefficientOverflow, Diver
                                NonPositiveLambda, RealSpectralParameter,
                                RecurrenceOverflow)
 from treejacobi.exactnum import (ExactComplex, abs2, as_complex, exact_complex, exact_sqrt,
-                                 half_power)
+                                 half_power, is_exact)
 from treejacobi.orthopoly import (PolyCache, _IntegerRecurrence, alpha_series,
                                   alpha_sq_partial, alpha_sq_terms,
-                                  compute_polys, poly_roots, sum_series,
+                                  compute_polys, poly_pairs, poly_roots, sum_series,
                                   wronskian_residual, wronskian_scale)
 
 PAPER = CoefficientSequence.paper_example()
@@ -35,6 +36,9 @@ def test_initial_data():
         assert t.q[0] == 0
         assert abs(t.q[1] - 1 / coeffs.lam(0)) < 1e-15
         assert abs(t.p[1] - (t.z - coeffs.beta(0)) / coeffs.lam(0)) < 1e-15
+        # the public generator reads the same table
+        assert (list(itertools.islice(poly_pairs(coeffs, 1.0, 0.5 + 0.5j), 4))
+                == [(n, t.p[n], t.q[n], None) for n in range(4)])
 
 
 def test_paper_alternation_exact():
@@ -602,7 +606,9 @@ def test_level_values_do_not_extend_the_recurrence_table():
         assert abs(ctx.f_zero(n) - want) <= 1e-12 * abs(want)
     assert len(ctx.anchored_levels(611, 3000)) == 2389
     assert ctx.N == -1
-    with pytest.raises(RecurrenceOverflow, match="index 2049"):
+    with pytest.raises(RecurrenceOverflow, match=r"^the solution anchored at level -1 \(weights "
+                                                 r"1.41421, 1.41421\) left the float range at "
+                                                 "level 2049;"):
         ctx.ensure(3000)
 
 
@@ -611,11 +617,11 @@ def test_level_value_beyond_the_float_range_raises():
     # exact radial value at level 46 does not fit in a float either
     from treejacobi.deficiency import DeficiencyContext
     ctx = DeficiencyContext(CoefficientSequence.geometric(Fraction(1, 2), Fraction(1, 2)), 2, 1j)
-    with pytest.raises(RecurrenceOverflow, match=r"^the radial solution \(weights d, 1\) left "
-                                                 "the float range at level 46;"):
+    with pytest.raises(RecurrenceOverflow, match=r"^the solution anchored at level -1 \(weights "
+                                                 r"2, 1\) left the float range at level 46;"):
         ctx.f_zero(60)
     with pytest.raises(RecurrenceOverflow, match=r"^the solution anchored at level 5 \(weights "
-                                                 r"d, 1\) left the float range at level 47;"):
+                                                 r"2, 1\) left the float range at level 47;"):
         ctx.anchored_levels(5, 60)
     assert len(ctx.anchored_levels(5, 46)) == 41
 
@@ -715,8 +721,9 @@ def test_anchored_table_serves_lower_levels_after_an_error():
 
 
 def test_a_second_anchored_read_steps_nothing(monkeypatch):
-    # each table steps a level once, when it is first read: a step reads
-    # beta_n once
+    # each table steps a level once, when it is first read, and every table
+    # of a context reads one list of coefficient rows: beta_n is read once
+    # for all anchor levels, weights, p and q
     from treejacobi.deficiency import DeficiencyContext
     stepped = []
     original = CoefficientSequence.beta
@@ -724,13 +731,17 @@ def test_a_second_anchored_read_steps_nothing(monkeypatch):
                         lambda self, n: stepped.append(n) or original(self, n))
     ctx = DeficiencyContext(PAPER, 2, 1j)
     ctx.f_anchored(3, 500)
-    assert stepped == list(range(4, 500))
+    assert stepped == list(range(500))
     ctx.f_anchored(3, 500)
     ctx.anchored_levels(3, 8)
     ctx.f_anchored(3, 4)
-    assert stepped == list(range(4, 500))
     ctx.f_zero(5)
-    assert stepped == list(range(4, 500)) + list(range(5))
+    for k in range(4):
+        list(itertools.islice(alpha_sq_terms(k, ctx), 100))
+    ctx.ensure(200)
+    assert stepped == list(range(500))
+    ctx.f_zero(501)
+    assert stepped == list(range(501))
 
 
 def test_late_anchor_float_values_match_exact_mode():
@@ -773,6 +784,85 @@ def test_float_alpha_partial_sums_match_exact_mode(coeffs, d, z, k, n_terms):
         return
     got = alpha_sq_partial(coeffs, d, z.to_complex(), k, n_terms)
     assert abs(got - want) <= 1e-12 * want
+
+
+def test_float_p_q_past_an_off_diagonal_beyond_the_float_range_match_exact_mode():
+    # paper at d = 4: scale * lambda_1023 = 2 * 2^1023 is no float, and
+    # dividing by it once gave p_1024 = q_1024 = 0; the stepper divides by
+    # lambda_1023, then by the scale
+    float_table = compute_polys(PAPER, 2.0, 1j, 1024)
+    exact_table = compute_polys(PAPER, exact_sqrt(4), exact_complex(0, 1), 1024)
+    for got, want in ((float_table.p[1024], exact_table.p[1024]),
+                      (float_table.q[1024], exact_table.q[1024])):
+        want = want.to_complex()
+        assert want != 0 and abs(got - want) <= 1e-12 * abs(want)
+
+
+def _held_prefix(read, n: int) -> list:
+    """read(m) for m = 0..n, up to the first that leaves the float range."""
+    out = []
+    for m in range(n + 1):
+        try:
+            out.append(complex(read(m)))
+        except (RecurrenceOverflow, CoefficientOverflow):
+            break
+    return out
+
+
+def _assert_close_where_finite(got: list, exact: list) -> None:
+    """Each float value within 1e-12 of its exact value, relative to the
+    largest exact value so far, wherever both are finite: a decaying term
+    of a near-real z (alpha_6 at z = 3 - i/1024, paper, d = 2) keeps only
+    that.  A float read may stop only where the exact values leave 2^900,
+    which leaves room for the step's products."""
+    largest = 0.0
+    for n, want in enumerate(exact):
+        try:
+            want = complex(want.to_complex() if is_exact(want) else float(want))
+        except OverflowError:
+            return
+        if n >= len(got):
+            assert not abs(want) < 2.0 ** 900, (n, want)
+            return
+        largest = max(largest, abs(want))
+        if cmath.isfinite(got[n]) and cmath.isfinite(want):
+            assert abs(got[n] - want) <= 1e-12 * largest, (n, got[n], want)
+
+
+@settings(max_examples=60)
+@given(coeffs=st.sampled_from(TABLE_FAMILIES), d=st.sampled_from([2, 3, 4]),
+       z=st.sampled_from(TABLE_ZS), n=st.integers(1, 60), k=st.integers(0, 59))
+def test_every_float_reader_matches_exact_mode(coeffs, d, z, n, k):
+    # one float stepper serves p, q, the deficiency values, the alpha terms,
+    # the radial levels and the certificate's masses
+    from treejacobi.deficiency import DeficiencyContext
+    from treejacobi.lambda_tree import esa_certificate, radial_propagate
+    k = k % n
+    zf = z.to_complex()
+    floats, exact = DeficiencyContext(coeffs, d, zf), DeficiencyContext(coeffs, d, z)
+    try:
+        floats.ensure(n)
+    except (RecurrenceOverflow, CoefficientOverflow):
+        pass
+    exact.ensure(n)
+    _assert_close_where_finite(floats.p, exact.p[:n + 1])
+    _assert_close_where_finite(floats.q, exact.q[:n + 1])
+    _assert_close_where_finite(_held_prefix(floats.f_zero, n),
+                               [exact.f_zero(m) for m in range(n + 1)])
+    _assert_close_where_finite(_held_prefix(lambda m: floats.f_anchored(k, m + k + 1), n - k - 1),
+                               exact.anchored_levels(k, n))
+    for j in (0, k + 1):
+        terms = alpha_sq_terms(j, floats)
+        _assert_close_where_finite(_held_prefix(lambda m: next(terms), n - j),
+                                   list(itertools.islice(alpha_sq_terms(j, exact), n - j + 1)))
+    radial = radial_propagate(exact_complex(1), z, n, coeffs, d)
+    _assert_close_where_finite(_held_prefix(lambda m: radial_propagate(1, zf, m, coeffs, d)[m], n),
+                               radial)
+    try:
+        masses = esa_certificate(coeffs, d, zf, n).level_masses
+    except (RecurrenceOverflow, CoefficientOverflow):
+        return
+    _assert_close_where_finite(masses, [v.abs2() for v in radial])
 
 
 def _csv_row(n, pv, qv):
