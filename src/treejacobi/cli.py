@@ -33,7 +33,7 @@ from .operator import JacobiOperator, moments
 from .coefficients import TreeConfig
 from .oracle import build_radial_block, dense_eigensolve
 from .orthopoly import compute_polys, poly_roots
-from .treecore import parse_address, validate_address
+from .treecore import check_budget, parse_address, validate_address
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -149,8 +149,22 @@ def emit(args, content: str) -> None:
             sys.stdout.write("\n")
 
 
+def _finite_or_null(obj):
+    """obj with each non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(_finite_or_null, obj))
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
+    """Compact JSON with sorted keys, a non-finite float written null: JSON
+    (RFC 8259) has neither NaN nor infinity."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # a non-finite float: only then is obj walked
+        return json.dumps(_finite_or_null(obj), sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +229,8 @@ def cmd_poisson(args) -> int:
     coeffs = parse_coeffs(args.coeffs)
     z = parse_nonreal_z(args.z, "float")
     y = parse_vertex(args.y, args.d)
+    # the printed kernel is refined to depth |y|: refuse it before any series
+    check_budget(args.d ** len(y), f"refinement to depth {len(y)}")
     ctx = DeficiencyContext(coeffs, args.d, z)
     alpha = ctx.alphas(len(y) + 1, args.tol, args.n_max)
     kernel = poisson_kernel(y, ctx, alpha)

@@ -66,18 +66,15 @@ class DeficiencyElement:
         return self.coefficients[x[k] - 1]
 
     def _level_value(self, ctx: DeficiencyContext, n: int):
-        """The element's basis function on level n, 0 above its support."""
-        if self.anchor is None:
-            return ctx.f_zero(n)
-        k = len(self.anchor)
+        """The element's basis function on level n, 0 above its support:
+        f_anchored at the anchor's level, -1 for the radial element."""
+        k = -1 if self.anchor is None else len(self.anchor)
         return ctx.f_anchored(k, n) if n > k else 0
 
     def _level_values(self, ctx: DeficiencyContext, depth: int) -> list:
-        """_level_value on levels 0..depth; an anchored element's levels
-        are one slice of its anchor level's table (anchored_levels)."""
-        if self.anchor is None:
-            return [ctx.f_zero(n) for n in range(depth + 1)]
-        k = len(self.anchor)
+        """_level_value on levels 0..depth, one slice of the anchor level's
+        solution (anchored_levels)."""
+        k = -1 if self.anchor is None else len(self.anchor)
         if depth <= k:
             return [0] * (depth + 1)
         return [0] * (k + 1) + ctx.anchored_levels(k, depth)
@@ -147,7 +144,7 @@ class BasisFunction:
     def value_at(self, y: Address, ctx: DeficiencyContext):
         if y[:len(self.root)] != self.root:
             return 0
-        return ctx.f_anchored(len(self.root) - 1, len(y)) if self.root else ctx.f_zero(len(y))
+        return ctx.f_anchored(len(self.root) - 1, len(y))
 
 
 # ---------------------------------------------------------------------------

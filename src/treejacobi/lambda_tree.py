@@ -10,7 +10,7 @@ from typing import List
 
 from .coefficients import CoefficientSequence, TreeConfig
 from .errors import RecurrenceOverflow
-from .exactnum import as_complex, matching_sqrt, unreduced
+from .exactnum import as_complex, matching_sqrt
 from .operator import JacobiOperator
 from .orthopoly import DeficiencyContext, PolyCache, poly_roots
 from .treecore import LambdaPatch, SparseFunction, subtree_vertices
@@ -19,18 +19,15 @@ from .treecore import LambdaPatch, SparseFunction, subtree_vertices
 def radial_propagate(v0, z, k_max: int, coeffs: CoefficientSequence,
                      d: int) -> List:
     """Level values of the radial solution below one vertex: the value on
-    level k is d^(k/2) * p_k(z) * v0: the float solution at weights (1, d)
-    (PolyCache._solution), or A_k / T_k from the exact rows (_monic).
+    level k is d^(k/2) * p_k(z) * v0, the solution anchored at level -1 at
+    weights (1, d) (PolyCache.solution).
 
     Any square-summable solution of the eigenvalue equation restricted to
     the subtree under a vertex is forced into this form."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     cache = PolyCache(coeffs, matching_sqrt(d, z, v0), z)
-    if not cache.exact:
-        return [v * v0 for v in cache._held(-1, (1, d), k_max)[1:k_max + 2]]
-    cache.ensure(k_max)
-    return [unreduced(*cache._monic(k)) * v0 for k in range(k_max + 1)]
+    return [v * v0 for v in cache.levels(-1, (1, d), 0, k_max)]
 
 
 @dataclass
@@ -57,10 +54,10 @@ def esa_certificate(coeffs: CoefficientSequence, d: int, z,
     squared radial level values (radial_propagate), inf from the level
     where that value leaves the float range."""
     ctx = DeficiencyContext(coeffs, d, as_complex(z))
-    abs_p = [abs(v) for v in ctx._held(-1, ctx._weights, k_max)[1:k_max + 2]]
+    abs_p = [abs(v) for v in itertools.islice(ctx.values(), k_max + 1)]
     masses: List[float] = []
     try:
-        for v in itertools.islice(ctx._solution(-1, (1, d), 0), k_max + 1):
+        for v in itertools.islice(ctx.solution(-1, (1, d), 0), k_max + 1):
             masses.append(v.real * v.real + v.imag * v.imag)
     except RecurrenceOverflow:
         masses += [math.inf] * (k_max + 1 - len(masses))

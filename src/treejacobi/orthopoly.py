@@ -46,18 +46,19 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     Gaussian rational and scale**2 a nonzero rational (see
     _IntegerRecurrence).  In float mode z and scale must be finite and
     scale nonzero, and the values are read from a PolyCache of their own
-    (PolyCache._solution, the one float stepper).
+    (PolyCache.solution, the one float stepper).
     """
     if _wants_exact(scale, z):
         yield from _IntegerRecurrence(coeffs, scale, z).pairs()
-    else:
-        yield from PolyCache(coeffs, scale, z)._float_pairs(0)
+        return
+    cache = PolyCache(coeffs, scale, z)
+    yield from zip(itertools.count(), cache.values(), cache.values(True), itertools.repeat(None))
 
 
 def check_recurrence_inputs(coeffs: CoefficientSequence, scale, z) -> None:
     """Raise the ValueError that PolyCache(coeffs, scale, z) raises when it
-    is made (floats: scale and z finite, scale nonzero) or first extended
-    (exact), without running a step."""
+    is made (floats: scale and z finite, scale nonzero; exact: see
+    _IntegerRecurrence), without running a step."""
     if _wants_exact(scale, z):
         _IntegerRecurrence(coeffs, scale, z)
         return
@@ -255,14 +256,17 @@ class PolyCache:
     this class steps it.
 
     The arithmetic is fixed here, from the types of scale and z, and so is
-    `lam`, the lambda accessor of that arithmetic.  An exact table reads
-    poly_pairs and keeps each integer row with the two values it built from
-    it, for wronskian_residual and the exact readers.  Its values are not in
+    `lam`, the lambda accessor of that arithmetic.  Every reader names a
+    solution of the recurrence (solution, levels), and both arithmetics
+    answer it: a float table steps it (the one float stepper), an exact
+    table reads it from its integer rows.  An exact table reads poly_pairs
+    and keeps each integer row with the two values it built from it, for
+    wronskian_residual and the exact solutions.  Its values are not in
     lowest terms: exact arithmetic on p[n] or q[n] reduces only its result,
-    and as_complex (to_csv) reads it without a gcd.  Every float value is
-    read from the one float stepper (_solution).  Once the recurrence fails,
-    every later extension past the last index held raises that same error;
-    the indices held are still served, so readers can share one table."""
+    and as_complex (to_csv) reads it without a gcd.  Once the recurrence
+    fails, every later extension past the last index held raises that same
+    error; the indices held are still served, so readers can share one
+    table."""
 
     def __init__(self, coeffs: CoefficientSequence, scale, z):
         self.coeffs, self.scale, self.z = coeffs, scale, z
@@ -275,12 +279,13 @@ class PolyCache:
         self._coeff_rows: list = []  # float: (z - beta_m, lambda_m), read by every table
         self._solutions: dict = {}  # float: (k, weights) -> [x values, carry, first error]
         if self.exact:
+            self._engine = _IntegerRecurrence(coeffs, scale, z)  # its sigma and edge
             self._gen = poly_pairs(coeffs, scale, z)
-            return
-        check_recurrence_inputs(coeffs, scale, z)
-        scale, self._z = complex(scale), complex(z)
-        scale = scale.real if scale.imag == 0 else scale
-        self._weights = (scale, scale)
+        else:
+            check_recurrence_inputs(coeffs, scale, z)
+            scale, self._z = complex(scale), complex(z)
+            scale = scale.real if scale.imag == 0 else scale
+        self._weights = (scale, scale)  # those of p and lambda_0 q (values)
 
     @property
     def N(self) -> int:
@@ -292,7 +297,10 @@ class PolyCache:
             return
         if self._error is not None:
             raise self._error
-        pairs = self._gen if self.exact else self._float_pairs(len(self.p))
+        lo = len(self.p)
+        pairs = self._gen if self.exact else zip(
+            itertools.count(lo), self.values(False, lo), self.values(True, lo),
+            itertools.repeat(None))
         try:
             while len(self.p) <= n:
                 _, pv, qv, row = next(pairs)
@@ -305,38 +313,37 @@ class PolyCache:
             raise
 
     def values(self, q: bool = False, lo: int = 0) -> Iterator:
-        """Yield p_n, or q_n when q, for n >= lo, extending the table as they
-        are read; a float table steps only the solution it reads: x(n) from
-        level -1 for p_n, x(n) / lambda_0 from level 0 for q_n (_solution)."""
-        if self.exact:
-            held = self.q if q else self.p
-            for n in itertools.count(lo):
-                self.ensure(n)
-                yield held[n]
-        values = self._solution(int(q) - 1, self._weights, lo)
+        """Yield p_n, or q_n when q, for n >= lo: x(n) of the solution
+        anchored at level -1 at weights (scale, scale), or that anchored at
+        level 0 over lambda_0, read as far as they are read."""
+        values = self.solution(int(q) - 1, self._weights, lo)
         if q:
             lam_0 = self.lam(0)
             values = (v / lam_0 for v in values)
         yield from values
 
-    def _float_pairs(self, lo: int) -> Iterator[tuple]:
-        """(n, p_n, q_n, None) for n >= lo of a float table, made per read
-        so that the cache holds no generator that holds the cache."""
-        return zip(itertools.count(lo), self.values(False, lo), self.values(True, lo),
-                   itertools.repeat(None))
-
-    def _solution(self, k: int, weights: tuple, lo: int) -> Iterator[complex]:
-        """Yield x(lo), x(lo + 1), ... (lo >= k) of the float solution of
+    def solution(self, k: int, weights: tuple, lo: int) -> Iterator:
+        """x(lo), x(lo + 1), ... (0 <= lo, k <= lo), read as far as they are
+        read, of the solution of
 
             up lam_m x(m+1) = (z - beta_m) x(m) - down lam_{m-1} x(m-1)
 
-        from x(k) = 0, x(k + 1) = 1 at weights (up, down): the one float
-        stepper.  Each (k, weights) has one table, stepped as far as it is
-        read, and all tables share one list of rows (z - beta_m, lam_m).  A
-        step divides by lam_m, then by up, and carries down * lam_m.  A
-        table's first error is raised again past the levels it holds.
-        Weights (scale, scale) give p and lambda_0 q (values) and the
-        alpha terms, (d, 1) the deficiency values, (1, d) d^(n/2) p_n."""
+        from x(k) = 0, x(k + 1) = 1 at weights (up, down), with up * down =
+        scale**2, in the arithmetic of the table: stepped by the one float
+        stepper (_float_solution), or read from the integer rows
+        (_exact_solution).  Weights (scale, scale) give p and lambda_0 q
+        (values) and the alpha terms, (d, 1) the deficiency values, (1, d)
+        d^(n/2) p_n."""
+        if self.exact:
+            return self._exact_solution(k, weights[0], lo)
+        return self._float_solution(k, weights, lo)
+
+    def _float_solution(self, k: int, weights: tuple, lo: int) -> Iterator[complex]:
+        """solution() of a float table.  Each (k, weights) has one table,
+        stepped as far as it is read, and all tables share one list of rows
+        (z - beta_m, lam_m).  A step divides by lam_m, then by up, and
+        carries down * lam_m.  A table's first error is raised again past
+        the levels it holds."""
         table = self._solutions.get((k, weights))
         if table is None:
             table = self._solutions[k, weights] = [[0j, 1 + 0j], 0, None]
@@ -372,30 +379,53 @@ class PolyCache:
                 table[1] = down * lam_m
             yield x[i]
 
-    def _held(self, k: int, weights: tuple, n: int) -> list:
-        """The value table [x(k), x(k + 1), ...] of _solution, held through
-        level n."""
+    def levels(self, k: int, weights: tuple, lo: int, hi: int) -> list:
+        """[x(lo), ..., x(hi)] of solution(k, weights, lo), or the error of
+        the first level that fails; float values are one slice of their
+        table, which still serves the levels it holds after it failed."""
+        if hi < lo:
+            return []
+        if self.exact:
+            return list(itertools.islice(self.solution(k, weights, lo), hi - lo + 1))
         table = self._solutions.get((k, weights))
-        if table is None or len(table[0]) <= n - k:
-            next(self._solution(k, weights, n))
+        if table is None or len(table[0]) <= hi - k:
+            next(self.solution(k, weights, hi))
             table = self._solutions[k, weights]
-        return table[0]
+        return table[0][lo - k:hi - k + 1]
 
-    def _monic(self, n: int) -> tuple:
-        """Integers (re, im, den) with (re + i*im)/den = A_n/T_n = scale**n
-        p_n, from row n of an exact table holding n."""
-        (re, im), _, (t, t_den), _ = self._rows[n][2]
-        return re * t_den, im * t_den, t
+    def _exact_solution(self, k: int, up, lo: int) -> Iterator[ExactComplex]:
+        """solution() of an exact table, each x(m) read from rows k and m and
+        built from integers by one unreduced, without a gcd:
 
-    def _cross(self, k: int, n: int) -> tuple:
-        """(c, den) with p_k q_n - q_k p_n = c / den / scale**(k + n - 1) on
-        an exact table holding n: c = (A_k B_n - B_k A_n) t'_k t'_n, a
-        Gaussian integer, over den = t_k t_n, where T = t/t'."""
-        row, other = self._rows[k][2], self._rows[n][2]
-        (tk, tk_den), (tn, tn_den) = row[2], other[2]
-        re, im = _row_cross(row, other)
-        up = tk_den * tn_den
-        return (re * up, im * up), tk * tn
+            A_m / T_m / up**m                                     (k = -1)
+            lam_k (A_k B_m - B_k A_m) / (T_k T_m sigma**k) / up**(m-k-1)
+
+        with sigma = scale**2.  up is either the scale, which
+        _IntegerRecurrence.edge divides by, or a rational."""
+        engine = self._engine
+        if k >= 0:
+            lam = self.lam(k)
+            self.ensure(k)
+            anchor, sigma = self._rows[k][2], engine.sigma
+            (tk, tk_den), mul = anchor[2], lam.numerator
+            t_mul = tk * lam.denominator * sigma.numerator ** k
+            t_den_mul = tk_den * sigma.denominator ** k
+        by_edge = is_exact(up)
+        if by_edge and up != _exact_number(self.scale):
+            raise ValueError(f"an exact weight is the scale or a rational, got {up!r}")
+        for m in itertools.count(lo):
+            self.ensure(m)
+            row = self._rows[m][2]
+            x, (t, t_den) = row[0], row[2]
+            if k >= 0:
+                re, im = _row_cross(anchor, row)
+                x, t, t_den = (re * mul, im * mul), t * t_mul, t_den * t_den_mul
+            j = m - k - 1
+            if by_edge:
+                yield unreduced(*engine.edge(x, (t, t_den), j), engine.unit[3] if j % 2 else 1)
+                continue
+            t_den *= up.denominator ** j
+            yield unreduced(x[0] * t_den, x[1] * t_den, t * up.numerator ** j)
 
     def to_csv(self, fileobj) -> None:
         writer = csv.writer(fileobj, lineterminator="\n")
@@ -430,7 +460,7 @@ def wronskian_residual(table: PolyCache) -> list:
     p, q, lam, rows = table.p, table.q, table.lam, table._rows
     certified = []
     if rows:
-        sigma = _sigma(table)
+        sigma = table._engine.sigma
         held = [pv is p[n] and qv is q[n] for n, (pv, qv, _) in enumerate(rows)]
         rows = [row for _, _, row in rows]
         lams = [lam(n) for n in range(len(rows) - 1)]
@@ -442,12 +472,6 @@ def wronskian_residual(table: PolyCache) -> list:
     return [0.0 if n < len(certified) and certified[n]
             else abs(p[n] * q[n + 1] - p[n + 1] * q[n] - 1 / lam(n))
             for n in range(table.N)]
-
-
-def _sigma(table: PolyCache) -> Fraction:
-    """scale**2 of an exact table, a rational."""
-    scale = _exact_number(table.scale)
-    return (scale * scale).re
 
 
 def wronskian_scale(table: PolyCache) -> list:
@@ -582,37 +606,18 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12,
 
 def alpha_sq_terms(k: int, ctx: DeficiencyContext) -> Iterator:
     """Terms of the alpha_k(z)^2 series, in the arithmetic of ctx:
-    |g_{k-1}(n)|^2 for n >= k, where g_{k-1} solves the sqrt(d)-scaled
-    recurrence below anchor level k - 1 with g(k - 1) = 0, g(k) = 1 (g_{-1}
-    is the radial solution p_n).
-
-    Floats: read from the table of anchor level k - 1 at weights (sqrt(d),
-    sqrt(d)) (PolyCache._solution), which for k = 0, 1 gives p_n, lambda_0 q_n.
-    An exact ctx yields each term as one Fraction, read from its rows:
-    |A_n / T_n|^2 / |sigma|^n (PolyCache._monic, |scale|**2 = |sigma|) and
-    lambda_{k-1}^2 |c|^2 / den^2 / |sigma|^(k+n-2) for (c, den) =
-    PolyCache._cross(k - 1, n).
-    """
+    |g_{k-1}(n)|^2 for n >= k, where g_{k-1} is the solution anchored at
+    level k - 1 at weights (sqrt(d), sqrt(d)) (PolyCache.solution): g_{-1}
+    is p_n and g_0 is lambda_0 q_n.  An exact term is one Fraction, built
+    from the integers of its value."""
+    values = ctx.solution(k - 1, ctx._weights, k)
     if ctx.exact:
-        yield from _exact_alpha_sq_terms(k, ctx)
+        for v in values:
+            x, y, den = v.ints
+            yield Fraction((x * x + y * y) * v.m, den * den)
         return
-    for v in ctx._solution(k - 1, ctx._weights, k):
+    for v in values:
         yield v.real * v.real + v.imag * v.imag
-
-
-def _exact_alpha_sq_terms(k: int, cache: PolyCache) -> Iterator[Fraction]:
-    """alpha_sq_terms of an exact cache, one Fraction per term."""
-    norm = abs(_sigma(cache))
-    lam2 = cache.lam(k - 1) ** 2 if k else 1
-    for n in itertools.count(k):
-        cache.ensure(n)
-        if k:
-            (re, im), den = cache._cross(k - 1, n)
-            w = lam2 / norm ** (k + n - 2)
-        else:
-            re, im, den = cache._monic(n)
-            w = 1 / norm ** n
-        yield Fraction((re * re + im * im) * w.numerator, den * den * w.denominator)
 
 
 @dataclass
@@ -655,7 +660,7 @@ class AlphaTable:
 class DeficiencyContext(PolyCache):
     """The recurrence table at scale sqrt(d) and a non-real z, with the
     degree d: the values every deficiency-space object reads, and their norms
-    alpha_k (in floats, from _solution).  Every such table is one of these."""
+    alpha_k (float series).  Every such table is one of these."""
 
     def __init__(self, coeffs: CoefficientSequence, d: int, z):
         if as_complex(z).imag == 0:
@@ -666,39 +671,23 @@ class DeficiencyContext(PolyCache):
 
     def f_zero(self, n: int):
         """Value on level n of the radial basis function (anchor at the root
-        level of the whole tree): p_n(z) / d^(n/2).  Exact: A_n / (T_n d^n),
-        read from row n and built without the gcd (unreduced).  Float: the
-        solution anchored at level -1 at weights (d, 1)."""
-        if not self.exact:
-            return self._held(-1, (self.d, 1), n)[n + 1]
-        self.ensure(n)
-        re, im, den = self._monic(n)
-        return unreduced(re, im, den * self.d ** n)
+        level of the whole tree): p_n(z) / d^(n/2), f_anchored(-1, n)."""
+        return self.f_anchored(-1, n)
 
     def f_anchored(self, k: int, n: int):
-        """Value on level n inside one child subtree of an anchor at level k:
-        lam_k (p_k q_n - q_k p_n) / d^((n-k-1)/2), for n >= k + 1.  Exact:
-        lam_k (A_k B_n - B_k A_n) / (T_k T_n d^(n-1)), read from rows k and
-        n (_cross) and built without the gcd.  Float: the solution anchored
-        at level k at weights (d, 1), which cancels nothing.
-
-        The value at n = k + 1 is 1 for every k (discrete Wronskian)."""
+        """Value on level n >= k + 1 inside one child subtree of an anchor
+        at level k >= 0: lam_k (p_k q_n - q_k p_n) / d^((n-k-1)/2), which
+        is 1 at n = k + 1 (discrete Wronskian); k = -1 gives f_zero.  The
+        solution anchored at level k at weights (d, 1), which cancels
+        nothing in floats."""
         if n < k + 1:
             raise ValueError(f"anchored values start at level {k + 1}, got {n}")
-        if not self.exact:
-            return self._held(k, (self.d, 1), n)[n - k]
-        lam_k = self.lam(k)
-        self.ensure(n)
-        (re, im), den = self._cross(k, n)
-        return unreduced(re * lam_k.numerator, im * lam_k.numerator,
-                         den * lam_k.denominator * self.d ** (n - 1))
+        return self.levels(k, (self.d, 1), n, n)[0]
 
     def anchored_levels(self, k: int, n: int) -> list:
         """f_anchored(k, m) for m = k + 1..n, with the error of the first
-        level that fails; float values are one slice of the table."""
-        if not self.exact:
-            return self._held(k, (self.d, 1), n)[1:n - k + 1]
-        return [self.f_anchored(k, m) for m in range(k + 1, n + 1)]
+        level that fails."""
+        return self.levels(k, (self.d, 1), k + 1, n)
 
     def alphas(self, k_max: int, tol: float = 1e-12, n_max: int = 100_000) -> AlphaTable:
         """alpha_k(z) for k = 0..k_max, with per-k verdicts, summed over this

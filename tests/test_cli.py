@@ -99,6 +99,22 @@ def test_classify_paper_by_its_criterion(argv, criterion, verdict, capsys):
     assert (obj["criterion"], obj["verdict"], obj["terms_used"]) == (criterion, verdict, [0, 0])
 
 
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which are not JSON (RFC 8259)."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("coeffs", ["constant:1", "power:1:2"])
+def test_alpha_without_a_float_value_prints_null(coeffs, capsys):
+    code, out, _ = run(["deficiency", "--coeffs", coeffs, "--depth", "5"], capsys)
+    assert code == 0
+    assert _strict_json(out)["alphas"] == [None]
+    assert dump_json({"x": [math.nan, math.inf, -math.inf, 1.5, (2.0, "NaN")]}) == (
+        '{"x": [null, null, null, 1.5, [2.0, "NaN"]]}\n')
+
+
 @pytest.mark.parametrize("coeffs, criterion, status", [
     ("paper", "perron", "converged"), ("constant:1", "bounded", "diverged"),
     ("geometric:1:3/2", "berezanskii", "converged"),
@@ -200,15 +216,30 @@ def test_lambda_underflow_is_numeric_error(argv, capsys):
     assert "underflows to 0.0" in err and "Traceback" not in err
 
 
-def test_deficiency_over_budget_refused_before_any_recurrence_step(monkeypatch, capsys):
+def _forbid_recurrence_steps(monkeypatch) -> None:
     def no_step(*args):
         raise AssertionError("a recurrence step ran")
         yield  # a generator, like both steppers: making one steps nothing
     monkeypatch.setattr(orthopoly, "poly_pairs", no_step)  # the exact rows
-    monkeypatch.setattr(PolyCache, "_solution", no_step)  # the one float stepper
+    monkeypatch.setattr(PolyCache, "solution", no_step)  # every solution, either arithmetic
+
+
+def test_deficiency_over_budget_refused_before_any_recurrence_step(monkeypatch, capsys):
+    _forbid_recurrence_steps(monkeypatch)
     code, _, err = run(["deficiency", "--depth", "2000000"], capsys)
     assert code == 3
     assert "budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("levels", [22, 400, 1500])
+def test_poisson_over_budget_refused_before_any_recurrence_step(levels, monkeypatch, capsys):
+    # the printed kernel has d^|y| cells; at 1500 levels the alpha series
+    # would first fail on lambda_1024
+    _forbid_recurrence_steps(monkeypatch)
+    code, _, err = run(["poisson", "--y", ".".join(["1"] * levels)], capsys)
+    assert code == 3
+    assert f"refinement to depth {levels} needs" in err and "budget" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -378,7 +409,7 @@ def test_exact_floats_reduce_nothing(argv, reductions, capsys):
 def _tables_stepped(argv, monkeypatch, capsys) -> tuple:
     """(exact, rows yielded) for each exact recurrence table the run steps,
     and (anchor level, weights, levels stepped) for each float solution
-    table of the run's recurrence caches (PolyCache._solution), sorted."""
+    table of the run's recurrence caches (PolyCache.solution), sorted."""
     stepped, caches, real = [], [], orthopoly.poly_pairs
     made = PolyCache.__init__
 
@@ -715,4 +746,4 @@ def test_generated_argv_keeps_the_exit_contract(command, data):
             rows = list(csv.reader(io.StringIO(out.getvalue())))
             assert rows[0][0] == "n" and all(len(r) == len(rows[0]) for r in rows)
         else:
-            json.loads(out.getvalue())
+            _strict_json(out.getvalue())

@@ -391,7 +391,7 @@ def test_criterion_verdict_ignores_the_scale_and_runs_no_step(c, family, d, scal
     with pytest.MonkeyPatch.context() as mp:
         # any recurrence step would raise: exact rows, or the one float stepper
         mp.setattr(orthopoly, "poly_pairs", no_step)
-        mp.setattr(orthopoly.PolyCache, "_solution", no_step)
+        mp.setattr(orthopoly.PolyCache, "solution", no_step)
         rep = classify(make(c), d, z=z, scale=scale)
     assert (rep.verdict, rep.criterion) == (verdict, criterion)
     assert rep.terms_used == (0, 0)

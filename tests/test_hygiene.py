@@ -2,7 +2,8 @@
 private module-level function or class is used somewhere, every local
 a function assigns and every parameter it takes is read, every CLI flag
 is read by its subcommand's handler, only the recurrence table steps
-the recurrence, and only named scopes build a table or read beta_n."""
+the recurrence and reads its private members, and only named scopes build
+a table or read beta_n."""
 import argparse
 import ast
 import inspect
@@ -136,16 +137,51 @@ def _scopes_where(found) -> list:
 
 
 def test_only_the_table_steps_the_recurrence():
-    # a change to what the table stores then changes one class: exact rows
-    # reach readers through PolyCache, the only reader of poly_pairs, and
-    # every float value through PolyCache._solution, the one float stepper
+    # a change to what the table stores then changes one class: every value
+    # reaches readers through PolyCache.solution, from the one float stepper
+    # (_float_solution) or the one formula that reads the rows of poly_pairs
+    # (_exact_solution)
     loads = _scopes_where(lambda node: _name(node) == "poly_pairs"
                           and isinstance(node.ctx, ast.Load))
     assert loads == ["orthopoly.PolyCache.__init__"]
     steppers = _scopes_where(lambda node: isinstance(node, ast.Attribute)
                              and node.attr == "_coeff_rows")
     assert sorted(set(steppers)) == ["orthopoly.PolyCache.__init__",
-                                     "orthopoly.PolyCache._solution"]
+                                     "orthopoly.PolyCache._float_solution"]
+    row_readers = _scopes_where(lambda node: isinstance(node, ast.Attribute)
+                                and node.attr == "_rows")
+    assert sorted(set(row_readers)) == ["orthopoly.PolyCache.__init__",
+                                        "orthopoly.PolyCache._exact_solution",
+                                        "orthopoly.PolyCache.ensure",
+                                        "orthopoly.wronskian_residual"]
+
+
+def _private_members(classes) -> set:
+    """The private names ("_x", not "__x__") that the named classes of
+    orthopoly define as methods or assign on self."""
+    names = set()
+    for node in TREES[SRC / "orthopoly.py"].body:
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.FunctionDef):
+                    names.add(sub.name)
+                elif (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                      and _name(sub.value) == "self"):
+                    names.add(sub.attr)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_only_orthopoly_reads_the_tables_private_members():
+    # readers elsewhere go through the public interface (solution, levels,
+    # values and the deficiency readers); the test matches names, so no
+    # other class may reuse one of these private names
+    private = _private_members({"PolyCache", "DeficiencyContext"})
+    assert {"_rows", "_solutions", "_weights", "_exact_solution"} <= private
+    reads = sorted(f"{path.stem}: {node.attr} (line {node.lineno})"
+                   for path, tree in TREES.items() if path.stem != "orthopoly"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in private)
+    assert reads == []
 
 
 def test_only_these_scopes_build_a_recurrence_table():
@@ -178,14 +214,14 @@ def test_only_these_scopes_read_beta():
         or (isinstance(node, ast.Call) and _name(node.func) == "_accessors"
             and id(node) not in lam_only))
     assert sorted(set(reads)) == [
-        "coefficients._accessors",            # the accessor selector
-        "deficiency._Profile.residual",       # level profiles
-        "operator.JacobiOperator.apply",      # sparse functions on either tree
-        "operator.moments",                   # the exact radial matrix, conjugated
-        "oracle._tree_section",               # dense sections of the tree operators
-        "orthopoly.PolyCache._solution",      # the float recurrence, every weighting
-        "orthopoly._IntegerRecurrence.rows",  # the integer recurrence
-        "orthopoly._tridiagonal",             # the radial tridiagonal section
+        "coefficients._accessors",              # the accessor selector
+        "deficiency._Profile.residual",         # level profiles
+        "operator.JacobiOperator.apply",        # sparse functions on either tree
+        "operator.moments",                     # the exact radial matrix, conjugated
+        "oracle._tree_section",                 # dense sections of the tree operators
+        "orthopoly.PolyCache._float_solution",  # the float recurrence, every weighting
+        "orthopoly._IntegerRecurrence.rows",    # the integer recurrence
+        "orthopoly._tridiagonal",               # the radial tridiagonal section
     ]
 
 

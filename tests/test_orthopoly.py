@@ -798,6 +798,17 @@ def test_float_p_q_past_an_off_diagonal_beyond_the_float_range_match_exact_mode(
         assert want != 0 and abs(got - want) <= 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("z", [1j, exact_complex(0, 1)], ids=["float", "exact"])
+def test_levels_below_their_first_are_empty(z):
+    # hi < lo reads no level in either arithmetic, however far the table holds
+    from treejacobi.deficiency import DeficiencyContext
+    ctx = DeficiencyContext(PAPER, 2, z)
+    ctx.anchored_levels(3, 20)
+    for n in (3, 2, 1, 0):
+        assert ctx.anchored_levels(3, n) == []
+    assert ctx.levels(-1, (2, 1), 5, 3) == []
+
+
 def _held_prefix(read, n: int) -> list:
     """read(m) for m = 0..n, up to the first that leaves the float range."""
     out = []
@@ -903,6 +914,7 @@ NONREAL_ZS = st.builds(exact_complex, SMALL_ANY,
        st.sampled_from([2, 3, 4]), NONREAL_ZS, st.integers(1, 24), st.data())
 def test_row_readers_equal_the_reduced_formulas(reductions, coeffs, d, z, N, data):
     from treejacobi.deficiency import DeficiencyContext
+    from treejacobi.lambda_tree import radial_propagate
     ctx = DeficiencyContext(coeffs, d, z)
     ctx.ensure(N)
     p, q = _plain_recurrence(coeffs, exact_sqrt(d), z, N)
@@ -914,11 +926,17 @@ def test_row_readers_equal_the_reduced_formulas(reductions, coeffs, d, z, N, dat
                               ctx.p + ctx.q)
     assert bits == []
     assert got == _float_readings(lambda: [_csv_row(n, p[n], q[n]) for n in range(N + 1)], p + q)
+    # every reader names a solution, read from the rows by one formula
+    assert list(itertools.islice(ctx.values(), N + 1)) == p
+    assert list(itertools.islice(ctx.values(True), N + 1)) == q
     for n in range(N + 1):
         assert ctx.f_zero(n) == _old_f_zero(p, d, n)
+    assert (radial_propagate(exact_complex(1), z, N, coeffs, d)
+            == [half_power(d, n) * p[n] for n in range(N + 1)])
     k = data.draw(st.integers(0, N - 1))
-    for n in range(k + 1, N + 1):
-        assert ctx.f_anchored(k, n) == _old_f_anchored(coeffs, p, q, d, k, n)
+    anchored = [_old_f_anchored(coeffs, p, q, d, k, n) for n in range(k + 1, N + 1)]
+    assert [ctx.f_anchored(k, n) for n in range(k + 1, N + 1)] == anchored
+    assert ctx.anchored_levels(k, N) == anchored
     k = data.draw(st.integers(0, N // 2))
     n_terms = N + 1 - k
     p, q = _plain_recurrence(coeffs, exact_sqrt(d), z, k + n_terms)
