@@ -1,16 +1,17 @@
 """Coefficient sequences (lambda_n, beta_n) defining a Jacobi operator.
 
 Each family is one formula over an index range: from an index lo on, it
-yields lambda_n (and beta_n) as integer pairs (num, den), or as (x, 1) for
-the float x of a non-integer power, and raises at the first index whose
+yields lambda_n (and beta_n) as integer pairs (num, den), or in floats as
+(x, 1) for the float x of a non-integer power, which exact arithmetic
+refuses before any float is computed, and raises at the first index whose
 value fails.  Every read is a list index: each sequence keeps its lambda_n
-and beta_n in tables, one of floats and one of Fractions each, made on the
-first read of its kind with indices 0..15.  A read past the end extends
-the table to twice its length, stopping before the first index that fails
-(a float overflow, a lambda_n that is not positive, the end of an explicit
-list, a float-only family read exactly), and an index still past the end
-is computed alone, so it raises its own error.  Values and errors do not
-depend on the order of the reads.
+and beta_n in tables (cached properties), one of floats and one of
+Fractions each, made on the first read of its kind with indices 0..15.  A
+read past the end extends the table to twice its length, stopping before
+the first index that fails (a float overflow, a lambda_n that is not
+positive, the end of an explicit list, a float-only family read exactly),
+and an index still past the end is computed alone, so it raises its own
+error.  Values and errors do not depend on the order of the reads.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 from typing import Iterator, Optional
 
@@ -29,51 +31,33 @@ from .exactnum import as_complex, is_exact
 _FIRST_BLOCK = 16  # the indices a table is made with
 
 
-class _Table:
-    """A sequence's table of values convert(num, den) of the pairs of the
-    method named `pairs`: made on the first read, with indices below
-    _FIRST_BLOCK, and kept in the instance's __dict__, where every later
-    read finds it."""
-
-    def __init__(self, pairs: str, convert):
-        self.pairs, self.convert = pairs, convert
-
-    def __set_name__(self, _owner, name: str):
-        self.name = name
-
-    def __get__(self, obj, _owner=None):
-        if obj is None:
-            return self
-        values: list = []
-        _extend(values, getattr(obj, self.pairs), self.convert, _FIRST_BLOCK)
-        obj.__dict__[self.name] = values
-        return values
-
-
-def _extend(values: list, pairs, convert, count: int) -> None:
-    """Append convert(num, den) of the next `count` pairs of
-    pairs(len(values)), up to the first that fails."""
+def _extend(values: list, pairs, exact: bool, count: int) -> list:
+    """values, with the next `count` pairs of pairs(len(values), exact)
+    appended up to the first that fails, each as a Fraction when exact and
+    as its float quotient otherwise."""
+    convert = Fraction if exact else operator.truediv
     try:
-        made = pairs(len(values))
+        made = pairs(len(values), exact)
         if type(made) is itertools.repeat:  # one value at every index
             values += [convert(*next(made))] * count
         else:
             values += itertools.starmap(convert, itertools.islice(made, count))
     except (TreeJacobiError, ArithmeticError, ValueError):  # the table ends before it
         pass
+    return values
 
 
-def _read(values: list, n: int, pairs, convert, name: str):
+def _read(values: list, n: int, pairs, exact: bool, name: str):
     """Index n of a table, past its end or negative: a nonnegative n
     extends the table to twice its length, and an index still past the end
     is read alone, raising the error of index n if it has one."""
     if n >= 0:
-        _extend(values, pairs, convert, len(values))
+        _extend(values, pairs, exact, len(values))
         if n < len(values):
             return values[n]
-    num, den = next(pairs(n))
+    num, den = next(pairs(n, exact))
     try:
-        return convert(num, den)
+        return Fraction(num, den) if exact else num / den
     except OverflowError as exc:
         raise CoefficientOverflow(f"{name}_{n} does not fit in a float") from exc
 
@@ -131,11 +115,12 @@ class CoefficientSequence:
 
     # -- each family's values from an index on ---------------------------
 
-    def _lam_pairs(self, lo: int) -> Iterator[tuple]:
+    def _lam_pairs(self, lo: int, exact: bool) -> Iterator[tuple]:
         """lambda_lo, lambda_{lo+1}, ... as integer pairs (num, den) with
         den > 0, not necessarily in lowest terms, or as (x, 1) for the
-        float x of a non-integer power; the iterator raises at the first
-        index whose lambda_n is not a positive value."""
+        float x of a non-integer power, which exact arithmetic refuses
+        before any float is computed; the iterator raises at the first index
+        whose lambda_n is not a positive value."""
         if lo < 0:
             raise IndexError("lambda index must be nonnegative")
         family = self.family
@@ -149,6 +134,9 @@ class CoefficientSequence:
         if family == "power":
             base, exponent = self.params
             if not isinstance(exponent, int):
+                if exact:
+                    raise ExactModeUnavailable(
+                        "power family with non-integer exponent has no exact values")
                 if base.numerator <= 0:
                     raise NonPositiveLambda(f"lambda_{lo} = {base} * {lo + 1}^{exponent} "
                                             "is not positive")
@@ -160,12 +148,12 @@ class CoefficientSequence:
                 return ((num * m ** exponent, den) for m in itertools.count(lo + 1))
             return ((num, den * m ** -exponent) for m in itertools.count(lo + 1))
         if family == "paper":
-            return self.base._lam_pairs(lo)
+            return self.base._lam_pairs(lo, exact)
         if family == "explicit":
             return _listed_pairs(self.lams, lo, "lambda")
         raise ValueError(f"unknown family {family!r}")
 
-    def _beta_pairs(self, lo: int) -> Iterator[tuple]:
+    def _beta_pairs(self, lo: int, exact: bool) -> Iterator[tuple]:
         """beta_lo, beta_{lo+1}, ... as pairs, like _lam_pairs."""
         if lo < 0:
             raise IndexError("beta index must be nonnegative")
@@ -175,31 +163,30 @@ class CoefficientSequence:
         if family in ("geometric", "power"):
             return itertools.repeat((0, 1))
         if family == "paper":
-            return _paper_betas(self.base._lam_pairs, lo)
+            return _paper_betas(self.base, lo, exact)
         if family == "explicit":
             return _listed_pairs(self.betas, lo, "beta")
         raise ValueError(f"unknown family {family!r}")
 
-    def _float_only(self) -> bool:
-        """Whether lambda has float values only: a non-integer power, or a
-        paper family over one."""
-        if self.family == "paper":
-            return self.base._float_only()
-        return self.family == "power" and not isinstance(self.params[1], int)
+    # -- tables: made on the first read, with indices below _FIRST_BLOCK ---
 
-    def _exact_lam_pairs(self, lo: int) -> Iterator[tuple]:
-        """_lam_pairs, refused where lambda has float values only."""
-        if lo >= 0 and self._float_only():
-            raise _no_exact_values()
-        return self._lam_pairs(lo)
+    @cached_property
+    def _lam_fractions(self) -> list:
+        return _extend([], self._lam_pairs, True, _FIRST_BLOCK)
 
-    def _exact_beta_pairs(self, lo: int) -> Iterator[tuple]:
-        """_beta_pairs, refused for a paper family over float values."""
-        if lo >= 0 and self.family == "paper" and self._float_only():
-            raise _no_exact_values()
-        return self._beta_pairs(lo)
+    @cached_property
+    def _beta_fractions(self) -> list:
+        return _extend([], self._beta_pairs, True, _FIRST_BLOCK)
 
-    # -- accessors: list indexes into the sequence's tables (_Table, _read) --
+    @cached_property
+    def _lam_floats(self) -> list:
+        return _extend([], self._lam_pairs, False, _FIRST_BLOCK)
+
+    @cached_property
+    def _beta_floats(self) -> list:
+        return _extend([], self._beta_pairs, False, _FIRST_BLOCK)
+
+    # -- accessors: list indexes into the tables, extended by _read --------
 
     def lam_exact(self, n: int) -> Fraction:
         try:
@@ -207,7 +194,7 @@ class CoefficientSequence:
                 return self._lam_fractions[n]
         except IndexError:
             pass
-        return _read(self._lam_fractions, n, self._exact_lam_pairs, Fraction, "lambda")
+        return _read(self._lam_fractions, n, self._lam_pairs, True, "lambda")
 
     def beta_exact(self, n: int) -> Fraction:
         try:
@@ -215,7 +202,7 @@ class CoefficientSequence:
                 return self._beta_fractions[n]
         except IndexError:
             pass
-        return _read(self._beta_fractions, n, self._exact_beta_pairs, Fraction, "beta")
+        return _read(self._beta_fractions, n, self._beta_pairs, True, "beta")
 
     def lam(self, n: int) -> float:
         """lambda_n as the correctly rounded quotient of its integer pair,
@@ -226,7 +213,7 @@ class CoefficientSequence:
                 return self._lam_floats[n]
         except IndexError:
             pass
-        return _read(self._lam_floats, n, self._lam_pairs, operator.truediv, "lambda")
+        return _read(self._lam_floats, n, self._lam_pairs, False, "lambda")
 
     def beta(self, n: int) -> float:
         try:
@@ -234,12 +221,7 @@ class CoefficientSequence:
                 return self._beta_floats[n]
         except IndexError:
             pass
-        return _read(self._beta_floats, n, self._beta_pairs, operator.truediv, "beta")
-
-    _lam_fractions = _Table("_exact_lam_pairs", Fraction)
-    _beta_fractions = _Table("_exact_beta_pairs", Fraction)
-    _lam_floats = _Table("_lam_pairs", operator.truediv)
-    _beta_floats = _Table("_beta_pairs", operator.truediv)
+        return _read(self._beta_floats, n, self._beta_pairs, False, "beta")
 
     def describe(self) -> str:
         if self.family == "constant":
@@ -251,10 +233,6 @@ class CoefficientSequence:
         if self.family == "paper":
             return f"paper({self.base.describe()})"
         return f"explicit({len(self.lams)} terms)"
-
-
-def _no_exact_values() -> ExactModeUnavailable:
-    return ExactModeUnavailable("power family with non-integer exponent has no exact values")
 
 
 def _not_positive(n: int, value: Fraction) -> NonPositiveLambda:
@@ -297,14 +275,14 @@ def _listed_pairs(values: tuple, lo: int, name: str) -> Iterator[tuple]:
         f"{len(values)} entries (indices 0..{len(values) - 1})")
 
 
-def _paper_betas(lam_pairs, lo: int) -> Iterator[tuple]:
+def _paper_betas(base: CoefficientSequence, lo: int, exact: bool) -> Iterator[tuple]:
     """beta_n = lambda_n + lambda_{n-1}, beta_0 = lambda_0, from n = lo on,
-    summed as pairs from the pairs of lam_pairs; lambda_lo is made before
+    summed as pairs from the lambda pairs of base; lambda_lo is made before
     lambda_{lo-1}, so an index fails as its lambda_n does, or else as its
     lambda_{n-1} does."""
-    lams = lam_pairs(lo)
+    lams = base._lam_pairs(lo, exact)
     a, b = next(lams)
-    c, e = next(lam_pairs(lo - 1)) if lo else (0, 1)
+    c, e = next(base._lam_pairs(lo - 1, exact)) if lo else (0, 1)
     yield a * e + c * b, b * e
     for c, e in lams:
         yield a * e + c * b, b * e

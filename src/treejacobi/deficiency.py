@@ -7,11 +7,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coefficients import CoefficientSequence, TreeConfig, _criterion
-from .errors import CoefficientIndexError
 from .exactnum import as_complex, conj, is_exact, is_zero, matching_sqrt, sums_to_zero
 from .operator import JacobiOperator
 from .orthopoly import (AlphaTable, DeficiencyContext, PolyCache, check_recurrence_inputs,
-                        check_series_limits, sum_series)
+                        check_series_limits, sum_square_series)
 from .treecore import (GAMMA, Address, SparseFunction, check_budget,
                        format_address, subtree_size, subtree_vertices)
 
@@ -343,14 +342,9 @@ def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1
             a = float(abs(as_complex(v)))
             yield a * a
 
-    try:
-        res_p = sum_series(terms(cache.values()), tol, n_max)
-        res_q = sum_series(terms(cache.values(True)), tol, n_max)
-    except CoefficientIndexError:  # only an explicit list ends
-        entries = min(len(coeffs.lams), len(coeffs.betas))
-        raise CoefficientIndexError(
-            f"a {entries}-entry explicit list cannot decide essential selfadjointness: "
-            "the square series ran past its last entry without a verdict") from None
+    decides = "essential selfadjointness"
+    res_p = sum_square_series(terms(cache.values()), tol, n_max, coeffs, decides)
+    res_q = sum_square_series(terms(cache.values(True)), tol, n_max, coeffs, decides)
     if res_p.status == "converged" and res_q.status == "converged":
         verdict = "not_essentially_selfadjoint"
         diag = "both series converged: nontrivial deficiency spaces"

@@ -51,18 +51,27 @@ def esa_certificate(coeffs: CoefficientSequence, d: int, z,
     (all roots are real), so any solution is a nonzero multiple of the
     radial profile on each subtree — and each level of the tree has
     infinitely many vertices carrying that mass.  The masses are the
-    squared radial level values (radial_propagate), inf from the level
-    where that value leaves the float range."""
+    squared radial level values (radial_propagate).  Each |p_k| and each
+    mass reads inf from the level where its value leaves the float range:
+    such a value is not zero."""
     ctx = DeficiencyContext(coeffs, d, as_complex(z))
-    abs_p = [abs(v) for v in itertools.islice(ctx.values(), k_max + 1)]
-    masses: List[float] = []
-    try:
-        for v in itertools.islice(ctx.solution(-1, (1, d), 0), k_max + 1):
-            masses.append(v.real * v.real + v.imag * v.imag)
-    except RecurrenceOverflow:
-        masses += [math.inf] * (k_max + 1 - len(masses))
+    abs_p = _in_the_float_range(ctx.values(), k_max, abs)
+    masses = _in_the_float_range(ctx.solution(-1, (1, d), 0), k_max,
+                                 lambda v: v.real * v.real + v.imag * v.imag)
     return EsaCertificate(ctx.z, k_max, min(abs_p), masses,
                           all(a > 0 for a in abs_p))
+
+
+def _in_the_float_range(values, k_max: int, measure) -> List[float]:
+    """measure(v) of levels 0..k_max of values, inf from the first level
+    whose value left the float range."""
+    out: List[float] = []
+    try:
+        for v in itertools.islice(values, k_max + 1):
+            out.append(measure(v))
+    except RecurrenceOverflow:
+        out += [math.inf] * (k_max + 1 - len(out))
+    return out
 
 
 @dataclass

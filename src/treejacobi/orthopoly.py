@@ -15,8 +15,9 @@ from numbers import Rational
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .coefficients import ESA, NOT_ESA, CoefficientSequence, _accessors, _criterion
-from .errors import (CoefficientOverflow, ConvergenceFailure, DivergedSeries,
-                     InconclusiveSeries, RealSpectralParameter, RecurrenceOverflow)
+from .errors import (CoefficientIndexError, CoefficientOverflow, ConvergenceFailure,
+                     DivergedSeries, InconclusiveSeries, RealSpectralParameter,
+                     RecurrenceOverflow)
 from .exactnum import (ExactComplex, as_complex, exact_complex, is_exact,
                        matching_sqrt, unreduced)
 
@@ -604,6 +605,20 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12,
                         note=f"no verdict after {count} terms")
 
 
+def sum_square_series(terms: Iterable[float], tol: float, n_max: int,
+                      coeffs: CoefficientSequence, decides: str) -> SeriesResult:
+    """sum_series of the squares of a recurrence solution over coeffs; an
+    explicit list that ends before a verdict is refused with an error that
+    says what it cannot decide."""
+    try:
+        return sum_series(terms, tol, n_max)
+    except CoefficientIndexError:  # only an explicit list ends
+        entries = min(len(coeffs.lams), len(coeffs.betas))
+        raise CoefficientIndexError(
+            f"a {entries}-entry explicit list cannot decide {decides}: "
+            "the square series ran past its last entry without a verdict") from None
+
+
 def alpha_sq_terms(k: int, ctx: DeficiencyContext) -> Iterator:
     """Terms of the alpha_k(z)^2 series, in the arithmetic of ctx:
     |g_{k-1}(n)|^2 for n >= k, where g_{k-1} is the solution anchored at
@@ -699,7 +714,8 @@ class DeficiencyContext(PolyCache):
         and none is summed (terms_used 0, alpha_sqs inf); not ESA, every
         series converges, and its value is the float sum, or inf in
         alpha_sqs where the float series gives none.  Elsewhere each status
-        is its series verdict."""
+        is its series verdict, and an explicit list that ends before one is
+        refused (sum_square_series)."""
         if self.exact:
             raise ValueError("the alpha series are float series: read them from a float table")
         check_series_limits(tol, n_max)
@@ -707,7 +723,8 @@ class DeficiencyContext(PolyCache):
         if verdict == ESA:
             runs = [SeriesResult("diverged", math.inf, 0) for _ in range(k_max + 1)]
         else:
-            runs = [sum_series(alpha_sq_terms(k, self), tol, n_max) for k in range(k_max + 1)]
+            runs = [sum_square_series(alpha_sq_terms(k, self), tol, n_max, self.coeffs,
+                                      f"alpha_{k}") for k in range(k_max + 1)]
         totals = [r.partial_sum + r.tail_estimate for r in runs]
         statuses = [r.status for r in runs]
         if verdict == NOT_ESA:

@@ -102,10 +102,12 @@ def test_isometry_sibling_cylinders_orthogonal():
     assert inner_boundary(F1, F2) == 0
 
 
-def test_isometry_norm_matches_tree_norm():
+@pytest.mark.parametrize("elem", [DeficiencyElement((1,), (0.5, -0.5), 1j),
+                                  DeficiencyElement(None, (0.5 - 2j,), 1j)],
+                         ids=["anchored", "radial"])
+def test_isometry_norm_matches_tree_norm(elem):
     # boundary norm of the paired step function equals the alpha-series
     # tree norm of the deficiency element
-    elem = DeficiencyElement((1,), (0.5, -0.5), 1j)
     G = paired_step(elem, 2, ALPHA)
     assert G.norm() == pytest.approx(elem.norm(ALPHA), rel=1e-12)
 

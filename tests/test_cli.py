@@ -257,10 +257,15 @@ def test_deep_deficiency_overflow_hints_no_exact_mode_that_fails_alike(argv, cap
     assert "hint" not in err and "--mode exact" not in err
 
 
-def test_classify_says_a_finite_list_decides_no_limit(capsys):
-    code, _, err = run(["classify", "--coeffs", "explicit:1,2,4,8", "--d", "2"], capsys)
+@pytest.mark.parametrize("argv, entries, decides", [
+    (["classify", "--coeffs", "explicit:1,2,4,8", "--d", "2"], 4, "essential selfadjointness"),
+    (["deficiency", "--coeffs", "explicit:1,2,3", "--depth", "2"], 3, "alpha_0"),
+    (["poisson", "--coeffs", "explicit:1,2,3"], 3, "alpha_0"),
+])
+def test_classify_says_a_finite_list_decides_no_limit(argv, entries, decides, capsys):
+    code, _, err = run(argv, capsys)
     assert code == 2
-    assert err == ("error: a 4-entry explicit list cannot decide essential selfadjointness: "
+    assert err == (f"error: a {entries}-entry explicit list cannot decide {decides}: "
                    "the square series ran past its last entry without a verdict\n")
 
 

@@ -53,6 +53,11 @@ def test_first_index_past_the_float_range_overflows():
         with pytest.raises(CoefficientOverflow, match="_1024 "):
             fetch(1024)
     assert paper.lam_exact(1024) == 2 ** 1024
+    # a non-integer power overflows in its float formula
+    power = CoefficientSequence.power(1, 1023.5)
+    assert power.lam(1) == 2.0 ** 1023.5
+    with pytest.raises(CoefficientOverflow, match="lambda_2 "):
+        power.lam(2)
 
 
 @pytest.mark.parametrize("coeffs, n, error, text", [
@@ -96,9 +101,14 @@ def test_paper_over_a_non_integer_power_has_float_values():
     assert coeffs.beta(0) == coeffs.lam(0)
     for n in range(1, 6):
         assert coeffs.beta(n) == coeffs.lam(n) + coeffs.lam(n - 1)
-    for fetch in (coeffs.lam_exact, coeffs.beta_exact):
-        with pytest.raises(ExactModeUnavailable):
-            fetch(3)
+    # refused in every read order: after float reads, as the first read of
+    # a fresh sequence, and before a float lambda_0 would overflow
+    for fetch, n in ((coeffs.lam_exact, 3), (coeffs.beta_exact, 3),
+                     (CoefficientSequence.power(1, 1 / 2).lam_exact, 50),
+                     (CoefficientSequence.paper_example(base).beta_exact, 3),
+                     (CoefficientSequence.power(10 ** 400, 0.5).lam_exact, 0)):
+        with pytest.raises(ExactModeUnavailable, match="has no exact values"):
+            fetch(n)
     assert classify(coeffs, 2).verdict in (
         "essentially_selfadjoint", "not_essentially_selfadjoint", "inconclusive")
 

@@ -2,8 +2,9 @@
 private module-level function or class is used somewhere, every local
 a function assigns and every parameter it takes is read, every CLI flag
 is read by its subcommand's handler, only the recurrence table steps
-the recurrence and reads its private members, and only named scopes build
-a table or read beta_n."""
+the recurrence and reads its private members, only coefficients reads a
+sequence's private members, and only named scopes build a table, read
+beta_n or refuse exact values."""
 import argparse
 import ast
 import inspect
@@ -156,11 +157,11 @@ def test_only_the_table_steps_the_recurrence():
                                         "orthopoly.wronskian_residual"]
 
 
-def _private_members(classes) -> set:
-    """The private names ("_x", not "__x__") that the named classes of
-    orthopoly define as methods or assign on self."""
+def _private_members(module: str, classes) -> set:
+    """The private names ("_x", not "__x__") that the named classes of the
+    module define as methods or assign on self."""
     names = set()
-    for node in TREES[SRC / "orthopoly.py"].body:
+    for node in TREES[SRC / f"{module}.py"].body:
         if isinstance(node, ast.ClassDef) and node.name in classes:
             for sub in ast.walk(node):
                 if isinstance(sub, ast.FunctionDef):
@@ -175,13 +176,34 @@ def test_only_orthopoly_reads_the_tables_private_members():
     # readers elsewhere go through the public interface (solution, levels,
     # values and the deficiency readers); the test matches names, so no
     # other class may reuse one of these private names
-    private = _private_members({"PolyCache", "DeficiencyContext"})
+    private = _private_members("orthopoly", {"PolyCache", "DeficiencyContext"})
     assert {"_rows", "_solutions", "_weights", "_exact_solution"} <= private
-    reads = sorted(f"{path.stem}: {node.attr} (line {node.lineno})"
-                   for path, tree in TREES.items() if path.stem != "orthopoly"
-                   for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute) and node.attr in private)
-    assert reads == []
+    assert _reads_elsewhere("orthopoly", private) == []
+
+
+def _reads_elsewhere(module: str, names: set) -> list:
+    """Attribute reads of the given names in every module but one."""
+    return sorted(f"{path.stem}: {node.attr} (line {node.lineno})"
+                  for path, tree in TREES.items() if path.stem != module
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in names)
+
+
+def test_only_coefficients_reads_a_sequences_private_members():
+    # every layer reads lambda_n and beta_n through the four accessors, so
+    # the tables and the pair formulas can change inside one module; the
+    # test matches names, as the rule for the recurrence table does
+    private = _private_members("coefficients", {"CoefficientSequence"})
+    assert {"_lam_pairs", "_beta_pairs", "_lam_floats", "_lam_fractions"} <= private
+    assert _reads_elsewhere("coefficients", private) == []
+
+
+def test_exact_values_are_refused_in_one_scope():
+    # the branch that picks the float formula of a non-integer power is the
+    # one place that knows a family has no exact values
+    raises = _scopes_where(lambda node: isinstance(node, ast.Call)
+                           and _name(node.func) == "ExactModeUnavailable")
+    assert raises == ["coefficients.CoefficientSequence._lam_pairs"]
 
 
 def test_only_these_scopes_build_a_recurrence_table():

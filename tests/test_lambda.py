@@ -1,12 +1,14 @@
 """One-ended tree: propagation, certificate, eigenpairs, dimensions,
 spectrum."""
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from treejacobi.cli import dump_json
 from treejacobi.coefficients import CoefficientSequence
 from treejacobi.errors import RealSpectralParameter
 from treejacobi.exactnum import exact_complex, is_zero
@@ -65,10 +67,17 @@ def test_certificate_free_family_floor():
 
 def test_certificate_past_the_float_range_of_d_to_the_k():
     # the radial level values grow like 2^k and leave the float range near
-    # k = 1024, their squares near k = 512; the masses read inf from there on
-    cert = esa_certificate(CONSTANT, 2, 1j, 1100)
-    assert cert.all_nonzero
-    assert cert.level_masses[1000:] == [math.inf] * 101
+    # k = 1024, their squares near k = 512, and p_k = 2^(-k/2) times them
+    # near k = 2048; the masses and |p_k| read inf from there on, and JSON
+    # writes inf as null
+    cert = esa_certificate(CONSTANT, 2, 1j, 2100)
+    assert cert.all_nonzero and cert.min_abs_p > 0
+    assert cert.level_masses[1000:] == [math.inf] * 1101
+    obj = json.loads(dump_json(cert.to_json_obj()))
+    assert obj["level_masses"] == [m if math.isfinite(m) else None
+                                   for m in cert.level_masses]
+    assert (obj["z"], obj["k_max"], obj["all_nonzero"]) == ([0.0, 1.0], 2100, True)
+    assert obj["min_abs_p"] == cert.min_abs_p
 
 
 def test_smallest_eigenpair():

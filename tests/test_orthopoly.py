@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from treejacobi.coefficients import CoefficientSequence
 from treejacobi.errors import (CoefficientIndexError, CoefficientOverflow, DivergedSeries,
-                               NonPositiveLambda, RealSpectralParameter,
+                               InconclusiveSeries, NonPositiveLambda, RealSpectralParameter,
                                RecurrenceOverflow)
 from treejacobi.exactnum import (ExactComplex, abs2, as_complex, exact_complex, exact_sqrt,
                                  half_power, is_exact)
@@ -806,6 +806,8 @@ def test_levels_below_their_first_are_empty(z):
     ctx.anchored_levels(3, 20)
     for n in (3, 2, 1, 0):
         assert ctx.anchored_levels(3, n) == []
+        with pytest.raises(ValueError, match=f"anchored values start at level 4, got {n}"):
+            ctx.f_anchored(3, n)
     assert ctx.levels(-1, (2, 1), 5, 3) == []
 
 
@@ -1001,10 +1003,15 @@ def test_alpha_total_is_partial_plus_tail():
         assert a.alphas[k] ** 2 == pytest.approx(a.alpha_sqs[k], rel=1e-12)
 
 
-def test_alpha_divergent_family():
-    a = alpha_series(CONSTANT, 1, 1j, 0)  # scale 1: determinate classical case
-    assert a.statuses[0] == "diverged"
-    with pytest.raises(DivergedSeries):
+@pytest.mark.parametrize("coeffs, d, n_max, status, error", [
+    (CONSTANT, 1, 100_000, "diverged", DivergedSeries),  # scale 1: determinate classical case
+    (CoefficientSequence.paper_example(CoefficientSequence.power(1, 2)), 2, 5,
+     "inconclusive", InconclusiveSeries),  # no criterion, too few terms for a verdict
+], ids=["diverged", "inconclusive"])
+def test_alpha_divergent_family(coeffs, d, n_max, status, error):
+    a = alpha_series(coeffs, d, 1j, 0, n_max=n_max)
+    assert a.statuses[0] == status
+    with pytest.raises(error, match=f"alpha_0 series {status} at z = 1j"):
         a.alpha(0)
 
 
