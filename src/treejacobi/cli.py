@@ -306,12 +306,12 @@ def cmd_oracle(args) -> int:
 def cmd_paper_example(args) -> int:
     """The worked example: degree 2, lam_n = 2^n, beta_n = lam_n + lam_{n-1}
     with beta_0 = lam_0.  The unscaled matrix is essentially selfadjoint
-    (p_n(0) alternates between +1 and -1, so its square series diverges)
-    while the sqrt(2)-scaled radial matrix is not (both series converge
-    geometrically at z = i) — hence neither is the tree operator.  Both
-    verdicts are the square series' own (classify_by_series), reproducing
-    the paper's computation, where classify would decide the family from
-    its parameters."""
+    (p_n(0) alternates between +1 and -1, so p(0) is not square-summable:
+    classify's alternation criterion, with the alternation itself checked
+    in exact arithmetic) while the sqrt(2)-scaled radial matrix is not
+    (both square series converge geometrically at z = i, the series' own
+    verdict by classify_by_series, reproducing the paper's computation) —
+    hence neither is the tree operator."""
     coeffs = CoefficientSequence.paper_example()
     checks = {}
 
@@ -331,14 +331,13 @@ def cmd_paper_example(args) -> int:
         "verdict": scaled.verdict,
         "detail": "sqrt(2)-scaled matrix: both square series converge at z = i"}
 
-    classical = classify_by_series(coeffs, 2, z=0.0 + 0.0j, tol=args.tol,
-                                   n_max=args.n_max, scale=1.0)
+    classical = classify(coeffs, 2, z=0, scale=1.0)
     checks["classical_series"] = {
         "pass": classical.verdict == "essentially_selfadjoint",
         "series_p_status": classical.series_p_status,
         "series_q_status": classical.series_q_status,
         "verdict": classical.verdict,
-        "detail": "unscaled matrix: the p-series diverges at z = 0"}
+        "detail": "unscaled matrix: p_n(0) = (-1)^n is not square-summable (alternation)"}
 
     overall = all(c["pass"] for c in checks.values())
     inconclusive = any(

@@ -330,9 +330,11 @@ def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1
 
     Sums |p_n(z)|^2 and |q_n(z)|^2 with off-diagonal scale * lambda_n
     (default scale sqrt(d), the radial restriction of the tree operator,
-    exact when z is).  Both series square-summable means nontrivial
-    deficiency spaces; at least one divergent means essentially selfadjoint.  Real z (notably
-    z = 0, in exact arithmetic) runs the classical determinacy test."""
+    exact when z is).  Both series converging by sum_series' block-ratio
+    rule means nontrivial deficiency spaces: not essentially selfadjoint.
+    Anything else is inconclusive, since no finite run of terms shows that a
+    series diverges; essential selfadjointness is left to a criterion
+    (classify)."""
     if scale is None:
         scale = matching_sqrt(d, z)
     cache = PolyCache(coeffs, scale, z)
@@ -348,9 +350,6 @@ def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1
     if res_p.status == "converged" and res_q.status == "converged":
         verdict = "not_essentially_selfadjoint"
         diag = "both series converged: nontrivial deficiency spaces"
-    elif res_p.status == "diverged" or res_q.status == "diverged":
-        verdict = "essentially_selfadjoint"
-        diag = "at least one series diverged: deficiency spaces are trivial"
     else:
         verdict = "inconclusive"
         diag = (f"no verdict within n_max={n_max}: "

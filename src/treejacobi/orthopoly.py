@@ -7,7 +7,6 @@ import cmath
 import csv
 import itertools
 import math
-import statistics
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,6 @@ if TYPE_CHECKING:
 
 RATIO_CEILING = 0.99
 CONVERGENCE_WINDOW = 8
-STALL_WINDOW = 64
 
 
 def _wants_exact(scale, z) -> bool:
@@ -526,7 +524,7 @@ def poly_roots(coeffs: CoefficientSequence, scale: float, n: int) -> np.ndarray:
 
 @dataclass
 class SeriesResult:
-    status: str  # "converged" | "diverged" | "inconclusive"
+    status: str  # "converged" | "inconclusive"; "diverged" only from a criterion
     partial_sum: float
     terms_used: int
     tail_estimate: float = 0.0
@@ -544,30 +542,27 @@ def check_series_limits(tol: float, n_max: int) -> None:
 
 def sum_series(terms: Iterable[float], tol: float = 1e-12,
                n_max: int = 100_000) -> SeriesResult:
-    """Sum nonnegative terms until a convergence or divergence verdict.
+    """Sum nonnegative terms until a convergence verdict.
 
     Converged: the last CONVERGENCE_WINDOW terms are all below
     tol * partial_sum and their sum is below RATIO_CEILING**CONVERGENCE_WINDOW
     times the sum of the CONVERGENCE_WINDOW terms before them.  Comparing
     block sums, not single-step ratios, certifies terms that alternate
-    between two decay phases.  With R the ratio of the two block sums, the
-    reported ratio is R**(1/CONVERGENCE_WINDOW) and the geometric tail is
-    newer_block * R / (1 - R).
+    between two decay phases, and multiplying all terms by a positive
+    constant changes no verdict.  With R the ratio of the two block sums,
+    the reported ratio is R**(1/CONVERGENCE_WINDOW) and the geometric tail
+    is newer_block * R / (1 - R).
 
-    Diverged: the terms stop decreasing (the median of the last
-    STALL_WINDOW terms is no smaller than the median of the preceding
-    block).  Both rules compare terms with each other, so multiplying all
-    terms by a positive constant changes neither verdict.
-
-    Otherwise inconclusive: a term leaves the float range, or the terms
+    Otherwise inconclusive, never "diverged", since no finite run of terms
+    shows that a series diverges: n_max terms gave no verdict (no term past
+    the n_max-th is read), or a term leaves the float range or the terms
     raise RecurrenceOverflow, since a value past the float range says
-    nothing about the limit (partial_sum is the sum of the terms before it);
-    or n_max terms gave no verdict, and no term past the n_max-th is read.
+    nothing about the limit (partial_sum is the sum of the terms before it).
     tol must be finite and positive, n_max at least 1 (check_series_limits).
     """
     check_series_limits(tol, n_max)
     s = 0.0
-    recent: deque = deque(maxlen=2 * max(CONVERGENCE_WINDOW, STALL_WINDOW))
+    recent: deque = deque(maxlen=2 * CONVERGENCE_WINDOW)
     count = 0
     try:
         for t in itertools.islice(terms, n_max):
@@ -579,7 +574,7 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12,
             recent.append(t)
 
             if t < tol * s and count >= 2 * CONVERGENCE_WINDOW:
-                last = list(itertools.islice(reversed(recent), 2 * CONVERGENCE_WINDOW))
+                last = list(reversed(recent))
                 newer = sum(last[:CONVERGENCE_WINDOW])
                 older = sum(last[CONVERGENCE_WINDOW:])
                 if all(v < tol * s for v in last[:CONVERGENCE_WINDOW]) and (
@@ -589,15 +584,6 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12,
                     tail_est = newer * big_r / (1.0 - big_r)
                     return SeriesResult("converged", s, count, tail_est,
                                         big_r ** (1.0 / CONVERGENCE_WINDOW))
-
-            if count % STALL_WINDOW == 0 and count >= 2 * STALL_WINDOW:
-                block = list(recent)[-2 * STALL_WINDOW:]
-                older = statistics.median(block[:STALL_WINDOW])
-                newer = statistics.median(block[STALL_WINDOW:])
-                if newer >= older and newer > 0:
-                    return SeriesResult(
-                        "diverged", s, count,
-                        note=f"terms stopped decreasing over {STALL_WINDOW} consecutive terms")
     except RecurrenceOverflow:
         return SeriesResult("inconclusive", s, count,
                             note="recurrence overflow: terms left the float range")
@@ -608,12 +594,17 @@ def sum_series(terms: Iterable[float], tol: float = 1e-12,
 def sum_square_series(terms: Iterable[float], tol: float, n_max: int,
                       coeffs: CoefficientSequence, decides: str) -> SeriesResult:
     """sum_series of the squares of a recurrence solution over coeffs; an
-    explicit list that ends before a verdict is refused with an error that
-    says what it cannot decide."""
+    explicit list that ends before a verdict, read directly or as the base
+    of a paper family, is refused with an error that says how many entries
+    it has and what it cannot decide."""
     try:
         return sum_series(terms, tol, n_max)
     except CoefficientIndexError:  # only an explicit list ends
-        entries = min(len(coeffs.lams), len(coeffs.betas))
+        lams, betas = coeffs.lams, coeffs.betas
+        while coeffs.family == "paper":  # it reads only its base's lambdas
+            coeffs = coeffs.base
+            lams = betas = coeffs.lams
+        entries = min(len(lams), len(betas))
         raise CoefficientIndexError(
             f"a {entries}-entry explicit list cannot decide {decides}: "
             "the square series ran past its last entry without a verdict") from None

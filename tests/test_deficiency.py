@@ -13,8 +13,8 @@ from treejacobi.deficiency import (BasisFunction, DeficiencyContext,
                                    deficiency_residual, element_max_abs,
                                    element_residual, f_value, project_full,
                                    project_onto_Ax)
-from treejacobi.errors import (InconclusiveSeries, NotInSubtree, PatchTooLarge,
-                               RealSpectralParameter, RecurrenceOverflow)
+from treejacobi.errors import (CoefficientIndexError, InconclusiveSeries, NotInSubtree,
+                               PatchTooLarge, RealSpectralParameter, RecurrenceOverflow)
 from treejacobi.exactnum import as_complex, exact_complex, exact_sqrt, is_exact, is_zero
 from treejacobi.operator import JacobiOperator
 from treejacobi.orthopoly import alpha_series, alpha_sq_partial
@@ -527,8 +527,28 @@ def test_paper_rules_never_contradict_a_series_verdict(case, z):
     coeffs = CoefficientSequence.paper_example(base)
     criterion, verdict, _ = _criterion(coeffs, scale)
     assert criterion == ("alternation" if abs(scale) == 1 else "perron")
-    assert classify_by_series(coeffs, 2, z=z, scale=scale, n_max=4000).verdict in (
+    assert classify_by_series(coeffs, 2, z=z, scale=scale, n_max=600).verdict in (
         verdict, "inconclusive")
+
+
+@pytest.mark.parametrize("g, d, scale", [(Fraction(3, 2), 3, None), (2, 3, None),
+                                         (3, 3, None), (2, 2, 1.2), (2, 2, 3.0)])
+def test_series_call_no_paper_family_over_a_power_esa(g, d, scale):
+    # at |s| > 1 and g > 1 every solution decays like n^(-g/2), so it is
+    # l^2 and the matrix is not ESA; the series' terms decay too slowly for
+    # the block-ratio rule, and no finite run of them shows a divergence
+    coeffs = CoefficientSequence.paper_example(CoefficientSequence.power(1, g))
+    rep = classify_by_series(coeffs, d, scale=scale, n_max=20_000)
+    assert rep.verdict in ("not_essentially_selfadjoint", "inconclusive")
+
+
+def test_a_paper_family_over_a_list_is_refused_with_the_list_it_reads():
+    coeffs = CoefficientSequence.paper_example(CoefficientSequence.explicit([1, 2, 3]))
+    refusal = "^a 3-entry explicit list cannot decide {}: "
+    with pytest.raises(CoefficientIndexError, match=refusal.format("essential selfadjointness")):
+        classify(coeffs, 2)
+    with pytest.raises(CoefficientIndexError, match=refusal.format("alpha_0")):
+        alpha_series(coeffs, 2, 1j, 0)
 
 
 # -- projections ------------------------------------------------------------

@@ -4,6 +4,7 @@ import copy
 import io
 import itertools
 import math
+import operator
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -194,18 +195,23 @@ def test_sum_series_geometric_converges():
 
 
 def test_sum_series_constant_diverges():
+    # the series diverges, but no finite run of terms shows it
     res = sum_series((1.0 for _ in range(10_000)))
-    assert res.status == "diverged"
+    assert res.status == "inconclusive"
+    assert (res.terms_used, res.note) == (10_000, "no verdict after 10000 terms")
 
 
 def test_sum_series_partial_sum_blowup():
-    res = sum_series((2.0 ** n for n in range(10_000)), tol=1e-6)
-    assert res.status == "diverged"
+    # doubling terms reach inf at the 1025th: past the float range, no verdict
+    res = sum_series(itertools.accumulate(itertools.repeat(2.0, 10_000), operator.mul,
+                                          initial=1.0), tol=1e-6)
+    assert res.status == "inconclusive"
+    assert (res.terms_used, res.note) == (1024, "term overflowed the float range")
 
 
 def test_sum_series_oscillating_decay_still_converges():
-    # decaying terms with frequent near-zero minima must not trip the
-    # stopped-decreasing rule
+    # decaying terms with frequent near-zero minima: the block sums still
+    # shrink geometrically, whatever single terms do
     terms = [abs(math.cos(n * 0.7)) * 0.9 ** n for n in range(10_000)]
     res = sum_series(iter(terms))
     assert res.status == "converged"
