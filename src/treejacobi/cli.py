@@ -33,7 +33,7 @@ from .operator import JacobiOperator, moments
 from .coefficients import TreeConfig
 from .oracle import build_radial_block, dense_eigensolve
 from .orthopoly import compute_polys, poly_roots
-from .treecore import check_budget, parse_address, validate_address
+from .treecore import SparseFunction, check_budget, parse_address, validate_address
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -160,11 +160,26 @@ def _finite_or_null(obj):
 
 def dump_json(obj) -> str:
     """Compact JSON with sorted keys, a non-finite float written null: JSON
-    (RFC 8259) has neither NaN nor infinity."""
+    (RFC 8259) has neither NaN nor infinity.  A SparseFunction is written as
+    its own text (SparseFunction.to_json), spliced in where json.dumps wrote
+    a marker for it."""
+    held = []
+
+    def hold(f):
+        if not isinstance(f, SparseFunction):
+            raise TypeError(f"Object of type {type(f).__name__} is not JSON serializable")
+        held.append(f)
+        return "\x00"  # written "\u0000", which no held text contains
+
     try:
-        return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(obj, sort_keys=True, allow_nan=False, default=hold)
     except ValueError:  # a non-finite float: only then is obj walked
-        return json.dumps(_finite_or_null(obj), sort_keys=True, allow_nan=False) + "\n"
+        held.clear()
+        text = json.dumps(_finite_or_null(obj), sort_keys=True, allow_nan=False, default=hold)
+    pieces = text.split('"\\u0000"')
+    assert len(pieces) == len(held) + 1, "a marker string outside a SparseFunction"
+    texts = [f.to_json() for f in held] + ["\n"]
+    return "".join(t for pair in zip(pieces, texts) for t in pair)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +234,7 @@ def cmd_deficiency(args) -> int:
         "alpha_status": alpha.status,
         "alpha_criterion": alpha.criterion,
         "alphas": alpha.alphas,
-        "values": f.to_json_obj(),
+        "values": f,
     }
     emit(args, dump_json(obj))
     return EXIT_OK
@@ -267,7 +282,7 @@ def cmd_lambda(args) -> int:
              "branch": p.branch,
              "root_index": p.root_index,
              "residual": eigen_residual(p, coeffs, args.d),
-             "values": p.eigenfunction.to_json_obj()}
+             "values": p.eigenfunction}
             for p in pairs
         ],
         "dimension": {"dim_Mx": audit.dim_Mx, "dim_Vx": audit.dim_Vx,

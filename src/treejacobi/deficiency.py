@@ -353,10 +353,8 @@ def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1
     else:
         verdict = "inconclusive"
         diag = (f"no verdict within n_max={n_max}: "
-                f"p-series {res_p.status} ({res_p.note}), "
-                f"q-series {res_q.status} ({res_q.note})")
-    if res_p.note or res_q.note:
-        diag += f" | p: {res_p.note or 'ok'} | q: {res_q.note or 'ok'}"
+                f"p-series {res_p.status} ({res_p.note or 'ok'}), "
+                f"q-series {res_q.status} ({res_q.note or 'ok'})")
     return ClassificationReport(verdict, res_p.status, res_q.status,
                                 (res_p.terms_used, res_q.terms_used),
                                 as_complex(z), as_complex(scale).real, diag)

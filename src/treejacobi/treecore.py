@@ -3,6 +3,7 @@ rooted tree and on finite patches of the one-ended tree."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -179,22 +180,25 @@ class SparseFunction:
 
     # -- JSON ----------------------------------------------------------
 
-    def to_json_obj(self) -> list:
-        """One record per vertex of the support, in address order.  An
-        address is its parent's text plus its last index where the parent
-        is in the support, and each distinct value object is converted once."""
+    def to_json(self) -> str:
+        """The JSON text of one record per vertex of the support, in address
+        order, keys sorted and a non-finite part written null.  An address is
+        its parent's text plus its last index where the parent is in the
+        support, and each distinct value object is formatted once."""
         names: Dict[Address, str] = {}
-        parts: Dict[int, complex] = {}  # id of a value object -> its complex
+        tails: Dict[int, str] = {}  # id of a value object -> its record's tail
         records = []
         for x in self.support():
             parent = names.get(x[:-1]) if len(x) > 1 else None
             name = names[x] = format_address(x) if parent is None else f"{parent}.{x[-1]}"
             v = self.entries[x]
-            c = parts.get(id(v))
-            if c is None:
-                c = parts[id(v)] = as_complex(v)
-            records.append({"address": name, "re": c.real, "im": c.imag})
-        return records
+            tail = tails.get(id(v))
+            if tail is None:  # repr is the json module's text of a finite float
+                c = as_complex(v)
+                im, re = (repr(t) if math.isfinite(t) else "null" for t in (c.imag, c.real))
+                tail = tails[id(v)] = f'"im": {im}, "re": {re}}}'
+            records.append(f'{{"address": "{name}", {tail}')
+        return f"[{', '.join(records)}]"
 
 
 def _check_kind(f: SparseFunction, g: SparseFunction) -> None:

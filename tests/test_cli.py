@@ -396,6 +396,29 @@ def test_deep_exact_deficiency_stdout_is_frozen(argv, digest, capsys):
     assert hashlib.sha256(dump_json(obj).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # the four deficiency argv of the spectra benchmark at seed 7
+    ("deficiency --d 2 --anchor= --z=-1.1558306506874048,0.8191696885187176 --depth 20",
+     "bff1d6146948bee764bfb28480a4aea930413f3b2e8fd17a7d29460156bc7431"),
+    ("deficiency --d 3 --anchor=2 --z=1.3367799857578775,-1.8650255844733348 --depth 30",
+     "bd8ebb2c6943baf8cbe4851afbcc25cb5bdc9804b524817470b22aa356177b31"),
+    ("deficiency --d 2 --anchor=1.2 --z=1.1060246283742154,-1.6640584483650005 --depth 40",
+     "abe692e9b62ea8277f9d69a6645b009323e7663a97173bae521cb0da73d16475"),
+    ("deficiency --d 3 --anchor= --z=-1.5186535550214164,-0.9889732265732961 --depth 50",
+     "d3bad710f2288fededff98808b5e7cb9b7c8484a73e6effa21722c7129ac834c"),
+    ("lambda --coeffs paper --d 3 --n 3",
+     "7dfe6f03a79865e067ecea2c864c596e61bf69ada6305ade9899f959c7d6e29b"),
+    ("lambda --coeffs geometric:7/4:3/2 --d 2 --n 4",
+     "f9df502825d46bd7792930058a44668bc935db11d901030e329de3c316fb3c91"),
+])
+def test_float_stdout_is_frozen(argv, digest, capsys):
+    # SHA-256 of the stdout written through one dict per vertex record and
+    # the json encoder, before SparseFunction wrote its own JSON text
+    code, out, err = run(argv.split(), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     "deficiency --mode exact --depth 40",
     "deficiency --mode exact --depth 40 --anchor 1 --d 3",

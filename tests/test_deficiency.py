@@ -542,6 +542,23 @@ def test_series_call_no_paper_family_over_a_power_esa(g, d, scale):
     assert rep.verdict in ("not_essentially_selfadjoint", "inconclusive")
 
 
+@pytest.mark.parametrize("coeffs, kw, notes", [
+    (PAPER, {"z": 0j, "scale": 1.0, "n_max": 1000},
+     ["no verdict after 1000 terms", "no verdict after 1000 terms"]),
+    (CoefficientSequence.explicit([1] * 300), {"n_max": 100},
+     ["no verdict after 100 terms", "no verdict after 100 terms"]),
+    (CoefficientSequence.constant(1), {"z": 1e308j}, ["term overflowed the float range"] * 2),
+])
+def test_an_inconclusive_diagnostics_prints_each_note_once(coeffs, kw, notes):
+    rep = classify_by_series(coeffs, 2, **kw)
+    assert rep.verdict == "inconclusive"
+    assert rep.diagnostics == (f"no verdict within n_max={kw.get('n_max', 100_000)}: "
+                               f"p-series inconclusive ({notes[0]}), "
+                               f"q-series inconclusive ({notes[1]})")
+    for note in set(notes):
+        assert rep.diagnostics.count(note) == notes.count(note)
+
+
 def test_a_paper_family_over_a_list_is_refused_with_the_list_it_reads():
     coeffs = CoefficientSequence.paper_example(CoefficientSequence.explicit([1, 2, 3]))
     refusal = "^a 3-entry explicit list cannot decide {}: "

@@ -3,8 +3,8 @@ private module-level function or class is used somewhere, every local
 a function assigns and every parameter it takes is read, every CLI flag
 is read by its subcommand's handler, only the recurrence table steps
 the recurrence and reads its private members, only coefficients reads a
-sequence's private members, and only named scopes build a table, read
-beta_n or refuse exact values."""
+sequence's private members, only named scopes build a table, read
+beta_n or refuse exact values, and one writer makes JSON text."""
 import argparse
 import ast
 import inspect
@@ -245,6 +245,25 @@ def test_only_these_scopes_read_beta():
         "orthopoly._IntegerRecurrence.rows",    # the integer recurrence
         "orthopoly._tridiagonal",               # the radial tridiagonal section
     ]
+
+
+def _formats_a_record(node) -> bool:
+    """A dict keyed "address" or a string holding a JSON key of the
+    vertex records ("address", "re" or "im" in quotes)."""
+    if isinstance(node, ast.Dict):
+        return any(isinstance(k, ast.Constant) and k.value == "address" for k in node.keys)
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and any(f'"{key}"' in node.value for key in ("address", "re", "im")))
+
+
+def test_one_scope_writes_json_and_one_formats_a_record():
+    # dump_json splices each SparseFunction's own text in where json.dumps
+    # wrote its marker, so a second writer or a second record formatter
+    # would print records that bypass one of them
+    dumps = _scopes_where(lambda node: isinstance(node, ast.Call)
+                          and _name(node.func) in ("dumps", "dump"))
+    assert sorted(set(dumps)) == ["cli.dump_json"]
+    assert sorted(set(_scopes_where(_formats_a_record))) == ["treecore.SparseFunction.to_json"]
 
 
 def _unread_cli_flags() -> list:

@@ -1,5 +1,6 @@
 """Addresses, sparse functions, levels, inner products."""
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from treejacobi import (boundary, deficiency, lambda_tree, operator, oracle,
                         treecore)
 from treejacobi.boundary import StepFunction
+from treejacobi.cli import dump_json
 from treejacobi.coefficients import CoefficientSequence, TreeConfig
 from treejacobi.deficiency import DeficiencyContext, DeficiencyElement
 from treejacobi.errors import KindMismatch, PatchTooLarge
@@ -194,7 +196,7 @@ def test_level_indicator_values():
 def test_json_round_trip():
     f = SparseFunction({(1, 2): 1 + 2j, (): -0.5})
     entries = {parse_address(rec["address"]): complex(rec["re"], rec["im"])
-               for rec in json.loads(json.dumps(f.to_json_obj()))}
+               for rec in json.loads(f.to_json())}
     assert entries == {(1, 2): 1 + 2j, (): complex(-0.5)}
 
 
@@ -255,4 +257,24 @@ def _json_cases():
 
 @pytest.mark.parametrize("f", list(_json_cases()))
 def test_json_records_are_the_per_vertex_records(f):
-    assert json.dumps(f.to_json_obj()) == json.dumps(_per_vertex_json(f))
+    assert f.to_json() == json.dumps(_per_vertex_json(f), sort_keys=True, allow_nan=False)
+
+
+def test_json_writes_a_non_finite_part_null():
+    inf, nan = float("inf"), float("nan")
+    f = SparseFunction({(): complex(inf, 1.0), (1,): complex(0.5, nan), (2,): -inf,
+                        (1, 1): complex(nan, -inf)})
+    assert f"{f.to_json()}\n" == dump_json(_per_vertex_json(f))
+    assert '"im": null, "re": 0.5}' in f.to_json()
+
+
+def test_dump_json_splices_each_function_where_it_sits():
+    # as lambda's eigenpairs hold theirs: functions in a list and in dicts
+    f, g = (SparseFunction({(1,): 0.25 - 1j, (1, 2): 3.0}),
+            SparseFunction({(): 1e-300, (3,): -2.5j}))
+    obj = {"b": [f, {"values": g, "a": 1.5}, SparseFunction()], "a": {"x": f, "y": math.inf}}
+    records = {"b": [_per_vertex_json(f), {"values": _per_vertex_json(g), "a": 1.5}, []],
+               "a": {"x": _per_vertex_json(f), "y": math.inf}}
+    assert dump_json(obj) == dump_json(records)
+    assert json.loads(dump_json(obj))["b"][1]["values"][1] == {
+        "address": "3", "re": 0.0, "im": -2.5}
