@@ -86,12 +86,6 @@ class StepFunction:
     def norm(self) -> float:
         return math.sqrt(abs(inner_boundary(self, self)))
 
-    def to_json_obj(self) -> list:
-        _, cells = self.canonical()
-        return [{"base_address": format_address(w),
-                 "re": as_complex(v).real, "im": as_complex(v).imag}
-                for w, v in sorted(cells.items())]
-
 
 def integrate(F: StepFunction):
     """Integral against the product measure; exact rational weights."""
@@ -169,11 +163,6 @@ class PoissonKernelRepr:
     y: Address
     z: complex
     step: StepFunction
-
-    def to_json_obj(self) -> dict:
-        return {"y": format_address(self.y),
-                "z": [self.z.real, self.z.imag],
-                "pieces": self.step.to_json_obj()}
 
 
 def poisson_kernel(y: Address, ctx: DeficiencyContext,

@@ -33,7 +33,8 @@ from .operator import JacobiOperator, moments
 from .coefficients import TreeConfig
 from .oracle import build_radial_block, dense_eigensolve
 from .orthopoly import compute_polys, poly_roots
-from .treecore import SparseFunction, check_budget, parse_address, validate_address
+from .treecore import (SparseFunction, check_budget, format_address, parse_address,
+                       validate_address)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -182,6 +183,21 @@ def dump_json(obj) -> str:
     return "".join(t for pair in zip(pieces, texts) for t in pair)
 
 
+def _pair(value) -> list:
+    """[re, im] of a float, complex or exact number."""
+    c = as_complex(value)
+    return [c.real, c.imag]
+
+
+def _probe(anchor, d: int, z) -> DeficiencyElement:
+    """The element deficiency prints and poisson checks: the radial element
+    1 without an anchor, else f at the anchor's first child minus f at its
+    second.  Integer coefficients serve both arithmetics."""
+    if anchor is None:
+        return DeficiencyElement(None, (1,), z)
+    return DeficiencyElement(anchor, (1, -1) + (0,) * (d - 2), z)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -203,7 +219,7 @@ def cmd_classify(args) -> int:
     scale = parse_scale(args.scale, "float") if args.scale is not None else None
     report = classify(coeffs, args.d, z=z, tol=args.tol, n_max=args.n_max,
                       scale=scale)
-    emit(args, dump_json(report.to_json_obj()))
+    emit(args, dump_json(vars(report) | {"z": _pair(report.z)}))
     if args.strict and report.verdict == "inconclusive":
         return EXIT_INCONCLUSIVE
     return EXIT_OK
@@ -214,20 +230,16 @@ def cmd_deficiency(args) -> int:
     z = parse_nonreal_z(args.z, args.mode)
     ctx = DeficiencyContext(coeffs, args.d, z)
     anchor = parse_vertex(args.anchor, args.d) if args.anchor else None
-    # integer coefficients serve both arithmetics
-    if anchor is None:
-        elem = DeficiencyElement(None, (1,), z)
-    else:
-        coeff_vec = [0] * args.d
-        coeff_vec[0], coeff_vec[1] = 1, -1
-        elem = DeficiencyElement(anchor, tuple(coeff_vec), z)
+    elem = _probe(anchor, args.d, z)
     residual, peak = _residual_and_max_abs([elem], ctx, args.depth)
     # the alpha series are float series in both modes
     alpha_ctx = DeficiencyContext(coeffs, args.d, as_complex(z)) if ctx.exact else ctx
-    alpha = alpha_ctx.alphas(len(anchor) + 1 if anchor else 0, args.tol, args.n_max)
+    alpha = alpha_ctx.alphas(0 if anchor is None else len(anchor) + 1, args.tol, args.n_max)
     f = elem.materialize(ctx, min(args.depth, args.materialize_depth))
     obj = {
-        "element": elem.to_json_obj(),
+        "element": {"anchor": None if anchor is None else format_address(anchor),
+                    "coefficients": [_pair(a) for a in elem.coefficients],
+                    "z": _pair(z)},
         "residual": residual,
         "max_abs": peak,
         "depth": args.depth,
@@ -247,18 +259,14 @@ def cmd_poisson(args) -> int:
     # the printed kernel is refined to depth |y|: refuse it before any series
     check_budget(args.d ** len(y), f"refinement to depth {len(y)}")
     ctx = DeficiencyContext(coeffs, args.d, z)
-    alpha = ctx.alphas(len(y) + 1, args.tol, args.n_max)
+    alpha = ctx.alphas(len(y), args.tol, args.n_max)
     kernel = poisson_kernel(y, ctx, alpha)
-    anchor = y[:-1] if y else None
-    if anchor is not None:
-        coeff_vec = [0.0] * args.d
-        coeff_vec[0], coeff_vec[1] = 1.0, -1.0
-        probe = DeficiencyElement(anchor, tuple(coeff_vec), z)
-    else:
-        probe = DeficiencyElement(None, (1.0,), z)
-    check = reproducing_check(probe, y, ctx, alpha)
+    check = reproducing_check(_probe(y[:-1] if y else None, args.d, z), y, ctx, alpha)
+    _, cells = kernel.step.canonical()
     obj = {
-        "kernel": kernel.to_json_obj(),
+        "kernel": {"y": format_address(y), "z": _pair(kernel.z),
+                   "pieces": [{"base_address": format_address(w), "re": as_complex(v).real,
+                               "im": as_complex(v).imag} for w, v in sorted(cells.items())]},
         "reproducing_residual_plain": check.residual_plain,
         "reproducing_residual_conjugated": check.residual_conjugated,
         "matching_convention": check.matching_convention,

@@ -119,14 +119,6 @@ class DeficiencyElement:
         s = sum(abs(as_complex(a)) ** 2 for a in self.coefficients)
         return alpha.alpha(len(self.anchor) + 1) * math.sqrt(s)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "anchor": None if self.anchor is None else format_address(self.anchor),
-            "coefficients": [[as_complex(a).real, as_complex(a).imag]
-                             for a in self.coefficients],
-            "z": [as_complex(self.z).real, as_complex(self.z).imag],
-        }
-
 
 @dataclass(frozen=True)
 class BasisFunction:
@@ -284,18 +276,6 @@ class ClassificationReport:
     diagnostics: str = ""
     # "bounded" | "carleman" | "berezanskii" | "perron" | "alternation"; None: the series decided
     criterion: Optional[str] = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "series_p_status": self.series_p_status,
-            "series_q_status": self.series_q_status,
-            "terms_used": list(self.terms_used),
-            "z": [self.z.real, self.z.imag],
-            "scale": self.scale,
-            "diagnostics": self.diagnostics,
-            "criterion": self.criterion,
-        }
 
 
 def classify(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1e-12,

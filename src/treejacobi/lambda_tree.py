@@ -38,11 +38,6 @@ class EsaCertificate:
     level_masses: List[float]  # d^k * |p_k(z)|^2, the l2 mass per unit vertex
     all_nonzero: bool
 
-    def to_json_obj(self) -> dict:
-        return {"z": [self.z.real, self.z.imag], "k_max": self.k_max,
-                "min_abs_p": self.min_abs_p, "level_masses": self.level_masses,
-                "all_nonzero": self.all_nonzero}
-
 
 def esa_certificate(coeffs: CoefficientSequence, d: int, z,
                     k_max: int) -> EsaCertificate:

@@ -43,8 +43,9 @@ class DenseTruncation:
         if self.kind[0] == "lambda_patch":
             # the apex couples upward to the virtual successor, outside
             return [x for x in self.addresses if x != ()]
-        n = self.kind[2]
-        return [(j,) for j in range(n - 1)]
+        # a radial block: the last row couples down, and past level 0 the first up
+        _, offset, n = self.kind
+        return [(j,) for j in range(1 if offset else 0, n - 1)]
 
 
 def _check_rows(count: int) -> None:

@@ -50,8 +50,7 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     if _wants_exact(scale, z):
         yield from _IntegerRecurrence(coeffs, scale, z).pairs()
         return
-    cache = PolyCache(coeffs, scale, z)
-    yield from zip(itertools.count(), cache.values(), cache.values(True), itertools.repeat(None))
+    yield from PolyCache(coeffs, scale, z)._gen
 
 
 def check_recurrence_inputs(coeffs: CoefficientSequence, scale, z) -> None:
@@ -258,14 +257,15 @@ class PolyCache:
     `lam`, the lambda accessor of that arithmetic.  Every reader names a
     solution of the recurrence (solution, levels), and both arithmetics
     answer it: a float table steps it (the one float stepper), an exact
-    table reads it from its integer rows.  An exact table reads poly_pairs
-    and keeps each integer row with the two values it built from it, for
-    wronskian_residual and the exact solutions.  Its values are not in
-    lowest terms: exact arithmetic on p[n] or q[n] reduces only its result,
-    and as_complex (to_csv) reads it without a gcd.  Once the recurrence
-    fails, every later extension past the last index held raises that same
-    error; the indices held are still served, so readers can share one
-    table."""
+    table reads it from its integer rows.  p and q (ensure) read one
+    (n, p_n, q_n, row) stream made with the table: values() for a float
+    table, poly_pairs for an exact one, which keeps each integer row with
+    the two values it built from it, for wronskian_residual and the exact
+    solutions.  Exact values are not in lowest terms: exact arithmetic on
+    p[n] or q[n] reduces only its result, and as_complex (to_csv) reads it
+    without a gcd.  Once the recurrence fails, every later extension past
+    the last index held raises that same error; the indices held are still
+    served, so readers can share one table."""
 
     def __init__(self, coeffs: CoefficientSequence, scale, z):
         self.coeffs, self.scale, self.z = coeffs, scale, z
@@ -284,6 +284,8 @@ class PolyCache:
             check_recurrence_inputs(coeffs, scale, z)
             scale, self._z = complex(scale), complex(z)
             scale = scale.real if scale.imag == 0 else scale
+            self._gen = zip(itertools.count(), self.values(), self.values(True),
+                            itertools.repeat(None))
         self._weights = (scale, scale)  # those of p and lambda_0 q (values)
 
     @property
@@ -296,13 +298,9 @@ class PolyCache:
             return
         if self._error is not None:
             raise self._error
-        lo = len(self.p)
-        pairs = self._gen if self.exact else zip(
-            itertools.count(lo), self.values(False, lo), self.values(True, lo),
-            itertools.repeat(None))
         try:
             while len(self.p) <= n:
-                _, pv, qv, row = next(pairs)
+                _, pv, qv, row = next(self._gen)
                 self.p.append(pv)
                 self.q.append(qv)
                 if row is not None:

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from treejacobi.boundary import (CylinderSet, StepFunction, apply_U,
+from treejacobi import boundary
+from treejacobi.boundary import (CylinderSet, PoissonKernelRepr, StepFunction, apply_U,
                                  bx_element, inner_boundary, integrate,
                                  kernel_by_class, paired_step, plain_integral,
                                  poisson_kernel, relative_position,
@@ -202,8 +203,22 @@ def test_reproducing_convention_reported():
     assert chk.matching_convention == "plain"
 
 
-def test_step_function_json():
-    F = StepFunction(2, [((1,), 1.5), ((2,), -1.5)])
-    obj = F.to_json_obj()
-    assert obj == [{"base_address": "1", "re": 1.5, "im": 0.0},
-                   {"base_address": "2", "re": -1.5, "im": 0.0}]
+@pytest.mark.parametrize("reading, convention", [
+    (complex.conjugate, "conjugated"), (lambda v: 2 * v, "neither")], ids=["conjugated", "neither"])
+def test_reproducing_check_reports_the_convention_a_kernel_meets(reading, convention,
+                                                                 monkeypatch):
+    # a kernel with conjugated cell values reproduces g only under the
+    # conjugated integral; one with doubled values under neither
+    def kernel(y, ctx, alpha):
+        k = poisson_kernel(y, ctx, alpha)
+        _, cells = k.step.canonical()
+        return PoissonKernelRepr(k.y, k.z, StepFunction(
+            ctx.d, [(w, reading(complex(v))) for w, v in cells.items()]))
+
+    monkeypatch.setattr(boundary, "poisson_kernel", kernel)
+    elem = DeficiencyElement((1,), (1.0 + 0.5j, -1.0 - 0.5j), 1j)
+    # at y = 1.2 the paired step reads only K(1.2) - K(1.1) = 2/alpha_2, which
+    # is real; one level down the kernel difference is not
+    chk = reproducing_check(elem, (1, 2, 1), CTX, ALPHA)
+    assert chk.matching_convention == convention
+    assert chk.residual_plain > 1e-3

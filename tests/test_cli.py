@@ -1,6 +1,7 @@
 """CLI subcommands, config handling, exit codes, artifact files."""
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treejacobi
-from treejacobi.cli import ValidationError, dump_json, main, parse_coeffs, parse_z
+from treejacobi.boundary import poisson_kernel
+from treejacobi.cli import ValidationError, build_parser, dump_json, main, parse_coeffs, parse_z
+from treejacobi.deficiency import classify
 from treejacobi import orthopoly
 from treejacobi.orthopoly import DeficiencyContext, PolyCache
 
@@ -84,6 +87,23 @@ def test_classify_verdict_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["verdict"] == "not_essentially_selfadjoint"
+
+
+@pytest.mark.parametrize("argv", [
+    "--coeffs paper --d 2", "--coeffs constant:1 --d 3 --z 0.5,2",
+    "--coeffs geometric:1:3/2 --d 2 --scale 3", "--coeffs paper --d 2 --scale 1",
+    "--coeffs explicit:1,2,4,8,16,32,64,128 --d 2 --n-max 5",
+])
+def test_classify_prints_the_report_fields(argv, capsys):
+    # one key per ClassificationReport field, z as [re, im]
+    code, out, err = run(["classify", *argv.split()], capsys)
+    assert code == 0, err
+    args = build_parser().parse_args(["classify", *argv.split()])
+    rep = classify(parse_coeffs(args.coeffs), args.d, z=parse_z(args.z, "float"),
+                   n_max=args.n_max, scale=None if args.scale is None else float(args.scale))
+    want = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+    want.update(z=[rep.z.real, rep.z.imag], terms_used=list(rep.terms_used))
+    assert json.loads(out) == want
 
 
 @pytest.mark.parametrize("argv, criterion, verdict", [
@@ -279,7 +299,7 @@ def test_deep_float_deficiency_reads_past_the_recurrence_overflow(capsys):
 
 
 def test_poisson_at_a_deep_vertex_sums_alpha_and_stops_on_the_budget(capsys):
-    # the alpha_601 series of the paper family sums past lambda_512 = 2^512,
+    # the alpha_600 series of the paper family sums past lambda_512 = 2^512,
     # whose square is not a float; the depth-600 kernel is over the budget
     y = ".".join(["1"] * 600)
     code, _, err = run(["poisson", "--coeffs", "paper", "--y", y], capsys)
@@ -467,7 +487,7 @@ R2 = (math.sqrt(2), math.sqrt(2))  # the alpha weights, and those of p and lambd
 @pytest.mark.parametrize("argv, tables, levels", [
     ("poisson --coeffs paper --z 0.3,1 --y 1.2", [],
      [(-1, R2, 48), (-1, (2, 1), 2), (0, R2, 47), (0, (2, 1), 1), (1, R2, 45),
-      (1, (2, 1), 0), (2, R2, 45)]),
+      (1, (2, 1), 0)]),
     ("deficiency --z 0.3,1 --anchor 1 --depth 40", [],
      [(-1, R2, 48), (0, R2, 47), (1, R2, 45), (1, (2, 1), 38)]),
     ("deficiency --mode exact --z 0,1 --anchor 1 --depth 10", [(True, 11)],
@@ -490,6 +510,44 @@ def test_poisson_artifact(capsys):
     assert len(obj["kernel"]["pieces"]) == 4  # depth-2 cells, d = 2
     assert obj["reproducing_residual_plain"] <= 1e-7
     assert obj["matching_convention"] in ("plain", "conjugated")
+
+
+def test_poisson_pieces_are_the_kernel_cells_in_address_order(capsys):
+    # one {"base_address", "re", "im"} record per canonical cell of the
+    # kernel, sorted by address
+    code, out, err = run(["poisson", "--d", "3", "--y", "2.1", "--z", "0.3,1"], capsys)
+    assert code == 0, err
+    ctx = DeficiencyContext(parse_coeffs("paper"), 3, 0.3 + 1j)
+    _, cells = poisson_kernel((2, 1), ctx, ctx.alphas(2)).step.canonical()
+    pieces = [{"base_address": f"{w[0]}.{w[1]}", "re": v.real, "im": v.imag}
+              for w, v in sorted(cells.items())]
+    assert len(pieces) == 9
+    assert json.loads(out)["kernel"] == {"y": "2.1", "z": [0.3, 1.0], "pieces": pieces}
+
+
+def test_poisson_at_the_root_checks_the_radial_element(capsys):
+    # y = e: the kernel is one cell, the whole boundary, and the probe is the
+    # radial element, whose norm is alpha_0
+    code, out, err = run(["poisson", "--y", "e", "--z", "0.3,1"], capsys)
+    assert code == 0, err
+    obj = json.loads(out)
+    assert [p["base_address"] for p in obj["kernel"]["pieces"]] == ["e"]
+    assert obj["kernel"]["y"] == "e"
+    assert obj["matching_convention"] == "plain"
+    assert obj["reproducing_residual_plain"] <= 1e-12
+
+
+@pytest.mark.parametrize("anchor, k", [("e", 0), ("1", 1), ("1.2", 2)])
+def test_deficiency_prints_alpha_up_to_the_element_norm(anchor, k, capsys):
+    # an element anchored at level k has norm alpha_{k+1}: alpha_0..alpha_{k+1}
+    code, out, err = run(["deficiency", f"--anchor={anchor}", "--depth", "6"], capsys)
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["element"]["anchor"] == anchor
+    assert len(obj["alphas"]) == k + 2
+    code, out, _ = run(["deficiency", "--depth", "6"], capsys)
+    assert json.loads(out)["element"]["anchor"] is None
+    assert len(json.loads(out)["alphas"]) == 1
 
 
 def test_poisson_rejects_out_of_range_vertex(capsys):

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treejacobi.coefficients import CoefficientSequence
+from treejacobi.coefficients import CoefficientSequence, _criterion, _side_of_one
 from treejacobi.deficiency import classify
 from treejacobi.errors import (CoefficientIndexError, CoefficientOverflow,
                                ExactModeUnavailable, NonPositiveLambda)
+from treejacobi.exactnum import exact_complex
 
 POSITIVE = st.fractions(min_value=Fraction(1, 1000), max_value=1000,
                         max_denominator=1000)
@@ -239,3 +240,36 @@ def test_a_criterion_verdict_reads_no_coefficient(coeffs):
     assert classify(coeffs, 2).criterion is not None
     tables = {"_lam_floats", "_beta_floats", "_lam_fractions", "_beta_fractions"}
     assert not tables & set(vars(coeffs))
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    (CoefficientSequence.constant(1), "constant(lam=1, beta=0)"),
+    (CoefficientSequence.constant(Fraction(3, 2), Fraction(-1, 2)), "constant(lam=3/2, beta=-1/2)"),
+    (CoefficientSequence.geometric(1, Fraction(3, 2)), "geometric(base=1, ratio=3/2)"),
+    (CoefficientSequence.power(Fraction(1, 3), 2), "power(base=1/3, exponent=2)"),
+    (CoefficientSequence.power(1, 0.5), "power(base=1, exponent=0.5)"),
+    (CoefficientSequence.paper_example(), "paper(geometric(base=1, ratio=2))"),
+    (CoefficientSequence.explicit([1, 2, 3]), "explicit(3 terms)"),
+])
+def test_describe_names_the_family_and_its_parameters(coeffs, text):
+    assert coeffs.describe() == text
+
+
+@pytest.mark.parametrize("coeffs", [
+    CoefficientSequence.constant(-1), CoefficientSequence.geometric(0, 2),
+    CoefficientSequence.geometric(1, -2), CoefficientSequence.geometric(1, 0),
+    CoefficientSequence.power(-1, 2), CoefficientSequence.paper_example(
+        CoefficientSequence.geometric(-1, 2)),
+])
+def test_no_criterion_for_a_non_positive_base_or_ratio(coeffs):
+    # no theorem applies; the recurrence reports the fault
+    assert _criterion(coeffs, 2 ** 0.5) is None
+    with pytest.raises(NonPositiveLambda):
+        classify(coeffs, 2)
+
+
+@pytest.mark.parametrize("scale", [1j, 1 + 1j, exact_complex(1, 1), exact_complex(0, 1)])
+def test_a_non_real_scale_has_no_side_of_one_and_no_criterion(scale):
+    assert _side_of_one(scale) is None
+    assert _criterion(CoefficientSequence.paper_example(), scale) is None
+    assert _criterion(CoefficientSequence.constant(1), scale) is None

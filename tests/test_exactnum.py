@@ -61,6 +61,12 @@ def test_complex_parts_and_conjugate():
     assert w.abs2() == exact_complex(15)
 
 
+def test_abs2_of_a_float_or_complex():
+    assert abs2(-1.5) == 2.25
+    assert abs2(3 - 4j) == 25.0
+    assert abs2(2) == 4.0
+
+
 def test_sums_to_zero_exact_per_grade():
     r2 = exact_sqrt(2)
     one = exact_complex(1)

@@ -4,7 +4,8 @@ a function assigns and every parameter it takes is read, every CLI flag
 is read by its subcommand's handler, only the recurrence table steps
 the recurrence and reads its private members, only coefficients reads a
 sequence's private members, only named scopes build a table, read
-beta_n or refuse exact values, and one writer makes JSON text."""
+beta_n or refuse exact values, one writer makes JSON text, and the only
+to_json method is a sparse function's."""
 import argparse
 import ast
 import inspect
@@ -264,6 +265,14 @@ def test_one_scope_writes_json_and_one_formats_a_record():
                           and _name(node.func) in ("dumps", "dump"))
     assert sorted(set(dumps)) == ["cli.dump_json"]
     assert sorted(set(_scopes_where(_formats_a_record))) == ["treecore.SparseFunction.to_json"]
+
+
+def test_only_a_sparse_function_writes_itself_as_json():
+    # cli builds each artifact from result fields; the library's one JSON
+    # method is a function's record text, which dump_json splices in
+    defs = _scopes_where(lambda node: isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and node.name.startswith("to_json"))
+    assert defs == ["treecore.SparseFunction.to_json"]
 
 
 def _unread_cli_flags() -> list:

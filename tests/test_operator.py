@@ -200,6 +200,14 @@ def test_Ex_fixes_radial_and_leaves_outside_alone():
     assert exg.value((1, 2)) == pytest.approx(2.0)
 
 
+def test_Ex_drops_a_level_that_averages_to_zero():
+    # the values below (1,) cancel on level 2 and not on level 3
+    f = SparseFunction({(1, 1): 1.5, (1, 2): -1.5, (1, 1, 2): 4.0, (2,): 7.0})
+    ex = subtree_average_Ex(f, (1,), 2)
+    assert ex.entries == {(2,): 7.0, (1, 1, 1): 1.0, (1, 1, 2): 1.0,
+                          (1, 2, 1): 1.0, (1, 2, 2): 1.0}
+
+
 def test_Ex_single_vertex_level():
     f = SparseFunction.delta((1,))
     assert subtree_average_Ex(f, (1,), 2).entries == f.entries

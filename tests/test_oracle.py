@@ -91,6 +91,21 @@ def test_lambda_dense_agrees_with_sparse_apply():
             assert col[i] == applied.value(y), (w, y)
 
 
+@pytest.mark.parametrize("offset", [0, 1, 3])
+def test_radial_block_interior_rows_are_whole_rows_of_the_radial_matrix(offset):
+    # an interior row couples only to rows inside the block; a block that
+    # starts below level 0 leaves its first row's upward entry outside
+    size = 5
+    T = build_radial_block(PAPER, 2, offset, size)
+    full = build_radial_block(PAPER, 2, 0, offset + size + 1).matrix
+    rows = [j for (j,) in T.interior()]
+    assert rows == list(range(1 if offset else 0, size - 1))
+    for j in rows:
+        inside = full[offset + j, offset:offset + size]
+        assert np.array_equal(inside, T.matrix[j])
+        assert np.count_nonzero(full[offset + j]) == np.count_nonzero(inside)
+
+
 def test_one_by_one_block():
     T = build_radial_block(PAPER, 2, 0, 1)
     vals, _ = dense_eigensolve(T)

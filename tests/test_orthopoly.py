@@ -274,6 +274,23 @@ def test_poly_cache_keeps_its_first_error():
     assert again.value is first.value
 
 
+@pytest.mark.parametrize("coeffs", FAMILIES)
+@pytest.mark.parametrize("exact", [False, True])
+def test_ensure_one_index_at_a_time_builds_the_bulk_table(coeffs, exact):
+    # p and q come from one stream made with the table, whatever else reads
+    # the table's solutions ahead of it in between
+    scale, z = ((exact_sqrt(2), exact_complex(Fraction(3, 10), 1)) if exact
+                else (math.sqrt(2), 0.3 + 1j))
+    bulk = compute_polys(coeffs, scale, z, 40)
+    stepwise = PolyCache(coeffs, scale, z)
+    for n in range(41):
+        stepwise.ensure(n)
+        list(itertools.islice(stepwise.values(n % 2 == 1, n), 3))
+    assert stepwise.p[:41] == bulk.p and stepwise.q[:41] == bulk.q
+    assert list(itertools.islice(poly_pairs(coeffs, scale, z), 41)) == [
+        (n, bulk.p[n], bulk.q[n], bulk._rows[n][2] if exact else None) for n in range(41)]
+
+
 def test_failed_table_serves_the_indices_it_holds():
     # five explicit lambdas build p_0..p_5; the step to p_6 needs lambda_5
     cache = PolyCache(CoefficientSequence.explicit([1, 2, 3, 4, 5]), 1.0, 1j)

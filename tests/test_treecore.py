@@ -15,7 +15,7 @@ from treejacobi.deficiency import DeficiencyContext, DeficiencyElement
 from treejacobi.errors import KindMismatch, PatchTooLarge
 from treejacobi.exactnum import as_complex, exact_complex
 from treejacobi.operator import JacobiOperator, moments, subtree_average_Ex
-from treejacobi.treecore import (GAMMA, LambdaPatch, SparseFunction,
+from treejacobi.treecore import (APEX_SUCCESSOR, GAMMA, LambdaPatch, SparseFunction,
                                  children, format_address, inner, level,
                                  level_indicator, level_vertices, parent,
                                  parse_address, subtree_vertices)
@@ -138,6 +138,7 @@ def test_patch_levels():
     assert patch.level(()) == 3
     assert patch.level((1, 2)) == 1
     assert patch.level((1, 2, 1)) == 0
+    assert patch.level(APEX_SUCCESSOR) == 4  # the virtual vertex above the apex
 
 
 def test_delta_inner_products():
