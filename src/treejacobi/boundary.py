@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .deficiency import AlphaTable, BasisFunction, DeficiencyContext, DeficiencyElement
 from .errors import AmbiguousPrefix
-from .exactnum import as_complex, conj, is_zero, sums_to_zero
+from .exactnum import conj, sums_to_zero
 from .treecore import Address, check_budget, format_address, level_vertices
 
 
@@ -39,7 +39,7 @@ class StepFunction:
             raise ValueError("branching degree must be at least 2")
         self.d = d
         self.pieces: Tuple[Tuple[Address, object], ...] = tuple(
-            (tuple(base), value) for base, value in pieces if not is_zero(value))
+            (tuple(base), value) for base, value in pieces if value)
         self._canonical: Optional[Tuple[int, Dict[Address, object]]] = None
 
     @staticmethod
@@ -70,7 +70,7 @@ class StepFunction:
         for base, value in pieces:
             for w in level_vertices(depth - len(base), self.d):
                 cells[base + w] = cells.get(base + w, 0) + value
-        return {w: v for w, v in cells.items() if not is_zero(v)}
+        return {w: v for w, v in cells.items() if v}
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         if self.d != other.d:
@@ -182,7 +182,7 @@ def poisson_kernel(y: Address, ctx: DeficiencyContext,
         c = fv / alpha.alpha(i) * d ** (i / 2)
         pieces.append((y[:i], c))
         pieces.append((y[:i - 1], -c / d))
-    return PoissonKernelRepr(y, as_complex(ctx.z), StepFunction(d, pieces))
+    return PoissonKernelRepr(y, complex(ctx.z), StepFunction(d, pieces))
 
 
 def relative_position(y: Address, omega_prefix: Address) -> Tuple[int, int]:
@@ -205,7 +205,7 @@ def kernel_by_class(repr_: PoissonKernelRepr) -> Dict[Tuple[int, int], set]:
     out: Dict[Tuple[int, int], set] = {}
     for w, v in cells.items():
         pos = relative_position(repr_.y, w + (0,) * max(0, len(repr_.y) - len(w)))
-        out.setdefault(pos, set()).add(as_complex(v))
+        out.setdefault(pos, set()).add(complex(v))
     return out
 
 
@@ -233,9 +233,9 @@ def reproducing_check(elem: DeficiencyElement, y: Address,
     ambiguity is inherent to the two ways the kernel formula can be read."""
     G = paired_step(elem, ctx.d, alpha)
     kernel = poisson_kernel(y, ctx, alpha)
-    lhs = as_complex(elem.value_at(y, ctx))
-    plain = as_complex(plain_integral(kernel.step, G))
-    conjugated = as_complex(inner_boundary(G, kernel.step))
+    lhs = complex(elem.value_at(y, ctx))
+    plain = complex(plain_integral(kernel.step, G))
+    conjugated = complex(inner_boundary(G, kernel.step))
     r_plain = abs(lhs - plain)
     r_conj = abs(lhs - conjugated)
     tol = 1e-7 * max(1.0, abs(lhs))

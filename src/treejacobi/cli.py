@@ -25,14 +25,14 @@ from .deficiency import (DeficiencyContext, DeficiencyElement, _residual_and_max
 from .errors import (CoefficientOverflow, ConvergenceFailure, DivergedSeries,
                      InconclusiveSeries, PatchTooLarge, RecurrenceOverflow,
                      TreeJacobiError)
-from .exactnum import as_complex, exact_complex, matching_sqrt
+from .exactnum import exact_complex, matching_sqrt
 from .boundary import poisson_kernel, reproducing_check
 from .lambda_tree import (build_eigenpairs, dimension_audit, eigen_residual,
                           spectrum_enumerate)
 from .operator import JacobiOperator, moments
 from .coefficients import TreeConfig
 from .oracle import build_radial_block, dense_eigensolve
-from .orthopoly import compute_polys, poly_roots
+from .orthopoly import SERIES_N_MAX, SERIES_TOL, check_series_limits, compute_polys, poly_roots
 from .treecore import (SparseFunction, check_budget, format_address, parse_address,
                        validate_address)
 
@@ -101,7 +101,7 @@ def parse_nonreal_z(text: str, mode: str):
     """parse_z for the deficiency-space subcommands, which refuse a real z
     by the text it was given as."""
     z = parse_z(text, mode)
-    if as_complex(z).imag == 0:
+    if complex(z).imag == 0:
         raise ValidationError(f"deficiency-space values need a non-real z, got {text!r}")
     return z
 
@@ -185,7 +185,7 @@ def dump_json(obj) -> str:
 
 def _pair(value) -> list:
     """[re, im] of a float, complex or exact number."""
-    c = as_complex(value)
+    c = complex(value)
     return [c.real, c.imag]
 
 
@@ -233,7 +233,7 @@ def cmd_deficiency(args) -> int:
     elem = _probe(anchor, args.d, z)
     residual, peak = _residual_and_max_abs([elem], ctx, args.depth)
     # the alpha series are float series in both modes
-    alpha_ctx = DeficiencyContext(coeffs, args.d, as_complex(z)) if ctx.exact else ctx
+    alpha_ctx = DeficiencyContext(coeffs, args.d, complex(z)) if ctx.exact else ctx
     alpha = alpha_ctx.alphas(0 if anchor is None else len(anchor) + 1, args.tol, args.n_max)
     f = elem.materialize(ctx, min(args.depth, args.materialize_depth))
     obj = {
@@ -265,8 +265,8 @@ def cmd_poisson(args) -> int:
     _, cells = kernel.step.canonical()
     obj = {
         "kernel": {"y": format_address(y), "z": _pair(kernel.z),
-                   "pieces": [{"base_address": format_address(w), "re": as_complex(v).real,
-                               "im": as_complex(v).imag} for w, v in sorted(cells.items())]},
+                   "pieces": [{"base_address": format_address(w), "re": complex(v).real,
+                               "im": complex(v).imag} for w, v in sorted(cells.items())]},
         "reproducing_residual_plain": check.residual_plain,
         "reproducing_residual_conjugated": check.residual_conjugated,
         "matching_convention": check.matching_convention,
@@ -335,6 +335,7 @@ def cmd_paper_example(args) -> int:
     (both square series converge geometrically at z = i, the series' own
     verdict by classify_by_series, reproducing the paper's computation) —
     hence neither is the tree operator."""
+    check_series_limits(args.tol, args.n_max)  # before the exact table reads n_max
     coeffs = CoefficientSequence.paper_example()
     checks = {}
 
@@ -380,8 +381,8 @@ _SHARED = {
     "--d": dict(type=int, default=2, help="branching degree"),
     "--coeffs": dict(default="paper", help="coefficient family spec (see parse_coeffs)"),
     "--z": dict(default="0,1", help="spectral parameter RE,IM"),
-    "--tol": dict(type=float, default=1e-12),
-    "--n-max": dict(type=int, default=100_000),
+    "--tol": dict(type=float, default=SERIES_TOL),
+    "--n-max": dict(type=int, default=SERIES_N_MAX),
     "--mode": dict(choices=["float", "exact"], default="float"),
     "--strict": dict(action="store_true", help="exit 4 when a verdict is inconclusive"),
     "--scale": dict(help="off-diagonal scale (default sqrt(d))"),

@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 
 from .errors import (CoefficientIndexError, CoefficientOverflow,
                      ExactModeUnavailable, NonPositiveLambda, TreeJacobiError)
-from .exactnum import as_complex, is_exact
+from .exactnum import is_exact
 
 _FIRST_BLOCK = 16  # the indices a table is made with
 
@@ -346,7 +346,7 @@ def _criterion(coeffs: CoefficientSequence, scale) -> Optional[tuple]:
                 "(lambda_{n-1} lambda_{n+1} <= lambda_n^2), sum 1/lambda_n converges: "
                 "nontrivial deficiency spaces")
     if family == "geometric":
-        return _perron(hypotheses, shape, abs(as_complex(scale).real), side)
+        return _perron(hypotheses, shape, abs(complex(scale).real), side)
     return None
 
 

@@ -7,10 +7,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .coefficients import CoefficientSequence, TreeConfig, _criterion
-from .exactnum import as_complex, conj, is_exact, is_zero, matching_sqrt, sums_to_zero
+from .exactnum import conj, is_exact, matching_sqrt, sums_to_zero
 from .operator import JacobiOperator
-from .orthopoly import (AlphaTable, DeficiencyContext, PolyCache, check_recurrence_inputs,
-                        check_series_limits, sum_square_series)
+from .orthopoly import (SERIES_N_MAX, SERIES_TOL, AlphaTable, DeficiencyContext, PolyCache,
+                        check_recurrence_inputs, check_series_limits, float_scale,
+                        sum_square_series)
 from .treecore import (GAMMA, Address, SparseFunction, check_budget,
                        format_address, subtree_size, subtree_vertices)
 
@@ -64,15 +65,9 @@ class DeficiencyElement:
             return 0
         return self.coefficients[x[k] - 1]
 
-    def _level_value(self, ctx: DeficiencyContext, n: int):
-        """The element's basis function on level n, 0 above its support:
-        f_anchored at the anchor's level, -1 for the radial element."""
-        k = -1 if self.anchor is None else len(self.anchor)
-        return ctx.f_anchored(k, n) if n > k else 0
-
     def _level_values(self, ctx: DeficiencyContext, depth: int) -> list:
-        """_level_value on levels 0..depth, one slice of the anchor level's
-        solution (anchored_levels)."""
+        """The basis function on levels 0..depth, 0 above the anchor: one slice
+        of the solution anchored at the anchor's level, -1 when radial."""
         k = -1 if self.anchor is None else len(self.anchor)
         if depth <= k:
             return [0] * (depth + 1)
@@ -80,8 +75,9 @@ class DeficiencyElement:
 
     def value_at(self, y: Address, ctx: DeficiencyContext):
         self.check_degree(ctx.d)
-        a = self._coefficient_on(y)
-        return 0 if is_zero(a) else a * self._level_value(ctx, len(y))
+        a = self._coefficient_on(y)  # 0 at and above the anchor
+        k = -1 if self.anchor is None else len(self.anchor)
+        return a * ctx.f_anchored(k, len(y)) if a else 0
 
     def materialize(self, ctx: DeficiencyContext, depth: int) -> SparseFunction:
         """Sparse function with all values down to tree level `depth`: the
@@ -94,7 +90,7 @@ class DeficiencyElement:
         d = ctx.d
         classes = []
         for top, values in _Profile([self], ctx, depth).values.items():
-            kept = [None if is_zero(v) else v for v in values]  # one test per level
+            kept = [v or None for v in values]  # one test per level
             if kept.count(None) < len(kept):
                 classes.append((top, kept))
         check_budget(sum(subtree_size(len(kept) - 1, d) for _, kept in classes),
@@ -114,9 +110,9 @@ class DeficiencyElement:
         """alpha_{k+1} * sqrt(sum |a_i|^2) for an anchor at level k, and
         |a| * alpha_0 for the radial element."""
         if self.anchor is None:
-            return abs(as_complex(self.coefficients[0])) * alpha.alpha(0)
+            return abs(self.coefficients[0]) * alpha.alpha(0)
         self.check_degree(alpha.d)
-        s = sum(abs(as_complex(a)) ** 2 for a in self.coefficients)
+        s = sum(abs(a) ** 2 for a in self.coefficients)
         return alpha.alpha(len(self.anchor) + 1) * math.sqrt(s)
 
 
@@ -150,9 +146,9 @@ def deficiency_residual(f: SparseFunction, z, coeffs: CoefficientSequence,
     The level-`depth` equation is excluded: it needs values one level
     further down."""
     if not (is_exact(z) and all(map(is_exact, f.entries.values()))):
-        f, z = f.to_complex(), as_complex(z)
+        f, z = f.to_complex(), complex(z)
     r = JacobiOperator(coeffs, TreeConfig(d)).apply(f) - f.scaled(z)
-    return max((abs(as_complex(v)) for x, v in r.entries.items() if len(x) < depth),
+    return max((abs(v) for x, v in r.entries.items() if len(x) < depth),
                default=0.0)
 
 
@@ -185,7 +181,7 @@ class _Profile:
             total = None
             for elem, table in zip(elements, tables):
                 a = elem._coefficient_on(r)
-                if not is_zero(a):
+                if a:
                     part = [a * table[n] for n in levels]
                     total = part if total is None else [u + v for u, v in zip(total, part)]
             self.values[r] = total or [0] * len(levels)
@@ -200,13 +196,13 @@ class _Profile:
         ctx, depth = self.ctx, self.depth
         lam = np.array([ctx.coeffs.lam(n) for n in range(depth)])
         lam_up = np.concatenate(([0.0], lam[:-1]))
-        shift = as_complex(ctx.z) - np.array([ctx.coeffs.beta(n) for n in range(depth)])
-        head = lambda x: as_complex(self.values[x][0])
+        shift = complex(ctx.z) - np.array([ctx.coeffs.beta(n) for n in range(depth)])
+        head = lambda x: complex(self.values[x][0])
         worst = 0.0
         for top, values in self.values.items():
             if len(top) == depth:
                 continue
-            n, f = len(top), self._array(values)
+            n, f = len(top), np.array(values, dtype=complex)
             if top in self.paths:
                 below = np.array([sum(head(top + (i,)) for i in range(1, ctx.d + 1))])
             else:
@@ -226,19 +222,11 @@ class _Profile:
         import numpy as np
 
         with np.errstate(over="ignore"):  # abs raises below instead
-            peaks = [float(np.hypot(f.real, f.imag).max())
-                     for f in map(self._array, self.values.values())]
+            peaks = [float(np.hypot(f.real, f.imag).max()) for f in
+                     (np.array(values, dtype=complex) for values in self.values.values())]
         if all(map(math.isfinite, peaks)):
             return max(peaks)
-        return max(abs(as_complex(v)) for values in self.values.values() for v in values)
-
-    def _array(self, values: list):
-        """One class's values as a complex array; as_complex runs per value
-        only in exact mode."""
-        import numpy as np
-
-        return np.array([as_complex(v) for v in values] if self.ctx.exact else values,
-                        dtype=complex)
+        return max(abs(v) for values in self.values.values() for v in values)
 
 
 def element_residual(elements: Sequence[DeficiencyElement],
@@ -272,14 +260,14 @@ class ClassificationReport:
     series_q_status: str
     terms_used: Tuple[int, int]
     z: complex
-    scale: float
+    scale: float | complex  # the scale the series ran at, real when it is (float_scale)
     diagnostics: str = ""
     # "bounded" | "carleman" | "berezanskii" | "perron" | "alternation"; None: the series decided
     criterion: Optional[str] = None
 
 
-def classify(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1e-12,
-             n_max: int = 100_000, scale=None) -> ClassificationReport:
+def classify(coeffs: CoefficientSequence, d: int, z=1j, tol: float = SERIES_TOL,
+             n_max: int = SERIES_N_MAX, scale=None) -> ClassificationReport:
     """Essential-selfadjointness verdict for the scaled tridiagonal matrix
     (default scale sqrt(d), the radial restriction of the tree operator).
 
@@ -299,12 +287,12 @@ def classify(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1e-12,
     if decided is None:
         return classify_by_series(coeffs, d, z, tol, n_max, scale)
     criterion, verdict, hypotheses = decided
-    return ClassificationReport(verdict, "not_run", "not_run", (0, 0), as_complex(z),
-                                as_complex(scale).real, hypotheses, criterion)
+    return ClassificationReport(verdict, "not_run", "not_run", (0, 0), complex(z),
+                                float_scale(scale), hypotheses, criterion)
 
 
-def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1e-12,
-                       n_max: int = 100_000, scale=None) -> ClassificationReport:
+def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = SERIES_TOL,
+                       n_max: int = SERIES_N_MAX, scale=None) -> ClassificationReport:
     """Essential-selfadjointness test for the scaled tridiagonal matrix from
     the square series of its recurrence solutions.
 
@@ -320,9 +308,7 @@ def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1
     cache = PolyCache(coeffs, scale, z)
 
     def terms(values: Iterator):
-        for v in values:
-            a = float(abs(as_complex(v)))
-            yield a * a
+        return (a * a for a in map(abs, values))
 
     decides = "essential selfadjointness"
     res_p = sum_square_series(terms(cache.values()), tol, n_max, coeffs, decides)
@@ -337,7 +323,7 @@ def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = 1
                 f"q-series {res_q.status} ({res_q.note or 'ok'})")
     return ClassificationReport(verdict, res_p.status, res_q.status,
                                 (res_p.terms_used, res_q.terms_used),
-                                as_complex(z), as_complex(scale).real, diag)
+                                complex(z), float_scale(scale), diag)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ when read.  unreduced() gives the same type from integers without the gcd.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
@@ -103,7 +104,8 @@ def _scaled(x: int, y: int, den: int, m: int, p: int, q: int) -> "ExactComplex":
 class ExactComplex:
     """(x + i*y)/den * sqrt(m) with integers x, y, den > 0 and squarefree
     m >= 1 (zero has m = 1), built from rational parts: ExactComplex(re, im,
-    m).  + - * / keep gcd(x, y, den) = 1.  Immutable; == and hash compare values."""
+    m).  + - * / keep gcd(x, y, den) = 1.  Immutable; == and hash compare values.
+    complex(), abs() and bool() answer as for a complex; a float operand raises."""
 
     __slots__ = ("ints", "m")
 
@@ -207,10 +209,10 @@ class ExactComplex:
         x, y, den = self.ints
         return _lowest((x * x + y * y) * self.m, 0, den * den, 1)
 
-    @property
-    def is_zero(self) -> bool:
-        x, y, _ = self.ints
-        return not (x or y)
+    def __bool__(self) -> bool:
+        return any(self.ints[:2])
+
+    is_zero = property(lambda self: not self)
 
     def to_complex(self) -> complex:
         """One correctly rounded int / int per part, which is the float of
@@ -222,6 +224,8 @@ class ExactComplex:
         except OverflowError:
             raise OverflowError("exact value does not fit in a float") from None
         return complex(re * root, im * root)
+
+    __complex__ = to_complex
 
     def __abs__(self) -> float:
         return abs(self.to_complex())
@@ -270,9 +274,7 @@ def is_exact(value) -> bool:
 
 def conj(value):
     """Complex conjugate for floats, complex numbers and ExactComplex."""
-    if isinstance(value, ExactComplex):
-        return value.conjugate()
-    return value.conjugate() if isinstance(value, complex) else complex(value).conjugate()
+    return (value if isinstance(value, (ExactComplex, complex)) else complex(value)).conjugate()
 
 
 def abs2(value):
@@ -282,16 +284,10 @@ def abs2(value):
     return v.real * v.real + v.imag * v.imag
 
 
-def as_complex(value) -> complex:
-    if isinstance(value, ExactComplex):
-        return value.to_complex()
-    return complex(value)
-
-
-def is_zero(value) -> bool:
-    if isinstance(value, ExactComplex):
-        return value.is_zero
-    return value == 0
+# An ExactComplex answers complex(), abs() and bool() as a float does, so
+# readers of either arithmetic call those; these two names say the same.
+as_complex = complex
+is_zero = operator.not_
 
 
 def sums_to_zero(values: Sequence, rtol: float) -> bool:
@@ -304,6 +300,6 @@ def sums_to_zero(values: Sequence, rtol: float) -> bool:
         for v in values:
             if is_exact(v):
                 totals[v.m] = totals.get(v.m, 0) + v
-        return all(t.is_zero for t in totals.values())
-    floats = [as_complex(v) for v in values]
+        return not any(totals.values())
+    floats = [complex(v) for v in values]
     return abs(sum(floats)) <= rtol * max(map(abs, floats))

@@ -10,10 +10,10 @@ from typing import List
 
 from .coefficients import CoefficientSequence, TreeConfig
 from .errors import RecurrenceOverflow
-from .exactnum import as_complex, matching_sqrt
+from .exactnum import matching_sqrt
 from .operator import JacobiOperator
 from .orthopoly import DeficiencyContext, PolyCache, poly_roots
-from .treecore import LambdaPatch, SparseFunction, subtree_vertices
+from .treecore import LambdaPatch, SparseFunction, subtree_size, subtree_vertices
 
 
 def radial_propagate(v0, z, k_max: int, coeffs: CoefficientSequence,
@@ -49,7 +49,9 @@ def esa_certificate(coeffs: CoefficientSequence, d: int, z,
     squared radial level values (radial_propagate).  Each |p_k| and each
     mass reads inf from the level where its value leaves the float range:
     such a value is not zero."""
-    ctx = DeficiencyContext(coeffs, d, as_complex(z))
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
+    ctx = DeficiencyContext(coeffs, d, complex(z))
     abs_p = _in_the_float_range(ctx.values(), k_max, abs)
     masses = _in_the_float_range(ctx.solution(-1, (1, d), 0), k_max,
                                  lambda v: v.real * v.real + v.imag * v.imag)
@@ -136,7 +138,7 @@ def dimension_audit(n: int, d: int) -> DimensionAudit:
     dim V = (d - 1) * sum_{k=1..n} k * d^(n-k)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    dim_m = (d ** (n + 1) - 1) // (d - 1)
+    dim_m = subtree_size(n, d)  # refuses d < 2
     dim_v = dim_m - (n + 1)
     dim_v_sum = (d - 1) * sum(k * d ** (n - k) for k in range(1, n + 1))
     return DimensionAudit(n, d, dim_m, dim_v, dim_v_sum, n + 1)

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .coefficients import CoefficientSequence, TreeConfig, _accessors
 from .errors import NotInSubtree, PatchTooLarge
-from .exactnum import exact_complex, is_exact, is_zero, sums_to_zero
+from .exactnum import exact_complex, is_exact, sums_to_zero
 from .treecore import (APEX_SUCCESSOR, GAMMA, Address, LambdaPatch,
                        SparseFunction, check_budget, children, format_address,
                        level_vertices)
@@ -157,7 +157,7 @@ def subtree_average_Ex(f: SparseFunction, x: Address, d: int) -> SparseFunction:
     for rel, s in inside_sums.items():
         words = level_vertices(rel, d)  # refuses an oversized level, zero or not
         avg = s / d ** rel
-        if is_zero(avg):
+        if not avg:
             continue
         for w in words:
             out[x + w] = avg

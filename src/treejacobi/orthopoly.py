@@ -17,18 +17,27 @@ from .coefficients import ESA, NOT_ESA, CoefficientSequence, _accessors, _criter
 from .errors import (CoefficientIndexError, CoefficientOverflow, ConvergenceFailure,
                      DivergedSeries, InconclusiveSeries, RealSpectralParameter,
                      RecurrenceOverflow)
-from .exactnum import (ExactComplex, as_complex, exact_complex, is_exact,
-                       matching_sqrt, unreduced)
+from .exactnum import ExactComplex, exact_complex, is_exact, matching_sqrt, unreduced
 
 if TYPE_CHECKING:
     import numpy as np
 
 RATIO_CEILING = 0.99
 CONVERGENCE_WINDOW = 8
+# the default budget of every series: relative tolerance and largest term count
+SERIES_TOL = 1e-12
+SERIES_N_MAX = 100_000
 
 
 def _wants_exact(scale, z) -> bool:
     return is_exact(scale) or is_exact(z)
+
+
+def float_scale(scale):
+    """The scale a float table runs at: its real part when it is real, else
+    the complex value."""
+    value = complex(scale)
+    return value.real if value.imag == 0 else value
 
 
 def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
@@ -120,7 +129,7 @@ class _IntegerRecurrence:
             raise ValueError(f"exact mode needs a Gaussian-rational z, got {z!r}")
         if sigma.im:
             raise ValueError(f"exact mode needs a scale whose square is rational, got {scale!r}")
-        if sigma.is_zero:
+        if not sigma:
             raise ValueError("scale must be nonzero")
         self.coeffs = coeffs
         self.z = z.ints
@@ -262,7 +271,7 @@ class PolyCache:
     table, poly_pairs for an exact one, which keeps each integer row with
     the two values it built from it, for wronskian_residual and the exact
     solutions.  Exact values are not in lowest terms: exact arithmetic on
-    p[n] or q[n] reduces only its result, and as_complex (to_csv) reads it
+    p[n] or q[n] reduces only its result, and complex() (to_csv) reads it
     without a gcd.  Once the recurrence fails, every later extension past
     the last index held raises that same error; the indices held are still
     served, so readers can share one table."""
@@ -282,8 +291,7 @@ class PolyCache:
             self._gen = poly_pairs(coeffs, scale, z)
         else:
             check_recurrence_inputs(coeffs, scale, z)
-            scale, self._z = complex(scale), complex(z)
-            scale = scale.real if scale.imag == 0 else scale
+            scale, self._z = float_scale(scale), complex(z)
             self._gen = zip(itertools.count(), self.values(), self.values(True),
                             itertools.repeat(None))
         self._weights = (scale, scale)  # those of p and lambda_0 q (values)
@@ -428,7 +436,7 @@ class PolyCache:
         writer = csv.writer(fileobj, lineterminator="\n")
         writer.writerow(["n", "Re p", "Im p", "Re q", "Im q"])
         for n in range(self.N + 1):
-            pv, qv = as_complex(self.p[n]), as_complex(self.q[n])
+            pv, qv = complex(self.p[n]), complex(self.q[n])
             writer.writerow([n, repr(pv.real), repr(pv.imag), repr(qv.real), repr(qv.imag)])
 
 
@@ -477,8 +485,8 @@ def wronskian_scale(table: PolyCache) -> list:
     if table.exact:
         raise ValueError("wronskian_scale is a float scale; an exact table's residuals "
                          "(wronskian_residual) are exact")
-    return [max(1.0, abs(as_complex(table.p[n])) * abs(as_complex(table.q[n + 1]))
-                + abs(as_complex(table.p[n + 1])) * abs(as_complex(table.q[n])),
+    p, q = table.p, table.q
+    return [max(1.0, abs(p[n]) * abs(q[n + 1]) + abs(p[n + 1]) * abs(q[n]),
                 1.0 / table.coeffs.lam(n))
             for n in range(table.N)]
 
@@ -538,8 +546,8 @@ def check_series_limits(tol: float, n_max: int) -> None:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
 
 
-def sum_series(terms: Iterable[float], tol: float = 1e-12,
-               n_max: int = 100_000) -> SeriesResult:
+def sum_series(terms: Iterable[float], tol: float = SERIES_TOL,
+               n_max: int = SERIES_N_MAX) -> SeriesResult:
     """Sum nonnegative terms until a convergence verdict.
 
     Converged: the last CONVERGENCE_WINDOW terms are all below
@@ -647,6 +655,8 @@ class AlphaTable:
         """alpha_k, refused unless its series converges to a finite sum: a
         status set by a criterion can be "converged" where the float series
         gave no value (alpha_sqs inf)."""
+        if not 0 <= k <= self.k_max:
+            raise ValueError(f"alpha index must lie in 0..{self.k_max}, got {k}")
         if self.statuses[k] == "diverged":
             raise DivergedSeries(f"alpha_{k} series diverged at z = {self.z}")
         if self.statuses[k] != "converged":
@@ -667,7 +677,7 @@ class DeficiencyContext(PolyCache):
     alpha_k (float series).  Every such table is one of these."""
 
     def __init__(self, coeffs: CoefficientSequence, d: int, z):
-        if as_complex(z).imag == 0:
+        if complex(z).imag == 0:
             raise RealSpectralParameter(
                 f"deficiency-space values need a non-real z, got {z}")
         super().__init__(coeffs, matching_sqrt(d, z), z)
@@ -693,7 +703,8 @@ class DeficiencyContext(PolyCache):
         level that fails."""
         return self.levels(k, (self.d, 1), k + 1, n)
 
-    def alphas(self, k_max: int, tol: float = 1e-12, n_max: int = 100_000) -> AlphaTable:
+    def alphas(self, k_max: int, tol: float = SERIES_TOL,
+               n_max: int = SERIES_N_MAX) -> AlphaTable:
         """alpha_k(z) for k = 0..k_max, with per-k verdicts, summed over this
         table, which must be a float table.
 
@@ -707,6 +718,8 @@ class DeficiencyContext(PolyCache):
         refused (sum_square_series)."""
         if self.exact:
             raise ValueError("the alpha series are float series: read them from a float table")
+        if k_max < 0:
+            raise ValueError(f"k_max must be nonnegative, got {k_max}")
         check_series_limits(tol, n_max)
         criterion, verdict, _ = _criterion(self.coeffs, self.scale) or (None, None, None)
         if verdict == ESA:
@@ -721,7 +734,7 @@ class DeficiencyContext(PolyCache):
             statuses = ["converged"] * len(runs)
         overall = ("converged" if all(s == "converged" for s in statuses)
                    else "diverged" if "diverged" in statuses else "inconclusive")
-        return AlphaTable(as_complex(self.z), self.d, k_max,
+        return AlphaTable(complex(self.z), self.d, k_max,
                           [math.sqrt(t) if s == "converged" and math.isfinite(t) else math.nan
                            for s, t in zip(statuses, totals)],
                           totals, statuses, [r.terms_used for r in runs],
@@ -729,7 +742,7 @@ class DeficiencyContext(PolyCache):
 
 
 def alpha_series(coeffs: CoefficientSequence, d: int, z: complex, k_max: int,
-                 tol: float = 1e-12, n_max: int = 100_000) -> AlphaTable:
+                 tol: float = SERIES_TOL, n_max: int = SERIES_N_MAX) -> AlphaTable:
     """alpha_k(z) for k = 0..k_max, with per-k series verdicts, on a float
     DeficiencyContext of its own (DeficiencyContext.alphas)."""
     return DeficiencyContext(coeffs, d, complex(z)).alphas(k_max, tol, n_max)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
 from .errors import KindMismatch, PatchTooLarge
-from .exactnum import as_complex, conj, is_zero
+from .exactnum import conj
 
 Address = Tuple[int, ...]
 
@@ -143,7 +143,7 @@ class SparseFunction:
     kind: Optional[LambdaPatch] = GAMMA
 
     def __post_init__(self):
-        self.entries = {x: v for x, v in self.entries.items() if not is_zero(v)}
+        self.entries = {x: v for x, v in self.entries.items() if v}
 
     @staticmethod
     def delta(x: Address, kind: Optional[LambdaPatch] = GAMMA, value=1.0) -> "SparseFunction":
@@ -172,10 +172,10 @@ class SparseFunction:
         return abs(inner(self, self)) ** 0.5
 
     def max_abs(self) -> float:
-        return max((abs(as_complex(v)) for v in self.entries.values()), default=0.0)
+        return max((abs(v) for v in self.entries.values()), default=0.0)
 
     def to_complex(self) -> "SparseFunction":
-        return SparseFunction({x: as_complex(v) for x, v in self.entries.items()},
+        return SparseFunction({x: complex(v) for x, v in self.entries.items()},
                               self.kind)
 
     # -- JSON ----------------------------------------------------------
@@ -194,7 +194,7 @@ class SparseFunction:
             v = self.entries[x]
             tail = tails.get(id(v))
             if tail is None:  # repr is the json module's text of a finite float
-                c = as_complex(v)
+                c = complex(v)
                 im, re = (repr(t) if math.isfinite(t) else "null" for t in (c.imag, c.real))
                 tail = tails[id(v)] = f'"im": {im}, "re": {re}}}'
             records.append(f'{{"address": "{name}", {tail}')

@@ -603,6 +603,13 @@ def test_paper_example_small_budget_honest(capsys):
     assert obj["checks"]["scaled_series"]["verdict"] == "inconclusive"
 
 
+@pytest.mark.parametrize("n_max", ["0", "-5"])
+def test_paper_example_refuses_n_max_below_one_by_its_name(n_max, capsys):
+    # the exact table's own bound said "N must be at least 1"
+    assert run(["paper-example", "--n-max", n_max], capsys) == (
+        2, "", f"error: n_max must be at least 1, got {n_max}\n")
+
+
 COLD_START = """
 import contextlib, io, sys
 from treejacobi.cli import main

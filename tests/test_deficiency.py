@@ -322,6 +322,17 @@ def test_classify_accepts_exact_scale():
     assert classify(PAPER, 2, z=EXACT_I, scale=1).scale == 1.0
 
 
+@pytest.mark.parametrize("scale, want", [
+    (1j, 1j), (1 + 1j, 1 + 1j), (EXACT_I * exact_sqrt(2), complex(0, math.sqrt(2))),
+    (Fraction(3, 2), 1.5)], ids=["i", "1+i", "exact i sqrt2", "real"])
+def test_a_report_names_the_scale_its_series_ran_at(scale, want):
+    # a non-real scale was reported as its real part, 0.0 or 1.0
+    z = EXACT_I if is_exact(scale) else 1j
+    for run in (classify, classify_by_series):
+        rep = run(PAPER, 2, z=z, scale=scale, n_max=200)
+        assert rep.scale == want and type(rep.scale) is type(want), run
+
+
 def test_classify_inconclusive_small_budget():
     rep = classify_by_series(PAPER, 2, n_max=5)
     assert rep.verdict == "inconclusive"

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -181,6 +182,28 @@ def test_unreduced_floats_are_the_reduced_floats(reductions, x, y, den, m):
     with reductions() as bits:
         got = _floats_or_error(v)
     assert got == _floats_or_error(_reduced(x, y, den, m)) and bits == []
+
+
+def _read(reader, value):
+    """repr of what reader reads from value, or its OverflowError."""
+    try:
+        return repr(complex(reader(value)))
+    except OverflowError as exc:
+        return "OverflowError", str(exc)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.just(exact_complex(0)), st.sampled_from([1, 2, 3]).flatmap(graded),
+                 st.builds(unreduced, WIDE, WIDE, WIDE.filter(bool), st.sampled_from([1, 2, 3]))))
+def test_float_readers_read_an_exact_value_as_to_complex(v):
+    # complex(), abs() and bool() answer for an exact value as for its
+    # to_complex(), signed zeros and the overflow error included, and so do
+    # a complex array and the two exactnum names
+    want = _read(ExactComplex.to_complex, v)
+    for reader in (complex, as_complex, lambda v: np.array([v], dtype=complex)[0]):
+        assert _read(reader, v) == want, reader
+    assert _read(abs, v) == _read(lambda v: abs(v.to_complex()), v)
+    assert bool(v) is (not v.is_zero) is (v != exact_complex(0)) is (not is_zero(v))
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-20, 20).filter(bool),
@@ -472,7 +495,13 @@ def test_integer_type_edge_cases():
     assert exact_complex(1) / r3 == ExactComplex(Fraction(1, 3), 0, 3)
     assert exact_complex(1, 2) / (exact_complex(0, 1) * r2) == ExactComplex(1, Fraction(-1, 2), 2)
     assert (r3 / r3).m == 1 and r3 / r3 == exact_complex(1)
-    # floats are not exact operands
+    # floats are not exact operands, though complex(r2) reads r2 as one
     assert ExactComplex.__add__(r2, 0.5) is NotImplemented
     with pytest.raises(TypeError):
         r2 * 0.5
+    for other in (0.5j, np.float64(0.5), np.complex128(0.5j)):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(TypeError):
+                op(r2, other)
+            with pytest.raises(TypeError):
+                op(other, r2)

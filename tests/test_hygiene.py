@@ -4,8 +4,9 @@ a function assigns and every parameter it takes is read, every CLI flag
 is read by its subcommand's handler, only the recurrence table steps
 the recurrence and reads its private members, only coefficients reads a
 sequence's private members, only named scopes build a table, read
-beta_n or refuse exact values, one writer makes JSON text, and the only
-to_json method is a sparse function's."""
+beta_n or refuse exact values, one writer makes JSON text, the only
+to_json method is a sparse function's, and only exactnum tests a value for
+the exact type."""
 import argparse
 import ast
 import inspect
@@ -273,6 +274,15 @@ def test_only_a_sparse_function_writes_itself_as_json():
     defs = _scopes_where(lambda node: isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                          and node.name.startswith("to_json"))
     assert defs == ["treecore.SparseFunction.to_json"]
+
+
+def test_only_exactnum_tests_a_value_for_the_exact_type():
+    # an ExactComplex answers complex(), abs() and bool() as a float does, and
+    # where the arithmetic is chosen, exactnum.is_exact names the type
+    tests = _scopes_where(lambda node: isinstance(node, ast.Call)
+                          and _name(node.func) == "isinstance" and len(node.args) == 2
+                          and any(_name(n) == "ExactComplex" for n in ast.walk(node.args[1])))
+    assert tests and {scope.split(".")[0] for scope in tests} == {"exactnum"}
 
 
 def _unread_cli_flags() -> list:

@@ -60,6 +60,12 @@ def test_certificate_rejects_real_z():
         esa_certificate(PAPER, 2, 2.0, 10)
 
 
+def test_certificate_of_a_negative_k_max_is_refused():
+    # it failed with "min() arg is an empty sequence"
+    with pytest.raises(ValueError, match="k_max must be nonnegative, got -1"):
+        esa_certificate(PAPER, 2, 1j, -1)
+
+
 def test_certificate_free_family_floor():
     cert = esa_certificate(CONSTANT, 2, 1j, 50)
     assert cert.min_abs_p >= 0.4
@@ -133,6 +139,12 @@ def test_dimension_audit_small_cases():
     assert (a.dim_Mx, a.dim_Vx) == (7, 4)
     a = dimension_audit(3, 3)
     assert a.dim_Vx == 36
+
+
+def test_dimension_audit_refuses_a_degree_below_two():
+    # d = 1 divided by d - 1 = 0
+    with pytest.raises(ValueError, match="branching degree must be at least 2, got 1"):
+        dimension_audit(1, 1)
 
 
 def test_dimension_identity_full_range():

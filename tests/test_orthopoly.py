@@ -18,7 +18,7 @@ from treejacobi.errors import (CoefficientIndexError, CoefficientOverflow, Diver
                                RecurrenceOverflow)
 from treejacobi.exactnum import (ExactComplex, abs2, as_complex, exact_complex, exact_sqrt,
                                  half_power, is_exact)
-from treejacobi.orthopoly import (PolyCache, _IntegerRecurrence, alpha_series,
+from treejacobi.orthopoly import (DeficiencyContext, PolyCache, _IntegerRecurrence, alpha_series,
                                   alpha_sq_partial, alpha_sq_terms,
                                   compute_polys, poly_pairs, poly_roots, sum_series,
                                   wronskian_residual, wronskian_scale)
@@ -1036,6 +1036,21 @@ def test_alpha_divergent_family(coeffs, d, n_max, status, error):
     assert a.statuses[0] == status
     with pytest.raises(error, match=f"alpha_0 series {status} at z = 1j"):
         a.alpha(0)
+
+
+@pytest.mark.parametrize("read", [lambda a: a.alpha(-1), lambda a: a.alpha(2)],
+                         ids=["below", "above"])
+def test_alpha_index_outside_the_table_is_refused(read):
+    # alpha(-1) read alpha_1 from the end of the list, alpha(2) raised IndexError
+    table = alpha_series(PAPER, 2, 1j, 1)
+    with pytest.raises(ValueError, match=r"alpha index must lie in 0\.\.1, got -?\d"):
+        read(table)
+
+
+def test_alpha_table_of_a_negative_k_max_is_refused():
+    # it returned an empty table with status "converged"
+    with pytest.raises(ValueError, match="k_max must be nonnegative, got -1"):
+        DeficiencyContext(PAPER, 2, 1j).alphas(-1)
 
 
 def test_alpha_first_term_dominates_lower_bound():
