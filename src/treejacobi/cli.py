@@ -46,34 +46,54 @@ class ValidationError(ValueError):
     pass
 
 
+# family: (fewest, most) fields after its name
+_SPEC_FIELDS = {"paper": (0, 0), "constant": (1, 2), "geometric": (2, 2), "power": (2, 2),
+                "explicit": (1, 2)}
+
+
+def _exponent(text: str):
+    """A power exponent: an int for an integer literal or an integer-valued
+    p/q, else a float (0.5, 1e-3, 3/2)."""
+    if "/" in text:
+        exp = Fraction(text)
+        return int(exp) if exp.denominator == 1 else float(exp)
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def parse_coeffs(spec: str) -> CoefficientSequence:
     """Family spec strings:
     paper | constant:LAM[:BETA] | geometric:BASE:RATIO | power:BASE:EXP |
-    explicit:l0,l1,...[:b0,b1,...]"""
-    parts = spec.split(":")
-    name = parts[0]
+    explicit:l0,l1,...[:b0,b1,...]; a spec with more or fewer fields is
+    refused."""
+    name, *fields = spec.split(":")
+    if name not in _SPEC_FIELDS:
+        raise ValidationError(f"unknown coefficient family {name!r}")
+    fewest, most = _SPEC_FIELDS[name]
+    if not fewest <= len(fields) <= most:
+        counts = " or ".join(map(str, sorted({fewest, most})))
+        raise ValidationError(f"bad coefficient spec {spec!r}: {name} takes {counts} "
+                              f"fields after its name, got {len(fields)}")
     try:
         if name == "paper":
             return CoefficientSequence.paper_example()
         if name == "constant":
-            lam = Fraction(parts[1])
-            beta = Fraction(parts[2]) if len(parts) > 2 else Fraction(0)
-            return CoefficientSequence.constant(lam, beta)
+            return CoefficientSequence.constant(*map(Fraction, fields))
         if name == "geometric":
-            return CoefficientSequence.geometric(Fraction(parts[1]), Fraction(parts[2]))
+            return CoefficientSequence.geometric(Fraction(fields[0]), Fraction(fields[1]))
         if name == "power":
-            try:
-                exp = int(parts[2])
-            except ValueError:  # not an integer literal: 0.5, 1e-3
-                exp = float(parts[2])
-            return CoefficientSequence.power(Fraction(parts[1]), exp)
-        if name == "explicit":
-            lams = [Fraction(v) for v in parts[1].split(",")]
-            betas = [Fraction(v) for v in parts[2].split(",")] if len(parts) > 2 else None
-            return CoefficientSequence.explicit(lams, betas)
-    except (IndexError, ValueError, ZeroDivisionError) as exc:
+            return CoefficientSequence.power(Fraction(fields[0]), _exponent(fields[1]))
+        lams, *betas = [[Fraction(v) for v in f.split(",")] for f in fields]
+        return CoefficientSequence.explicit(lams, *betas)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad coefficient spec {spec!r}: {exc}") from None
-    raise ValidationError(f"unknown coefficient family {name!r}")
+
+
+def _float_part(text: str) -> float:
+    """A part of a float z: read through a Fraction when written p/q."""
+    return float(Fraction(text)) if "/" in text else float(text)
 
 
 def parse_z(text: str, mode: str):
@@ -89,7 +109,11 @@ def parse_z(text: str, mode: str):
         except ValueError as exc:
             raise ValidationError(f"bad exact z {text!r}: {exc}") from None
     try:
-        z = complex(float(re_text), float(im_text))
+        z = complex(_float_part(re_text), _float_part(im_text))
+    except ZeroDivisionError:
+        raise ValidationError(f"z has a zero denominator, got {text!r}") from None
+    except OverflowError:  # a p/q past the float range
+        raise ValidationError(f"z must be finite, got {text!r}") from None
     except ValueError as exc:
         raise ValidationError(f"bad z {text!r}: {exc}") from None
     if not cmath.isfinite(z):
@@ -221,6 +245,7 @@ def cmd_classify(args) -> int:
                       scale=scale)
     emit(args, dump_json(vars(report) | {"z": _pair(report.z)}))
     if args.strict and report.verdict == "inconclusive":
+        print(f"inconclusive: {report.diagnostics}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
@@ -363,14 +388,18 @@ def cmd_paper_example(args) -> int:
         "verdict": classical.verdict,
         "detail": "unscaled matrix: p_n(0) = (-1)^n is not square-summable (alternation)"}
 
-    overall = all(c["pass"] for c in checks.values())
-    inconclusive = any(
-        c.get("verdict") == "inconclusive" for c in checks.values())
-    obj = {"overall_pass": overall, "checks": checks}
-    emit(args, dump_json(obj))
-    if args.strict and inconclusive:
+    failed = [name for name, c in checks.items() if not c["pass"]]
+    undecided = [name for name, c in checks.items() if c.get("verdict") == "inconclusive"]
+    emit(args, dump_json({"overall_pass": not failed, "checks": checks}))
+    if args.strict and undecided:
+        print(f"inconclusive: paper-example checks without a verdict: {', '.join(undecided)}",
+              file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    return EXIT_OK if overall else EXIT_NUMERIC
+    if failed:
+        print(f"numeric failure: paper-example checks failed: {', '.join(failed)}",
+              file=sys.stderr)
+        return EXIT_NUMERIC
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

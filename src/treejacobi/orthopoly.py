@@ -579,7 +579,8 @@ def sum_series(terms: Iterable[float], tol: float = SERIES_TOL,
             count += 1
             recent.append(t)
 
-            if t < tol * s and count >= 2 * CONVERGENCE_WINDOW:
+            if (t < tol * s and count >= 2 * CONVERGENCE_WINDOW
+                    and recent[-CONVERGENCE_WINDOW] < tol * s):
                 last = list(reversed(recent))
                 newer = sum(last[:CONVERGENCE_WINDOW])
                 older = sum(last[CONVERGENCE_WINDOW:])

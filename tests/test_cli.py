@@ -44,13 +44,40 @@ def test_parse_coeffs_families():
 
 
 @pytest.mark.parametrize("text, exponent", [("2", 2), ("-3", -3), ("0.5", 0.5), ("1e-3", 0.001),
-                                             ("2e0", 2.0), ("-1.5E+2", -150.0)])
+                                             ("2e0", 2.0), ("-1.5E+2", -150.0), ("4/2", 2),
+                                             ("3/2", 1.5)])
 def test_power_exponent_is_int_only_for_an_integer_literal(text, exponent, capsys):
-    # only an int exponent has exact values
+    # only an int exponent has exact values; an integer-valued p/q is an int
     assert repr(parse_coeffs(f"power:1:{text}").params[1]) == repr(exponent)
     code, out, err = run(["classify", "--coeffs", f"power:1:{text}"], capsys)
     assert code == 0, err
     assert json.loads(out)["criterion"] is not None
+
+
+@pytest.mark.parametrize("spec", ["paper:power:1:2", "constant:1:0:9", "geometric:1:2:junk",
+                                  "power:1:2:3", "explicit:1,2:0,0:5"])
+def test_a_spec_with_a_field_too_many_is_refused(spec, capsys):
+    # each last field was dropped: paper:power:1:2 ran plain paper
+    with pytest.raises(ValidationError, match="fields after its name, got 3"):
+        parse_coeffs(spec)
+    code, out, err = run(["classify", "--coeffs", spec], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad coefficient spec {spec!r}: ")
+
+
+@pytest.mark.parametrize("rational, decimal", [("4/2", "2"), ("3/2", "1.5")])
+def test_a_rational_power_exponent_reads_as_its_value(rational, decimal, capsys):
+    assert (parse_coeffs(f"power:1:{rational}").describe()
+            == parse_coeffs(f"power:1:{decimal}").describe())
+    assert run(["classify", "--coeffs", f"power:1:{rational}"], capsys) == run(
+        ["classify", "--coeffs", f"power:1:{decimal}"], capsys)
+
+
+@pytest.mark.parametrize("command", ["classify", "deficiency"])
+def test_a_rational_float_z_reads_as_its_value(command, capsys):
+    code, out, err = run([command, "--z", "1/2,1"], capsys)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run([command, "--z", "0.5,1"], capsys)
 
 
 def test_parse_z():
@@ -153,10 +180,11 @@ def test_alpha_criterion_printed(coeffs, criterion, status, capsys):
 
 def test_classify_strict_inconclusive_exit_code(capsys):
     # an explicit list reaches the series, which five terms cannot decide
-    code, out, _ = run(["classify", "--coeffs", "explicit:1,2,4,8,16,32,64,128", "--d", "2",
-                        "--n-max", "5", "--strict"], capsys)
+    code, out, err = run(["classify", "--coeffs", "explicit:1,2,4,8,16,32,64,128", "--d", "2",
+                          "--n-max", "5", "--strict"], capsys)
     assert code == 4
     assert json.loads(out)["verdict"] == "inconclusive"
+    assert err == f"inconclusive: {json.loads(out)['diagnostics']}\n"
     # the paper family is decided from its parameters whatever the budget
     code, out, _ = run(["classify", "--coeffs", "paper", "--d", "2",
                         "--n-max", "5", "--strict"], capsys)
@@ -597,10 +625,14 @@ def test_paper_example_report(capsys):
 
 
 def test_paper_example_small_budget_honest(capsys):
-    code, out, _ = run(["paper-example", "--n-max", "5", "--strict"], capsys)
+    code, out, err = run(["paper-example", "--n-max", "5", "--strict"], capsys)
     assert code == 4
     obj = json.loads(out)
     assert obj["checks"]["scaled_series"]["verdict"] == "inconclusive"
+    assert err == "inconclusive: paper-example checks without a verdict: scaled_series\n"
+    # without --strict the check fails: the same stdout, exit 3
+    assert run(["paper-example", "--n-max", "5"], capsys) == (
+        3, out, "numeric failure: paper-example checks failed: scaled_series\n")
 
 
 @pytest.mark.parametrize("n_max", ["0", "-5"])
@@ -740,6 +772,10 @@ def test_bad_numeric_option_is_validation_error(argv, capsys):
     ("polys --mode exact --z=1,-2/0", "exact z has a zero denominator, got '1,-2/0'"),
     ("deficiency --mode exact --z=1/0,1", "exact z has a zero denominator, got '1/0,1'"),
     ("polys --mode exact --z=a,1", "bad exact z 'a,1': "),
+    ("classify --z=1/0,1", "z has a zero denominator, got '1/0,1'"),
+    ("deficiency --z=1,-2/0", "z has a zero denominator, got '1,-2/0'"),
+    ("classify --z=1/3,1e400", "z must be finite, got '1/3,1e400'"),
+    ("classify --z=" + "9" * 400 + "/1,1", "z must be finite, got '" + "9" * 400 + "/1,1'"),
 ])
 def test_z_errors_name_the_value_as_written(argv, message, capsys):
     code, _, err = run(argv.split(), capsys)
@@ -838,6 +874,8 @@ def test_generated_argv_keeps_the_exit_contract(command, data):
             code = exc.code
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+    # every nonzero exit says why
+    assert code == 0 or err.getvalue().strip()
     if code == 0:
         if command == "polys":
             rows = list(csv.reader(io.StringIO(out.getvalue())))

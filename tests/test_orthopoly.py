@@ -6,7 +6,7 @@ import itertools
 import math
 import operator
 import warnings
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -18,10 +18,11 @@ from treejacobi.errors import (CoefficientIndexError, CoefficientOverflow, Diver
                                RecurrenceOverflow)
 from treejacobi.exactnum import (ExactComplex, abs2, as_complex, exact_complex, exact_sqrt,
                                  half_power, is_exact)
-from treejacobi.orthopoly import (DeficiencyContext, PolyCache, _IntegerRecurrence, alpha_series,
-                                  alpha_sq_partial, alpha_sq_terms,
-                                  compute_polys, poly_pairs, poly_roots, sum_series,
-                                  wronskian_residual, wronskian_scale)
+from treejacobi.orthopoly import (CONVERGENCE_WINDOW, RATIO_CEILING, SERIES_N_MAX, SERIES_TOL,
+                                  DeficiencyContext, PolyCache, SeriesResult, _IntegerRecurrence,
+                                  alpha_series, alpha_sq_partial, alpha_sq_terms,
+                                  check_series_limits, compute_polys, poly_pairs, poly_roots,
+                                  sum_series, wronskian_residual, wronskian_scale)
 
 PAPER = CoefficientSequence.paper_example()
 CONSTANT = CoefficientSequence.constant(1)
@@ -262,6 +263,82 @@ def test_sum_series_reads_a_recurrence_overflow_as_inconclusive():
     assert len(pulls) == 4
     assert (res.status, res.partial_sum, res.terms_used) == ("inconclusive", 3.0, 3)
     assert res.note == "recurrence overflow: terms left the float range"
+
+
+def _reference_sum_series(terms, tol=SERIES_TOL, n_max=SERIES_N_MAX):
+    """The block-ratio loop without sum_series' screen on the oldest term of
+    the newer block: the property below holds sum_series to it, field for
+    field."""
+    check_series_limits(tol, n_max)
+    s = 0.0
+    recent: deque = deque(maxlen=2 * CONVERGENCE_WINDOW)
+    count = 0
+    try:
+        for t in itertools.islice(terms, n_max):
+            if not math.isfinite(t):
+                return SeriesResult("inconclusive", s, count,
+                                    note="term overflowed the float range")
+            s += t
+            count += 1
+            recent.append(t)
+
+            if t < tol * s and count >= 2 * CONVERGENCE_WINDOW:
+                last = list(reversed(recent))
+                newer = sum(last[:CONVERGENCE_WINDOW])
+                older = sum(last[CONVERGENCE_WINDOW:])
+                if all(v < tol * s for v in last[:CONVERGENCE_WINDOW]) and (
+                        newer < RATIO_CEILING ** CONVERGENCE_WINDOW * older
+                        or newer == older == 0):
+                    big_r = newer / older if older > 0 else 0.0
+                    tail_est = newer * big_r / (1.0 - big_r)
+                    return SeriesResult("converged", s, count, tail_est,
+                                        big_r ** (1.0 / CONVERGENCE_WINDOW))
+    except RecurrenceOverflow:
+        return SeriesResult("inconclusive", s, count,
+                            note="recurrence overflow: terms left the float range")
+    return SeriesResult("inconclusive", s, count,
+                        note=f"no verdict after {count} terms")
+
+
+_LENGTHS = st.integers(0, 2000)
+_SCALES = st.floats(1e-3, 1e3)
+# geometric ratios a hair inside and outside the ceiling, and anywhere
+_RATIOS = st.one_of(
+    st.sampled_from([1 - 1e-9, 1 + 1e-9, 1 - 1e-4, 1 + 1e-4]).map(lambda f: RATIO_CEILING * f),
+    st.floats(0.05, 1.05))
+_SERIES_TERMS = st.one_of(
+    st.builds(lambda a, r, n: [a * r ** k for k in range(n)], _SCALES, _RATIOS, _LENGTHS),
+    # period-2 phases
+    st.builds(lambda a, c, r, n: [a * r ** k * (c if k % 2 else 1) for k in range(n)],
+              _SCALES, _SCALES, _RATIOS, _LENGTHS),
+    # a periodic multiplier: spikes inside a block, zeros between decaying terms
+    st.builds(lambda m, r, n: [r ** k * m[k % len(m)] for k in range(n)],
+              st.lists(st.one_of(st.sampled_from([0.0, 1.0, 1e3]), st.floats(0, 10)),
+                       min_size=1, max_size=12), _RATIOS, _LENGTHS),
+    # power-law decay
+    st.builds(lambda a, p, n: [a * (k + 1) ** -p for k in range(n)],
+              _SCALES, st.floats(0.5, 8), _LENGTHS),
+    # runs of one value each, exact zeros among them
+    st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0, 100)), st.integers(1, 40)),
+             max_size=30).map(lambda runs: [v for v, n in runs for _ in range(n)]))
+
+
+def _ending(values: list, end):
+    """values, then an infinite term, a RecurrenceOverflow or nothing."""
+    yield from values
+    if end == "inf":
+        yield math.inf
+    elif end == "overflow":
+        raise RecurrenceOverflow("recurrence value left the float range")
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=_SERIES_TERMS, end=st.sampled_from([None, "inf", "overflow"]),
+       tol=st.builds(lambda m, e: m * 10.0 ** e, st.floats(1, 10), st.integers(-10, -1)),
+       n_max=st.one_of(st.integers(1, 2 * CONVERGENCE_WINDOW), st.integers(1, 2500)))
+def test_sum_series_matches_the_unscreened_block_test(values, end, tol, n_max):
+    assert (sum_series(_ending(values, end), tol, n_max)
+            == _reference_sum_series(_ending(values, end), tol, n_max))
 
 
 def test_poly_cache_keeps_its_first_error():
