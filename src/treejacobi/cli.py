@@ -53,10 +53,16 @@ _SPEC_FIELDS = {"paper": (0, 0), "constant": (1, 2), "geometric": (2, 2), "power
 
 def _exponent(text: str):
     """A power exponent: an int for an integer literal or an integer-valued
-    p/q, else a float (0.5, 1e-3, 3/2)."""
+    p/q, else a float (0.5, 1e-3, 3/2); a p/q past the float range reads as
+    an infinite float, as a decimal past it does."""
     if "/" in text:
         exp = Fraction(text)
-        return int(exp) if exp.denominator == 1 else float(exp)
+        if exp.denominator == 1:
+            return int(exp)
+        try:
+            return float(exp)
+        except OverflowError:
+            return math.inf if exp > 0 else -math.inf
     try:
         return int(text)
     except ValueError:
@@ -87,7 +93,9 @@ def parse_coeffs(spec: str) -> CoefficientSequence:
             return CoefficientSequence.power(Fraction(fields[0]), _exponent(fields[1]))
         lams, *betas = [[Fraction(v) for v in f.split(",")] for f in fields]
         return CoefficientSequence.explicit(lams, *betas)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise ValidationError(f"bad coefficient spec {spec!r}: zero denominator") from None
+    except ValueError as exc:
         raise ValidationError(f"bad coefficient spec {spec!r}: {exc}") from None
 
 

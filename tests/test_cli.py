@@ -73,6 +73,21 @@ def test_a_rational_power_exponent_reads_as_its_value(rational, decimal, capsys)
         ["classify", "--coeffs", f"power:1:{decimal}"], capsys)
 
 
+_HUGE = "9" * 400
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("power:1:1/0", "zero denominator"), ("constant:1/0", "zero denominator"),
+    ("explicit:1,1/0", "zero denominator"), ("geometric:1:2/0", "zero denominator"),
+    (f"power:1:{_HUGE}/2", "power exponent must be finite, got inf"),
+    (f"power:1:-{_HUGE}/2", "power exponent must be finite, got -inf"),
+    ("power:1:1e400", "power exponent must be finite, got inf")])
+def test_a_spec_value_without_a_float_is_refused(spec, reason, capsys):
+    # a p/q exponent past the float range reads as the decimal past it does
+    assert run(["classify", "--coeffs", spec], capsys) == (
+        2, "", f"error: bad coefficient spec {spec!r}: {reason}\n")
+
+
 @pytest.mark.parametrize("command", ["classify", "deficiency"])
 def test_a_rational_float_z_reads_as_its_value(command, capsys):
     code, out, err = run([command, "--z", "1/2,1"], capsys)

@@ -2,14 +2,13 @@
 BENCH_*.json file.
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_N.json --describe TEXT \
-        [--claim WORKLOAD:METRIC] [--change REV] [--extra-argv FILE] [--note TEXT] \
-        [--workdir DIR]
+        [--claim WORKLOAD:METRIC] [--extra-argv FILE]
 
 Run from the root of the repository.  Each side runs from its own checkout
-outside the repository: the parent from `git archive REV`, the change from
-`git archive` of --change or, without it, from a copy of the working tree
-(tracked and untracked files that git does not ignore), so that an
-uncommitted change can be measured.  For every workload of BENCHMARK.json:
+in a temporary directory, removed afterwards: the parent from
+`git archive REV`, the change from a copy of the working tree (tracked and
+untracked files that git does not ignore), so that an uncommitted change
+can be measured.  For every workload of BENCHMARK.json:
 
 * one untimed run per side at seed 100 fills that checkout's reference cache;
 * the sides alternate over seeds 101-110 (odd seeds parent first, even
@@ -221,33 +220,10 @@ def machine() -> dict:
             "python": platform.python_version(), "numpy": importlib.metadata.version("numpy")}
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="git revision of the parent")
-    parser.add_argument("--change", help="git revision of the change (default: the working tree)")
-    parser.add_argument("--out", required=True, help="the JSON file written")
-    parser.add_argument("--describe", required=True, help="what the change does")
-    parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
-    parser.add_argument("--extra-argv", help="file of further argv for the output identity, "
-                                             "one per line")
-    parser.add_argument("--note", default="", help="text appended to the generated note")
-    parser.add_argument("--workdir", help="where the checkouts go (default: a temporary "
-                                          "directory, removed afterwards)")
-    args = parser.parse_args()
-
-    with open("BENCHMARK.json", encoding="utf-8") as fh:
-        spec = json.load(fh)
+def measure(args, spec: dict, roots: dict) -> dict:
+    """Every run and the output identity of both checkouts, as the
+    BENCH_*.json object."""
     metrics = spec["end_to_end"]
-    workdir = args.workdir or tempfile.mkdtemp(prefix="bench-pairs-")
-    roots = {side: os.path.join(workdir, side) for side in SIDES}
-    for root in roots.values():
-        shutil.rmtree(root, ignore_errors=True)
-        os.makedirs(root)
-    archive(args.parent, roots["parent"])
-    if args.change:
-        archive(args.change, roots["change"])
-    else:
-        copy_worktree(roots["change"])
     parent_rev = git("rev-parse", "--short", args.parent).decode().strip()
 
     def run(side, workload, seed, first, trace=0):
@@ -284,10 +260,9 @@ def main() -> int:
                  "first). summary gives median and quartiles (statistics.quantiles, inclusive "
                  "method) per side and the number of pairs in which the change reads better "
                  "(ties count for neither). Both sides ran from copies outside the repository: "
-                 f"the parent from git archive of {parent_rev}, the change from "
-                 + (f"git archive of {args.change}" if args.change else "the working tree")
-                 + f". Traced runs: every workload at seed {TRACE_SEED}, --trace 1, parent "
-                 "then change. " + args.note).strip(),
+                 f"the parent from git archive of {parent_rev}, the change from the working "
+                 f"tree. Traced runs: every workload at seed {TRACE_SEED}, "
+                 "--trace 1, parent then change."),
         "plain_pairs": {"seeds": list(PAIR_SEEDS), "summary": summary, "runs": runs},
         "held_out": held_out,
         "traced": traced,
@@ -300,11 +275,29 @@ def main() -> int:
         direction = next(m["better"] for m in metrics if m["name"] == metric)
         bench = {**{k: bench[k] for k in ("benchmark", "parent", "change", "machine")},
                  "claim": claim(summary, held_out, workload, metric, direction), **bench}
+    return bench
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--out", required=True, help="the JSON file written")
+    parser.add_argument("--describe", required=True, help="what the change does")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
+    parser.add_argument("--extra-argv", help="file of further argv for the output identity, "
+                                             "one per line")
+    args = parser.parse_args()
+
+    with open("BENCHMARK.json", encoding="utf-8") as fh:
+        spec = json.load(fh)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as workdir:
+        roots = {side: os.path.join(workdir, side) for side in SIDES}
+        archive(args.parent, roots["parent"])
+        copy_worktree(roots["change"])
+        bench = measure(args, spec, roots)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
-    if not args.workdir:
-        shutil.rmtree(workdir)
     print(json.dumps(bench.get("claim", {})))
     return 0
 
