@@ -1,7 +1,7 @@
 """Jacobi operators on homogeneous trees.
 
-Selfadjointness classification via square-summability of the recurrence
-solutions, deficiency-space bases and projections on the rooted tree, the
+Selfadjointness classification by the criteria that decide a coefficient
+family, deficiency-space bases and projections on the rooted tree, the
 boundary Poisson kernel, and the pure-point spectrum of the one-ended tree
 operator — all cross-checked against dense finite-section oracles."""
 

@@ -4,7 +4,10 @@ artifacts.
 Subcommands: polys, classify, deficiency, poisson, lambda, oracle,
 paper-example.  Options may come from an INI config file (section [run])
 with command-line flags taking precedence.  Exit codes: 0 success, 2
-validation error, 3 numeric failure, 4 inconclusive under --strict."""
+validation error, 3 numeric failure, 4 inconclusive: a verdict without a
+criterion under --strict, or an alpha_k that poisson needs and that has
+no value (no criterion decides the family, or its float series ran out of
+--n-max)."""
 from __future__ import annotations
 
 import argparse
@@ -249,8 +252,7 @@ def cmd_classify(args) -> int:
     coeffs = parse_coeffs(args.coeffs)
     z = parse_z(args.z, "float")
     scale = parse_scale(args.scale, "float") if args.scale is not None else None
-    report = classify(coeffs, args.d, z=z, tol=args.tol, n_max=args.n_max,
-                      scale=scale)
+    report = classify(coeffs, args.d, z=z, scale=scale)
     emit(args, dump_json(vars(report) | {"z": _pair(report.z)}))
     if args.strict and report.verdict == "inconclusive":
         print(f"inconclusive: {report.diagnostics}", file=sys.stderr)
@@ -448,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_polys)
 
     p = sub.add_parser("classify", help="essential-selfadjointness verdict")
-    _add_shared(p, "--d", "--coeffs", "--z", "--tol", "--n-max", "--strict", "--scale")
+    _add_shared(p, "--d", "--coeffs", "--z", "--strict", "--scale")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("deficiency", help="materialize a deficiency element")

@@ -314,10 +314,11 @@ def _criterion(coeffs: CoefficientSequence, scale) -> Optional[tuple]:
     (_side_of_one): at |s| = 1 by alternation, since p_n(0) = (-s)^n for
     every lambda is not l^2; else by the bounded or Carleman criterion of
     its base, or by Perron's theorem for a geometric base with ratio above
-    1 (_perron).  The series decide `explicit`, a paper family over a power
-    with exponent above 1 at |s| != 1 (its limit roots lie on the unit
-    circle), a non-real scale, and a family whose lambda_n are not all
-    positive and finite (the recurrence then reports the fault)."""
+    1 (_perron).  No theorem here decides `explicit` (a finite list says
+    nothing about the limit), a paper family over a power with exponent
+    above 1 at |s| != 1 (its limit roots lie on the unit circle), a non-real
+    scale, or a family whose lambda_n are not all positive (check_positive
+    refuses it): there it returns None, and the verdict is inconclusive."""
     side = _side_of_one(scale)
     paper = coeffs.family == "paper"
     lams = coeffs.base if paper else coeffs
@@ -348,6 +349,18 @@ def _criterion(coeffs: CoefficientSequence, scale) -> Optional[tuple]:
     if family == "geometric":
         return _perron(hypotheses, shape, abs(complex(scale).real), side)
     return None
+
+
+def check_positive(coeffs: CoefficientSequence) -> None:
+    """Raise NonPositiveLambda, as the recurrence would, unless the lambda_n
+    that show a sign are positive: every entry of an explicit list, and
+    lambda_0 of a closed form (its base) and lambda_1 of a geometric one
+    (its ratio).  A list entry is read as its integer pair, so one past
+    the float range is no fault here."""
+    lams = coeffs.base if coeffs.family == "paper" else coeffs
+    count = {"explicit": len(lams.lams), "geometric": 2}.get(lams.family, 1)
+    for _ in itertools.islice(lams._lam_pairs(0, False), count):
+        pass
 
 
 def _side_of_one(scale) -> Optional[int]:

@@ -6,12 +6,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .coefficients import CoefficientSequence, TreeConfig, _criterion
+from .coefficients import CoefficientSequence, TreeConfig, _criterion, check_positive
 from .exactnum import conj, is_exact, matching_sqrt, sums_to_zero
 from .operator import JacobiOperator
 from .orthopoly import (SERIES_N_MAX, SERIES_TOL, AlphaTable, DeficiencyContext, PolyCache,
-                        check_recurrence_inputs, check_series_limits, float_scale,
-                        sum_square_series)
+                        check_recurrence_inputs, float_scale, sum_series)
 from .treecore import (GAMMA, Address, SparseFunction, check_budget,
                        format_address, subtree_size, subtree_vertices)
 
@@ -256,53 +255,56 @@ def _residual_and_max_abs(elements: Sequence[DeficiencyElement],
 @dataclass
 class ClassificationReport:
     verdict: str  # "essentially_selfadjoint" | "not_essentially_selfadjoint" | "inconclusive"
-    series_p_status: str  # a SeriesResult status, or "not_run" when a criterion decided
+    series_p_status: str  # a SeriesResult status, or "not_run" where no series ran
     series_q_status: str
     terms_used: Tuple[int, int]
     z: complex
-    scale: float | complex  # the scale the series ran at, real when it is (float_scale)
+    scale: float | complex  # the scale of the matrix, real when it is (float_scale)
     diagnostics: str = ""
-    # "bounded" | "carleman" | "berezanskii" | "perron" | "alternation"; None: the series decided
+    # "bounded" | "carleman" | "berezanskii" | "perron" | "alternation"; None: no criterion
     criterion: Optional[str] = None
 
 
-def classify(coeffs: CoefficientSequence, d: int, z=1j, tol: float = SERIES_TOL,
-             n_max: int = SERIES_N_MAX, scale=None) -> ClassificationReport:
+def classify(coeffs: CoefficientSequence, d: int, z=1j, scale=None) -> ClassificationReport:
     """Essential-selfadjointness verdict for the scaled tridiagonal matrix
     (default scale sqrt(d), the radial restriction of the tree operator).
 
     A `constant`, `geometric` or `power` family at a real scale is decided
     from its exact parameters by the bounded, Carleman or Berezanskii
     criterion, and a `paper` family over one of them by alternation (|s| =
-    1), its base's criterion or Perron's theorem (_criterion), with no
-    recurrence step: the report names the criterion, its series statuses
-    read "not_run" and terms_used is (0, 0).  Every other input goes to
-    classify_by_series.  Both routes reject the same tol, n_max, scale and
-    z."""
+    1), its base's criterion or Perron's theorem (_criterion): the report
+    names the criterion.  Where no criterion applies the verdict is
+    "inconclusive", since no finite run of recurrence terms settles a
+    statement about the infinite matrix; a lambda_n that is not positive is
+    refused first (check_positive).  Either way no recurrence step runs:
+    both series statuses read "not_run" and terms_used is (0, 0).  Rejects
+    the scale and z values that PolyCache rejects."""
     if scale is None:
         scale = matching_sqrt(d, z)
-    check_series_limits(tol, n_max)
     check_recurrence_inputs(coeffs, scale, z)
     decided = _criterion(coeffs, scale)
     if decided is None:
-        return classify_by_series(coeffs, d, z, tol, n_max, scale)
-    criterion, verdict, hypotheses = decided
+        check_positive(coeffs)
+        decided = (None, "inconclusive",
+                   f"no criterion decides {coeffs.describe()} at scale "
+                   f"{float_scale(scale)}, and no finite run of terms decides the limit")
+    criterion, verdict, diagnostics = decided
     return ClassificationReport(verdict, "not_run", "not_run", (0, 0), complex(z),
-                                float_scale(scale), hypotheses, criterion)
+                                float_scale(scale), diagnostics, criterion)
 
 
 def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = SERIES_TOL,
                        n_max: int = SERIES_N_MAX, scale=None) -> ClassificationReport:
-    """Essential-selfadjointness test for the scaled tridiagonal matrix from
-    the square series of its recurrence solutions.
+    """The square-series test for the scaled tridiagonal matrix, a check
+    beside classify, which gives no verdict from it.
 
     Sums |p_n(z)|^2 and |q_n(z)|^2 with off-diagonal scale * lambda_n
     (default scale sqrt(d), the radial restriction of the tree operator,
     exact when z is).  Both series converging by sum_series' block-ratio
     rule means nontrivial deficiency spaces: not essentially selfadjoint.
     Anything else is inconclusive, since no finite run of terms shows that a
-    series diverges; essential selfadjointness is left to a criterion
-    (classify)."""
+    series diverges.  An explicit list that ends before a verdict raises
+    CoefficientIndexError."""
     if scale is None:
         scale = matching_sqrt(d, z)
     cache = PolyCache(coeffs, scale, z)
@@ -310,9 +312,8 @@ def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = S
     def terms(values: Iterator):
         return (a * a for a in map(abs, values))
 
-    decides = "essential selfadjointness"
-    res_p = sum_square_series(terms(cache.values()), tol, n_max, coeffs, decides)
-    res_q = sum_square_series(terms(cache.values(True)), tol, n_max, coeffs, decides)
+    res_p = sum_series(terms(cache.values()), tol, n_max)
+    res_q = sum_series(terms(cache.values(True)), tol, n_max)
     if res_p.status == "converged" and res_q.status == "converged":
         verdict = "not_essentially_selfadjoint"
         diag = "both series converged: nontrivial deficiency spaces"

@@ -212,8 +212,6 @@ class ExactComplex:
     def __bool__(self) -> bool:
         return any(self.ints[:2])
 
-    is_zero = property(lambda self: not self)
-
     def to_complex(self) -> complex:
         """One correctly rounded int / int per part, which is the float of
         the part's Fraction whether or not the integers are in lowest terms."""

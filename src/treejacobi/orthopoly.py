@@ -13,10 +13,10 @@ from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .coefficients import ESA, NOT_ESA, CoefficientSequence, _accessors, _criterion
-from .errors import (CoefficientIndexError, CoefficientOverflow, ConvergenceFailure,
-                     DivergedSeries, InconclusiveSeries, RealSpectralParameter,
-                     RecurrenceOverflow)
+from .coefficients import (ESA, NOT_ESA, CoefficientSequence, _accessors, _criterion,
+                           check_positive)
+from .errors import (CoefficientOverflow, ConvergenceFailure, DivergedSeries,
+                     InconclusiveSeries, RealSpectralParameter, RecurrenceOverflow)
 from .exactnum import ExactComplex, exact_complex, is_exact, matching_sqrt, unreduced
 
 if TYPE_CHECKING:
@@ -598,25 +598,6 @@ def sum_series(terms: Iterable[float], tol: float = SERIES_TOL,
                         note=f"no verdict after {count} terms")
 
 
-def sum_square_series(terms: Iterable[float], tol: float, n_max: int,
-                      coeffs: CoefficientSequence, decides: str) -> SeriesResult:
-    """sum_series of the squares of a recurrence solution over coeffs; an
-    explicit list that ends before a verdict, read directly or as the base
-    of a paper family, is refused with an error that says how many entries
-    it has and what it cannot decide."""
-    try:
-        return sum_series(terms, tol, n_max)
-    except CoefficientIndexError:  # only an explicit list ends
-        lams, betas = coeffs.lams, coeffs.betas
-        while coeffs.family == "paper":  # it reads only its base's lambdas
-            coeffs = coeffs.base
-            lams = betas = coeffs.lams
-        entries = min(len(lams), len(betas))
-        raise CoefficientIndexError(
-            f"a {entries}-entry explicit list cannot decide {decides}: "
-            "the square series ran past its last entry without a verdict") from None
-
-
 def alpha_sq_terms(k: int, ctx: DeficiencyContext) -> Iterator:
     """Terms of the alpha_k(z)^2 series, in the arithmetic of ctx:
     |g_{k-1}(n)|^2 for n >= k, where g_{k-1} is the solution anchored at
@@ -636,8 +617,8 @@ def alpha_sq_terms(k: int, ctx: DeficiencyContext) -> Iterator:
 @dataclass
 class AlphaTable:
     """Norm coefficients alpha_0..alpha_K at a fixed non-real z.  criterion
-    names the theorem that set every status (_criterion), None where each
-    status is its series verdict."""
+    names the theorem that set every status (_criterion), None where no
+    theorem applies and every status is "inconclusive"."""
 
     z: complex
     d: int
@@ -653,15 +634,19 @@ class AlphaTable:
     criterion: Optional[str] = None
 
     def alpha(self, k: int) -> float:
-        """alpha_k, refused unless its series converges to a finite sum: a
-        status set by a criterion can be "converged" where the float series
-        gave no value (alpha_sqs inf)."""
+        """alpha_k, refused unless the criterion says its series converges
+        and the float sum gave a value: a diverging series raises
+        DivergedSeries, no criterion InconclusiveSeries, and a converging
+        series without a float value (alpha_sqs inf) RecurrenceOverflow, or
+        InconclusiveSeries where n_max ran out."""
         if not 0 <= k <= self.k_max:
             raise ValueError(f"alpha index must lie in 0..{self.k_max}, got {k}")
         if self.statuses[k] == "diverged":
             raise DivergedSeries(f"alpha_{k} series diverged at z = {self.z}")
         if self.statuses[k] != "converged":
-            raise InconclusiveSeries(f"alpha_{k} series inconclusive at z = {self.z}")
+            raise InconclusiveSeries(f"no criterion decides the family, so alpha_{k} at "
+                                     f"z = {self.z} has no verdict: no finite run of its "
+                                     "series decides a limit")
         if not math.isfinite(self.alpha_sqs[k]):
             where = (f"alpha_{k} converges at z = {self.z} ({self.criterion}), "
                      "but its float series gave no value")
@@ -709,42 +694,41 @@ class DeficiencyContext(PolyCache):
         """alpha_k(z) for k = 0..k_max, with per-k verdicts, summed over this
         table, which must be a float table.
 
-        Where the family's exact parameters decide the sqrt(d)-scaled matrix
-        (_criterion), they decide every alpha_k, since each series sums the
-        squares of a solution of that recurrence: ESA, every series diverges
-        and none is summed (terms_used 0, alpha_sqs inf); not ESA, every
-        series converges, and its value is the float sum, or inf in
-        alpha_sqs where the float series gives none.  Elsewhere each status
-        is its series verdict, and an explicit list that ends before one is
-        refused (sum_square_series)."""
+        Every status comes from the theorem that decides the sqrt(d)-scaled
+        matrix from the family's exact parameters (_criterion), since each
+        series sums the squares of a solution of that recurrence: ESA, every
+        series diverges and none is summed (terms_used 0, alpha_sqs inf);
+        not ESA, every series converges, and its value is the float sum, or
+        inf in alpha_sqs where the float series gives none.  Where no
+        theorem applies, every status is "inconclusive" and no series is
+        summed (alpha_sqs nan); a lambda_n that is not positive is refused
+        first (check_positive)."""
         if self.exact:
             raise ValueError("the alpha series are float series: read them from a float table")
         if k_max < 0:
             raise ValueError(f"k_max must be nonnegative, got {k_max}")
         check_series_limits(tol, n_max)
         criterion, verdict, _ = _criterion(self.coeffs, self.scale) or (None, None, None)
-        if verdict == ESA:
-            runs = [SeriesResult("diverged", math.inf, 0) for _ in range(k_max + 1)]
-        else:
-            runs = [sum_square_series(alpha_sq_terms(k, self), tol, n_max, self.coeffs,
-                                      f"alpha_{k}") for k in range(k_max + 1)]
-        totals = [r.partial_sum + r.tail_estimate for r in runs]
-        statuses = [r.status for r in runs]
+        status = {ESA: "diverged", NOT_ESA: "converged"}.get(verdict, "inconclusive")
         if verdict == NOT_ESA:
-            totals = [t if s == "converged" else math.inf for s, t in zip(statuses, totals)]
-            statuses = ["converged"] * len(runs)
-        overall = ("converged" if all(s == "converged" for s in statuses)
-                   else "diverged" if "diverged" in statuses else "inconclusive")
+            runs = [sum_series(alpha_sq_terms(k, self), tol, n_max) for k in range(k_max + 1)]
+        else:  # none is summed
+            if verdict is None:
+                check_positive(self.coeffs)
+            unsummed = SeriesResult(status, math.inf if verdict == ESA else math.nan, 0)
+            runs = [unsummed] * (k_max + 1)
+        # a converging series that the float sum leaves undecided has no value: inf
+        totals = [r.partial_sum + r.tail_estimate if r.status == status else math.inf
+                  for r in runs]
         return AlphaTable(complex(self.z), self.d, k_max,
-                          [math.sqrt(t) if s == "converged" and math.isfinite(t) else math.nan
-                           for s, t in zip(statuses, totals)],
-                          totals, statuses, [r.terms_used for r in runs],
-                          [r.tail_estimate for r in runs], overall, tol, n_max, criterion)
+                          [math.sqrt(t) if math.isfinite(t) else math.nan for t in totals],
+                          totals, [status] * (k_max + 1), [r.terms_used for r in runs],
+                          [r.tail_estimate for r in runs], status, tol, n_max, criterion)
 
 
 def alpha_series(coeffs: CoefficientSequence, d: int, z: complex, k_max: int,
                  tol: float = SERIES_TOL, n_max: int = SERIES_N_MAX) -> AlphaTable:
-    """alpha_k(z) for k = 0..k_max, with per-k series verdicts, on a float
+    """alpha_k(z) for k = 0..k_max, with per-k verdicts, on a float
     DeficiencyContext of its own (DeficiencyContext.alphas)."""
     return DeficiencyContext(coeffs, d, complex(z)).alphas(k_max, tol, n_max)
 

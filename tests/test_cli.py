@@ -134,7 +134,7 @@ def test_classify_verdict_json(capsys):
 @pytest.mark.parametrize("argv", [
     "--coeffs paper --d 2", "--coeffs constant:1 --d 3 --z 0.5,2",
     "--coeffs geometric:1:3/2 --d 2 --scale 3", "--coeffs paper --d 2 --scale 1",
-    "--coeffs explicit:1,2,4,8,16,32,64,128 --d 2 --n-max 5",
+    "--coeffs explicit:1,2,4,8,16,32,64,128 --d 2",
 ])
 def test_classify_prints_the_report_fields(argv, capsys):
     # one key per ClassificationReport field, z as [re, im]
@@ -142,7 +142,7 @@ def test_classify_prints_the_report_fields(argv, capsys):
     assert code == 0, err
     args = build_parser().parse_args(["classify", *argv.split()])
     rep = classify(parse_coeffs(args.coeffs), args.d, z=parse_z(args.z, "float"),
-                   n_max=args.n_max, scale=None if args.scale is None else float(args.scale))
+                   scale=None if args.scale is None else float(args.scale))
     want = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
     want.update(z=[rep.z.real, rep.z.imag], terms_used=list(rep.terms_used))
     assert json.loads(out) == want
@@ -194,15 +194,14 @@ def test_alpha_criterion_printed(coeffs, criterion, status, capsys):
 
 
 def test_classify_strict_inconclusive_exit_code(capsys):
-    # an explicit list reaches the series, which five terms cannot decide
+    # no criterion decides an explicit list
     code, out, err = run(["classify", "--coeffs", "explicit:1,2,4,8,16,32,64,128", "--d", "2",
-                          "--n-max", "5", "--strict"], capsys)
+                          "--strict"], capsys)
     assert code == 4
     assert json.loads(out)["verdict"] == "inconclusive"
     assert err == f"inconclusive: {json.loads(out)['diagnostics']}\n"
-    # the paper family is decided from its parameters whatever the budget
-    code, out, _ = run(["classify", "--coeffs", "paper", "--d", "2",
-                        "--n-max", "5", "--strict"], capsys)
+    # the paper family is decided from its parameters
+    code, out, _ = run(["classify", "--coeffs", "paper", "--d", "2", "--strict"], capsys)
     assert code == 0
     assert json.loads(out)["criterion"] == "perron"
 
@@ -320,16 +319,33 @@ def test_deep_deficiency_overflow_hints_no_exact_mode_that_fails_alike(argv, cap
     assert "hint" not in err and "--mode exact" not in err
 
 
-@pytest.mark.parametrize("argv, entries, decides", [
-    (["classify", "--coeffs", "explicit:1,2,4,8", "--d", "2"], 4, "essential selfadjointness"),
-    (["deficiency", "--coeffs", "explicit:1,2,3", "--depth", "2"], 3, "alpha_0"),
-    (["poisson", "--coeffs", "explicit:1,2,3"], 3, "alpha_0"),
-])
-def test_classify_says_a_finite_list_decides_no_limit(argv, entries, decides, capsys):
-    code, _, err = run(argv, capsys)
-    assert code == 2
-    assert err == (f"error: a {entries}-entry explicit list cannot decide {decides}: "
-                   "the square series ran past its last entry without a verdict\n")
+_POWERS_OF_4 = "explicit:" + ",".join(str(4 ** k) for k in range(60))
+
+
+@pytest.mark.parametrize("coeffs, entries", [
+    ("explicit:1,2,3", 3), ("explicit:1,2,4,8", 4), (_POWERS_OF_4, 60),
+    ("explicit:" + ",".join(["1"] * 300), 300),
+], ids=["3", "4", "60 powers of 4", "300 ones"])
+def test_classify_says_a_finite_list_decides_no_limit(coeffs, entries, capsys):
+    # no criterion decides a list, so its length changes no answer
+    code, out, err = run(["classify", "--coeffs", coeffs, "--d", "2"], capsys)
+    assert code == 0, err
+    assert json.loads(out) | {"diagnostics": None} == {
+        "criterion": None, "diagnostics": None, "scale": math.sqrt(2),
+        "series_p_status": "not_run", "series_q_status": "not_run", "terms_used": [0, 0],
+        "verdict": "inconclusive", "z": [0.0, 1.0]}
+    assert json.loads(out)["diagnostics"] == (
+        f"no criterion decides explicit({entries} terms) at scale {math.sqrt(2)}, "
+        "and no finite run of terms decides the limit")
+    code, out, err = run(["deficiency", "--coeffs", coeffs, "--depth", "2"], capsys)
+    assert code == 0, err
+    obj = _strict_json(out)
+    assert (obj["alpha_status"], obj["alpha_criterion"], obj["alphas"]) == (
+        "inconclusive", None, [None])
+    code, out, err = run(["poisson", "--coeffs", coeffs], capsys)
+    assert (code, out) == (4, "")
+    assert err == ("inconclusive: no criterion decides the family, so alpha_0 at z = 1j has "
+                   "no verdict: no finite run of its series decides a limit\n")
 
 
 def test_deep_float_deficiency_reads_past_the_recurrence_overflow(capsys):
@@ -690,10 +706,11 @@ def test_subcommands_without_roots_never_import_scipy():
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[run]\ncoeffs = constant:1\nd = 2\nn-max = 400\n")
+    cfg.write_text("[run]\ncoeffs = constant:1\nd = 2\nz = 0.5,1\n")
     code, out, _ = run(["classify", "--config", str(cfg)], capsys)
     assert code == 0
     assert json.loads(out)["verdict"] == "essentially_selfadjoint"
+    assert json.loads(out)["z"] == [0.5, 1.0]
     # flag wins over the config value
     code, out, _ = run(["classify", "--config", str(cfg),
                         "--coeffs", "paper"], capsys)
@@ -748,10 +765,12 @@ def test_malformed_config_is_validation_error(tmp_path, text, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["classify", *coeffs, *option]
+    [command, *coeffs, *option]
     for coeffs in ([], ["--coeffs", "constant:1"], ["--coeffs", "power:1:2"])
-    for option in (["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--n-max", "-5"],
-                   ["--z", "nan,1"], ["--z", "inf,1"], ["--scale", "0"])
+    for command, option in [
+        ("classify", o) for o in (["--z", "nan,1"], ["--z", "inf,1"], ["--scale", "0"])] + [
+        (c, o) for c in ("deficiency", "poisson")
+        for o in (["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--n-max", "-5"])]
 ] + [
     ["polys", "--scale", "0"],
     ["polys", "--mode", "exact", "--scale", "0"],
@@ -801,6 +820,8 @@ def test_z_errors_name_the_value_as_written(argv, message, capsys):
 
 @pytest.mark.parametrize("argv", [
     "classify --mode exact",
+    "classify --tol 1e-6",
+    "classify --n-max 400",
     "poisson --mode exact",
     "polys --tol nan",
     "deficiency --strict",
@@ -825,7 +846,10 @@ def test_flag_the_subcommand_does_not_read_is_rejected(argv, tmp_path, capsys):
 # Generated argv for every subcommand.  Sizes are capped, and given even
 # where they are optional, so that no case can exhaust memory or run long:
 # d <= 5, n <= 4, depth <= 40, materialize depth <= 4, n_max <= 2000 and
-# addresses of at most 5 levels.
+# addresses of at most 5 levels.  Half the n_max draws come from 1..40 and
+# three quarters of the --strict draws are set: short budgets and --strict
+# reach the exits that a budget or an undecided verdict sets (paper-example's
+# failed and inconclusive checks, poisson's alpha without a value).
 _NUMBERS = st.sampled_from(["0", "1", "-1", "0.5", "-2.5", "1/3", "1/0", "1e308", "nan", "inf",
                             "x"])
 _ADDRESS = st.one_of(
@@ -842,9 +866,9 @@ _SHARED = {
                    st.sampled_from(["1", "a,b", ""])),
     "tol": st.sampled_from(["1e-12", "1e-6", "0", "-1", "nan", "x"]),
     "mode": st.sampled_from(["float", "exact", "fast"]),
-    "strict": st.booleans(),
+    "strict": st.just(True) | st.booleans(),
 }
-_N_MAX = {"n-max": st.integers(-2, 2000)}
+_N_MAX = {"n-max": st.integers(1, 40) | st.integers(-2, 2000)}
 _SCALE = st.sampled_from(["1", "2", "1/2", "1.5", "0", "-1", "1/0", "1e400", "x"])
 _N = st.integers(-1, 4)
 
@@ -857,8 +881,7 @@ def _shared(*names):
 # subcommand takes
 _COMMANDS = {
     "polys": ({"n": _N}, {"scale": _SCALE, **_shared("d", "coeffs", "z", "mode")}),
-    "classify": (_N_MAX, {"scale": _SCALE,
-                          **_shared("d", "coeffs", "z", "tol", "strict")}),
+    "classify": ({}, {"scale": _SCALE, **_shared("d", "coeffs", "z", "strict")}),
     "deficiency": ({"depth": st.integers(-1, 40), "materialize-depth": st.integers(-1, 4),
                     **_N_MAX},
                    {"anchor": _ADDRESS, **_shared("d", "coeffs", "z", "tol", "mode")}),
@@ -897,10 +920,8 @@ def test_generated_argv_keeps_the_exit_contract(command, data):
             assert rows[0][0] == "n" and all(len(r) == len(rows[0]) for r in rows)
             return
         obj = _strict_json(out.getvalue())
-        # no limit verdict of essential selfadjointness without a criterion
-        if command == "classify":
-            assert "diverged" not in (obj["series_p_status"], obj["series_q_status"])
-            if obj["verdict"] == "essentially_selfadjoint":
-                assert obj["criterion"] is not None
+        # no limit verdict without a criterion, and no series behind one
+        if command == "classify" and obj["verdict"] != "inconclusive":
+            assert obj["criterion"] is not None and obj["terms_used"] == [0, 0]
         if command == "deficiency" and obj["alpha_status"] == "diverged":
             assert obj["alpha_criterion"] is not None

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treejacobi.coefficients import CoefficientSequence, TreeConfig, _criterion
 from treejacobi import orthopoly
@@ -13,8 +13,9 @@ from treejacobi.deficiency import (BasisFunction, DeficiencyContext,
                                    deficiency_residual, element_max_abs,
                                    element_residual, f_value, project_full,
                                    project_onto_Ax)
-from treejacobi.errors import (CoefficientIndexError, InconclusiveSeries, NotInSubtree,
-                               PatchTooLarge, RealSpectralParameter, RecurrenceOverflow)
+from treejacobi.errors import (CoefficientIndexError, InconclusiveSeries, NonPositiveLambda,
+                               NotInSubtree, PatchTooLarge, RealSpectralParameter,
+                               RecurrenceOverflow)
 from treejacobi.exactnum import as_complex, exact_complex, exact_sqrt, is_exact, is_zero
 from treejacobi.operator import JacobiOperator
 from treejacobi.orthopoly import alpha_series, alpha_sq_partial
@@ -328,17 +329,19 @@ def test_classify_accepts_exact_scale():
 def test_a_report_names_the_scale_its_series_ran_at(scale, want):
     # a non-real scale was reported as its real part, 0.0 or 1.0
     z = EXACT_I if is_exact(scale) else 1j
-    for run in (classify, classify_by_series):
-        rep = run(PAPER, 2, z=z, scale=scale, n_max=200)
-        assert rep.scale == want and type(rep.scale) is type(want), run
+    for rep in (classify(PAPER, 2, z=z, scale=scale),
+                classify_by_series(PAPER, 2, z=z, scale=scale, n_max=200)):
+        assert rep.scale == want and type(rep.scale) is type(want)
 
 
 def test_classify_inconclusive_small_budget():
     rep = classify_by_series(PAPER, 2, n_max=5)
     assert rep.verdict == "inconclusive"
     assert "n_max" in rep.diagnostics
-    # the criterion needs no budget
-    assert classify(PAPER, 2, n_max=5).criterion == "perron"
+    # the criterion needs no budget, and classify takes none
+    assert classify(PAPER, 2).criterion == "perron"
+    with pytest.raises(TypeError):
+        classify(PAPER, 2, n_max=5)
 
 
 def test_classify_agrees_with_series_oracle():
@@ -437,8 +440,15 @@ def test_series_verdict_on_small_berezanskii_families(coeffs):
 def test_classify_rejects_what_the_series_rejects(coeffs, kwargs):
     with pytest.raises(ValueError):
         classify_by_series(coeffs, 2, **kwargs)
-    with pytest.raises(ValueError):
-        classify(coeffs, 2, **kwargs)
+    if {"tol", "n_max"} & set(kwargs):
+        # classify sums no series and takes no budget; the alpha series do
+        with pytest.raises(TypeError):
+            classify(coeffs, 2, **kwargs)
+        with pytest.raises(ValueError):
+            alpha_series(coeffs, 2, 1j, 0, **kwargs)
+    else:
+        with pytest.raises(ValueError):
+            classify(coeffs, 2, **kwargs)
 
 
 def test_a_decided_family_reads_no_coefficient(monkeypatch):
@@ -509,6 +519,59 @@ def test_alpha_statuses_follow_the_criterion(coeffs, d, z, k_max):
     assert table.statuses == [expected] * (k_max + 1)
 
 
+# closed forms with bases and shapes of every sign, explicit lists of
+# positive entries, each alone or as the lambda family of a paper family
+_SIGNED = st.sampled_from([Fraction(-2), Fraction(0), Fraction(1, 3), Fraction(1),
+                           Fraction(3, 2), Fraction(7, 2)])
+_LAM_FAMILIES = st.one_of(
+    st.builds(CoefficientSequence.constant, _SIGNED, _SIGNED),
+    st.builds(CoefficientSequence.geometric, _SIGNED, _SIGNED),
+    st.builds(CoefficientSequence.power, _SIGNED,
+              st.sampled_from([-1, 0, 1, 2, 3, -0.5, 0.5, 1.5])),
+    st.lists(st.fractions(Fraction(1, 1000), 10 ** 6), min_size=1, max_size=80).map(
+        CoefficientSequence.explicit))
+_ANY_FAMILY = _LAM_FAMILIES | _LAM_FAMILIES.map(CoefficientSequence.paper_example)
+# (scale, z): float, rational, +-1 and non-real scales at float z; exact
+# scales at exact z
+_SCALE_AND_Z = st.one_of(
+    st.tuples(st.sampled_from([None, 1.0, -2.5, 1e-9, Fraction(3, 2), Fraction(1, 2), 1, -1,
+                               1j, 1 + 1j]),
+              st.sampled_from([1j, 0.5 + 1j, -1.5 + 0.2j, 0j, 2.0])),
+    st.tuples(st.sampled_from([None, exact_sqrt(2), exact_complex(1), exact_complex(-1),
+                               exact_complex(0, 1)]),
+              st.sampled_from([EXACT_I, exact_complex(Fraction(1, 2), 1), exact_complex(0)])))
+_POWERS_OF_4 = CoefficientSequence.explicit([4 ** k for k in range(60)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=_ANY_FAMILY, d=st.integers(2, 4), scale_and_z=_SCALE_AND_Z,
+       alpha_z=NONREAL_Z)
+@example(coeffs=_POWERS_OF_4, d=2, scale_and_z=(None, 1j), alpha_z=1j)
+def test_a_limit_verdict_names_a_criterion_and_no_series(coeffs, d, scale_and_z, alpha_z):
+    # classify builds no recurrence table: each verdict but "inconclusive"
+    # comes from a criterion, and a list of any length decides nothing
+    scale, z = scale_and_z
+
+    def no_table(*args):
+        raise AssertionError("a recurrence table was built")
+
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orthopoly.PolyCache, "__init__", no_table)
+            rep = classify(coeffs, d, z=z, scale=scale)
+    except (NonPositiveLambda, CoefficientIndexError):
+        pass
+    else:
+        assert rep.criterion is not None or rep.verdict == "inconclusive"
+        assert rep.terms_used == (0, 0)
+    # the alpha statuses read a limit only where a criterion gives it
+    try:
+        table = alpha_series(coeffs, d, alpha_z, 1, n_max=200)
+    except (NonPositiveLambda, CoefficientIndexError):
+        return
+    assert table.criterion is not None or set(table.statuses) == {"inconclusive"}
+
+
 _GROWING_BASES = [CoefficientSequence.geometric(1, 2), CoefficientSequence.geometric(2, 3),
                   CoefficientSequence.geometric(Fraction(1, 2), Fraction(5, 4))]
 _OTHER_BASES = [CoefficientSequence.geometric(1, Fraction(1, 2)),
@@ -562,13 +625,16 @@ def test_an_inconclusive_diagnostics_prints_each_note_once(coeffs, kw, notes):
         assert rep.diagnostics.count(note) == notes.count(note)
 
 
-def test_a_paper_family_over_a_list_is_refused_with_the_list_it_reads():
+def test_a_paper_family_over_a_list_is_inconclusive_and_names_the_list():
     coeffs = CoefficientSequence.paper_example(CoefficientSequence.explicit([1, 2, 3]))
-    refusal = "^a 3-entry explicit list cannot decide {}: "
-    with pytest.raises(CoefficientIndexError, match=refusal.format("essential selfadjointness")):
-        classify(coeffs, 2)
-    with pytest.raises(CoefficientIndexError, match=refusal.format("alpha_0")):
-        alpha_series(coeffs, 2, 1j, 0)
+    rep = classify(coeffs, 2)
+    assert (rep.verdict, rep.criterion, rep.terms_used) == ("inconclusive", None, (0, 0))
+    assert rep.diagnostics.startswith("no criterion decides paper(explicit(3 terms)) at scale ")
+    table = alpha_series(coeffs, 2, 1j, 0)
+    assert (table.status, table.statuses, table.terms_used) == ("inconclusive",
+                                                                ["inconclusive"], [0])
+    with pytest.raises(InconclusiveSeries, match="^no criterion decides the family"):
+        table.alpha(0)
 
 
 # -- projections ------------------------------------------------------------

@@ -53,7 +53,10 @@ SIDES = ("parent", "change")
 # The argv set of the output identity: families, spectral parameters,
 # anchors and vertices that the CLI's artifacts are compared over.
 IDENTITY_FAMILIES = ["paper", "constant:1", "geometric:1:3/2", "geometric:3:9/10", "power:1:1",
-                     "power:1/3:2", "constant:3/2:-1/2"]
+                     "power:1/3:2", "constant:3/2:-1/2",
+                     # lists, which no criterion decides, and a list that is refused
+                     "explicit:1,2,4,8", "explicit:" + ",".join(str(4 ** k) for k in range(60)),
+                     "explicit:1,-1:0"]
 IDENTITY_Z = ["0,1", "0.3,1", "-1.5,0.2"]
 
 IDENTITY_CODE = """
