@@ -35,7 +35,7 @@ from .lambda_tree import (build_eigenpairs, dimension_audit, eigen_residual,
 from .operator import JacobiOperator, moments
 from .coefficients import TreeConfig
 from .oracle import build_radial_block, dense_eigensolve
-from .orthopoly import SERIES_N_MAX, SERIES_TOL, check_series_limits, compute_polys, poly_roots
+from .orthopoly import SERIES_N_MAX, check_series_limits, compute_polys, poly_roots
 from .treecore import (SparseFunction, check_budget, format_address, parse_address,
                        validate_address)
 
@@ -181,8 +181,6 @@ def emit(args, content: str) -> None:
         atomic_write(args.out, content)
     else:
         sys.stdout.write(content)
-        if not content.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _finite_or_null(obj):
@@ -269,7 +267,7 @@ def cmd_deficiency(args) -> int:
     residual, peak = _residual_and_max_abs([elem], ctx, args.depth)
     # the alpha series are float series in both modes
     alpha_ctx = DeficiencyContext(coeffs, args.d, complex(z)) if ctx.exact else ctx
-    alpha = alpha_ctx.alphas(0 if anchor is None else len(anchor) + 1, args.tol, args.n_max)
+    alpha = alpha_ctx.alphas(0 if anchor is None else len(anchor) + 1, args.n_max)
     f = elem.materialize(ctx, min(args.depth, args.materialize_depth))
     obj = {
         "element": {"anchor": None if anchor is None else format_address(anchor),
@@ -294,7 +292,7 @@ def cmd_poisson(args) -> int:
     # the printed kernel is refined to depth |y|: refuse it before any series
     check_budget(args.d ** len(y), f"refinement to depth {len(y)}")
     ctx = DeficiencyContext(coeffs, args.d, z)
-    alpha = ctx.alphas(len(y), args.tol, args.n_max)
+    alpha = ctx.alphas(len(y), args.n_max)
     kernel = poisson_kernel(y, ctx, alpha)
     check = reproducing_check(_probe(y[:-1] if y else None, args.d, z), y, ctx, alpha)
     _, cells = kernel.step.canonical()
@@ -370,7 +368,7 @@ def cmd_paper_example(args) -> int:
     (both square series converge geometrically at z = i, the series' own
     verdict by classify_by_series, reproducing the paper's computation) —
     hence neither is the tree operator."""
-    check_series_limits(args.tol, args.n_max)  # before the exact table reads n_max
+    check_series_limits(args.n_max)  # before the exact table reads n_max
     coeffs = CoefficientSequence.paper_example()
     checks = {}
 
@@ -382,7 +380,7 @@ def cmd_paper_example(args) -> int:
         "pass": bool(alternating), "n": n_alt,
         "detail": "p_n(0) = (-1)^n in exact arithmetic"}
 
-    scaled = classify_by_series(coeffs, 2, z=1j, tol=args.tol, n_max=args.n_max)
+    scaled = classify_by_series(coeffs, 2, z=1j, n_max=args.n_max)
     checks["scaled_series"] = {
         "pass": scaled.verdict == "not_essentially_selfadjoint",
         "series_p_status": scaled.series_p_status,
@@ -420,7 +418,6 @@ _SHARED = {
     "--d": dict(type=int, default=2, help="branching degree"),
     "--coeffs": dict(default="paper", help="coefficient family spec (see parse_coeffs)"),
     "--z": dict(default="0,1", help="spectral parameter RE,IM"),
-    "--tol": dict(type=float, default=SERIES_TOL),
     "--n-max": dict(type=int, default=SERIES_N_MAX),
     "--mode": dict(choices=["float", "exact"], default="float"),
     "--strict": dict(action="store_true", help="exit 4 when a verdict is inconclusive"),
@@ -454,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("deficiency", help="materialize a deficiency element")
-    _add_shared(p, "--d", "--coeffs", "--z", "--tol", "--n-max", "--mode")
+    _add_shared(p, "--d", "--coeffs", "--z", "--n-max", "--mode")
     p.add_argument("--anchor", default="", help="anchor address; empty = radial")
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--materialize-depth", dest="materialize_depth",
@@ -462,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_deficiency)
 
     p = sub.add_parser("poisson", help="Poisson kernel at a vertex")
-    _add_shared(p, "--d", "--coeffs", "--z", "--tol", "--n-max")
+    _add_shared(p, "--d", "--coeffs", "--z", "--n-max")
     p.add_argument("--y", default="1.2", help="vertex address")
     p.set_defaults(func=cmd_poisson)
 
@@ -477,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("paper-example", help="one-command worked example")
-    _add_shared(p, "--tol", "--n-max", "--strict")
+    _add_shared(p, "--n-max", "--strict")
     p.set_defaults(func=cmd_paper_example)
     return parser
 

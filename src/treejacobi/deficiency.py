@@ -9,7 +9,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .coefficients import CoefficientSequence, TreeConfig, _criterion, check_positive
 from .exactnum import conj, is_exact, matching_sqrt, sums_to_zero
 from .operator import JacobiOperator
-from .orthopoly import (SERIES_N_MAX, SERIES_TOL, AlphaTable, DeficiencyContext, PolyCache,
+from .orthopoly import (SERIES_N_MAX, AlphaTable, DeficiencyContext, PolyCache,
                         check_recurrence_inputs, float_scale, sum_series)
 from .treecore import (GAMMA, Address, SparseFunction, check_budget,
                        format_address, subtree_size, subtree_vertices)
@@ -293,8 +293,8 @@ def classify(coeffs: CoefficientSequence, d: int, z=1j, scale=None) -> Classific
                                 float_scale(scale), diagnostics, criterion)
 
 
-def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = SERIES_TOL,
-                       n_max: int = SERIES_N_MAX, scale=None) -> ClassificationReport:
+def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, n_max: int = SERIES_N_MAX,
+                       scale=None) -> ClassificationReport:
     """The square-series test for the scaled tridiagonal matrix, a check
     beside classify, which gives no verdict from it.
 
@@ -312,8 +312,8 @@ def classify_by_series(coeffs: CoefficientSequence, d: int, z=1j, tol: float = S
     def terms(values: Iterator):
         return (a * a for a in map(abs, values))
 
-    res_p = sum_series(terms(cache.values()), tol, n_max)
-    res_q = sum_series(terms(cache.values(True)), tol, n_max)
+    res_p = sum_series(terms(cache.values()), n_max)
+    res_q = sum_series(terms(cache.values(True)), n_max)
     if res_p.status == "converged" and res_q.status == "converged":
         verdict = "not_essentially_selfadjoint"
         diag = "both series converged: nontrivial deficiency spaces"

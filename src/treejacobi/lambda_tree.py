@@ -151,7 +151,6 @@ ROOT_MERGE_TOL = 1e-10
 class SpectrumApproximation:
     points: List[float]
     per_degree_counts: List[int]
-    min_gap: float
 
 
 def spectrum_enumerate(coeffs: CoefficientSequence, d: int,
@@ -173,5 +172,4 @@ def spectrum_enumerate(coeffs: CoefficientSequence, d: int,
         if merged and abs(t - merged[-1]) <= ROOT_MERGE_TOL:
             continue
         merged.append(t)
-    gaps = [b - a for a, b in zip(merged, merged[1:])]
-    return SpectrumApproximation(merged, counts, min(gaps) if gaps else math.inf)
+    return SpectrumApproximation(merged, counts)

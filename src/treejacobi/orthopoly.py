@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 
 RATIO_CEILING = 0.99
 CONVERGENCE_WINDOW = 8
-# the default budget of every series: relative tolerance and largest term count
+# the relative tolerance of every series, and its default largest term count
 SERIES_TOL = 1e-12
 SERIES_N_MAX = 100_000
 
@@ -58,8 +58,8 @@ def poly_pairs(coeffs: CoefficientSequence, scale, z) -> Iterator[tuple]:
     """
     if _wants_exact(scale, z):
         yield from _IntegerRecurrence(coeffs, scale, z).pairs()
-        return
-    yield from PolyCache(coeffs, scale, z)._gen
+    else:
+        yield from PolyCache(coeffs, scale, z)._gen
 
 
 def check_recurrence_inputs(coeffs: CoefficientSequence, scale, z) -> None:
@@ -538,20 +538,17 @@ class SeriesResult:
     note: str = ""
 
 
-def check_series_limits(tol: float, n_max: int) -> None:
-    """Raise ValueError unless tol is finite and positive and n_max at least 1."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+def check_series_limits(n_max: int) -> None:
+    """Raise ValueError unless n_max is at least 1."""
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
 
 
-def sum_series(terms: Iterable[float], tol: float = SERIES_TOL,
-               n_max: int = SERIES_N_MAX) -> SeriesResult:
+def sum_series(terms: Iterable[float], n_max: int = SERIES_N_MAX) -> SeriesResult:
     """Sum nonnegative terms until a convergence verdict.
 
-    Converged: the last CONVERGENCE_WINDOW terms are all below
-    tol * partial_sum and their sum is below RATIO_CEILING**CONVERGENCE_WINDOW
+    Converged: the last CONVERGENCE_WINDOW terms are all below SERIES_TOL *
+    partial_sum and their sum is below RATIO_CEILING**CONVERGENCE_WINDOW
     times the sum of the CONVERGENCE_WINDOW terms before them.  Comparing
     block sums, not single-step ratios, certifies terms that alternate
     between two decay phases, and multiplying all terms by a positive
@@ -564,9 +561,10 @@ def sum_series(terms: Iterable[float], tol: float = SERIES_TOL,
     the n_max-th is read), or a term leaves the float range or the terms
     raise RecurrenceOverflow, since a value past the float range says
     nothing about the limit (partial_sum is the sum of the terms before it).
-    tol must be finite and positive, n_max at least 1 (check_series_limits).
+    n_max must be at least 1 (check_series_limits).
     """
-    check_series_limits(tol, n_max)
+    check_series_limits(n_max)
+    tol = SERIES_TOL  # a local: the loop compares every term with it
     s = 0.0
     recent: deque = deque(maxlen=2 * CONVERGENCE_WINDOW)
     count = 0
@@ -609,9 +607,9 @@ def alpha_sq_terms(k: int, ctx: DeficiencyContext) -> Iterator:
         for v in values:
             x, y, den = v.ints
             yield Fraction((x * x + y * y) * v.m, den * den)
-        return
-    for v in values:
-        yield v.real * v.real + v.imag * v.imag
+    else:
+        for v in values:
+            yield v.real * v.real + v.imag * v.imag
 
 
 @dataclass
@@ -627,9 +625,7 @@ class AlphaTable:
     alpha_sqs: list
     statuses: list
     terms_used: list
-    tail_estimates: list
     status: str
-    tol: float
     n_max: int
     criterion: Optional[str] = None
 
@@ -689,8 +685,7 @@ class DeficiencyContext(PolyCache):
         level that fails."""
         return self.levels(k, (self.d, 1), k + 1, n)
 
-    def alphas(self, k_max: int, tol: float = SERIES_TOL,
-               n_max: int = SERIES_N_MAX) -> AlphaTable:
+    def alphas(self, k_max: int, n_max: int = SERIES_N_MAX) -> AlphaTable:
         """alpha_k(z) for k = 0..k_max, with per-k verdicts, summed over this
         table, which must be a float table.
 
@@ -707,11 +702,11 @@ class DeficiencyContext(PolyCache):
             raise ValueError("the alpha series are float series: read them from a float table")
         if k_max < 0:
             raise ValueError(f"k_max must be nonnegative, got {k_max}")
-        check_series_limits(tol, n_max)
+        check_series_limits(n_max)
         criterion, verdict, _ = _criterion(self.coeffs, self.scale) or (None, None, None)
         status = {ESA: "diverged", NOT_ESA: "converged"}.get(verdict, "inconclusive")
         if verdict == NOT_ESA:
-            runs = [sum_series(alpha_sq_terms(k, self), tol, n_max) for k in range(k_max + 1)]
+            runs = [sum_series(alpha_sq_terms(k, self), n_max) for k in range(k_max + 1)]
         else:  # none is summed
             if verdict is None:
                 check_positive(self.coeffs)
@@ -723,14 +718,14 @@ class DeficiencyContext(PolyCache):
         return AlphaTable(complex(self.z), self.d, k_max,
                           [math.sqrt(t) if math.isfinite(t) else math.nan for t in totals],
                           totals, [status] * (k_max + 1), [r.terms_used for r in runs],
-                          [r.tail_estimate for r in runs], status, tol, n_max, criterion)
+                          status, n_max, criterion)
 
 
 def alpha_series(coeffs: CoefficientSequence, d: int, z: complex, k_max: int,
-                 tol: float = SERIES_TOL, n_max: int = SERIES_N_MAX) -> AlphaTable:
+                 n_max: int = SERIES_N_MAX) -> AlphaTable:
     """alpha_k(z) for k = 0..k_max, with per-k verdicts, on a float
     DeficiencyContext of its own (DeficiencyContext.alphas)."""
-    return DeficiencyContext(coeffs, d, complex(z)).alphas(k_max, tol, n_max)
+    return DeficiencyContext(coeffs, d, complex(z)).alphas(k_max, n_max)
 
 
 def alpha_sq_partial(coeffs: CoefficientSequence, d: int, z, k: int, n_terms: int):

@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,19 @@ def test_bx_element_integrates_to_zero():
     assert integrate(G) == 0
     with pytest.raises(ValueError):
         bx_element(2, (1,), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: StepFunction(1), "branching degree must be at least 2"),
+    (lambda: StepFunction.indicator(2, (1, 2)).refined(1), "cannot coarsen from depth 2 to 1"),
+    (lambda: StepFunction(2) + StepFunction(3), "step functions on different boundaries"),
+    (lambda: inner_boundary(StepFunction(2), StepFunction(3)),
+     "step functions on different boundaries"),
+    (lambda: bx_element(2, (), [1, -1, 0]), "need 2 child values, got 3"),
+], ids=["degree", "coarsen", "add-degrees", "inner-degrees", "bx-values"])
+def test_boundary_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_zero_sum_rule_is_scale_free():

@@ -68,6 +68,7 @@ def test_first_index_past_the_float_range_overflows():
     (CoefficientSequence.explicit([1, 2]), 5, CoefficientIndexError, "lambda_5 "),
     (CoefficientSequence.paper_example(CoefficientSequence.explicit([1, 2])), 7,
      CoefficientIndexError, "lambda_7 "),
+    (CoefficientSequence("bogus"), 0, ValueError, "unknown family 'bogus'"),
 ])
 def test_lambda_errors_name_the_index(coeffs, n, error, text):
     for fetch in (coeffs.lam, coeffs.lam_exact):
@@ -80,6 +81,10 @@ def test_beta_errors_name_the_index():
     for fetch in (coeffs.beta, coeffs.beta_exact):
         with pytest.raises(CoefficientIndexError, match="beta_2 "):
             fetch(2)
+    coeffs = CoefficientSequence("bogus")
+    for fetch in (coeffs.beta, coeffs.beta_exact):
+        with pytest.raises(ValueError, match="unknown family 'bogus'"):
+            fetch(0)
 
 
 @pytest.mark.parametrize("exponent", [float("inf"), float("-inf"), float("nan")])

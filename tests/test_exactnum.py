@@ -89,6 +89,16 @@ def test_sums_to_zero_float_rule_is_scale_free():
     assert not sums_to_zero([float("nan"), 1.0], 1e-14)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda x: x - "a", "for -: 'ExactComplex' and 'str'"),
+    (lambda x: x / "a", "for /: 'ExactComplex' and 'str'"),
+    (lambda x: "a" / x, "for /: 'str' and 'ExactComplex'"),
+], ids=["sub", "truediv", "rtruediv"])
+def test_an_operand_that_is_no_number_is_a_type_error(call, message):
+    with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) {message}"):
+        call(exact_complex(1, 2))
+
+
 def test_incompatible_radicands_rejected():
     with pytest.raises(ValueError):
         exact_sqrt(2) + exact_sqrt(3)

@@ -141,6 +141,16 @@ def test_dimension_audit_small_cases():
     assert a.dim_Vx == 36
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: radial_propagate(1, 1j, -1, PAPER, 2), "k_max must be nonnegative"),
+    (lambda: dimension_audit(0, 2), "n must be at least 1"),
+    (lambda: spectrum_enumerate(PAPER, 2, 0), "n_max must be at least 1"),
+], ids=["propagate-k-max", "audit-n", "spectrum-n-max"])
+def test_sizes_below_their_range_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_dimension_audit_refuses_a_degree_below_two():
     # d = 1 divided by d - 1 = 0
     with pytest.raises(ValueError, match="branching degree must be at least 2, got 1"):

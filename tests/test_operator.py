@@ -1,18 +1,19 @@
 """Operator application, averaging projections, moments, membership."""
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treejacobi.coefficients import CoefficientSequence, TreeConfig
-from treejacobi.errors import PatchTooLarge
+from treejacobi.errors import NotInSubtree, PatchTooLarge
 from treejacobi.exactnum import exact_complex
 from treejacobi.operator import (JacobiOperator, hx_membership, moments,
                                  radial_average_E, subtree_average_Ex)
 from treejacobi.oracle import build_radial_block
-from treejacobi.treecore import (GAMMA, LambdaPatch, SparseFunction, inner,
+from treejacobi.treecore import (APEX_SUCCESSOR, GAMMA, LambdaPatch, SparseFunction, inner,
                                  level_indicator, subtree_vertices)
 
 PAPER = CoefficientSequence.paper_example()
@@ -59,7 +60,6 @@ def test_lambda_apply_apex_reaches_virtual_successor():
     patch = LambdaPatch(1, 2)
     J = JacobiOperator(PAPER, TreeConfig(2), patch=patch)
     f = J.apply(SparseFunction.delta((), kind=patch))
-    from treejacobi.treecore import APEX_SUCCESSOR
     assert f.value(APEX_SUCCESSOR) == PAPER.lam(1)
     assert f.value((1,)) == PAPER.lam(0)
 
@@ -67,6 +67,27 @@ def test_lambda_apply_apex_reaches_virtual_successor():
 def test_operator_degree_must_match_its_patch():
     with pytest.raises(ValueError, match="degree-2 patch"):
         JacobiOperator(PAPER, TreeConfig(3), patch=LambdaPatch(2, 2))
+
+
+PATCH = LambdaPatch(1, 2)
+J_PATCH = JacobiOperator(PAPER, TreeConfig(2), patch=PATCH)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: J_PATCH.apply(SparseFunction.delta(APEX_SUCCESSOR, kind=PATCH)), PatchTooLarge,
+     "support reached the virtual successor; enlarge the patch"),
+    (lambda: moments(J2, -1), ValueError, "N must be nonnegative"),
+    (lambda: moments(J_PATCH, 1), ValueError, "moments are defined for the rooted-tree operator"),
+    (lambda: moments(J2, 1, route="dense"), ValueError, "unknown moment route 'dense'"),
+    (lambda: radial_average_E(SparseFunction.delta((), kind=PATCH), 2), NotInSubtree,
+     "radial averaging is defined on the rooted tree"),
+    (lambda: subtree_average_Ex(SparseFunction.delta((), kind=PATCH), (), 2), NotInSubtree,
+     "subtree averaging is defined on the rooted tree"),
+], ids=["apex-successor", "moments-n", "moments-patch", "moments-route", "average-patch",
+        "subtree-average-patch"])
+def test_operator_inputs_are_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_apply_symmetry_random():
@@ -358,6 +379,8 @@ def test_branch_space_sums_of_members():
 
 
 def test_membership_edge_inputs():
+    rep = hx_membership(SparseFunction.delta((), kind=LambdaPatch(1, 2)), None, 2)
+    assert (rep.ok, rep.reason) == (False, "not a rooted-tree function")
     # a deep radial test reads the listed entries, not the 2^40 vertices
     rep = hx_membership(SparseFunction({(1,) * 40: 1.0}), None, 2)
     assert not rep.ok and "level 40" in rep.reason

@@ -213,6 +213,16 @@ def test_subtree_vertices_rejects_a_negative_depth_or_degree_below_two(depth, d)
         subtree_vertices((), depth, d)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: LambdaPatch(-1, 2), "apex level must be nonnegative"),
+    (lambda: LambdaPatch(1, 1), "branching degree must be at least 2"),
+    (lambda: level_indicator(-1, 2), "level must be nonnegative"),
+], ids=["patch-apex-level", "patch-degree", "indicator-level"])
+def test_levels_and_degrees_out_of_range_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def _recursive_subtree(x, depth, d):
     """The recursive preorder definition: x, then each child's subtree in
     index order."""

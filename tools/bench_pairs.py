@@ -58,6 +58,9 @@ IDENTITY_FAMILIES = ["paper", "constant:1", "geometric:1:3/2", "geometric:3:9/10
                      "explicit:1,2,4,8", "explicit:" + ",".join(str(4 ** k) for k in range(60)),
                      "explicit:1,-1:0"]
 IDENTITY_Z = ["0,1", "0.3,1", "-1.5,0.2"]
+# each subcommand's --help, so that a change to its flags shows as a changed argv
+IDENTITY_SUBCOMMANDS = ["polys", "classify", "deficiency", "poisson", "lambda", "oracle",
+                        "paper-example"]
 
 IDENTITY_CODE = """
 import contextlib, hashlib, io, json, sys
@@ -160,8 +163,9 @@ def claim(summary: dict, held_out: list, workload: str, metric: str, direction: 
 def identity_argv(perfbench_dir: str) -> list:
     """Deep exact deficiency; per family and d = 2, 3: classify, float
     deficiency and poisson at three z, polys, lambda, oracle and shallow
-    exact deficiency; paper-example; then every cli request perfbench
-    generates at seeds 7 and 101-110.  Each argv once."""
+    exact deficiency; paper-example; each subcommand's --help; then every
+    cli request perfbench generates at seeds 7 and 101-110.  Each argv
+    once."""
     argv = [["deficiency", "--mode", "exact", "--depth", str(depth), "--materialize-depth", "4",
              *anchor] for depth in (150, 300, 600) for anchor in ([], ["--anchor=1"])]
     for family in IDENTITY_FAMILIES:
@@ -177,6 +181,7 @@ def identity_argv(perfbench_dir: str) -> list:
             argv += [["deficiency", *base, "--mode", "exact", "--depth", "30", f"--anchor={a}"]
                      for a in ("", "1", "1.2")]
     argv.append(["paper-example"])
+    argv += [[command, "--help"] for command in IDENTITY_SUBCOMMANDS]
     sys.path.insert(0, perfbench_dir)
     import workloads
     for workload in workloads.GENERATORS:
