@@ -7,7 +7,7 @@ with command-line flags taking precedence.  Exit codes: 0 success, 2
 validation error, 3 numeric failure, 4 inconclusive: a verdict without a
 criterion under --strict, or an alpha_k that poisson needs and that has
 no value (no criterion decides the family, or its float series ran out of
---n-max)."""
+the orthopoly.SERIES_N_MAX terms)."""
 from __future__ import annotations
 
 import argparse
@@ -35,7 +35,7 @@ from .lambda_tree import (build_eigenpairs, dimension_audit, eigen_residual,
 from .operator import JacobiOperator, moments
 from .coefficients import TreeConfig
 from .oracle import build_radial_block, dense_eigensolve
-from .orthopoly import SERIES_N_MAX, check_series_limits, compute_polys, poly_roots
+from .orthopoly import SERIES_N_MAX, alpha_series, check_series_limits, compute_polys, poly_roots
 from .treecore import (SparseFunction, check_budget, format_address, parse_address,
                        validate_address)
 
@@ -163,24 +163,23 @@ def parse_vertex(text: str, d: int):
     return x
 
 
-def atomic_write(path: str, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-treejacobi-")
+def emit(args, content: str) -> None:
+    if not args.out:
+        sys.stdout.write(content)
+        return
+    tmp = ""  # no temporary file yet
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(args.out)),
+                                   prefix=".tmp-treejacobi-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
+        os.replace(tmp, args.out)
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # such as a missing directory, or a directory
+            raise ValidationError(f"cannot write {args.out!r}: {exc.strerror or exc}") from None
         raise
-
-
-def emit(args, content: str) -> None:
-    if args.out:
-        atomic_write(args.out, content)
-    else:
-        sys.stdout.write(content)
 
 
 def _finite_or_null(obj):
@@ -265,9 +264,7 @@ def cmd_deficiency(args) -> int:
     anchor = parse_vertex(args.anchor, args.d) if args.anchor else None
     elem = _probe(anchor, args.d, z)
     residual, peak = _residual_and_max_abs([elem], ctx, args.depth)
-    # the alpha series are float series in both modes
-    alpha_ctx = DeficiencyContext(coeffs, args.d, complex(z)) if ctx.exact else ctx
-    alpha = alpha_ctx.alphas(0 if anchor is None else len(anchor) + 1, args.n_max)
+    alpha = alpha_series(coeffs, args.d, z, 0 if anchor is None else len(anchor) + 1)
     f = elem.materialize(ctx, min(args.depth, args.materialize_depth))
     obj = {
         "element": {"anchor": None if anchor is None else format_address(anchor),
@@ -292,7 +289,7 @@ def cmd_poisson(args) -> int:
     # the printed kernel is refined to depth |y|: refuse it before any series
     check_budget(args.d ** len(y), f"refinement to depth {len(y)}")
     ctx = DeficiencyContext(coeffs, args.d, z)
-    alpha = ctx.alphas(len(y), args.n_max)
+    alpha = ctx.alphas(len(y))
     kernel = poisson_kernel(y, ctx, alpha)
     check = reproducing_check(_probe(y[:-1] if y else None, args.d, z), y, ctx, alpha)
     _, cells = kernel.step.canonical()
@@ -451,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("deficiency", help="materialize a deficiency element")
-    _add_shared(p, "--d", "--coeffs", "--z", "--n-max", "--mode")
+    _add_shared(p, "--d", "--coeffs", "--z", "--mode")
     p.add_argument("--anchor", default="", help="anchor address; empty = radial")
     p.add_argument("--depth", type=int, default=20)
     p.add_argument("--materialize-depth", dest="materialize_depth",
@@ -459,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_deficiency)
 
     p = sub.add_parser("poisson", help="Poisson kernel at a vertex")
-    _add_shared(p, "--d", "--coeffs", "--z", "--n-max")
+    _add_shared(p, "--d", "--coeffs", "--z")
     p.add_argument("--y", default="1.2", help="vertex address")
     p.set_defaults(func=cmd_poisson)
 
@@ -493,7 +490,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         if not cp.has_section("run"):
             raise ValidationError(f"config file {args.config!r} has no [run] section")
         entries = cp.items("run")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"bad config file {args.config!r}: {exc}") from None
     flags = []
     for key, value in entries:
@@ -503,7 +500,9 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         flag = "--" + key.replace("_", "-")
         if not isinstance(getattr(args, dest), bool):
             flags.append(f"{flag}={value}")
-        elif cp.getboolean("run", key):
+        elif value.lower() not in cp.BOOLEAN_STATES:
+            raise ValidationError(f"bad config file {args.config!r}: {key}: not a boolean")
+        elif cp.BOOLEAN_STATES[value.lower()]:
             flags.append(flag)
     return parser.parse_args(argv[:1] + flags + argv[1:])
 

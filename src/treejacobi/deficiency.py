@@ -3,6 +3,7 @@ projections onto the branch spaces, and the selfadjointness classifier."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -169,10 +170,12 @@ class _Profile:
             e.check_degree(ctx.d)
         anchors = [e.anchor for e in elements if e.anchor is not None]
         self.paths = {()} | {a[:j] for a in anchors for j in range(min(len(a), depth) + 1)}
+        # counted, not listed: d - on_path[p] branch roots of depth - len(p) levels below p
+        on_path = Counter(c[:-1] for c in self.paths if c and 1 <= c[-1] <= ctx.d)
+        check_budget(sum(1 + (ctx.d - on_path[p]) * (depth - len(p)) for p in self.paths),
+                     f"a profile to depth {depth}")
         roots = list(self.paths) + [p + (i,) for p in self.paths if len(p) < depth
                                     for i in range(1, ctx.d + 1) if p + (i,) not in self.paths]
-        check_budget(sum(1 if r in self.paths else depth + 1 - len(r) for r in roots),
-                     f"a profile to depth {depth}")
         tables = [e._level_values(ctx, depth) for e in elements]
         self.values: Dict[Address, list] = {}
         for r in roots:

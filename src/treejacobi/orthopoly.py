@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 
 RATIO_CEILING = 0.99
 CONVERGENCE_WINDOW = 8
-# the relative tolerance of every series, and its default largest term count
+# the relative tolerance of every series, and the alpha series' term budget
 SERIES_TOL = 1e-12
 SERIES_N_MAX = 100_000
 
@@ -626,7 +626,6 @@ class AlphaTable:
     statuses: list
     terms_used: list
     status: str
-    n_max: int
     criterion: Optional[str] = None
 
     def alpha(self, k: int) -> float:
@@ -634,7 +633,7 @@ class AlphaTable:
         and the float sum gave a value: a diverging series raises
         DivergedSeries, no criterion InconclusiveSeries, and a converging
         series without a float value (alpha_sqs inf) RecurrenceOverflow, or
-        InconclusiveSeries where n_max ran out."""
+        InconclusiveSeries where the SERIES_N_MAX terms ran out."""
         if not 0 <= k <= self.k_max:
             raise ValueError(f"alpha index must lie in 0..{self.k_max}, got {k}")
         if self.statuses[k] == "diverged":
@@ -646,8 +645,8 @@ class AlphaTable:
         if not math.isfinite(self.alpha_sqs[k]):
             where = (f"alpha_{k} converges at z = {self.z} ({self.criterion}), "
                      "but its float series gave no value")
-            if self.terms_used[k] >= self.n_max:
-                raise InconclusiveSeries(f"{where} within n_max = {self.n_max} terms")
+            if self.terms_used[k] >= SERIES_N_MAX:
+                raise InconclusiveSeries(f"{where} within n_max = {SERIES_N_MAX} terms")
             raise RecurrenceOverflow(f"{where} in the float range after "
                                      f"{self.terms_used[k]} terms")
         return self.alphas[k]
@@ -685,9 +684,9 @@ class DeficiencyContext(PolyCache):
         level that fails."""
         return self.levels(k, (self.d, 1), k + 1, n)
 
-    def alphas(self, k_max: int, n_max: int = SERIES_N_MAX) -> AlphaTable:
-        """alpha_k(z) for k = 0..k_max, with per-k verdicts, summed over this
-        table, which must be a float table.
+    def alphas(self, k_max: int) -> AlphaTable:
+        """alpha_k(z) for k = 0..k_max, with per-k verdicts, each summed within
+        SERIES_N_MAX terms over this table, which must be a float table.
 
         Every status comes from the theorem that decides the sqrt(d)-scaled
         matrix from the family's exact parameters (_criterion), since each
@@ -702,11 +701,10 @@ class DeficiencyContext(PolyCache):
             raise ValueError("the alpha series are float series: read them from a float table")
         if k_max < 0:
             raise ValueError(f"k_max must be nonnegative, got {k_max}")
-        check_series_limits(n_max)
         criterion, verdict, _ = _criterion(self.coeffs, self.scale) or (None, None, None)
         status = {ESA: "diverged", NOT_ESA: "converged"}.get(verdict, "inconclusive")
         if verdict == NOT_ESA:
-            runs = [sum_series(alpha_sq_terms(k, self), n_max) for k in range(k_max + 1)]
+            runs = [sum_series(alpha_sq_terms(k, self), SERIES_N_MAX) for k in range(k_max + 1)]
         else:  # none is summed
             if verdict is None:
                 check_positive(self.coeffs)
@@ -718,14 +716,13 @@ class DeficiencyContext(PolyCache):
         return AlphaTable(complex(self.z), self.d, k_max,
                           [math.sqrt(t) if math.isfinite(t) else math.nan for t in totals],
                           totals, [status] * (k_max + 1), [r.terms_used for r in runs],
-                          status, n_max, criterion)
+                          status, criterion)
 
 
-def alpha_series(coeffs: CoefficientSequence, d: int, z: complex, k_max: int,
-                 n_max: int = SERIES_N_MAX) -> AlphaTable:
+def alpha_series(coeffs: CoefficientSequence, d: int, z, k_max: int) -> AlphaTable:
     """alpha_k(z) for k = 0..k_max, with per-k verdicts, on a float
-    DeficiencyContext of its own (DeficiencyContext.alphas)."""
-    return DeficiencyContext(coeffs, d, complex(z)).alphas(k_max, n_max)
+    DeficiencyContext of its own at complex(z) (DeficiencyContext.alphas)."""
+    return DeficiencyContext(coeffs, d, complex(z)).alphas(k_max)
 
 
 def alpha_sq_partial(coeffs: CoefficientSequence, d: int, z, k: int, n_terms: int):

@@ -124,6 +124,16 @@ def test_polys_writes_file_atomically(tmp_path, capsys):
     assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp")]
 
 
+@pytest.mark.parametrize("where, reason", [
+    ("no-such-dir/x.json", "No such file or directory"), ("", "Is a directory"),
+], ids=["missing-directory", "a-directory"])
+def test_an_unwritable_out_is_a_validation_error(where, reason, tmp_path, capsys):
+    path = str(tmp_path / where)
+    assert run(["classify", "--out", path], capsys) == (
+        2, "", f"error: cannot write {path!r}: {reason}\n")
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp")]
+
+
 def test_classify_verdict_json(capsys):
     code, out, _ = run(["classify", "--coeffs", "paper", "--d", "2"], capsys)
     assert code == 0
@@ -755,12 +765,16 @@ def test_config_value_may_start_with_a_minus(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("[run]\ncoeffs = 50%\n", "bad config file {cfg!r}: '%' must be followed by '%' or '('"),
     ("coeffs = paper\n", "bad config file {cfg!r}: File contains no section headers."),
-    ("[run]\nstrict = maybe\n", "Not a boolean: maybe"),
+    ("[run]\nstrict = maybe\n", "bad config file {cfg!r}: strict: not a boolean"),
     ("[other]\nd = 3\n", "config file {cfg!r} has no [run] section"),
-], ids=["interpolation", "no-section-header", "not-a-boolean", "no-run-section"])
+    (b"[run]\nz = \xff\n", "bad config file {cfg!r}: 'utf-8' codec can't decode byte 0xff"),
+], ids=["interpolation", "no-section-header", "not-a-boolean", "no-run-section", "not-utf-8"])
 def test_malformed_config_is_validation_error(tmp_path, text, message, capsys):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(text)
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    else:
+        cfg.write_text(text)
     code, _, err = run(["classify", "--config", str(cfg)], capsys)
     assert code == 2
     assert err.startswith("error: " + message.format(cfg=str(cfg)))
@@ -782,9 +796,7 @@ def test_config_strict_is_read_as_the_flag(tmp_path, value, code, capsys):
     [command, *coeffs, *option]
     for coeffs in ([], ["--coeffs", "constant:1"], ["--coeffs", "power:1:2"])
     for command, option in [
-        ("classify", o) for o in (["--z", "nan,1"], ["--z", "inf,1"], ["--scale", "0"])] + [
-        (c, o) for c in ("deficiency", "poisson")
-        for o in (["--n-max", "-5"],)]
+        ("classify", o) for o in (["--z", "nan,1"], ["--z", "inf,1"], ["--scale", "0"])]
 ] + [
     ["polys", "--scale", "0"],
     ["polys", "--mode", "exact", "--scale", "0"],
@@ -845,7 +857,11 @@ def test_z_errors_name_the_value_as_written(argv, message, capsys):
     "lambda --n-max -5",
     "oracle --z 0,1",
     "paper-example --coeffs paper",
-])
+    "deficiency --n-max 5",
+    "poisson --n-max 5",
+] + [f"{command} --n-max -5{coeffs}" for coeffs in ("", " --coeffs constant:1",
+                                                    " --coeffs power:1:2")
+     for command in ("deficiency", "poisson")])
 def test_flag_the_subcommand_does_not_read_is_rejected(argv, tmp_path, capsys):
     command, flag, *value = argv.split()
     with pytest.raises(SystemExit) as exc:
@@ -855,7 +871,7 @@ def test_flag_the_subcommand_does_not_read_is_rejected(argv, tmp_path, capsys):
     # the same option as a config key
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[run]\n{flag[2:]} = {value[0] if value else 'true'}\n")
-    code, _, err = run([command, "--config", str(cfg)], capsys)
+    code, _, err = run([command, "--config", str(cfg), *value[1:]], capsys)
     assert code == 2
     assert flag[2:] in err
 
@@ -866,7 +882,9 @@ def test_flag_the_subcommand_does_not_read_is_rejected(argv, tmp_path, capsys):
 # addresses of at most 5 levels.  Half the n_max draws come from 1..40 and
 # three quarters of the --strict draws are set: short budgets and --strict
 # reach the exits that a budget or an undecided verdict sets (paper-example's
-# failed and inconclusive checks, poisson's alpha without a value).
+# failed and inconclusive checks, poisson's alpha without a value).  A budget
+# drawn for deficiency or poisson, which take no --n-max, is set as
+# orthopoly.SERIES_N_MAX, the alpha series' budget.
 _NUMBERS = st.sampled_from(["0", "1", "-1", "0.5", "-2.5", "1/3", "1/0", "1e308", "nan", "inf",
                             "x"])
 _ADDRESS = st.one_of(
@@ -884,7 +902,8 @@ _SHARED = {
     "mode": st.sampled_from(["float", "exact", "fast"]),
     "strict": st.just(True) | st.booleans(),
 }
-_N_MAX = {"n-max": st.integers(1, 40) | st.integers(-2, 2000)}
+_BUDGET = st.integers(1, 40) | st.integers(-2, 2000)
+_N_MAX = {"n-max": _BUDGET}
 _SCALE = st.sampled_from(["1", "2", "1/2", "1.5", "0", "-1", "1/0", "1e400", "x"])
 _N = st.integers(-1, 4)
 
@@ -898,10 +917,9 @@ def _shared(*names):
 _COMMANDS = {
     "polys": ({"n": _N}, {"scale": _SCALE, **_shared("d", "coeffs", "z", "mode")}),
     "classify": ({}, {"scale": _SCALE, **_shared("d", "coeffs", "z", "strict")}),
-    "deficiency": ({"depth": st.integers(-1, 40), "materialize-depth": st.integers(-1, 4),
-                    **_N_MAX},
+    "deficiency": ({"depth": st.integers(-1, 40), "materialize-depth": st.integers(-1, 4)},
                    {"anchor": _ADDRESS, **_shared("d", "coeffs", "z", "mode")}),
-    "poisson": (_N_MAX, {"y": _ADDRESS, **_shared("d", "coeffs", "z")}),
+    "poisson": ({}, {"y": _ADDRESS, **_shared("d", "coeffs", "z")}),
     "lambda": ({"n": _N}, _shared("d", "coeffs")),
     "oracle": ({"n": _N}, _shared("d", "coeffs")),
     "paper-example": (_N_MAX, _shared("strict")),
@@ -920,8 +938,12 @@ def _argv(command, options):
 def test_generated_argv_keeps_the_exit_contract(command, data):
     sizes, optional = _COMMANDS[command]
     options = data.draw(st.fixed_dictionaries(sizes, optional=optional))
+    budget = (data.draw(_BUDGET) if command in ("deficiency", "poisson")
+              else orthopoly.SERIES_N_MAX)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orthopoly, "SERIES_N_MAX", budget)
         try:
             code = main(_argv(command, options))
         except SystemExit as exc:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from treejacobi.coefficients import CoefficientSequence, TreeConfig, _criterion
-from treejacobi import orthopoly
+from treejacobi import deficiency, orthopoly
 from treejacobi.deficiency import (BasisFunction, DeficiencyContext,
                                    DeficiencyElement, _Profile, classify, classify_by_series,
                                    deficiency_residual, element_max_abs,
@@ -118,6 +118,38 @@ def test_materialize_budget_guard():
     elem = DeficiencyElement(None, (1.0,), 1j)
     with pytest.raises(PatchTooLarge):
         elem.materialize(CTX, 25)
+
+
+def test_a_profile_past_the_budget_is_refused_before_it_is_built():
+    # listing the 10^6 branch roots before counting them would trace about 91 MiB
+    import tracemalloc
+
+    ctx = DeficiencyContext(PAPER, 10 ** 6, 1j)
+    elem = DeficiencyElement(None, (1,), ctx.z)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PatchTooLarge, match=r"^a profile to depth 2 needs 2000001 entries, "):
+            element_residual([elem], ctx, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 4), depth=st.integers(0, 5),
+       anchors=st.lists(st.none() | st.lists(st.integers(1, 4), max_size=6).map(tuple),
+                        max_size=4))
+def test_a_profile_counts_the_entries_it_builds(d, depth, anchors):
+    ctx = DeficiencyContext(PAPER, d, 1j)
+    elements = [DeficiencyElement(None, (1,), ctx.z) if a is None else
+                DeficiencyElement(tuple((i - 1) % d + 1 for i in a), (1, -1) + (0,) * (d - 2),
+                                  ctx.z) for a in anchors]
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deficiency, "check_budget", lambda count, what: counts.append(count))
+        profile = _Profile(elements, ctx, depth)
+    assert counts == [sum(map(len, profile.values.values()))]
 
 
 def test_level_sums_vanish_exactly():
@@ -452,10 +484,11 @@ def test_classify_rejects_what_the_series_rejects(coeffs, kwargs):
     with pytest.raises(ValueError):
         classify_by_series(coeffs, 2, **kwargs)
     if "n_max" in kwargs:
-        # classify sums no series and takes no budget; the alpha series do
+        # neither classify nor the alpha series take a budget: the alpha
+        # series sum within orthopoly.SERIES_N_MAX terms
         with pytest.raises(TypeError):
             classify(coeffs, 2, **kwargs)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             alpha_series(coeffs, 2, 1j, 0, **kwargs)
     else:
         with pytest.raises(ValueError):
@@ -480,14 +513,15 @@ def test_a_decided_family_reads_no_coefficient(monkeypatch):
         assert table.statuses == ["diverged"] * 4 and table.terms_used == [0] * 4
 
 
-def test_series_statuses_name_no_criterion():
+def test_series_statuses_name_no_criterion(monkeypatch):
     # a paper family over a power with exponent above 1 goes to the series
     coeffs = CoefficientSequence.paper_example(CoefficientSequence.power(1, 2))
     assert classify(coeffs, 2).criterion is None
-    assert alpha_series(coeffs, 2, 1j, 1, n_max=2000).criterion is None
+    monkeypatch.setattr(orthopoly, "SERIES_N_MAX", 2000)
+    assert alpha_series(coeffs, 2, 1j, 1).criterion is None
 
 
-def test_a_converged_alpha_past_the_float_range_has_no_value():
+def test_a_converged_alpha_past_the_float_range_has_no_value(monkeypatch):
     # Berezanskii decides the family; its float terms leave the float range
     # after 66-67 terms, and the sum is past what a float holds
     table = alpha_series(CoefficientSequence.geometric(Fraction(1, 1000), Fraction(21, 20)),
@@ -498,7 +532,8 @@ def test_a_converged_alpha_past_the_float_range_has_no_value():
     with pytest.raises(RecurrenceOverflow, match="float range"):
         table.alpha(0)
     # a budget that runs out is no float-range fault
-    table = alpha_series(PAPER, 2, 1j, 1, n_max=5)
+    monkeypatch.setattr(orthopoly, "SERIES_N_MAX", 5)
+    table = alpha_series(PAPER, 2, 1j, 1)
     assert table.statuses == ["converged"] * 2 and table.alpha_sqs == [math.inf] * 2
     with pytest.raises(InconclusiveSeries, match="n_max = 5"):
         table.alpha(1)
@@ -524,7 +559,9 @@ NONREAL_Z = st.builds(complex, st.floats(-3, 3),
        k_max=st.integers(0, 2))
 def test_alpha_statuses_follow_the_criterion(coeffs, d, z, k_max):
     rep = classify(coeffs, d, z=z)
-    table = alpha_series(coeffs, d, z, k_max, n_max=2000)  # a power law decays slowly
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orthopoly, "SERIES_N_MAX", 2000)  # a power law decays slowly
+        table = alpha_series(coeffs, d, z, k_max)
     assert table.criterion == rep.criterion is not None
     expected = "diverged" if rep.verdict == "essentially_selfadjoint" else "converged"
     assert table.statuses == [expected] * (k_max + 1)
@@ -577,7 +614,9 @@ def test_a_limit_verdict_names_a_criterion_and_no_series(coeffs, d, scale_and_z,
         assert rep.terms_used == (0, 0)
     # the alpha statuses read a limit only where a criterion gives it
     try:
-        table = alpha_series(coeffs, d, alpha_z, 1, n_max=200)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orthopoly, "SERIES_N_MAX", 200)
+            table = alpha_series(coeffs, d, alpha_z, 1)
     except (NonPositiveLambda, CoefficientIndexError):
         return
     assert table.criterion is not None or set(table.statuses) == {"inconclusive"}

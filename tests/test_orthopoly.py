@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from treejacobi import orthopoly
 from treejacobi.coefficients import CoefficientSequence
 from treejacobi.errors import (CoefficientIndexError, CoefficientOverflow, DivergedSeries,
                                InconclusiveSeries, NonPositiveLambda, RealSpectralParameter,
@@ -1113,8 +1114,9 @@ def test_alpha_total_is_partial_plus_tail():
      "inconclusive", InconclusiveSeries,
      "no criterion decides the family, so alpha_0 at z = 1j has no verdict"),
 ], ids=["diverged", "inconclusive"])
-def test_alpha_divergent_family(coeffs, d, n_max, status, error, message):
-    a = alpha_series(coeffs, d, 1j, 0, n_max=n_max)
+def test_alpha_divergent_family(coeffs, d, n_max, status, error, message, monkeypatch):
+    monkeypatch.setattr(orthopoly, "SERIES_N_MAX", n_max)
+    a = alpha_series(coeffs, d, 1j, 0)
     assert a.statuses[0] == status
     with pytest.raises(error, match=message):
         a.alpha(0)
